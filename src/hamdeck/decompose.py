@@ -2,9 +2,12 @@
 extraction, and exact backtracking completion of the residual graph; plus
 the odd-degree variant that peels off a perfect matching first.
 
-The completer is an exhaustive DFS over Hamilton cycles with connectivity
-and degree pruning, bounded by a node budget so "budget ran out" stays
-distinct from "no decomposition exists".
+The completer peels one Hamilton cycle per level.  At each level it first
+tries cycles from a randomized rotation heuristic (up to HEURISTIC_TRIES
+calls), then an exhaustive DFS over the Hamilton cycles not yet tried, with
+connectivity and degree pruning.  The search is therefore exhaustive, and a
+node budget bounds it, so "budget ran out" (BudgetError) stays distinct from
+"no decomposition exists" (InfeasibleError).
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ log = logging.getLogger(__name__)
 
 
 # -- exact backtracking completion ------------------------------------------------
+
+# Heuristic calls per completion level before the exhaustive DFS takes over.
+# At residual degree 4 most Hamilton cycles leave a disconnected complement;
+# on 40 unions of two random Hamilton cycles of order 101 the level needed up
+# to 29 tries, each far cheaper than the DFS that would list the same cycles.
+HEURISTIC_TRIES = 64
 
 
 class _Budget:
@@ -65,55 +74,53 @@ def _connected_over(adj_bits, mask: int) -> bool:
     return seen == mask
 
 
-def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng=None):
-    """Yield Hamilton cycles (vertex tuples from the anchor) in min-degree-
-    first order, with degree and connectivity pruning.
+def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Random):
+    """Yield every Hamilton cycle (vertex tuples from the anchor) once, in
+    min-degree-first order, with degree and connectivity pruning.
 
-    An optional rng shuffles ties in the successor ordering, so restarted
-    searches explore different subtrees first; the enumeration stays
-    exhaustive either way.
+    The rng shuffles ties in the successor ordering, so restarted searches
+    explore different subtrees first; the enumeration stays exhaustive.  The
+    DFS keeps an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
     """
     full = (1 << n) - 1
-    anchor = 0
-    path = [anchor]
 
-    def extend(v: int, visited: int):
+    def successors(v: int, visited: int) -> list[int]:
         budget.spend()
-        if visited == full:
-            if adj_bits[v] & 1 and path[1] < path[-1]:
-                yield tuple(path)
-            return
         free = ~visited & full
         # each unvisited vertex must keep 2 usable neighbor slots
         avail = free | (1 << v) | 1
-        m = free
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
+        for w in _bits(free):
             if (adj_bits[w] & avail).bit_count() < 2:
-                return
+                return []
         if not _connected_over(adj_bits, free | (1 << v)):
-            return
-        if rng is None:
-            options = [
-                ((adj_bits[w] & free).bit_count(), w)
-                for w in _bits(adj_bits[v] & free & ~1)
-            ]
-        else:
-            options = [
-                ((adj_bits[w] & free).bit_count(), rng.random(), w)
-                for w in _bits(adj_bits[v] & free & ~1)
-            ]
-        options.sort()
-        for opt in options:
-            w = opt[-1]
-            path.append(w)
-            yield from extend(w, visited | (1 << w))
-            path.pop()
-        # the anchor bit is excluded above so the cycle closes only when full
+            return []
+        # the anchor bit is excluded so the cycle closes only when full
+        options = sorted(
+            ((adj_bits[w] & free).bit_count(), rng.random(), w)
+            for w in _bits(adj_bits[v] & free & ~1)
+        )
+        return [w for _, _, w in options]
 
-    yield from extend(anchor, 1)
+    path = [0]
+    visited = 1
+    stack = [iter(successors(0, visited))]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            visited &= ~(1 << path.pop())
+            continue
+        path.append(w)
+        visited |= 1 << w
+        if visited == full:
+            budget.spend()
+            if adj_bits[w] & 1 and path[1] < path[-1]:
+                yield tuple(path)
+            path.pop()
+            visited &= ~(1 << w)
+            continue
+        stack.append(iter(successors(w, visited)))
 
 
 def _bits(mask: int):
@@ -133,17 +140,19 @@ def _strip(adj_bits, cyc) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def _rotation_first_cycle(adj_bits, n: int, budget: _Budget, rng) -> tuple[int, ...] | None:
-    """Heuristic first Hamilton cycle: greedy path growth plus endpoint
-    rotations.  Near-certain and fast on dense levels, where plain DFS can
-    thrash; returns None quickly when it fails (sparse levels fall back to
-    the exhaustive enumerator)."""
+def _rotation_first_cycle(
+    adj_bits, n: int, budget: _Budget, rng: random.Random
+) -> tuple[int, ...] | None:
+    """Heuristic Hamilton cycle: random greedy path growth plus random
+    endpoint rotations.  Near-certain and fast on dense levels, where plain
+    DFS can thrash; returns None when it fails (a disconnected level, no
+    pivot, or its step cap)."""
     if n < 3 or any(b == 0 for b in adj_bits):
         return None
     full = (1 << n) - 1
     if not _connected_over(adj_bits, full):
         return None
-    start = 0 if rng is None else rng.randrange(n)
+    start = rng.randrange(n)
     path = [start]
     visited = 1 << start
     steps_cap = 8 * n * n
@@ -152,11 +161,8 @@ def _rotation_first_cycle(adj_bits, n: int, budget: _Budget, rng) -> tuple[int, 
         tip = path[-1]
         free = adj_bits[tip] & ~visited
         if free:
-            if rng is None:
-                w = (free & -free).bit_length() - 1
-            else:
-                choices = list(_bits(free))
-                w = choices[rng.randrange(len(choices))]
+            choices = list(_bits(free))
+            w = choices[rng.randrange(len(choices))]
             path.append(w)
             visited |= 1 << w
             continue
@@ -170,7 +176,7 @@ def _rotation_first_cycle(adj_bits, n: int, budget: _Budget, rng) -> tuple[int, 
         ]
         if not pivots:
             return None
-        i = pivots[0] if rng is None else pivots[rng.randrange(len(pivots))]
+        i = pivots[rng.randrange(len(pivots))]
         path[i + 1 :] = path[i + 1 :][::-1]
     return None
 
@@ -186,11 +192,14 @@ def complete_residual(
     """Partition a regular even-degree graph into Hamilton cycles by exact
     backtracking across cycle choices.
 
-    The budget is spent in restart slices with reshuffled successor orders:
-    a slice that exhausts its subtree without finding a decomposition is a
-    proof of infeasibility (InfeasibleError); slices that hit their node
-    quota abandon the unlucky ordering and restart.  BudgetError means the
-    whole budget ran out undecided.
+    Each level tries up to HEURISTIC_TRIES rotation-heuristic cycles first,
+    then every other Hamilton cycle by exhaustive DFS.  The budget is spent
+    in restart slices, each seeded from ``seed`` and its attempt number, so
+    one seed always gives one decomposition.  A slice that exhausts its whole
+    tree without finding a decomposition proves infeasibility
+    (InfeasibleError); a slice that hits its node quota abandons its ordering
+    and the next slice restarts.  BudgetError means every slice ran out
+    undecided.  A returned decomposition has been verified.
     """
     degree = g.regular_degree()
     if degree is None:
@@ -201,15 +210,18 @@ def complete_residual(
         return Decomposition.from_parts(g.n, [])
 
     def candidates(bits, budget, rng):
-        heuristic = _rotation_first_cycle(bits, g.n, budget, rng)
-        skip = None
-        if heuristic is not None:
-            skip = canonical_cycle(heuristic)
-            yield heuristic
+        tried = set()
+        for _ in range(HEURISTIC_TRIES):
+            cyc = _rotation_first_cycle(bits, g.n, budget, rng)
+            if cyc is None:
+                break
+            key = canonical_cycle(cyc)
+            if key not in tried:
+                tried.add(key)
+                yield cyc
         for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng):
-            if skip is not None and canonical_cycle(cyc) == skip:
-                continue
-            yield cyc
+            if canonical_cycle(cyc) not in tried:
+                yield cyc
 
     def search(bits, budget, rng) -> list[tuple[int, ...]] | None:
         if not any(bits):
@@ -227,7 +239,7 @@ def complete_residual(
         if spent >= node_budget:
             break
         budget = _Budget(min(slice_budget, node_budget - spent), deadline)
-        rng = None if attempt == 0 else random.Random(spawn_seed(seed, "order", attempt))
+        rng = random.Random(spawn_seed(seed, "order", attempt))
         try:
             found = search(tuple(g.adj_bits), budget, rng)
         except BudgetError:
@@ -264,6 +276,7 @@ def iter_residual_decompositions(
     if degree is None or degree % 2 != 0:
         raise InputError("enumeration needs a regular graph of even degree")
     budget = _Budget(node_budget, deadline)
+    rng = random.Random(0)
     out_count = 0
 
     def rec(bits, chosen: list[tuple[int, ...]], last_key):
@@ -274,7 +287,7 @@ def iter_residual_decompositions(
             out_count += 1
             yield Decomposition.from_parts(g.n, list(chosen))
             return
-        for cyc in _hamilton_cycles_pruned(bits, g.n, budget):
+        for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng):
             key = canonical_cycle(cyc)
             if last_key is not None and key <= last_key:
                 continue
@@ -288,33 +301,39 @@ def iter_residual_decompositions(
 # -- perfect matching (odd-degree variant) ----------------------------------------
 
 
-def find_perfect_matching(g: Graph) -> tuple[Edge, ...]:
-    """Exact backtracking perfect matching; InfeasibleError when none exists."""
-    if g.n % 2 != 0:
-        raise InfeasibleError("odd vertex count admits no perfect matching")
+def _perfect_matchings(g: Graph):
+    """Yield every perfect matching of g (sorted edge tuples) by exact
+    backtracking; the first one costs no more than a single search."""
     matched = [False] * g.n
     chosen: list[Edge] = []
 
-    def rec() -> bool:
+    def rec():
         try:
             u = matched.index(False)
         except ValueError:
-            return True
+            yield tuple(sorted(chosen))
+            return
         matched[u] = True
         for v in g.adj[u]:
             if not matched[v]:
                 matched[v] = True
                 chosen.append(norm_edge(u, v))
-                if rec():
-                    return True
+                yield from rec()
                 chosen.pop()
                 matched[v] = False
         matched[u] = False
-        return False
 
-    if not rec():
+    yield from rec()
+
+
+def find_perfect_matching(g: Graph) -> tuple[Edge, ...]:
+    """Exact backtracking perfect matching; InfeasibleError when none exists."""
+    if g.n % 2 != 0:
+        raise InfeasibleError("odd vertex count admits no perfect matching")
+    matching = next(_perfect_matchings(g), None)
+    if matching is None:
         raise InfeasibleError("graph has no perfect matching")
-    return tuple(sorted(chosen))
+    return matching
 
 
 # -- the pipeline -------------------------------------------------------------------
@@ -496,8 +515,11 @@ def decompose_odd(
     """Odd-degree variant: peel off a perfect matching, decompose the rest.
 
     The result has (r-1)/2 Hamilton cycles plus the matching.  Tiny inputs
-    (below the pipeline minimum) go straight to the exact completer; the
-    n = 2 single-edge case degenerates to a matching with no cycles.
+    (below the pipeline minimum) go to the exact completer once per perfect
+    matching until one remainder decomposes, so InfeasibleError there means
+    no matching works; larger inputs send the first matching's remainder
+    through the pipeline.  The n = 2 single-edge case degenerates to a
+    matching with no cycles.
     """
     r = graph.regular_degree()
     if r is None:
@@ -506,37 +528,48 @@ def decompose_odd(
         raise InputError(f"degree {r} is even; use the main pipeline")
     if graph.n % 2 != 0:
         raise InfeasibleError("odd degree with odd n admits no perfect matching")
-    matching = find_perfect_matching(graph)
-    remainder = graph.subtract(frozenset(matching))
-    if remainder.edge_count == 0:
+    min_n = params.min_n if params is not None else 8
+    if r == 1:
         if graph.n == 2:
             log.warning("degenerate n=2 input: matching only, no cycles")
-        deco = Decomposition.from_parts(graph.n, [], matching)
+        matching, cycles = find_perfect_matching(graph), ()
+    elif graph.n < min_n:
+        matching, cycles = _complete_over_matchings(graph, params, seed)
     else:
-        min_n = params.min_n if params is not None else 8
-        if graph.n < min_n:
-            node_budget = (
-                params.completion_node_budget if params is not None else 2_000_000
-            )
-            deadline = params.deadline if params is not None else None
-            inner = complete_residual(
-                remainder,
-                node_budget=node_budget,
-                deadline=deadline,
-                seed=spawn_seed(seed if seed is not None else 0, "odd-completion"),
-            )
-        else:
-            if params is not None:
-                # the caller's density fraction described the odd input; the
-                # remainder is one degree thinner
-                remainder_c = min(params.c, (r - 1) / graph.n)
-                if remainder_c < params.c:
-                    params = _with_density(params, remainder_c)
-            inner = decompose_pipeline(remainder, params, seed)
-        deco = Decomposition.from_parts(
-            graph.n, [list(c) for c in inner.cycles], matching
-        )
+        matching = find_perfect_matching(graph)
+        if params is not None:
+            # the caller's density fraction described the odd input; the
+            # remainder is one degree thinner
+            remainder_c = min(params.c, (r - 1) / graph.n)
+            if remainder_c < params.c:
+                params = _with_density(params, remainder_c)
+        remainder = graph.subtract(frozenset(matching))
+        cycles = decompose_pipeline(remainder, params, seed).cycles
+    deco = Decomposition.from_parts(graph.n, [list(c) for c in cycles], matching)
     check = verify_decomposition(graph, deco)
     if not check.ok:
         raise AssertionError(f"odd-degree output invalid: {check.violation}")
     return deco
+
+
+def _complete_over_matchings(
+    graph: Graph, params: PipelineParams | None, seed: int | None
+) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...]]:
+    """Exact odd-degree search: the first perfect matching whose remainder
+    the completer decomposes.  InfeasibleError only when every remainder is
+    proven infeasible; a BudgetError from any remainder propagates."""
+    node_budget = params.completion_node_budget if params is not None else 2_000_000
+    deadline = params.deadline if params is not None else None
+    for matching in _perfect_matchings(graph):
+        check_deadline(deadline, "odd-degree completion")
+        try:
+            inner = complete_residual(
+                graph.subtract(frozenset(matching)),
+                node_budget=node_budget,
+                deadline=deadline,
+                seed=spawn_seed(seed if seed is not None else 0, "odd-completion"),
+            )
+        except InfeasibleError:
+            continue
+        return matching, inner.cycles
+    raise InfeasibleError("no perfect matching leaves a decomposable remainder")

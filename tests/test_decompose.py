@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hamdeck.decompose import (
@@ -11,9 +13,23 @@ from hamdeck.decompose import (
 )
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
-from hamdeck.walecki import verify_decomposition
+from hamdeck.walecki import cycle_edges, verify_decomposition
 
 from conftest import petersen
+
+
+def two_cycle_union(n: int, seed: int):
+    """Union of two edge-disjoint random Hamilton cycles: 4-regular and
+    decomposable by construction, like the pipeline's last residual levels."""
+    rng = random.Random(seed)
+    first = list(range(n))
+    rng.shuffle(first)
+    edges = cycle_edges(first)
+    while True:
+        second = list(range(n))
+        rng.shuffle(second)
+        if not edges & cycle_edges(second):
+            return build_graph(n, edges | cycle_edges(second))
 
 
 class TestCompleteResidual:
@@ -46,6 +62,23 @@ class TestCompleteResidual:
     def test_budget_error_is_distinct(self):
         with pytest.raises(BudgetError):
             complete_residual(complete_graph(9), node_budget=5)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_degree_four_union_completes_within_small_budget(self, seed):
+        # degree 4 is the completer's tail: most Hamilton cycles leave a
+        # disconnected complement, so the heuristic tries several per level
+        g = two_cycle_union(101, seed)
+        deco = complete_residual(g, node_budget=20_000)
+        assert deco.cycle_count == 2
+        assert verify_decomposition(g, deco).ok
+
+    def test_same_seed_same_decomposition(self):
+        g = two_cycle_union(101, 0)
+        assert complete_residual(g, seed=3) == complete_residual(g, seed=3)
+
+    def test_enumeration_survives_long_cycles(self):
+        # the DFS depth is n; a recursive search overflows Python's stack
+        assert len(list(iter_residual_decompositions(cycle_graph(1500)))) == 1
 
     def test_enumerates_all_k5_decompositions(self):
         decos = list(iter_residual_decompositions(complete_graph(5)))
@@ -195,6 +228,17 @@ class TestDecomposeOdd:
         deco = decompose_odd(g, seed=0)
         assert deco.cycle_count == 0
         assert deco.matching == ((0, 1),)
+        assert verify_decomposition(g, deco).ok
+
+    def test_prism_tries_every_matching(self):
+        # the first matching found is the three rungs, whose remainder is two
+        # triangles; each other matching leaves a Hamilton cycle
+        g = build_graph(
+            6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5), (0, 1), (2, 3), (4, 5)]
+        )
+        assert find_perfect_matching(g) == ((0, 1), (2, 3), (4, 5))
+        deco = decompose_odd(g, seed=0)
+        assert deco.cycle_count == 1
         assert verify_decomposition(g, deco).ok
 
     def test_petersen_infeasible_by_budget_or_proof(self):

@@ -4,6 +4,11 @@ The oracles (Hamilton-cycle counts, Hamiltonian-decomposition counts, a
 connected-regular-graph corpus) are exhaustive searches meant for n <= ~16;
 the bound formulas are permanent-based upper bounds and the constructive
 lower bound, all in natural-log scale.
+
+The three decomposition oracles wrap one recursion, ``_decompositions``.
+Its cycles come from ``_hamilton_cycles_from``, kept apart from the
+completer's pruned DFS on purpose: it is the reference the completer is
+checked against, and it is 4-5x faster on the oracle's inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, connected_over, strip_cycle
 from .util import check_deadline
 
 HAMILTON_COUNT_CAP = 16
@@ -31,6 +36,8 @@ def _hamilton_cycles_from(adj_bits, n: int, deadline=None):
 
     Each undirected cycle is produced exactly once: the traversal fixes the
     start at 0 and requires the second vertex to be smaller than the last.
+    Cycles come out in lexicographic order.  The reference enumerator:
+    not merged with ``decompose._hamilton_cycles_pruned`` (module docstring).
     """
     if n < 3:
         return
@@ -71,32 +78,7 @@ def count_hamilton_cycles_exact(g: Graph, deadline=None) -> int:
 # -- Hamiltonian decomposition counting --------------------------------------
 
 
-def _cycle_masks(adj_bits, n: int, deadline=None) -> list[tuple[tuple[int, ...], int]]:
-    """All Hamilton cycles with their edge bitmasks, sorted by vertex tuple."""
-    out = []
-    for cyc in _hamilton_cycles_from(adj_bits, n, deadline):
-        mask = 0
-        for i in range(n):
-            u, v = cyc[i], cyc[(i + 1) % n]
-            if u > v:
-                u, v = v, u
-            mask |= 1 << (u * n + v)
-        out.append((cyc, mask))
-    out.sort()
-    return out
-
-
-def _strip_cycle(adj_bits, cyc) -> tuple[int, ...]:
-    bits = list(adj_bits)
-    k = len(cyc)
-    for i in range(k):
-        u, v = cyc[i], cyc[(i + 1) % k]
-        bits[u] &= ~(1 << v)
-        bits[v] &= ~(1 << u)
-    return tuple(bits)
-
-
-def _check_decomposable_input(g: Graph, max_edges: int) -> int:
+def _check_decomposable_input(g: Graph, max_edges: int) -> None:
     r = g.regular_degree()
     if r is None:
         raise InputError("decomposition counting needs a regular graph")
@@ -106,7 +88,30 @@ def _check_decomposable_input(g: Graph, max_edges: int) -> int:
         raise InputError(
             f"graph has {g.edge_count} edges, above the cap of {max_edges}"
         )
-    return r
+
+
+def _decompositions(g: Graph, deadline, *, ordered: bool = False):
+    """Yield every Hamiltonian decomposition of g as a tuple of cycles.
+
+    Unless ``ordered``, each level takes only cycles lexicographically after
+    the previous level's, so each unordered decomposition comes once, sorted.
+    """
+    chosen: list[tuple[int, ...]] = []
+
+    def rec(bits):
+        check_deadline(deadline, "decomposition counting")
+        if not any(bits):
+            yield tuple(chosen)
+            return
+        last = chosen[-1] if chosen and not ordered else None
+        for cyc in _hamilton_cycles_from(bits, g.n, deadline):
+            if last is not None and cyc <= last:
+                continue
+            chosen.append(cyc)
+            yield from rec(strip_cycle(bits, cyc))
+            chosen.pop()
+
+    yield from rec(g.adj_bits)
 
 
 def count_decompositions_exact(
@@ -119,19 +124,7 @@ def count_decompositions_exact(
     exactly once.  No symmetry division is ever applied.
     """
     _check_decomposable_input(g, max_edges)
-
-    def rec(bits, last_cycle) -> int:
-        check_deadline(deadline, "decomposition counting")
-        if not any(bits):
-            return 1
-        total = 0
-        for cyc, _mask in _cycle_masks(bits, g.n, deadline):
-            if last_cycle is not None and cyc <= last_cycle:
-                continue
-            total += rec(_strip_cycle(bits, cyc), cyc)
-        return total
-
-    return rec(tuple(g.adj_bits), None)
+    return sum(1 for _ in _decompositions(g, deadline))
 
 
 def count_decompositions_ordered(
@@ -140,17 +133,7 @@ def count_decompositions_ordered(
     """Number of ordered sequences of edge-disjoint Hamilton cycles using
     all edges; equals the unordered count times (r/2)! for r-regular input."""
     _check_decomposable_input(g, max_edges)
-
-    def rec(bits) -> int:
-        check_deadline(deadline, "ordered decomposition counting")
-        if not any(bits):
-            return 1
-        total = 0
-        for cyc, _mask in _cycle_masks(bits, g.n, deadline):
-            total += rec(_strip_cycle(bits, cyc))
-        return total
-
-    return rec(tuple(g.adj_bits))
+    return sum(1 for _ in _decompositions(g, deadline, ordered=True))
 
 
 def enumerate_decompositions(
@@ -158,23 +141,7 @@ def enumerate_decompositions(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All unordered decompositions, each as a sorted tuple of cycle tuples."""
     _check_decomposable_input(g, max_edges)
-    out: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(bits, last_cycle):
-        check_deadline(deadline, "decomposition enumeration")
-        if not any(bits):
-            out.append(tuple(chosen))
-            return
-        for cyc, _mask in _cycle_masks(bits, g.n, deadline):
-            if last_cycle is not None and cyc <= last_cycle:
-                continue
-            chosen.append(cyc)
-            rec(_strip_cycle(bits, cyc), cyc)
-            chosen.pop()
-
-    rec(tuple(g.adj_bits), None)
-    return out
+    return list(_decompositions(g, deadline))
 
 
 # -- log-scale bound formulas -------------------------------------------------
@@ -267,24 +234,6 @@ def count_report(
 # -- regular graph corpus ------------------------------------------------------
 
 
-def _is_connected(adj_bits, n: int) -> bool:
-    if n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nxt |= adj_bits[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def _labeled_regular_graphs(n: int, degree: int):
     """Yield edge frozensets of all labeled r-regular graphs on n vertices."""
     if degree >= n or (n * degree) % 2 != 0:
@@ -371,7 +320,7 @@ def connected_regular_graphs(
     buckets: dict[tuple, list[int]] = {}
     for edge_set in _labeled_regular_graphs(n, degree):
         g = Graph(n, edge_set)
-        if not _is_connected(g.adj_bits, n):
+        if not connected_over(g.adj_bits, (1 << n) - 1):
             continue
         if not up_to_iso:
             reps.append(g)

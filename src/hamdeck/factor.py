@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, InputError
 from .graphs import Edge, Graph, norm_edge
 from .util import ceil_frac, spawn_seed
-from .walecki import canonical_cycle
+from .walecki import canonical_cycle, cycle_edges
 
 log = logging.getLogger(__name__)
 
@@ -64,8 +64,7 @@ class TwoFactor:
     def edge_set(self) -> frozenset[Edge]:
         edges: set[Edge] = set(self.pairs)
         for cyc in self.cycles:
-            k = len(cyc)
-            edges.update(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
+            edges.update(cycle_edges(cyc))
         return frozenset(edges)
 
     def covered_vertices(self) -> frozenset[int]:
@@ -141,8 +140,7 @@ class PartialHC:
             norm_edge(a, b) for a, b in zip(self.path, self.path[1:])
         )
         for cyc in self.cycles:
-            k = len(cyc)
-            edges.update(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
+            edges.update(cycle_edges(cyc))
         return frozenset(edges)
 
     def validate_in(self, host: Graph) -> None:

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import BudgetError, InfeasibleError, InputError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, edges_between, norm_edge
 from .util import EPS, ceil_frac, spawn_seed
 
 
@@ -250,20 +250,12 @@ def _sampled_cross_density_check(
         approx = np.einsum("ij,jk,ik->i", a_masks, adj, b_masks)
         for i in np.nonzero(approx < threshold + 1.0)[0]:
             a, b = picks[i]
-            exact = _edges_between_exact(g, set(a), set(b))
+            exact = edges_between(g, a, b)
             if exact < threshold - EPS:
                 raise InfeasibleError(
                     f"cross-density hypothesis fails: sets of sizes "
                     f"{len(a)}/{len(b)} span {exact} < {threshold:.2f} edges"
                 )
-
-
-def _edges_between_exact(g: Graph, sa: set, sb: set) -> int:
-    count = 0
-    for u, v in g.edges:
-        if (u in sa and v in sb) or (u in sb and v in sa):
-            count += 1
-    return count
 
 
 def extract_regular_subgraph(

@@ -18,6 +18,7 @@ from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
 from .graphs import Edge, Graph, norm_edge
 from .util import EPS, ceil_frac, check_deadline, spawn_seed
+from .walecki import cycle_edges
 
 log = logging.getLogger(__name__)
 
@@ -85,19 +86,12 @@ def replay_moves(initial_edges, moves) -> frozenset[Edge]:
 
 @dataclass
 class RotationState:
-    """Mutable working state of one extraction: current structure, the
-    split windows and endpoint sets of the latest rotation rounds, and the
+    """Mutable working state of one extraction: current structure and the
     full move history (replayable from ``start_factor``)."""
 
     current: TwoFactor | PartialHC
     start_factor: TwoFactor
     history: list[Move] = field(default_factory=list)
-    segments: tuple[tuple[int, int], ...] = ()
-    start_window: tuple[int, ...] = ()
-    end_window: tuple[int, ...] = ()
-    first_endpoints: frozenset[int] = frozenset()
-    second_endpoints: frozenset[int] = frozenset()
-    third_endpoints: frozenset[int] = frozenset()
 
 
 # -- component helpers ---------------------------------------------------------
@@ -283,7 +277,6 @@ def _interior_positions(rng: tuple[int, int]) -> range:
 
 
 def _apparatus(
-    state: RotationState,
     path: list[int],
     cycles,
     pairs,
@@ -309,7 +302,6 @@ def _apparatus(
     last = n - 1
     s = max(2, min(ceil_frac(2 / params.delta), n // 3))
     segments = _segment_ranges(n, s)
-    state.segments = tuple(segments)
 
     def count_pivots(endpoint: int, rng_: tuple[int, int], lo: int, hi: int) -> int:
         return sum(
@@ -342,8 +334,6 @@ def _apparatus(
         _, start_win, end_win = best
     else:
         start_win, end_win = segments[q_start], segments[q_end]
-    state.start_window = tuple(path[start_win[0] : start_win[1] + 1])
-    state.end_window = tuple(path[end_win[0] : end_win[1] + 1])
     start_interior = {path[i] for i in _interior_positions(start_win)}
     window_vertices = {
         path[i] for i in range(start_win[0], start_win[1] + 1)
@@ -366,7 +356,6 @@ def _apparatus(
             first[tip] = (p1, steps1)
         if len(first) >= MAX_PIVOTS_PER_ROUND:
             break
-    state.first_endpoints = frozenset(first)
     for tip in sorted(first):
         p1, steps1 = first[tip]
         ext = _extension_at_end(p1, cycles, pairs, comp_of, core, patch)
@@ -388,7 +377,6 @@ def _apparatus(
                 second[head] = (p2, steps1 + steps2)
             if len(second) >= MAX_PIVOTS_PER_ROUND:
                 break
-    state.second_endpoints = frozenset(second)
     for head in sorted(second):
         p2, steps2 = second[head]
         rev = p2[::-1]
@@ -411,7 +399,6 @@ def _apparatus(
                 third[tip] = (p3, steps2 + steps3)
             if len(third) >= MAX_PIVOTS_PER_ROUND:
                 break
-    state.third_endpoints = frozenset(third)
     log.debug(
         "rotation rounds: %d segments, endpoint sets %d/%d/%d",
         s,
@@ -521,9 +508,7 @@ def rotate_or_close(
             state.history.append(move)
             return result
 
-    found = _apparatus(
-        state, path, cycles, pairs, comp_of, core, patch, params, host
-    )
+    found = _apparatus(path, cycles, pairs, comp_of, core, patch, params, host)
     if found is None:
         found = _fallback_search(
             path, cycles, pairs, comp_of, core, patch, params, host
@@ -616,10 +601,7 @@ class StepResult:
     patch_edges_in_cycle: frozenset[Edge]
 
     def cycle_edges(self) -> frozenset[Edge]:
-        k = len(self.cycle)
-        return frozenset(
-            norm_edge(self.cycle[i], self.cycle[(i + 1) % k]) for i in range(k)
-        )
+        return cycle_edges(self.cycle)
 
 
 def extract_hamilton_step(

@@ -17,7 +17,7 @@ from hamdeck.counting import (
 )
 from hamdeck.errors import InputError
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
-from hamdeck.walecki import cycle_edges
+from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
 
 
 class TestHamiltonCounts:
@@ -85,9 +85,12 @@ class TestDecompositionCounts:
             count_decompositions_exact(complete_graph(11), max_edges=36)
 
     def test_enumeration_matches_count(self):
-        decos = enumerate_decompositions(complete_graph(5))
-        assert len(decos) == count_decompositions_exact(complete_graph(5))
+        g = complete_graph(5)
+        decos = enumerate_decompositions(g)
+        assert len(decos) == count_decompositions_exact(g)
         assert len({tuple(sorted(d)) for d in decos}) == len(decos)
+        for d in decos:
+            assert verify_decomposition(g, Decomposition.from_parts(5, d)).ok
 
     @pytest.mark.parametrize("n,r", [(5, 2), (6, 4), (7, 4)])
     def test_ordered_unordered_consistency(self, n, r):
@@ -153,12 +156,13 @@ class TestCorpus:
         assert len(connected_regular_graphs(4, 2)) == 1
 
     def test_representatives_are_connected_regular_distinct(self):
-        from hamdeck.counting import _is_connected, _isomorphic
+        from hamdeck.counting import _isomorphic
+        from hamdeck.graphs import connected_over
 
         reps = connected_regular_graphs(6, 3)
         for g in reps:
             assert g.regular_degree() == 3
-            assert _is_connected(g.adj_bits, g.n)
+            assert connected_over(g.adj_bits, (1 << g.n) - 1)
         assert not _isomorphic(reps[0], reps[1])
 
     def test_bregman_holds_on_small_corpus(self):

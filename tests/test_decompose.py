@@ -1,19 +1,26 @@
+import itertools
 import random
 
 import pytest
 
+from hamdeck.counting import (
+    connected_regular_graphs,
+    count_decompositions_exact,
+    enumerate_hamilton_cycles,
+)
 from hamdeck.decompose import (
+    _Budget,
+    _hamilton_cycles_pruned,
     _plan_steps,
     complete_residual,
     decompose_odd,
     decompose_pipeline,
     find_perfect_matching,
-    iter_residual_decompositions,
     run_pipeline,
 )
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
-from hamdeck.walecki import cycle_edges, verify_decomposition
+from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
 
 from conftest import petersen
 
@@ -30,6 +37,32 @@ def two_cycle_union(n: int, seed: int):
         rng.shuffle(second)
         if not edges & cycle_edges(second):
             return build_graph(n, edges | cycle_edges(second))
+
+
+def pruned_cycles(g):
+    """Canonical Hamilton cycles from the completer's pruned DFS."""
+    budget = _Budget(10**9, None)
+    cycles = _hamilton_cycles_pruned(g.adj_bits, g.n, budget, random.Random(0))
+    return {canonical_cycle(c) for c in cycles}
+
+
+def even_corpus():
+    """Connected even-regular corpus graphs with n <= 8 and <= 16 edges."""
+    return [
+        g
+        for n in range(3, 9)
+        for r in range(2, n, 2)
+        if n * r // 2 <= 16
+        for g in connected_regular_graphs(n, r)
+    ]
+
+
+def odd_corpus():
+    """Connected odd-regular corpus graphs with n <= 7 (so n is even)."""
+    return [
+        g for n in range(2, 8, 2) for r in range(1, n, 2)
+        for g in connected_regular_graphs(n, r)
+    ]
 
 
 class TestCompleteResidual:
@@ -78,38 +111,27 @@ class TestCompleteResidual:
 
     def test_enumeration_survives_long_cycles(self):
         # the DFS depth is n; a recursive search overflows Python's stack
-        assert len(list(iter_residual_decompositions(cycle_graph(1500)))) == 1
+        assert len(pruned_cycles(cycle_graph(1500))) == 1
 
-    def test_enumerates_all_k5_decompositions(self):
-        decos = list(iter_residual_decompositions(complete_graph(5)))
-        assert len(decos) == 6
-        assert len({d.cycles for d in decos}) == 6
-        for d in decos:
-            assert verify_decomposition(complete_graph(5), d).ok
+    def test_pruned_cycles_match_reference_across_corpus(self):
+        # the pruned, rng-ordered DFS must list exactly the cycles of the
+        # plain reference DFS, on every small graph and on every graph left
+        # after peeling one Hamilton cycle off it
+        for g in even_corpus():
+            reference = enumerate_hamilton_cycles(g)
+            assert pruned_cycles(g) == set(reference), sorted(g.edges)
+            for cyc in reference:
+                rest = g.subtract(cycle_edges(cyc))
+                assert pruned_cycles(rest) == set(enumerate_hamilton_cycles(rest))
 
-    def test_enumeration_matches_counting_oracle(self):
-        from hamdeck.counting import enumerate_decompositions
-
-        ours = {d.cycles for d in iter_residual_decompositions(complete_graph(5))}
-        oracle = {
-            tuple(sorted(cycles)) for cycles in enumerate_decompositions(complete_graph(5))
-        }
-        assert ours == oracle
-
-    def test_enumeration_matches_counts_across_corpus(self):
-        # two independent enumerators (structural DFS here, bitmask search
-        # in the counting oracle) must agree on every small regular graph
-        from hamdeck.counting import connected_regular_graphs, count_decompositions_exact
-
-        for n in range(4, 9):
-            for r in range(2, n, 2):
-                for g in connected_regular_graphs(n, r):
-                    if g.edge_count > 16:
-                        continue
-                    count = count_decompositions_exact(g)
-                    decos = list(iter_residual_decompositions(g))
-                    assert len(decos) == count, (n, r)
-                    assert len({d.cycles for d in decos}) == count
+    def test_verdicts_match_counts_across_corpus(self):
+        # a decomposition exactly when one exists, InfeasibleError otherwise
+        for g in even_corpus():
+            if count_decompositions_exact(g) > 0:
+                assert verify_decomposition(g, complete_residual(g)).ok
+            else:
+                with pytest.raises(InfeasibleError):
+                    complete_residual(g)
 
 
 class TestPerfectMatching:
@@ -126,6 +148,11 @@ class TestPerfectMatching:
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(InfeasibleError):
             find_perfect_matching(star)
+
+    def test_deep_search_on_c2000(self):
+        # one search level per matched pair; a recursive search overflows
+        m = find_perfect_matching(cycle_graph(2000))
+        assert m == tuple((2 * i, 2 * i + 1) for i in range(1000))
 
 
 class TestPlanSteps:
@@ -240,6 +267,21 @@ class TestDecomposeOdd:
         deco = decompose_odd(g, seed=0)
         assert deco.cycle_count == 1
         assert verify_decomposition(g, deco).ok
+
+    def test_verdicts_match_matching_oracle_across_corpus(self):
+        # exhaustive oracle: some perfect matching, found here by brute force
+        # over edge subsets, leaves a remainder with a decomposition
+        for g in odd_corpus():
+            matchings = [
+                m
+                for m in itertools.combinations(sorted(g.edges), g.n // 2)
+                if len({v for e in m for v in e}) == g.n
+            ]
+            if any(count_decompositions_exact(g.subtract(m)) > 0 for m in matchings):
+                assert verify_decomposition(g, decompose_odd(g, seed=0)).ok
+            else:
+                with pytest.raises(InfeasibleError):
+                    decompose_odd(g, seed=0)
 
     def test_petersen_infeasible_by_budget_or_proof(self):
         # 3-regular with a perfect matching, but the 2-factor left over is

@@ -9,13 +9,16 @@ from hamdeck.graphs import (
     build_graph,
     check_alpha_beta_regular,
     complete_graph,
+    connected_over,
     cycle_graph,
     edges_between,
     empty_graph,
     format_edge_list,
     is_robust_expander,
+    iter_bits,
     parse_edge_list,
     robust_neighborhood,
+    strip_cycle,
 )
 from hamdeck.util import ceil_frac
 
@@ -253,3 +256,32 @@ class TestEdgeListFormat:
     @given(small_graphs())
     def test_round_trip_property(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+class TestBitsetHelpers:
+    def test_iter_bits_in_increasing_order(self):
+        assert list(iter_bits(0b101001)) == [0, 3, 5]
+        assert list(iter_bits(0)) == []
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_connected_over_matches_list_search(self, g):
+        seen, stack = {0}, [0]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        assert connected_over(g.adj_bits, (1 << g.n) - 1) == (len(seen) == g.n)
+
+    def test_connected_over_uses_only_the_mask(self):
+        # 0-1-2 is a path, but without vertex 1 its ends are apart
+        g = build_graph(3, [(0, 1), (1, 2)])
+        assert connected_over(g.adj_bits, 0b111)
+        assert not connected_over(g.adj_bits, 0b101)
+        assert connected_over(g.adj_bits, 0)
+
+    def test_strip_cycle_removes_exactly_its_edges(self):
+        rest = strip_cycle(complete_graph(5).adj_bits, (0, 1, 2, 3, 4))
+        pentagram = build_graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+        assert rest == pentagram.adj_bits

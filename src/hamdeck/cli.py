@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 verification failure or infeasibility; 2 budget
-exhaustion; 3 input errors.  Every subcommand takes a seed (default 0) and
-echoes it in the output metadata, so artifacts are reproducible; --no-meta
-drops the timestamp for byte-stable comparisons.
+exhaustion; 3 input errors; 4 internal errors (a failed self-check or the
+recursion limit), printed without a traceback.  Every subcommand takes a
+seed (default 0) and echoes it in the output metadata, so artifacts are
+reproducible; --no-meta drops the timestamp for byte-stable comparisons.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _meta(args, extra: dict | None = None) -> dict:
@@ -390,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except (AssertionError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

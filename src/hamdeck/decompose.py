@@ -315,7 +315,8 @@ def run_pipeline(
     (core, patch) pair; exact backtracking completion of everything left.
     Stage failures fall through gracefully (a failed step stops the rotation
     stage early; a failed partition sends the whole graph to the completer),
-    and whole-pipeline retries rotate the seed.
+    and whole-pipeline retries rotate the seed.  With no cycle removed, the
+    completer's InfeasibleError is a proof about the input and is raised.
     """
     t0 = time.perf_counter()
     r = graph.regular_degree()
@@ -416,9 +417,10 @@ def run_pipeline(
                 elapsed_s=time.perf_counter() - t0,
             )
         except (BudgetError, InfeasibleError) as exc:
+            if isinstance(exc, InfeasibleError) and not cycles:
+                raise  # the completer ran on the input graph itself
             last_error = exc
             log.warning("pipeline attempt %d failed: %s", attempt, exc)
-            continue
     raise BudgetError(
         f"pipeline failed after {params.pipeline_retries} attempts (last: {last_error})"
     )
@@ -452,12 +454,13 @@ def decompose_odd(
 ) -> Decomposition:
     """Odd-degree variant: peel off a perfect matching, decompose the rest.
 
-    The result has (r-1)/2 Hamilton cycles plus the matching.  Tiny inputs
-    (below the pipeline minimum) go to the exact completer once per perfect
-    matching until one remainder decomposes, so InfeasibleError there means
-    no matching works; larger inputs send the first matching's remainder
-    through the pipeline.  The n = 2 single-edge case degenerates to a
-    matching with no cycles.
+    The result has (r-1)/2 Hamilton cycles plus the matching.  Perfect
+    matchings are tried in turn until one leaves a remainder that decomposes:
+    tiny inputs (below the pipeline minimum) and 1-regular ones send the
+    remainder to the exact completer, larger inputs to the pipeline.  The
+    next matching is tried only when a remainder is proven infeasible, so
+    InfeasibleError means that no perfect matching works, and a BudgetError
+    from any remainder propagates.
     """
     r = graph.regular_degree()
     if r is None:
@@ -466,48 +469,37 @@ def decompose_odd(
         raise InputError(f"degree {r} is even; use the main pipeline")
     if graph.n % 2 != 0:
         raise InfeasibleError("odd degree with odd n admits no perfect matching")
-    min_n = params.min_n if params is not None else 8
-    if r == 1:
-        if graph.n == 2:
-            log.warning("degenerate n=2 input: matching only, no cycles")
-        matching, cycles = find_perfect_matching(graph), ()
-    elif graph.n < min_n:
-        matching, cycles = _complete_over_matchings(graph, params, seed)
-    else:
-        matching = find_perfect_matching(graph)
-        if params is not None:
-            # the caller's density fraction described the odd input; the
-            # remainder is one degree thinner
-            remainder_c = min(params.c, (r - 1) / graph.n)
-            if remainder_c < params.c:
-                params = _with_density(params, remainder_c)
+    exact = graph.n < (params.min_n if params is not None else 8) or r == 1
+    if graph.n == 2:
+        log.warning("degenerate n=2 input: matching only, no cycles")
+    if not exact and params is not None:
+        # the caller's density fraction described the odd input; the
+        # remainder is one degree thinner
+        remainder_c = min(params.c, (r - 1) / graph.n)
+        if remainder_c < params.c:
+            params = _with_density(params, remainder_c)
+    node_budget = params.completion_node_budget if params is not None else 2_000_000
+    deadline = params.deadline if params is not None else None
+    for matching in _perfect_matchings(graph):
+        check_deadline(deadline, "odd-degree decomposition")
         remainder = graph.subtract(frozenset(matching))
-        cycles = decompose_pipeline(remainder, params, seed).cycles
+        try:
+            if exact:
+                cycles = complete_residual(
+                    remainder,
+                    node_budget=node_budget,
+                    deadline=deadline,
+                    seed=spawn_seed(seed if seed is not None else 0, "odd-completion"),
+                ).cycles
+            else:
+                cycles = decompose_pipeline(remainder, params, seed).cycles
+        except InfeasibleError:
+            continue
+        break
+    else:
+        raise InfeasibleError("no perfect matching leaves a decomposable remainder")
     deco = Decomposition.from_parts(graph.n, [list(c) for c in cycles], matching)
     check = verify_decomposition(graph, deco)
     if not check.ok:
         raise AssertionError(f"odd-degree output invalid: {check.violation}")
     return deco
-
-
-def _complete_over_matchings(
-    graph: Graph, params: PipelineParams | None, seed: int | None
-) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...]]:
-    """Exact odd-degree search: the first perfect matching whose remainder
-    the completer decomposes.  InfeasibleError only when every remainder is
-    proven infeasible; a BudgetError from any remainder propagates."""
-    node_budget = params.completion_node_budget if params is not None else 2_000_000
-    deadline = params.deadline if params is not None else None
-    for matching in _perfect_matchings(graph):
-        check_deadline(deadline, "odd-degree completion")
-        try:
-            inner = complete_residual(
-                graph.subtract(frozenset(matching)),
-                node_budget=node_budget,
-                deadline=deadline,
-                seed=spawn_seed(seed if seed is not None else 0, "odd-completion"),
-            )
-        except InfeasibleError:
-            continue
-        return matching, inner.cycles
-    raise InfeasibleError("no perfect matching leaves a decomposable remainder")

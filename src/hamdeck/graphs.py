@@ -9,7 +9,6 @@ an explicit seed).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +160,26 @@ def _vertex_set(g: Graph, members) -> frozenset[int]:
     return s
 
 
+def random_ranks(
+    rng: np.random.Generator, trials: int, n: int, lo: int, hi: int, chunk: int = 4096
+):
+    """Yield ``(sizes, ranks)`` in blocks of at most ``chunk`` of ``trials``
+    rows: per row a size drawn uniformly from [lo, hi] and an independent
+    uniformly random ranking of the vertices 0..n-1.
+
+    ``ranks < sizes[:, None]`` is a uniform random subset of each size, and
+    disjoint rank ranges give disjoint subsets.  Every sampled set predicate
+    and audit in the package draws its vertex sets here.
+    """
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
+        sizes = rng.integers(lo, hi + 1, size=rows)
+        order = rng.random((rows, n)).argsort(axis=1)
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(n), axis=1)
+        yield sizes, ranks
+
+
 def _mask_of(members) -> int:
     m = 0
     for v in members:
@@ -283,17 +302,10 @@ def is_robust_expander(
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
 
-    rng = np.random.default_rng(seed)
     adj = g.adjacency_matrix().astype(np.float32)
-    remaining = trials
-    chunk_size = 4096
-    while remaining > 0:
-        chunk = min(chunk_size, remaining)
-        remaining -= chunk
-        sizes = rng.integers(lo, hi + 1, size=chunk)
-        keys = rng.random((chunk, n))
-        kth = np.sort(keys, axis=1)[np.arange(chunk), sizes - 1]
-        masks = keys <= kth[:, None]
+    rng = np.random.default_rng(seed)
+    for sizes, ranks in random_ranks(rng, trials, n, lo, hi):
+        masks = ranks < sizes[:, None]
         counts = masks.astype(np.float32) @ adj
         rn_sizes = (counts >= threshold - 0.5).sum(axis=1)
         bad = np.nonzero(rn_sizes < sizes + threshold)[0]
@@ -370,24 +382,28 @@ def check_alpha_beta_regular(
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
 
-    rng = random.Random(seed)
-    verts = list(range(n))
-    for _ in range(trials):
-        s_size = rng.randint(lo, max(lo, n - lo))
-        t_cap = n - s_size
-        if t_cap < lo:
-            continue
-        t_size = rng.randint(lo, t_cap)
-        rng.shuffle(verts)
-        s_combo = verts[:s_size]
-        t_combo = verts[s_size : s_size + t_size]
-        if not density_ok(_mask_of(s_combo), t_combo, s_size, t_size):
-            return RegularityVerdict(
-                False,
-                (frozenset(s_combo), frozenset(t_combo)),
-                "set-pair density out of band",
-                f"sampled({trials})",
-            )
+    if 2 * lo > n:
+        # no two disjoint admissible sets fit: the condition is vacuous
+        return RegularityVerdict(True, None, "", f"sampled({trials})")
+    adj = g.adjacency_matrix().astype(np.float32)
+    rng = np.random.default_rng(seed)
+    for s_sizes, ranks in random_ranks(rng, trials, n, lo, n - lo, chunk=1024):
+        t_ends = s_sizes + rng.integers(lo, n - s_sizes + 1)
+        s_masks = ranks < s_sizes[:, None]
+        t_masks = ~s_masks & (ranks < t_ends[:, None])
+        # S and T are disjoint, so each sum is the exact edge count e(S, T)
+        e = ((s_masks.astype(np.float32) @ adj) * t_masks).sum(axis=1)
+        density = e / (s_sizes * (t_ends - s_sizes))
+        for idx in np.nonzero(np.abs(density - alpha) > beta + EPS)[0]:
+            s_combo = np.flatnonzero(s_masks[idx]).tolist()
+            t_combo = np.flatnonzero(t_masks[idx]).tolist()
+            if not density_ok(_mask_of(s_combo), t_combo, len(s_combo), len(t_combo)):
+                return RegularityVerdict(
+                    False,
+                    (frozenset(s_combo), frozenset(t_combo)),
+                    "set-pair density out of band",
+                    f"sampled({trials})",
+                )
     return RegularityVerdict(True, None, "", f"sampled({trials})")
 
 
@@ -395,6 +411,10 @@ def check_alpha_beta_regular(
 #
 # Line 1: "n m"; then m lines "u v" with 0 <= u < v < n, ASCII decimal,
 # LF-terminated.  Duplicate edges and loops are rejected.
+
+# Largest header vertex count accepted: Graph builds per-vertex lists for all
+# n vertices, so an unchecked header could exhaust memory before any edge.
+MAX_EDGE_LIST_VERTICES = 100_000
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -408,6 +428,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise InputError(f"non-integer header {lines[0]!r}") from exc
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise InputError(f"header n={n} exceeds the limit {MAX_EDGE_LIST_VERTICES}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise InputError(f"expected {m} edge lines, found {len(body)}")

@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BudgetError, InfeasibleError, InputError
 from .graphs import (
     Edge,
@@ -23,6 +25,7 @@ from .graphs import (
     edges_between,
     is_robust_expander,
     load_edge_list,
+    random_ranks,
     save_edge_list,
 )
 from .regularize import RegularizeParams, extract_regular_subgraph
@@ -47,7 +50,6 @@ class PipelineParams:
     alpha: float
     seed: int = 0
     partition_retries: int = 16
-    orientation_retries: int = 32
     step_restarts: int = 200
     factor_resamples: int = 64
     rotation_visit_cap: int = 4000
@@ -181,7 +183,6 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
             eps0=min(eps0, c0),
             gamma0=params.gamma / 2,
             seed=spawn_seed(params.seed, "extract", attempt),
-            retries=params.orientation_retries,
             density_trials=params.density_trials,
         )
         formula_d = reg_params.half_degree(n)
@@ -303,32 +304,31 @@ def verify_partition(
     r = max(host_deg, default=0)
     asym_bound_met = core_regular and core_degree + EPS >= (1 - 2 * params.eps) * r
 
-    rng = random.Random(spawn_seed(seed, "patch-density"))
     min_a = max(1, ceil_frac(params.delta**2 * n))
     size_b = max(1, ceil_frac((0.5 - params.delta) * n))
     literal = n**1.6
     floor_ok = True
     literal_ok = True
     min_seen: int | None = None
-    verts = list(range(n))
-    if min_a + size_b <= n:
-        for _ in range(trials):
-            size_a = rng.randint(min_a, n - size_b)
-            rng.shuffle(verts)
-            a = set(verts[:size_a])
-            b = set(verts[size_a : size_a + size_b])
-            e = edges_between(tp.patch, a, b)
-            min_seen = e if min_seen is None else min(min_seen, e)
-            if e < density_floor:
-                floor_ok = False
-            if e < literal:
-                literal_ok = False
+    if min_a + size_b > n:
+        issues.append("vertex set too small for admissible density pairs")
+    elif trials > 0:
+        rng = np.random.default_rng(spawn_seed(seed, "patch-density"))
+        sizes, ranks = next(random_ranks(rng, trials, n, min_a, n - size_b, trials))
+        a_masks = ranks < sizes[:, None]
+        b_masks = ~a_masks & (ranks < sizes[:, None] + size_b)
+        # A and B are disjoint, so each sum is the edge count e(A, B)
+        adj = tp.patch.adjacency_matrix().astype(np.float32)
+        counts = ((a_masks.astype(np.float32) @ adj) * b_masks).sum(axis=1)
+        worst = int(np.argmin(counts))
+        a, b = (np.flatnonzero(m[worst]).tolist() for m in (a_masks, b_masks))
+        min_seen = edges_between(tp.patch, a, b)
+        floor_ok = min_seen >= density_floor
+        literal_ok = min_seen >= literal
         if not floor_ok:
             issues.append(
                 f"patch density floor violated: {min_seen} < {density_floor}"
             )
-    else:
-        issues.append("vertex set too small for admissible density pairs")
 
     # exact enumeration is affordable up to ~2^14 subsets; sample beyond
     if n <= 14:

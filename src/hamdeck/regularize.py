@@ -1,6 +1,7 @@
 """Extract an exactly 2d-regular spanning subgraph from a dense near-regular
-graph: orient the edges, route an integral max flow through a bipartite
-one-arc-per-edge network, and keep the saturated middle arcs.
+graph: orient the edges with in- and out-degree balanced at every vertex,
+route one integral max flow through a bipartite one-arc-per-edge network,
+and keep the saturated middle arcs.
 
 Digraphs here are internal machinery; the public surface consumes and
 produces undirected Graphs.
@@ -16,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import BudgetError, InfeasibleError, InputError
-from .graphs import Edge, Graph, edges_between, norm_edge
+from .graphs import Edge, Graph, edges_between, norm_edge, random_ranks
 from .util import EPS, ceil_frac, spawn_seed
 
 
@@ -53,7 +54,6 @@ class RegularizeParams:
     eps0: float
     gamma0: float
     seed: int = 0
-    retries: int = 32
     density_trials: int = 10_000
 
     def __post_init__(self) -> None:
@@ -81,8 +81,8 @@ def balanced_orientation(g: Graph) -> Digraph:
     """Deterministic orientation with |out(v) - in(v)| <= 1 for every v.
 
     Pairs up odd-degree vertices with virtual edges, walks Euler circuits,
-    and drops the virtual arcs.  Used as a last-resort rescue when random
-    orientations keep failing to saturate the flow.
+    and drops the virtual arcs.  The extraction uses it: a vertex of degree
+    >= 2d keeps at least d out-arcs and d in-arcs.
     """
     adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
 
@@ -215,9 +215,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     return MaxFlowResult(value, middle_flow, x_flow, y_flow)
 
 
-def _sampled_cross_density_check(
-    g: Graph, params: RegularizeParams, rng: random.Random
-) -> None:
+def _sampled_cross_density_check(g: Graph, params: RegularizeParams) -> None:
     """Sampled audit of the cross-density hypothesis: any pair of sets with
     |A| >= c0*n/3 and |B| >= n/2 should span at least gamma0*n^2 edges.
     A sampled violation is exact for that pair and raises."""
@@ -228,28 +226,20 @@ def _sampled_cross_density_check(
     size_b = max(1, ceil_frac(n / 2))
     adj = g.adjacency_matrix().astype(np.float32)
     threshold = params.gamma0 * n * n
-    verts = list(range(n))
-    chunk = 512
-    done = 0
-    while done < params.density_trials:
-        batch = min(chunk, params.density_trials - done)
-        done += batch
-        a_masks = np.zeros((batch, n), dtype=np.float32)
-        b_masks = np.zeros((batch, n), dtype=np.float32)
-        picks = []
-        for i in range(batch):
-            rng.shuffle(verts)
-            a = verts[:size_a]
-            rng.shuffle(verts)
-            b = verts[:size_b]
-            a_masks[i, a] = 1.0
-            b_masks[i, b] = 1.0
-            picks.append((a, b))
-        # ordered-pair counts overcount intersection edges; fine as a lower
-        # bound check only when it FAILS, so failures are re-counted exactly
-        approx = np.einsum("ij,jk,ik->i", a_masks, adj, b_masks)
-        for i in np.nonzero(approx < threshold + 1.0)[0]:
-            a, b = picks[i]
+    rng = np.random.default_rng(spawn_seed(params.seed, "density"))
+    a_draws = random_ranks(rng, params.density_trials, n, size_a, size_a, 64)
+    b_draws = random_ranks(rng, params.density_trials, n, size_b, size_b, 64)
+    for (_, a_ranks), (_, b_ranks) in zip(a_draws, b_draws):
+        a_masks = (a_ranks < size_a).astype(np.float32)
+        b_masks = (b_ranks < size_b).astype(np.float32)
+        both = a_masks * b_masks
+        # ordered pairs count each edge inside A & B twice, once otherwise;
+        # candidates within float slack of the threshold are recounted exactly
+        counts = ((a_masks @ adj) * b_masks).sum(axis=1)
+        counts -= ((both @ adj) * both).sum(axis=1) / 2
+        for i in np.nonzero(counts < threshold + 1.0)[0]:
+            a = np.flatnonzero(a_masks[i]).tolist()
+            b = np.flatnonzero(b_masks[i]).tolist()
             exact = edges_between(g, a, b)
             if exact < threshold - EPS:
                 raise InfeasibleError(
@@ -263,11 +253,11 @@ def extract_regular_subgraph(
 ) -> Graph:
     """Spanning subgraph in which every vertex has degree exactly 2d.
 
-    d defaults to ceil((c0 - eps0) * n / 2).  Each attempt draws a fresh
-    random orientation, builds the flow network, and keeps the middle arcs
-    of a saturating integral max flow; the final attempt uses a balanced
-    orientation as a deterministic rescue.  ``d_override`` lets callers
-    lower the target when the input cannot support the formula value.
+    d defaults to ceil((c0 - eps0) * n / 2).  Keeps the middle arcs of one
+    integral max flow over the balanced orientation when it saturates (value
+    d*n).  A flow that falls short raises BudgetError: it proves nothing about
+    the graph.  ``d_override`` lets callers lower the target when the input
+    cannot support the formula value.
     """
     n = g.n
     band = n ** (2 / 3)
@@ -285,33 +275,22 @@ def extract_regular_subgraph(
         raise InfeasibleError(
             f"target degree {2 * d} exceeds minimum input degree {min(g.degrees())}"
         )
-    _sampled_cross_density_check(
-        g, params, random.Random(spawn_seed(params.seed, "density"))
-    )
+    _sampled_cross_density_check(g, params)
 
-    target = d * n
-    best = -1
-    for attempt in range(params.retries):
-        if attempt == params.retries - 1:
-            orientation = balanced_orientation(g)
-        else:
-            orientation = random_orientation(g, spawn_seed(params.seed, "orient", attempt))
-        net = build_flow_network(orientation, d)
-        result = max_flow(net)
-        best = max(best, result.value)
-        if result.value == target:
-            edges = frozenset(
-                norm_edge(u, v) for (u, v), f in result.middle_flow.items() if f == 1
-            )
-            sub = Graph(n, edges)
-            degs = set(sub.degrees())
-            if degs != {2 * d}:
-                raise AssertionError(f"extracted subgraph degrees {degs} != {2 * d}")
-            return sub
-    raise BudgetError(
-        f"no saturating flow in {params.retries} orientations "
-        f"(best value {best} of {target})"
+    result = max_flow(build_flow_network(balanced_orientation(g), d))
+    if result.value != d * n:
+        raise BudgetError(
+            f"balanced orientation does not saturate the flow "
+            f"(value {result.value} of {d * n})"
+        )
+    edges = frozenset(
+        norm_edge(u, v) for (u, v), f in result.middle_flow.items() if f == 1
     )
+    sub = Graph(n, edges)
+    degs = set(sub.degrees())
+    if degs != {2 * d}:
+        raise AssertionError(f"extracted subgraph degrees {degs} != {2 * d}")
+    return sub
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,13 @@ class TestCount:
         code, _ = run_cli(capsys, "count", str(tmp_path / "nope.edges"))
         assert code == 3
 
+    def test_huge_header_is_input_error(self, capsys, tmp_path):
+        # rejected from the header alone; the graph is never built
+        path = tmp_path / "huge.edges"
+        path.write_text("1000000000000 0\n")
+        code, _ = run_cli(capsys, "count", str(path))
+        assert code == 3
+
 
 class TestDecomposeAndVerify:
     def test_round_trip(self, capsys, graph_file, tmp_path):
@@ -122,6 +129,20 @@ class TestDecomposeAndVerify:
         monkeypatch.setenv("HAMDECK_BUDGET_MS", "soon")
         code, _ = run_cli(capsys, "count", graph_file(5))
         assert code == 3
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [AssertionError, RecursionError])
+    def test_internal_error_gives_exit_4(self, capsys, monkeypatch, error):
+        import hamdeck.cli as cli
+
+        def broken(args, deadline):
+            raise error("self-check failed")
+
+        monkeypatch.setattr(cli, "_cmd_walecki", broken)
+        assert main(["walecki", "9"]) == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert "self-check failed" in err and "Traceback" not in err
 
 
 class TestOtherCommands:

@@ -283,6 +283,14 @@ class TestDecomposeOdd:
                 with pytest.raises(InfeasibleError):
                     decompose_odd(g, seed=0)
 
+    def test_all_connected_cubic_graphs_on_eight_vertices(self):
+        # n = 8 reaches the pipeline, where tri-partition fails and the first
+        # matching's remainder can be infeasible; another matching must be tried
+        graphs = connected_regular_graphs(8, 3)
+        assert len(graphs) == 5
+        for g in graphs:
+            assert verify_decomposition(g, decompose_odd(g, seed=0)).ok
+
     def test_petersen_infeasible_by_budget_or_proof(self):
         # 3-regular with a perfect matching, but the 2-factor left over is
         # two 5-cycles, never a Hamilton cycle

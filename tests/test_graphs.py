@@ -226,6 +226,20 @@ class TestAlphaBetaRegular:
             complete_graph(12), 1.0, 0.3, "sampled", trials=500, seed=0
         ).holds
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_set_pair_counterexample_rechecks(self, mode):
+        # two disjoint K6 pass the degree test at alpha = 1/2 (C10 above does
+        # not), but a pair drawn mostly from one clique has density far from 1/2
+        halves = [range(6), range(6, 12)]
+        g = build_graph(12, [(u, v) for h in halves for u in h for v in h if u < v])
+        verdict = check_alpha_beta_regular(g, 0.5, 0.2, mode, trials=500, seed=0)
+        assert not verdict.holds
+        assert verdict.reason == "set-pair density out of band"
+        s, t = verdict.witness
+        assert not s & t and min(len(s), len(t)) >= ceil_frac(0.2 * 12)
+        density = brute_edges_between(g, s, t) / (len(s) * len(t))
+        assert abs(density - 0.5) > 0.2
+
 
 class TestEdgeListFormat:
     def test_round_trip(self):
@@ -252,6 +266,10 @@ class TestEdgeListFormat:
     def test_rejects_bad_input(self, text):
         with pytest.raises(InputError):
             parse_edge_list(text)
+
+    def test_rejects_huge_header_before_building(self):
+        with pytest.raises(InputError, match="exceeds the limit"):
+            parse_edge_list("1000000000000 0\n")
 
     @given(small_graphs())
     def test_round_trip_property(self, g):

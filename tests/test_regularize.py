@@ -136,9 +136,49 @@ class TestExtract:
 
     def test_budget_error_reports_best(self):
         # a 4-regular graph cannot contain a 6-regular spanning subgraph
-        params = RegularizeParams(c0=0.9, eps0=0.1, gamma0=0.0001, seed=0, retries=3)
+        params = RegularizeParams(c0=0.9, eps0=0.1, gamma0=0.0001, seed=0)
         with pytest.raises((BudgetError, InfeasibleError)):
             extract_regular_subgraph(complete_graph(5), params, d_override=3)
+
+    def test_unsaturated_flow_costs_one_max_flow(self, monkeypatch):
+        # bowtie: triangles 0-1-2 and 0-3-4 share vertex 0, so no cycle
+        # cover (a 1-in/1-out spanning subgraph) exists in any orientation
+        import hamdeck.regularize as regularize
+
+        calls = []
+        real = regularize.max_flow
+        monkeypatch.setattr(
+            regularize, "max_flow", lambda net: calls.append(net) or real(net)
+        )
+        bowtie = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+        params = RegularizeParams(c0=0.6, eps0=0.1, gamma0=1e-4, density_trials=0)
+        with pytest.raises(BudgetError, match="does not saturate"):
+            extract_regular_subgraph(bowtie, params, d_override=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "graph, c0, gamma0",
+        [
+            # two disjoint K12: a random A (4 vertices) and B (12 vertices)
+            # meet each clique in part, so e(A, B) is usually near 24 < 30
+            (
+                build_graph(
+                    24,
+                    [(u, v) for h in (0, 12) for u in range(h, h + 12)
+                     for v in range(u + 1, h + 12)],
+                ),
+                11 / 24,
+                30 / 24**2,
+            ),
+            # K24 with |A| = 8 and |B| = 12: when |A & B| >= 7, e(A, B) <= 68
+            # < 69, although A x B holds >= 89 adjacent ordered pairs
+            (complete_graph(24), 23 / 24, 69 / 24**2),
+        ],
+    )
+    def test_cross_density_audit_raises(self, graph, c0, gamma0):
+        params = RegularizeParams(c0=c0, eps0=1 / 24, gamma0=gamma0, seed=0)
+        with pytest.raises(InfeasibleError, match="cross-density"):
+            extract_regular_subgraph(graph, params)
 
     def test_params_validation(self):
         with pytest.raises(InputError):

@@ -223,7 +223,7 @@ def _cmd_partition(args, deadline) -> int:
 
 def _cmd_sample_factor(args, deadline) -> int:
     graph = _load_graph(args.graph)
-    factor = sample_le2_factor(graph, args.seed)
+    factor = sample_le2_factor(graph, args.seed, deadline=deadline)
     payload = factor.to_json_dict()
     payload["meta"] = _meta(args)
     _emit(args, payload)

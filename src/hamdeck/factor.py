@@ -3,9 +3,10 @@
 Sampling goes through perfect matchings of the bipartite double cover: a
 perfect matching there is a fixed-point-free permutation supported on the
 edge set, and its permutation cycles project to components (2-cycles become
-isolated edges, longer cycles become graph cycles).  Sampling is randomized
-augmenting-path matching with fresh random vertex orders per attempt; it is
-NOT exactly uniform, so counting claims are delegated to the exhaustive
+isolated edges, longer cycles become graph cycles).  Each attempt relabels
+the rows and columns of the double cover at random and takes scipy's C
+maximum bipartite matching (Hopcroft-Karp).  The draws are random but follow
+no known distribution, so counting claims are delegated to the exhaustive
 enumerator at small n.
 """
 
@@ -13,12 +14,16 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InfeasibleError, InputError
 from .graphs import Edge, Graph, norm_edge
-from .util import ceil_frac, spawn_seed
+from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
 log = logging.getLogger(__name__)
@@ -195,36 +200,36 @@ def _project_permutation(sigma: list[int]) -> tuple[list[list[int]], list[Edge]]
 # -- sampling ------------------------------------------------------------------
 
 
-def _random_perfect_matching(g: Graph, rng: random.Random) -> list[int] | None:
-    """Random-order augmenting-path perfect matching on the double cover.
+def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | None:
+    """Maximum matching of the double cover under random row and column labels.
 
-    Returns sigma with sigma[i] = matched partner, or None when the maximum
-    matching is smaller than n (which certifies that no (<=2)-factor exists:
-    sequential augmentation yields a maximum matching).
+    Row r of the n x n biadjacency is vertex rows[r] and column c is vertex
+    cols[c].  It is built column by column from ``g.adj`` (O(n + m)) and
+    converted to CSR, which sorts each row's neighbours by their random
+    labels, so scipy's Hopcroft-Karp visits rows and neighbours in a fresh
+    random order each call.  No distribution over matchings is promised.
+    Returns sigma with sigma[i] = the partner of vertex i, or None when the
+    maximum matching is smaller than n, which certifies that no (<=2)-factor
+    exists.
     """
     n = g.n
-    match_left = [-1] * n
-    match_right = [-1] * n
-    order = list(range(n))
-    rng.shuffle(order)
-
-    def augment(u: int, visited: set[int]) -> bool:
-        nbrs = list(g.adj[u])
-        rng.shuffle(nbrs)
-        for w in nbrs:
-            if w in visited:
-                continue
-            visited.add(w)
-            if match_right[w] == -1 or augment(match_right[w], visited):
-                match_left[u] = w
-                match_right[w] = u
-                return True
-        return False
-
-    for u in order:
-        if not augment(u, set()):
-            return None
-    return match_left
+    rows = rng.permutation(n)
+    cols = rng.permutation(n)
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[rows] = np.arange(n)
+    nbrs = [g.adj[v] for v in cols.tolist()]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, nbrs), dtype=np.int64, count=n), out=indptr[1:])
+    flat = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=indptr[-1])
+    indices = row_of[flat]
+    data = np.ones(len(indices), dtype=np.int8)
+    biadj = csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+    match = maximum_bipartite_matching(biadj, perm_type="column")
+    if (match < 0).any():
+        return None
+    sigma = np.empty(n, dtype=np.int64)
+    sigma[rows] = cols[match]
+    return sigma.tolist()
 
 
 def sample_le2_factor(
@@ -233,19 +238,22 @@ def sample_le2_factor(
     *,
     max_components: int | None = None,
     resamples: int = 64,
+    deadline: float | None = None,
 ) -> TwoFactor:
     """Draw a random (<=2)-factor of g.
 
     Factors with more than ``max_components`` components (default
     ceil(sqrt(n ln n))) are redrawn up to ``resamples`` times, then accepted
-    with a warning.  Raises InfeasibleError when no factor exists.
+    with a warning.  Raises InfeasibleError when no factor exists, and
+    BudgetError when ``deadline`` passes before a draw.
     """
     if g.n < 2:
         raise InfeasibleError("graphs with fewer than 2 vertices have no factor")
     cap = component_budget(g.n) if max_components is None else max_components
     last: TwoFactor | None = None
     for attempt in range(max(1, resamples)):
-        rng = random.Random(spawn_seed(seed, "factor", attempt))
+        check_deadline(deadline, "factor sampling")
+        rng = np.random.default_rng(spawn_seed(seed, "factor", attempt))
         sigma = _random_perfect_matching(g, rng)
         if sigma is None:
             raise InfeasibleError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleError, InputError
+from .errors import BudgetError, InfeasibleError, InputError, SearchFailedError
 from .graphs import (
     Edge,
     ExpanderVerdict,
@@ -194,7 +194,7 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
                     raw_core_graph, reg_params, d_override=d_target
                 )
                 break
-            except (BudgetError, InfeasibleError) as exc:
+            except (SearchFailedError, InfeasibleError) as exc:
                 last_error = exc
                 d_target -= 1
         if core is None:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .errors import BudgetError, InfeasibleError, InputError
+from .errors import InfeasibleError, InputError, SearchFailedError
 from .graphs import Edge, Graph, edges_between, norm_edge, random_ranks
 from .util import EPS, ceil_frac, spawn_seed
 
@@ -255,9 +255,10 @@ def extract_regular_subgraph(
 
     d defaults to ceil((c0 - eps0) * n / 2).  Keeps the middle arcs of one
     integral max flow over the balanced orientation when it saturates (value
-    d*n).  A flow that falls short raises BudgetError: it proves nothing about
-    the graph.  ``d_override`` lets callers lower the target when the input
-    cannot support the formula value.
+    d*n).  A flow that falls short raises SearchFailedError: no budget ran
+    out, and the shortfall proves nothing about the graph, so the caller
+    retries (``tri_partition`` lowers the target).  ``d_override`` lets
+    callers lower the target when the input cannot support the formula value.
     """
     n = g.n
     band = n ** (2 / 3)
@@ -279,7 +280,7 @@ def extract_regular_subgraph(
 
     result = max_flow(build_flow_network(balanced_orientation(g), d))
     if result.value != d * n:
-        raise BudgetError(
+        raise SearchFailedError(
             f"balanced orientation does not saturate the flow "
             f"(value {result.value} of {d * n})"
         )

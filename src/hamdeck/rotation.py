@@ -635,6 +635,7 @@ def extract_hamilton_step(
                 core,
                 spawn_seed(seed, "draw", restart),
                 resamples=params.factor_resamples,
+                deadline=params.deadline,
             )
             state = RotationState(current=factor, start_factor=factor)
             for _ in range(cap):

@@ -30,6 +30,10 @@ def two_disjoint_k4() -> Graph:
     return build_graph(8, edges)
 
 
+def circulant(n: int, jumps) -> Graph:
+    return build_graph(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

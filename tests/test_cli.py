@@ -5,6 +5,8 @@ import pytest
 from hamdeck.cli import main
 from hamdeck.graphs import complete_graph, save_edge_list
 
+from conftest import circulant
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -158,6 +160,18 @@ class TestOtherCommands:
         for edge in data["edges"]:
             covered.update(edge)
         assert covered == set(range(9))
+
+    def test_sample_factor_on_circulant_c3000(self, capsys, tmp_path):
+        path = tmp_path / "c3000.edges"
+        save_edge_list(circulant(3000, (1, 2)), path)
+        code, out = run_cli(capsys, "sample-factor", str(path), "--no-meta")
+        assert code == 0
+        assert json.loads(out)["n"] == 3000
+
+    def test_sample_factor_budget_gives_exit_2(self, capsys, graph_file, monkeypatch):
+        monkeypatch.setenv("HAMDECK_BUDGET_MS", "0")
+        code, _ = run_cli(capsys, "sample-factor", graph_file(9))
+        assert code == 2
 
     def test_check_expander(self, capsys, graph_file):
         code, out = run_cli(

@@ -1,8 +1,9 @@
 import logging
+import time
 
 import pytest
 
-from hamdeck.errors import InfeasibleError, InputError
+from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.factor import (
     PartialHC,
     TwoFactor,
@@ -13,6 +14,8 @@ from hamdeck.factor import (
     sample_le2_factor,
 )
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
+
+from conftest import circulant
 
 
 class TestEnumeration:
@@ -102,6 +105,29 @@ class TestSampling:
             factor = sample_le2_factor(matching, 0, resamples=4)
         assert factor.component_count == 8
         assert any("components" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_augmenting_paths_on_circulant_c3000(self, seed):
+        # a recursive augmenting-path search hits the recursion limit here
+        g = circulant(3000, (1, 2))
+        sample_le2_factor(g, seed).validate_in(g)
+
+    def test_unbalanced_complete_bipartite_has_no_factor(self):
+        # K_{30,32}: a factor would match the 32-side into the 30-side
+        k = build_graph(62, [(u, v) for u in range(30) for v in range(30, 62)])
+        with pytest.raises(InfeasibleError):
+            sample_le2_factor(k, 0)
+
+    def test_k201_draws_stay_under_component_cap(self, caplog):
+        g = complete_graph(201)
+        with caplog.at_level(logging.WARNING, logger="hamdeck.factor"):
+            for seed in range(10):
+                sample_le2_factor(g, seed)
+        assert not any("accepting a factor" in r.message for r in caplog.records)
+
+    def test_past_deadline_is_budget_error(self):
+        with pytest.raises(BudgetError, match="factor sampling"):
+            sample_le2_factor(complete_graph(9), 0, deadline=time.monotonic() - 1)
 
 
 class TestComponentProfile:

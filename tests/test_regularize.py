@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamdeck.errors import BudgetError, InfeasibleError, InputError
+from hamdeck.errors import BudgetError, InfeasibleError, InputError, SearchFailedError
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph, empty_graph
 from hamdeck.regularize import (
     CutAudit,
@@ -152,7 +152,7 @@ class TestExtract:
         )
         bowtie = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
         params = RegularizeParams(c0=0.6, eps0=0.1, gamma0=1e-4, density_trials=0)
-        with pytest.raises(BudgetError, match="does not saturate"):
+        with pytest.raises(SearchFailedError, match="does not saturate"):
             extract_regular_subgraph(bowtie, params, d_override=1)
         assert len(calls) == 1
 

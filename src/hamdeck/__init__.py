@@ -40,7 +40,7 @@ from .graphs import (
     parse_edge_list,
     robust_neighborhood,
 )
-from .partition import PipelineParams, derive_params, tri_partition, verify_partition
+from .partition import PipelineParams, tri_partition, verify_partition
 from .regularize import (
     RegularizeParams,
     build_flow_network,
@@ -76,7 +76,6 @@ __all__ = [
     "decompose_pipeline",
     "decomposition_log_lower",
     "decomposition_log_upper",
-    "derive_params",
     "edges_between",
     "empty_graph",
     "enumerate_le2_factors",

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from .counting import (
@@ -79,31 +80,12 @@ def _load_graph(path: str) -> Graph:
 
 
 def _params_for(graph: Graph, args, deadline) -> PipelineParams:
-    overrides = {}
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if getattr(args, "max_steps", None) is not None:
-        overrides["max_steps"] = args.max_steps
+    names = ("eps", "tau", "gamma", "max_steps")
+    overrides = {k: getattr(args, k, None) for k in names}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     params = default_params(graph, seed=args.seed, deadline=deadline, **overrides)
     if args.c is not None:
-        from .partition import derive_params
-
-        extra = {}
-        if getattr(args, "max_steps", None) is not None:
-            extra["max_steps"] = args.max_steps
-        params = derive_params(
-            args.c,
-            params.eps,
-            params.gamma,
-            params.tau,
-            seed=args.seed,
-            deadline=deadline,
-            **extra,
-        )
+        params = replace(params, c=args.c)
     return params
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BudgetError, InfeasibleError, InputError
 from .graphs import Edge, Graph, connected_over, iter_bits, strip_cycle
@@ -38,6 +38,8 @@ log = logging.getLogger(__name__)
 # on 40 unions of two random Hamilton cycles of order 101 the level needed up
 # to 29 tries, each far cheaper than the DFS that would list the same cycles.
 HEURISTIC_TRIES = 64
+# Restart slices the completion budget is split into.
+COMPLETION_RESTARTS = 24
 
 
 class _Budget:
@@ -154,7 +156,6 @@ def complete_residual(
     *,
     node_budget: int = 2_000_000,
     deadline: float | None = None,
-    restarts: int = 24,
     seed: int = 0,
 ) -> Decomposition:
     """Partition a regular even-degree graph into Hamilton cycles by exact
@@ -163,7 +164,8 @@ def complete_residual(
     Each level tries up to HEURISTIC_TRIES rotation-heuristic cycles first,
     then every other Hamilton cycle by exhaustive DFS.  The budget is spent
     in restart slices, each seeded from ``seed`` and its attempt number, so
-    one seed always gives one decomposition.  A slice that exhausts its whole
+    one seed always gives one decomposition.  A disconnected graph is
+    rejected before any search.  A slice that exhausts its whole
     tree without finding a decomposition proves infeasibility
     (InfeasibleError); a slice that hits its node quota abandons its ordering
     and the next slice restarts.  BudgetError means every slice ran out
@@ -176,6 +178,8 @@ def complete_residual(
         raise InputError(f"degree {degree} is odd")
     if degree == 0:
         return Decomposition.from_parts(g.n, [])
+    if not connected_over(g.adj_bits, (1 << g.n) - 1):
+        raise InfeasibleError("a disconnected graph has no Hamilton cycle")
 
     def candidates(bits, budget, rng):
         tried = set()
@@ -200,10 +204,10 @@ def complete_residual(
                 return [cyc] + rest
         return None
 
-    slice_budget = max(20_000, node_budget // max(1, restarts))
+    slice_budget = max(20_000, node_budget // COMPLETION_RESTARTS)
     spent = 0
     found: list[tuple[int, ...]] | None = None
-    for attempt in range(max(1, restarts)):
+    for attempt in range(COMPLETION_RESTARTS):
         if spent >= node_budget:
             break
         budget = _Budget(min(slice_budget, node_budget - spent), deadline)
@@ -276,6 +280,11 @@ def find_perfect_matching(g: Graph) -> tuple[Edge, ...]:
 
 # -- the pipeline -------------------------------------------------------------------
 
+# Whole-pipeline attempts, each with a fresh seed, before BudgetError.
+PIPELINE_RETRIES = 3
+# Smallest order the pipeline takes; smaller inputs go to the exact completer.
+PIPELINE_MIN_N = 8
+
 
 @dataclass
 class PipelineRun:
@@ -328,13 +337,13 @@ def run_pipeline(
         params = default_params(graph, seed=seed if seed is not None else 0)
     if seed is None:
         seed = params.seed
-    if graph.n < params.min_n:
-        raise InputError(f"pipeline needs n >= {params.min_n}, got {graph.n}")
+    if graph.n < PIPELINE_MIN_N:
+        raise InputError(f"pipeline needs n >= {PIPELINE_MIN_N}, got {graph.n}")
     if r + EPS < params.c * graph.n:
         raise InputError(f"degree {r} below c*n = {params.c * graph.n:.2f}")
 
     last_error: Exception | None = None
-    for attempt in range(max(1, params.pipeline_retries)):
+    for attempt in range(PIPELINE_RETRIES):
         check_deadline(params.deadline, "pipeline")
         attempt_seed = spawn_seed(seed, "pipeline", attempt)
         cycles: list[tuple[int, ...]] = []
@@ -345,7 +354,7 @@ def run_pipeline(
         try:
             tp: TriPartition | None = None
             try:
-                tp = tri_partition(graph, _with_seed(params, attempt_seed))
+                tp = tri_partition(graph, replace(params, seed=attempt_seed))
                 partition_stats = dict(tp.stats)
             except (BudgetError, InfeasibleError) as exc:
                 log.warning("tri-partition failed (%s); completing whole graph", exc)
@@ -392,7 +401,6 @@ def run_pipeline(
                 raise AssertionError("residual after cycle removal is irregular")
             completion = complete_residual(
                 residual,
-                node_budget=params.completion_node_budget,
                 deadline=params.deadline,
                 seed=spawn_seed(attempt_seed, "completion"),
             )
@@ -422,24 +430,8 @@ def run_pipeline(
             last_error = exc
             log.warning("pipeline attempt %d failed: %s", attempt, exc)
     raise BudgetError(
-        f"pipeline failed after {params.pipeline_retries} attempts (last: {last_error})"
+        f"pipeline failed after {PIPELINE_RETRIES} attempts (last: {last_error})"
     )
-
-
-def _with_seed(params: PipelineParams, seed: int) -> PipelineParams:
-    from dataclasses import replace
-
-    return replace(params, seed=seed)
-
-
-def _with_density(params: PipelineParams, c: float) -> PipelineParams:
-    """Re-derive the parameter chain for a new density fraction, keeping
-    eps/gamma/tau and all budgets."""
-    from dataclasses import replace
-
-    delta = min(params.eps * c / 5, params.tau / 2)
-    nu = min(delta, params.eps * params.gamma / 2)
-    return replace(params, c=c, delta=delta, nu=nu, alpha=3 * params.eps * c)
 
 
 def decompose_pipeline(
@@ -456,11 +448,13 @@ def decompose_odd(
 
     The result has (r-1)/2 Hamilton cycles plus the matching.  Perfect
     matchings are tried in turn until one leaves a remainder that decomposes:
-    tiny inputs (below the pipeline minimum) and 1-regular ones send the
+    inputs below ``PIPELINE_MIN_N`` vertices and 1-regular ones send the
     remainder to the exact completer, larger inputs to the pipeline.  The
     next matching is tried only when a remainder is proven infeasible, so
     InfeasibleError means that no perfect matching works, and a BudgetError
-    from any remainder propagates.
+    from any remainder propagates.  With degree 3 or more a disconnected
+    input is rejected before any matching is tried; a 1-regular input is a
+    matching and needs no connectivity.
     """
     r = graph.regular_degree()
     if r is None:
@@ -469,7 +463,9 @@ def decompose_odd(
         raise InputError(f"degree {r} is even; use the main pipeline")
     if graph.n % 2 != 0:
         raise InfeasibleError("odd degree with odd n admits no perfect matching")
-    exact = graph.n < (params.min_n if params is not None else 8) or r == 1
+    if r >= 3 and not connected_over(graph.adj_bits, (1 << graph.n) - 1):
+        raise InfeasibleError("a disconnected graph has no Hamilton cycle")
+    exact = graph.n < PIPELINE_MIN_N or r == 1
     if graph.n == 2:
         log.warning("degenerate n=2 input: matching only, no cycles")
     if not exact and params is not None:
@@ -477,8 +473,7 @@ def decompose_odd(
         # remainder is one degree thinner
         remainder_c = min(params.c, (r - 1) / graph.n)
         if remainder_c < params.c:
-            params = _with_density(params, remainder_c)
-    node_budget = params.completion_node_budget if params is not None else 2_000_000
+            params = replace(params, c=remainder_c)
     deadline = params.deadline if params is not None else None
     for matching in _perfect_matchings(graph):
         check_deadline(deadline, "odd-degree decomposition")
@@ -487,7 +482,6 @@ def decompose_odd(
             if exact:
                 cycles = complete_residual(
                     remainder,
-                    node_budget=node_budget,
                     deadline=deadline,
                     seed=spawn_seed(seed if seed is not None else 0, "odd-completion"),
                 ).cycles

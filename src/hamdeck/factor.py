@@ -236,20 +236,19 @@ def sample_le2_factor(
     g: Graph,
     seed: int,
     *,
-    max_components: int | None = None,
     resamples: int = 64,
     deadline: float | None = None,
 ) -> TwoFactor:
     """Draw a random (<=2)-factor of g.
 
-    Factors with more than ``max_components`` components (default
-    ceil(sqrt(n ln n))) are redrawn up to ``resamples`` times, then accepted
-    with a warning.  Raises InfeasibleError when no factor exists, and
-    BudgetError when ``deadline`` passes before a draw.
+    Factors with more than ceil(sqrt(n ln n)) components are redrawn up to
+    ``resamples`` times, then accepted with a warning.  Raises
+    InfeasibleError when no factor exists, and BudgetError when ``deadline``
+    passes before a draw.
     """
     if g.n < 2:
         raise InfeasibleError("graphs with fewer than 2 vertices have no factor")
-    cap = component_budget(g.n) if max_components is None else max_components
+    cap = component_budget(g.n)
     last: TwoFactor | None = None
     for attempt in range(max(1, resamples)):
         check_deadline(deadline, "factor sampling")

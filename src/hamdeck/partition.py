@@ -31,33 +31,29 @@ from .graphs import (
 from .regularize import RegularizeParams, extract_regular_subgraph
 from .util import EPS, ceil_frac, spawn_seed
 
+# Whole random splits tried before tri_partition gives up with BudgetError.
+PARTITION_RETRIES = 16
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """All pipeline fractions plus RNG seed and retry/sampling budgets.
+    """The pipeline's free fractions, its RNG seed, and two run limits.
 
-    The derived-parameter chain is validated:
-    alpha = 3*eps*c, delta <= min(eps*c/5, tau/2), nu = min(delta, eps*gamma/2).
+    Free fields: the density fraction ``c`` (degree >= c*n), the slack
+    fraction ``eps`` in (0, 1/10), the cross-density fraction ``gamma`` > 0,
+    the robust-expander fraction ``tau`` in (0, 1), ``seed``, an optional cap
+    ``max_steps`` on rotation steps, and an optional ``deadline``
+    (``time.monotonic()`` value).
+
+    Derived, read-only: alpha = 3*eps*c, delta = min(eps*c/5, tau/2) and
+    nu = min(delta, eps*gamma/2).
     """
 
     c: float
     eps: float
-    delta: float
     gamma: float
-    nu: float
     tau: float
-    alpha: float
     seed: int = 0
-    partition_retries: int = 16
-    step_restarts: int = 200
-    factor_resamples: int = 64
-    rotation_visit_cap: int = 4000
-    completion_node_budget: int = 2_000_000
-    pipeline_retries: int = 3
-    density_trials: int = 10_000
-    expander_trials: int = 100_000
-    min_n: int = 8
     max_steps: int | None = None
     deadline: float | None = field(default=None, compare=False)
 
@@ -70,37 +66,18 @@ class PipelineParams:
             raise InputError(f"gamma must be positive, got {self.gamma}")
         if not (0 < self.tau < 1):
             raise InputError(f"tau must be in (0, 1), got {self.tau}")
-        if abs(self.alpha - 3 * self.eps * self.c) > EPS:
-            raise InputError("alpha must equal 3 * eps * c")
-        if self.delta > min(self.eps * self.c / 5, self.tau / 2) + EPS:
-            raise InputError("delta must be <= min(eps*c/5, tau/2)")
-        if self.delta <= 0:
-            raise InputError("delta must be positive")
-        if abs(self.nu - min(self.delta, self.eps * self.gamma / 2)) > EPS:
-            raise InputError("nu must equal min(delta, eps*gamma/2)")
 
+    @property
+    def alpha(self) -> float:
+        return 3 * self.eps * self.c
 
-def derive_params(
-    c: float, eps: float, gamma: float, tau: float, seed: int = 0, **overrides
-) -> PipelineParams:
-    """Build PipelineParams with delta at its maximum allowed value."""
-    if c <= 0 or not (0 < eps < 0.1) or gamma <= 0 or not (0 < tau < 1):
-        raise InputError(
-            f"out of range: c={c}, eps={eps}, gamma={gamma}, tau={tau}"
-        )
-    delta = min(eps * c / 5, tau / 2)
-    nu = min(delta, eps * gamma / 2)
-    return PipelineParams(
-        c=c,
-        eps=eps,
-        delta=delta,
-        gamma=gamma,
-        nu=nu,
-        tau=tau,
-        alpha=3 * eps * c,
-        seed=seed,
-        **overrides,
-    )
+    @property
+    def delta(self) -> float:
+        return min(self.eps * self.c / 5, self.tau / 2)
+
+    @property
+    def nu(self) -> float:
+        return min(self.delta, self.eps * self.gamma / 2)
 
 
 def default_params(g: Graph, seed: int = 0, **overrides) -> PipelineParams:
@@ -114,7 +91,7 @@ def default_params(g: Graph, seed: int = 0, **overrides) -> PipelineParams:
     tau = overrides.pop("tau", 0.2)
     delta = min(eps * c / 5, tau / 2)
     gamma = overrides.pop("gamma", max(delta**3 / 2, 1e-12))
-    return derive_params(c, eps, gamma, tau, seed=seed, **overrides)
+    return PipelineParams(c, eps, gamma, tau, seed=seed, **overrides)
 
 
 def patch_probability(n: int) -> float:
@@ -163,7 +140,7 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
     sorted_edges = sorted(graph.edges)
 
     last_error: Exception | None = None
-    for attempt in range(params.partition_retries):
+    for attempt in range(PARTITION_RETRIES):
         rng = random.Random(spawn_seed(params.seed, "split", attempt))
         patch_edges: set[Edge] = set()
         raw_residual: set[Edge] = set()
@@ -183,7 +160,6 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
             eps0=min(eps0, c0),
             gamma0=params.gamma / 2,
             seed=spawn_seed(params.seed, "extract", attempt),
-            density_trials=params.density_trials,
         )
         formula_d = reg_params.half_degree(n)
         d_target = min(formula_d, min(raw_core_graph.degrees(), default=0) // 2)
@@ -221,7 +197,7 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         _assert_partition_exact(graph, tp)
         return tp
     raise BudgetError(
-        f"tri-partition failed after {params.partition_retries} split attempts "
+        f"tri-partition failed after {PARTITION_RETRIES} split attempts "
         f"(last: {last_error})"
     )
 
@@ -261,12 +237,16 @@ class PartitionReport:
         )
 
 
+# Sampled (A, B) pairs in the patch density audit, and the desk-scale floor
+# on e(A, B) that the audit reports beside the literal n^1.6 threshold.
+DENSITY_TRIALS = 200
+DENSITY_FLOOR = 1
+
+
 def verify_partition(
     tp: TriPartition,
     *,
     graph: Graph | None = None,
-    trials: int = 200,
-    density_floor: int = 1,
     seed: int = 0,
 ) -> PartitionReport:
     """Report-valued check of the tri-partition contract.
@@ -312,9 +292,11 @@ def verify_partition(
     min_seen: int | None = None
     if min_a + size_b > n:
         issues.append("vertex set too small for admissible density pairs")
-    elif trials > 0:
+    else:
         rng = np.random.default_rng(spawn_seed(seed, "patch-density"))
-        sizes, ranks = next(random_ranks(rng, trials, n, min_a, n - size_b, trials))
+        sizes, ranks = next(
+            random_ranks(rng, DENSITY_TRIALS, n, min_a, n - size_b, DENSITY_TRIALS)
+        )
         a_masks = ranks < sizes[:, None]
         b_masks = ~a_masks & (ranks < sizes[:, None] + size_b)
         # A and B are disjoint, so each sum is the edge count e(A, B)
@@ -323,11 +305,11 @@ def verify_partition(
         worst = int(np.argmin(counts))
         a, b = (np.flatnonzero(m[worst]).tolist() for m in (a_masks, b_masks))
         min_seen = edges_between(tp.patch, a, b)
-        floor_ok = min_seen >= density_floor
+        floor_ok = min_seen >= DENSITY_FLOOR
         literal_ok = min_seen >= literal
         if not floor_ok:
             issues.append(
-                f"patch density floor violated: {min_seen} < {density_floor}"
+                f"patch density floor violated: {min_seen} < {DENSITY_FLOOR}"
             )
 
     # exact enumeration is affordable up to ~2^14 subsets; sample beyond
@@ -339,7 +321,6 @@ def verify_partition(
             params.nu,
             params.tau,
             "sampled",
-            trials=params.expander_trials,
             seed=spawn_seed(seed, "expander"),
         )
     if not expander.holds:
@@ -403,16 +384,13 @@ def load_tri_partition(prefix: str) -> TriPartition:
     with open(f"{prefix}.params.json", "r", encoding="ascii") as fh:
         payload = json.load(fh)
     p = payload["params"]
-    params = PipelineParams(
-        c=p["c"],
-        eps=p["eps"],
-        delta=p["delta"],
-        gamma=p["gamma"],
-        nu=p["nu"],
-        tau=p["tau"],
-        alpha=p["alpha"],
-        seed=p["seed"],
-    )
+    params = PipelineParams(p["c"], p["eps"], p["gamma"], p["tau"], seed=p["seed"])
+    for name in ("delta", "nu", "alpha"):
+        if abs(p[name] - getattr(params, name)) > EPS:
+            raise InputError(
+                f"sidecar {name} = {p[name]} differs from its derived value "
+                f"{getattr(params, name)}"
+            )
     return TriPartition(
         core, patch, residual, params, payload["core_degree"], payload.get("stats", {})
     )

@@ -23,6 +23,10 @@ from .walecki import cycle_edges
 log = logging.getLogger(__name__)
 
 MAX_PIVOTS_PER_ROUND = 32
+# Factor draws per rotation step before the step gives up with BudgetError.
+STEP_RESTARTS = 200
+# Paths the breadth-first fallback search visits before giving up.
+ROTATION_VISIT_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -425,7 +429,6 @@ def _fallback_search(
     comp_of,
     core: Graph,
     patch: Graph,
-    params,
     host: Graph,
 ):
     """Bounded breadth-first search over core-edge rotations from both ends,
@@ -442,7 +445,7 @@ def _fallback_search(
     while queue:
         cur, steps = queue.popleft()
         visits += 1
-        if visits > params.rotation_visit_cap:
+        if visits > ROTATION_VISIT_CAP:
             break
         cur_list = list(cur)
         for oriented in (cur_list, cur_list[::-1]):
@@ -510,9 +513,7 @@ def rotate_or_close(
 
     found = _apparatus(path, cycles, pairs, comp_of, core, patch, params, host)
     if found is None:
-        found = _fallback_search(
-            path, cycles, pairs, comp_of, core, patch, params, host
-        )
+        found = _fallback_search(path, cycles, pairs, comp_of, core, patch, host)
     if found is None:
         raise SearchFailedError("rotation rounds exhausted with no extension/closure")
     result, move = found
@@ -628,13 +629,12 @@ def extract_hamilton_step(
     cap = 2 * component_budget(n) + 1
 
     last_error: Exception | None = None
-    for restart in range(params.step_restarts):
+    for restart in range(STEP_RESTARTS):
         check_deadline(params.deadline, "hamilton step")
         try:
             factor = sample_le2_factor(
                 core,
                 spawn_seed(seed, "draw", restart),
-                resamples=params.factor_resamples,
                 deadline=params.deadline,
             )
             state = RotationState(current=factor, start_factor=factor)
@@ -713,6 +713,6 @@ def extract_hamilton_step(
             last_error = exc
             continue
     raise BudgetError(
-        f"hamilton step failed after {params.step_restarts} restarts "
+        f"hamilton step failed after {STEP_RESTARTS} restarts "
         f"(last: {last_error})"
     )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hamdeck.cli import main
+from hamdeck.decompose import run_pipeline
 from hamdeck.graphs import complete_graph, save_edge_list
 
 from conftest import circulant
@@ -116,6 +117,42 @@ class TestDecomposeAndVerify:
         data = json.loads(out)
         assert len(data["cycles"]) == 5
         assert len(data["matching"]) == 6
+
+    @pytest.mark.parametrize(
+        "flags, expect",
+        [
+            (("--c", "0.9", "--max-steps", "1"), {"c": 0.9, "max_steps": 1}),
+            (
+                ("--eps", "0.04", "--tau", "0.3", "--gamma", "1e-6"),
+                {"eps": 0.04, "tau": 0.3, "gamma": 1e-6},
+            ),
+        ],
+    )
+    def test_param_overrides_reach_the_pipeline(
+        self, capsys, graph_file, monkeypatch, flags, expect
+    ):
+        import hamdeck.cli as cli
+        from hamdeck.partition import default_params
+
+        seen = []
+
+        def recording(graph, params, seed=None):
+            seen.append(params)
+            return run_pipeline(graph, params, seed)
+
+        monkeypatch.setattr(cli, "run_pipeline", recording)
+        code, out = run_cli(capsys, "decompose", graph_file(21), *flags, "--no-meta")
+        assert code == 0
+        (params,) = seen
+        g = complete_graph(21)
+        defaults = default_params(g)
+        for name in ("c", "eps", "gamma", "tau", "max_steps"):
+            assert getattr(params, name) == expect.get(name, getattr(defaults, name))
+        assert params.delta == min(params.eps * params.c / 5, params.tau / 2)
+        assert params.nu == min(params.delta, params.eps * params.gamma / 2)
+        data = json.loads(out)
+        del data["meta"]
+        assert data == run_pipeline(g, params, seed=0).decomposition.to_json_dict()
 
     def test_budget_env_gives_exit_2(self, capsys, graph_file, monkeypatch):
         monkeypatch.setenv("HAMDECK_BUDGET_MS", "1")

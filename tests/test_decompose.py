@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,12 @@ from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
 
 from conftest import petersen
+
+
+def two_disjoint_cliques(k: int):
+    return complete_graph(2 * k).subtract(
+        {(u, v) for u in range(k) for v in range(k, 2 * k)}
+    )
 
 
 def two_cycle_union(n: int, seed: int):
@@ -95,6 +102,12 @@ class TestCompleteResidual:
     def test_budget_error_is_distinct(self):
         with pytest.raises(BudgetError):
             complete_residual(complete_graph(9), node_budget=5)
+
+    def test_disconnected_rejected_before_search(self):
+        # a zero node budget stops any search at once, so only the
+        # connectivity check can give this verdict
+        with pytest.raises(InfeasibleError):
+            complete_residual(two_disjoint_cliques(5), node_budget=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_degree_four_union_completes_within_small_budget(self, seed):
@@ -290,6 +303,21 @@ class TestDecomposeOdd:
         assert len(graphs) == 5
         for g in graphs:
             assert verify_decomposition(g, decompose_odd(g, seed=0)).ok
+
+    def test_two_disjoint_k10_rejected_at_once(self):
+        # 9-regular on 20 vertices: each of the ~893k perfect matchings would
+        # otherwise cost a failed pipeline run
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleError):
+            decompose_odd(two_disjoint_cliques(10), seed=0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_disjoint_edges_decompose_as_a_matching(self):
+        g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
+        deco = decompose_odd(g, seed=0)
+        assert deco.cycle_count == 0
+        assert deco.matching == ((0, 1), (2, 3), (4, 5))
+        assert verify_decomposition(g, deco).ok
 
     def test_petersen_infeasible_by_budget_or_proof(self):
         # 3-regular with a perfect matching, but the 2-factor left over is

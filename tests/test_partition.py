@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -8,7 +9,6 @@ from hamdeck.partition import (
     PipelineParams,
     TriPartition,
     default_params,
-    derive_params,
     load_tri_partition,
     patch_probability,
     save_tri_partition,
@@ -19,30 +19,29 @@ from hamdeck.partition import (
 
 class TestDeriveParams:
     def test_dense_example(self):
-        p = derive_params(c=1.0, eps=0.05, gamma=0.01, tau=0.2)
+        p = PipelineParams(c=1.0, eps=0.05, gamma=0.01, tau=0.2)
         assert p.alpha == pytest.approx(0.15)
         assert p.delta == pytest.approx(0.01)
         assert p.nu == pytest.approx(0.00025)
 
     def test_eps_range_enforced(self):
         with pytest.raises(InputError):
-            derive_params(c=1.0, eps=0.2, gamma=0.01, tau=0.2)
+            PipelineParams(c=1.0, eps=0.2, gamma=0.01, tau=0.2)
 
     def test_delta_picks_the_minimum(self):
-        p = derive_params(c=0.6, eps=0.05, gamma=0.05, tau=0.3)
+        p = PipelineParams(c=0.6, eps=0.05, gamma=0.05, tau=0.3)
         assert p.delta == pytest.approx(0.006)
 
-    def test_chain_validated_on_construction(self):
-        with pytest.raises(InputError):
-            PipelineParams(
-                c=1.0, eps=0.05, delta=0.05, gamma=0.01, nu=0.00025, tau=0.2,
-                alpha=0.15,
-            )
-        with pytest.raises(InputError):
-            PipelineParams(
-                c=1.0, eps=0.05, delta=0.01, gamma=0.01, nu=0.00025, tau=0.2,
-                alpha=0.3,
-            )
+    def test_sidecar_with_edited_alpha_rejected(self, tmp_path):
+        g = complete_graph(21)
+        prefix = str(tmp_path / "part")
+        save_tri_partition(tri_partition(g, default_params(g, seed=0)), prefix)
+        sidecar = tmp_path / "part.params.json"
+        payload = json.loads(sidecar.read_text())
+        payload["params"]["alpha"] *= 2
+        sidecar.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="alpha"):
+            load_tri_partition(prefix)
 
     def test_patch_probability_clamped(self):
         assert patch_probability(2) == 0.5
@@ -79,16 +78,16 @@ class TestTriPartition:
 
     def test_sparse_input_rejected(self):
         with pytest.raises(InputError):
-            tri_partition(cycle_graph(6), derive_params(0.9, 0.05, 0.01, 0.2))
+            tri_partition(cycle_graph(6), PipelineParams(0.9, 0.05, 0.01, 0.2))
 
     def test_odd_degree_rejected(self):
         with pytest.raises(InputError):
-            tri_partition(complete_graph(4), derive_params(0.5, 0.05, 0.01, 0.2))
+            tri_partition(complete_graph(4), PipelineParams(0.5, 0.05, 0.01, 0.2))
 
     def test_irregular_rejected(self):
         g = Graph(4, frozenset({(0, 1), (1, 2)}))
         with pytest.raises(InputError):
-            tri_partition(g, derive_params(0.1, 0.05, 0.01, 0.2))
+            tri_partition(g, PipelineParams(0.1, 0.05, 0.01, 0.2))
 
     def test_split_fractions_concentrate(self):
         # over seeds at n >= 50: |patch|/|E| within +-50% of 1/ln n, raw

@@ -124,6 +124,7 @@ def _rotation_first_cycle(
         return None
     start = rng.randrange(n)
     path = [start]
+    pos = [0] * n  # pos[v] is v's index in path while v is visited
     visited = 1 << start
     steps_cap = 8 * n * n
     for _ in range(steps_cap):
@@ -133,21 +134,21 @@ def _rotation_first_cycle(
         if free:
             choices = list(iter_bits(free))
             w = choices[rng.randrange(len(choices))]
+            pos[w] = len(path)
             path.append(w)
             visited |= 1 << w
             continue
         if visited == full and adj_bits[tip] & (1 << path[0]):
             return tuple(path)
-        # rotate: pick a pivot among the tip's on-path neighbors
-        pivots = [
-            i
-            for i in range(len(path) - 2)
-            if adj_bits[tip] >> path[i] & 1
-        ]
+        # rotate: pick a pivot among the tip's on-path neighbors in path
+        # order; the last of them is the tip's predecessor, not a pivot
+        pivots = sorted(pos[w] for w in iter_bits(adj_bits[tip] & visited))[:-1]
         if not pivots:
             return None
         i = pivots[rng.randrange(len(pivots))]
         path[i + 1 :] = path[i + 1 :][::-1]
+        for k in range(i + 1, len(path)):
+            pos[path[k]] = k
     return None
 
 
@@ -324,7 +325,8 @@ def run_pipeline(
     (core, patch) pair; exact backtracking completion of everything left.
     Stage failures fall through gracefully (a failed step stops the rotation
     stage early; a failed partition sends the whole graph to the completer),
-    and whole-pipeline retries rotate the seed.  With no cycle removed, the
+    and whole-pipeline retries rotate the seed.  A disconnected input is
+    rejected before the tri-partition.  With no cycle removed, the
     completer's InfeasibleError is a proof about the input and is raised.
     """
     t0 = time.perf_counter()
@@ -341,6 +343,8 @@ def run_pipeline(
         raise InputError(f"pipeline needs n >= {PIPELINE_MIN_N}, got {graph.n}")
     if r + EPS < params.c * graph.n:
         raise InputError(f"degree {r} below c*n = {params.c * graph.n:.2f}")
+    if not connected_over(graph.adj_bits, (1 << graph.n) - 1):
+        raise InfeasibleError("a disconnected graph has no Hamilton cycle")
 
     last_error: Exception | None = None
     for attempt in range(PIPELINE_RETRIES):
@@ -395,7 +399,7 @@ def run_pipeline(
             used = set()
             for cyc in cycles:
                 used |= cycle_edges(cyc)
-            residual = Graph(graph.n, graph.edges - used)
+            residual = graph.subtract(used)
             res_degree = residual.regular_degree()
             if res_degree is None:
                 raise AssertionError("residual after cycle removal is irregular")

@@ -89,7 +89,8 @@ def default_params(g: Graph, seed: int = 0, **overrides) -> PipelineParams:
     c = r / g.n
     eps = overrides.pop("eps", 0.05)
     tau = overrides.pop("tau", 0.2)
-    delta = min(eps * c / 5, tau / 2)
+    # delta does not depend on gamma, so any placeholder gamma will do
+    delta = PipelineParams(c, eps, 1.0, tau).delta
     gamma = overrides.pop("gamma", max(delta**3 / 2, 1e-12))
     return PipelineParams(c, eps, gamma, tau, seed=seed, **overrides)
 

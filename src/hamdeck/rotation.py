@@ -132,11 +132,12 @@ def merge_step(
     Picks a small component and a connecting edge, preferring the source
     graph the degree dichotomy prescribes (core when the component is
     smaller than the core degree, else patch) and falling back to either.
+    ``host`` is core ∪ patch; it is derived from the two when omitted.
     """
     if factor.component_count < 2:
         raise InputError("merge needs a factor with at least 2 components")
     if host is None:
-        host = Graph(core.n, core.edges | patch.edges)
+        host = core.union(patch)
     cycles = list(factor.cycles)
     pairs = list(factor.pairs)
     comp_of = _component_map(cycles, pairs)
@@ -489,12 +490,13 @@ def rotate_or_close(
 ) -> TwoFactor | PartialHC:
     """Advance a partial Hamilton cycle: absorb another component (one fewer
     component) or close the path into a cycle (same components, one more
-    edge).  Raises SearchFailedError when every round is exhausted."""
+    edge).  Raises SearchFailedError when every round is exhausted.
+    ``host`` is core ∪ patch; it is derived from the two when omitted."""
     partial = state.current
     if not isinstance(partial, PartialHC):
         raise InputError("rotate_or_close needs a PartialHC state")
     if host is None:
-        host = Graph(core.n, core.edges | patch.edges)
+        host = core.union(patch)
     path = list(partial.path)
     cycles = list(partial.cycles)
     pairs = list(partial.pairs)
@@ -617,7 +619,7 @@ def extract_hamilton_step(
     """
     if core.n != patch.n:
         raise InputError("core and patch must share a vertex set")
-    if core.edges & patch.edges:
+    if not core.edges.isdisjoint(patch.edges):
         raise InputError("core and patch must be edge-disjoint")
     d = core.regular_degree()
     if d is None:
@@ -625,7 +627,7 @@ def extract_hamilton_step(
     if d % 2 != 0 or d < 4:
         raise InputError(f"core degree must be even and >= 4, got {d}")
     n = core.n
-    host = Graph(n, core.edges | patch.edges)
+    host = core.union(patch)
     cap = 2 * component_budget(n) + 1
 
     last_error: Exception | None = None
@@ -675,28 +677,25 @@ def extract_hamilton_step(
 
             promoted_set = frozenset(promoted)
             dropped_set = frozenset(dropped)
-            new_core = Graph(
-                n,
-                (core.edges - (cycle_edge_set & core.edges) - dropped_set)
-                | promoted_set,
+            cycle_in_patch = cycle_edge_set - core.edges
+            # with core ∩ patch = ∅, these four facts give the identity
+            # core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core
+            if not (
+                dropped_set <= core.edges
+                and promoted_set <= patch.edges
+                and cycle_in_patch <= patch.edges
+                and cycle_edge_set.isdisjoint(dropped_set | promoted_set)
+            ):
+                raise AssertionError("edge accounting identity violated")
+            new_core = core._edited(
+                (cycle_edge_set - cycle_in_patch) | dropped_set, promoted_set
             )
-            new_patch = Graph(
-                n, patch.edges - (cycle_edge_set & patch.edges) - promoted_set
-            )
+            new_patch = patch._edited(cycle_in_patch | promoted_set, frozenset())
             degs = set(new_core.degrees())
             if degs != {d - 2}:
                 raise AssertionError(
                     f"rebalanced core degrees {degs}, expected {{{d - 2}}}"
                 )
-            total = (
-                len(new_core.edges)
-                + len(new_patch.edges)
-                + len(cycle_edge_set)
-                + len(dropped_set)
-            )
-            union = new_core.edges | new_patch.edges | cycle_edge_set | dropped_set
-            if total != len(union) or union != (core.edges | patch.edges):
-                raise AssertionError("edge accounting identity violated")
 
             return StepResult(
                 cycle=cycle,

@@ -34,6 +34,14 @@ def circulant(n: int, jumps) -> Graph:
     return build_graph(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
 
 
+def paley(q: int) -> Graph:
+    """Paley graph on Z_q (q prime, q = 1 mod 4): u ~ v iff u - v is a
+    nonzero square; (q-1)/2-regular with edge density about 1/2."""
+    squares = {x * x % q for x in range(1, q)}
+    pairs = itertools.combinations(range(q), 2)
+    return build_graph(q, [(u, v) for u, v in pairs if (v - u) % q in squares])
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

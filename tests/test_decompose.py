@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from hamdeck import decompose
 from hamdeck.counting import (
     connected_regular_graphs,
     count_decompositions_exact,
@@ -13,6 +14,7 @@ from hamdeck.decompose import (
     _Budget,
     _hamilton_cycles_pruned,
     _plan_steps,
+    _rotation_first_cycle,
     complete_residual,
     decompose_odd,
     decompose_pipeline,
@@ -20,7 +22,7 @@ from hamdeck.decompose import (
     run_pipeline,
 )
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
-from hamdeck.graphs import build_graph, complete_graph, cycle_graph
+from hamdeck.graphs import Graph, build_graph, complete_graph, cycle_graph, iter_bits
 from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
 
 from conftest import petersen
@@ -44,6 +46,30 @@ def two_cycle_union(n: int, seed: int):
         rng.shuffle(second)
         if not edges & cycle_edges(second):
             return build_graph(n, edges | cycle_edges(second))
+
+
+def scan_rotation_first_cycle(adj_bits, n, rng):
+    """The rotation heuristic with its pivots found by scanning the whole
+    path, as a reference for the position-array lookup."""
+    start = rng.randrange(n)
+    path, visited, full = [start], 1 << start, (1 << n) - 1
+    for _ in range(8 * n * n):
+        tip = path[-1]
+        free = adj_bits[tip] & ~visited
+        if free:
+            choices = list(iter_bits(free))
+            w = choices[rng.randrange(len(choices))]
+            path.append(w)
+            visited |= 1 << w
+            continue
+        if visited == full and adj_bits[tip] & (1 << path[0]):
+            return tuple(path)
+        pivots = [i for i in range(len(path) - 2) if adj_bits[tip] >> path[i] & 1]
+        if not pivots:
+            return None
+        i = pivots[rng.randrange(len(pivots))]
+        path[i + 1 :] = path[i + 1 :][::-1]
+    return None
 
 
 def pruned_cycles(g):
@@ -117,6 +143,17 @@ class TestCompleteResidual:
         deco = complete_residual(g, node_budget=20_000)
         assert deco.cycle_count == 2
         assert verify_decomposition(g, deco).ok
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rotation_heuristic_picks_the_scanned_pivots(self, seed):
+        # same pivots in the same order, so the same rng draws and cycles
+        g = two_cycle_union(60, seed)
+        for draw in range(5):
+            got = _rotation_first_cycle(
+                g.adj_bits, g.n, _Budget(10**9, None), random.Random(draw)
+            )
+            want = scan_rotation_first_cycle(g.adj_bits, g.n, random.Random(draw))
+            assert got == want
 
     def test_same_seed_same_decomposition(self):
         g = two_cycle_union(101, 0)
@@ -210,6 +247,30 @@ class TestPipeline:
         run = run_pipeline(g, default_params(g, seed=0, max_steps=1))
         assert run.rotation_cycles <= 1
         assert verify_decomposition(g, run.decomposition).ok
+
+    def test_disconnected_input_rejected_before_partition(self, monkeypatch):
+        def no_partition(*args):
+            raise AssertionError("tri_partition ran on a disconnected input")
+
+        monkeypatch.setattr(decompose, "tri_partition", no_partition)
+        with pytest.raises(InfeasibleError, match="disconnected"):
+            run_pipeline(two_disjoint_cliques(11), seed=0)
+
+    def test_k201_builds_few_validated_graphs(self, monkeypatch):
+        # the rotation steps derive their working graphs from bit deltas;
+        # only the tri-partition's parts are validated
+        g = complete_graph(201)
+        builds = []
+        validate = Graph.__post_init__
+
+        def counting_validate(self):
+            builds.append(self.n)
+            validate(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_validate)
+        run = run_pipeline(g, seed=0)
+        assert run.rotation_cycles > 50
+        assert len(builds) <= 10
 
     def test_deterministic(self):
         g = complete_graph(9)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hamdeck.errors import InputError
 from hamdeck.graphs import (
+    Graph,
     build_graph,
     check_alpha_beta_regular,
     complete_graph,
@@ -32,6 +33,15 @@ def brute_edges_between(g, a, b):
         if g.has_edge(u, v) and ((u in a and v in b) or (v in a and u in b)):
             count += 1
     return count
+
+
+def assert_same_graph(derived, full):
+    """Equal as values, and in every view the boundary constructor builds."""
+    assert derived == full
+    assert derived.edges == full.edges
+    assert derived.adj_bits == full.adj_bits
+    assert derived.adj == full.adj
+    assert derived.degrees() == [len(a) for a in full.adj]
 
 
 class TestBuildGraph:
@@ -83,6 +93,37 @@ class TestEdgeAlgebra:
             return
         some = frozenset(sorted(g.edges)[: len(g.edges) // 2 + 1])
         assert g.subtract(some).union(some) == g
+
+    def test_union_out_of_range_rejected(self):
+        with pytest.raises(InputError, match="out of range"):
+            cycle_graph(3).union({(1, 3)})
+        with pytest.raises(InputError, match="loop"):
+            empty_graph(3).union({(2, 2)})
+
+    def test_union_of_graphs_ors_the_bit_rows(self):
+        pentagram = build_graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+        assert_same_graph(cycle_graph(5).union(pentagram), complete_graph(5))
+
+    @given(small_graphs(min_n=3))
+    def test_derived_graphs_match_a_full_build(self, g):
+        half = frozenset(sorted(g.edges)[::2])
+        complement = frozenset(itertools.combinations(range(g.n), 2)) - g.edges
+        assert_same_graph(g.subtract(half), Graph(g.n, g.edges - half))
+        assert_same_graph(g.union(complement), complete_graph(g.n))
+
+    @pytest.mark.parametrize(
+        "g, removed",
+        [
+            # dense: decoded with numpy
+            (complete_graph(40), {(i, i + 1) for i in range(39)}),
+            # sparse: decoded bit by bit
+            (cycle_graph(300), {(0, 1), (7, 8), (0, 299)}),
+        ],
+    )
+    def test_neighbour_lists_decoded_from_bits(self, g, removed):
+        derived = g.subtract(removed)
+        assert "adj" not in derived.__dict__  # decoded on first use only
+        assert_same_graph(derived, Graph(g.n, derived.edges))
 
 
 class TestEdgesBetween:

@@ -32,6 +32,15 @@ class TestDeriveParams:
         p = PipelineParams(c=0.6, eps=0.05, gamma=0.05, tau=0.3)
         assert p.delta == pytest.approx(0.006)
 
+    @pytest.mark.parametrize(
+        "eps, tau", [(0.05, 0.2), (0.02, 0.5), (0.09, 0.01), (0.05, 1e-4)]
+    )
+    def test_default_gamma_comes_from_the_delta_property(self, eps, tau):
+        g = complete_graph(21)
+        p = default_params(g, eps=eps, tau=tau)
+        delta = PipelineParams(c=p.c, eps=eps, gamma=p.gamma, tau=tau).delta
+        assert p.gamma == max(delta**3 / 2, 1e-12)
+
     def test_sidecar_with_edited_alpha_rejected(self, tmp_path):
         g = complete_graph(21)
         prefix = str(tmp_path / "part")

@@ -1,8 +1,16 @@
 import pytest
 
+from hamdeck import decompose, rotation
 from hamdeck.errors import InputError, SearchFailedError
 from hamdeck.factor import PartialHC, TwoFactor
-from hamdeck.graphs import Graph, build_graph, complete_graph, cycle_graph, empty_graph
+from hamdeck.graphs import (
+    Graph,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    norm_edge,
+)
 from hamdeck.partition import default_params, tri_partition
 from hamdeck.rotation import (
     RotationState,
@@ -13,9 +21,37 @@ from hamdeck.rotation import (
     substitution_gadget,
 )
 
+from conftest import paley
+
 
 def params_for(g, **overrides):
     return default_params(g, **overrides)
+
+
+def non_core_gadget(core, patch, x, y, excluded, *, avoid_edges=frozenset()):
+    """A gadget that is valid except that x2-y2 is not a core edge."""
+    banned = set(excluded) | {x, y}
+
+    def fresh(*vs):
+        return len(banned.union(vs)) == len(banned) + len(vs)
+
+    for x1 in core.adj[x]:
+        for x2 in patch.adj[x1]:
+            for y1 in core.adj[y]:
+                for y2 in patch.adj[y1]:
+                    used = {
+                        norm_edge(x, x1),
+                        norm_edge(x1, x2),
+                        norm_edge(y, y1),
+                        norm_edge(y1, y2),
+                    }
+                    if (
+                        fresh(x1, x2, y1, y2)
+                        and used.isdisjoint(avoid_edges)
+                        and not core.has_edge(x2, y2)
+                    ):
+                        return x1, x2, y1, y2
+    raise AssertionError("no such gadget in the test input")
 
 
 def two_triangles_plus_bridge():
@@ -213,6 +249,34 @@ class TestExtract:
             assert step.promoted_patch <= tp.patch.edges
             assert len(step.dropped_core) == 3 * len(step.patch_edges_in_cycle)
             assert len(step.promoted_patch) == 2 * len(step.patch_edges_in_cycle)
+
+    @pytest.mark.parametrize("g", [complete_graph(51), paley(53)], ids=["K51", "P53"])
+    def test_derived_working_graphs_match_full_builds(self, g, monkeypatch):
+        steps = []
+
+        def recording_step(*args):
+            steps.append(extract_hamilton_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(decompose, "extract_hamilton_step", recording_step)
+        decompose.run_pipeline(g, seed=0)
+        assert len(steps) >= 5
+        for step in steps:
+            for derived in (step.new_core, step.new_patch):
+                full = Graph(g.n, derived.edges)
+                assert derived.edges == full.edges
+                assert derived.adj == full.adj
+                assert derived.adj_bits == full.adj_bits
+
+    def test_non_core_gadget_edge_fails_the_accounting_check(self, monkeypatch):
+        g = complete_graph(51)
+        params = params_for(g, seed=0)
+        tp = tri_partition(g, params)
+        monkeypatch.setattr(rotation, "substitution_gadget", non_core_gadget)
+        with pytest.raises(AssertionError, match="accounting"):
+            # the first step whose cycle uses a patch edge calls the gadget
+            for seed in range(20):
+                extract_hamilton_step(tp.core, tp.patch, params, seed)
 
     def test_replay_reproduces_cycle(self):
         g = complete_graph(21)

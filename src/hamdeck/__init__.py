@@ -5,7 +5,22 @@ subgraph extraction, (<=2)-factor sampling with rotation-extension into
 Hamilton cycles, and exact backtracking completion, plus brute-force
 counting oracles and permanent-based bound formulas for validation at
 small n.
+
+Importing the package caps the BLAS/OpenMP pools at one thread unless the
+caller has set the variables: the package's matrix products are small, and
+on a shared host the default thread pools made them several times slower.
 """
+
+import os
+
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .counting import (
     bregman_log_bound,

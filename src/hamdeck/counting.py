@@ -78,16 +78,15 @@ def count_hamilton_cycles_exact(g: Graph, deadline=None) -> int:
 # -- Hamiltonian decomposition counting --------------------------------------
 
 
-def _check_decomposable_input(g: Graph, max_edges: int) -> None:
+def _check_decomposable_input(g: Graph) -> None:
     r = g.regular_degree()
     if r is None:
         raise InputError("decomposition counting needs a regular graph")
     if r % 2 != 0:
         raise InputError(f"degree {r} is odd; no Hamiltonian decomposition exists")
-    if g.edge_count > max_edges:
-        raise InputError(
-            f"graph has {g.edge_count} edges, above the cap of {max_edges}"
-        )
+    if g.edge_count > DECOMPOSITION_EDGE_CAP:
+        cap = DECOMPOSITION_EDGE_CAP
+        raise InputError(f"graph has {g.edge_count} edges, above the cap of {cap}")
 
 
 def _decompositions(g: Graph, deadline, *, ordered: bool = False):
@@ -114,33 +113,29 @@ def _decompositions(g: Graph, deadline, *, ordered: bool = False):
     yield from rec(g.adj_bits)
 
 
-def count_decompositions_exact(
-    g: Graph, *, max_edges: int = DECOMPOSITION_EDGE_CAP, deadline=None
-) -> int:
+def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
     """Exact number of unordered Hamiltonian decompositions.
 
     Counts by canonical-order enumeration: cycles are chosen in strictly
     increasing canonical order, so each unordered decomposition is reached
     exactly once.  No symmetry division is ever applied.
     """
-    _check_decomposable_input(g, max_edges)
+    _check_decomposable_input(g)
     return sum(1 for _ in _decompositions(g, deadline))
 
 
-def count_decompositions_ordered(
-    g: Graph, *, max_edges: int = DECOMPOSITION_EDGE_CAP, deadline=None
-) -> int:
+def count_decompositions_ordered(g: Graph, *, deadline=None) -> int:
     """Number of ordered sequences of edge-disjoint Hamilton cycles using
     all edges; equals the unordered count times (r/2)! for r-regular input."""
-    _check_decomposable_input(g, max_edges)
+    _check_decomposable_input(g)
     return sum(1 for _ in _decompositions(g, deadline, ordered=True))
 
 
 def enumerate_decompositions(
-    g: Graph, *, max_edges: int = DECOMPOSITION_EDGE_CAP, deadline=None
+    g: Graph, *, deadline=None
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All unordered decompositions, each as a sorted tuple of cycle tuples."""
-    _check_decomposable_input(g, max_edges)
+    _check_decomposable_input(g)
     return list(_decompositions(g, deadline))
 
 
@@ -303,14 +298,12 @@ def _spectrum_key(g: Graph) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def connected_regular_graphs(
-    n: int, degree: int, *, up_to_iso: bool = True
-) -> tuple[Graph, ...]:
-    """All connected r-regular graphs on n vertices.
+def connected_regular_graphs(n: int, degree: int) -> tuple[Graph, ...]:
+    """All connected r-regular graphs on n vertices, one per isomorphism class.
 
     Generator: exhaustive labeled enumeration by degree-constrained
-    backtracking; with ``up_to_iso`` the labeled graphs are deduplicated to
-    isomorphism representatives (adjacency-spectrum buckets refined by an
+    backtracking; the labeled graphs are deduplicated to isomorphism
+    representatives (adjacency-spectrum buckets refined by an
     exact backtracking isomorphism test).  Cached: the n = 8 classes take
     seconds to build.
     """
@@ -321,9 +314,6 @@ def connected_regular_graphs(
     for edge_set in _labeled_regular_graphs(n, degree):
         g = Graph(n, edge_set)
         if not connected_over(g.adj_bits, (1 << n) - 1):
-            continue
-        if not up_to_iso:
-            reps.append(g)
             continue
         key = _spectrum_key(g)
         bucket = buckets.setdefault(key, [])

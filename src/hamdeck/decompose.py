@@ -132,8 +132,10 @@ def _rotation_first_cycle(
         tip = path[-1]
         free = adj_bits[tip] & ~visited
         if free:
-            choices = list(iter_bits(free))
-            w = choices[rng.randrange(len(choices))]
+            # the k-th lowest free neighbor: clear the k lowest bits
+            for _ in range(rng.randrange(free.bit_count())):
+                free &= free - 1
+            w = (free & -free).bit_length() - 1
             pos[w] = len(path)
             path.append(w)
             visited |= 1 << w

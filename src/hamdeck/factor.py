@@ -72,27 +72,8 @@ class TwoFactor:
             edges.update(cycle_edges(cyc))
         return frozenset(edges)
 
-    def covered_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for cyc in self.cycles:
-            out.update(cyc)
-        for u, v in self.pairs:
-            out.update((u, v))
-        return frozenset(out)
-
     def validate_in(self, host: Graph) -> None:
-        if host.n != self.host_n:
-            raise InputError(f"host size {host.n} != factor host {self.host_n}")
-        total = sum(len(c) for c in self.cycles) + 2 * len(self.pairs)
-        covered = self.covered_vertices()
-        if total != self.host_n or covered != frozenset(range(self.host_n)):
-            raise InputError("factor components are not a disjoint spanning cover")
-        for cyc in self.cycles:
-            if len(cyc) < 3:
-                raise InputError(f"cycle too short: {cyc}")
-        for e in self.edge_set():
-            if e not in host.edges:
-                raise InputError(f"factor uses non-edge {e}")
+        _validate_cover("factor", host, self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,22 +130,26 @@ class PartialHC:
         return frozenset(edges)
 
     def validate_in(self, host: Graph) -> None:
-        if host.n != self.host_n:
-            raise InputError(f"host size {host.n} != partial host {self.host_n}")
         if len(self.path) < 2:
             raise InputError("path component needs at least 2 vertices")
-        covered = list(self.path)
-        for cyc in self.cycles:
-            if len(cyc) < 3:
-                raise InputError(f"cycle too short: {cyc}")
-            covered.extend(cyc)
-        for u, v in self.pairs:
-            covered.extend((u, v))
-        if len(covered) != self.host_n or set(covered) != set(range(self.host_n)):
-            raise InputError("partial components are not a disjoint spanning cover")
-        for e in self.edge_set():
-            if e not in host.edges:
-                raise InputError(f"partial uses non-edge {e}")
+        _validate_cover("partial", host, self, self.path)
+
+
+def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:
+    """Check that ``cover``'s cycles and pairs, plus ``paths``, split the
+    host's vertices disjointly, that every cycle has length >= 3 and that
+    every edge is a host edge; raise InputError naming ``kind`` if not."""
+    if host.n != cover.host_n:
+        raise InputError(f"host size {host.n} != {kind} host {cover.host_n}")
+    for cyc in cover.cycles:
+        if len(cyc) < 3:
+            raise InputError(f"cycle too short: {cyc}")
+    covered = [v for part in chain(paths, cover.cycles, cover.pairs) for v in part]
+    if len(covered) != host.n or set(covered) != set(range(host.n)):
+        raise InputError(f"{kind} components are not a disjoint spanning cover")
+    for e in cover.edge_set():
+        if e not in host.edges:
+            raise InputError(f"{kind} uses non-edge {e}")
 
 
 def component_profile(f: TwoFactor) -> tuple[int, int, int]:

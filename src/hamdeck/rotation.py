@@ -2,17 +2,22 @@
 cycle by alternately merging components and rotating/closing the path, then
 repair the working core's regularity with substitution gadgets.
 
-The working core supplies rotation pivots; the patch graph supplies closing
-and substitution edges (with the core as fallback so the engine stays total
-at desk scale).  Every structural change is recorded as an ordered move so a
-run can be replayed and audited.
+Both moves take the current structure and return ``(cover, Move)``:
+``merge_step`` joins two components of a TwoFactor into a PartialHC, and
+``rotate_or_close`` advances a PartialHC by trying, in order, an extension
+at either endpoint, the windowed three-round rotation apparatus, and a
+bounded breadth-first search over rotations.  The working core supplies
+rotation pivots; the patch graph supplies closing and substitution edges
+(with the core as fallback so the engine stays total at desk scale).  Every
+move is an ordered list of edge operations, so a run can be replayed and
+audited.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
@@ -88,16 +93,6 @@ def replay_moves(initial_edges, moves) -> frozenset[Edge]:
     return frozenset(edges)
 
 
-@dataclass
-class RotationState:
-    """Mutable working state of one extraction: current structure and the
-    full move history (replayable from ``start_factor``)."""
-
-    current: TwoFactor | PartialHC
-    start_factor: TwoFactor
-    history: list[Move] = field(default_factory=list)
-
-
 # -- component helpers ---------------------------------------------------------
 
 
@@ -112,13 +107,28 @@ def _component_map(cycles, pairs) -> dict[int, tuple[str, int]]:
     return comp
 
 
-def _open_cycle_from(cycle, z: int) -> tuple[list[int], Edge]:
-    """Path piece starting at z covering the cycle, plus the removed edge."""
+def _open_at(
+    cycles, pairs, comp: tuple[str, int], z: int
+) -> tuple[list[int], Edge | None]:
+    """Component ``comp`` as a path piece starting at z, plus the cycle edge
+    dropped to open it (None for an isolated edge)."""
+    kind, idx = comp
+    if kind == "pair":
+        u, v = pairs[idx]
+        return [z, u if v == z else v], None
+    cycle = cycles[idx]
     k = len(cycle)
     i = cycle.index(z)
-    removed = norm_edge(z, cycle[(i + 1) % k])
-    piece = [cycle[(i - j) % k] for j in range(k)]
-    return piece, removed
+    return [cycle[(i - j) % k] for j in range(k)], norm_edge(z, cycle[(i + 1) % k])
+
+
+def _without(cycles, pairs, *comps: tuple[str, int]) -> tuple[list, list]:
+    """The cycles and pairs left after removing the given components."""
+    drop = set(comps)
+    return (
+        [c for i, c in enumerate(cycles) if ("cycle", i) not in drop],
+        [p for i, p in enumerate(pairs) if ("pair", i) not in drop],
+    )
 
 
 # -- merge ----------------------------------------------------------------------
@@ -145,13 +155,13 @@ def merge_step(
     if d is None:
         d = min(core.degrees(), default=0)
 
-    components: list[tuple[str, int, tuple[int, ...]]] = [
-        ("cycle", i, cyc) for i, cyc in enumerate(cycles)
-    ] + [("pair", i, pr) for i, pr in enumerate(pairs)]
+    components = [(("cycle", i), cyc) for i, cyc in enumerate(cycles)] + [
+        (("pair", i), pr) for i, pr in enumerate(pairs)
+    ]
     # small cycles first, then pairs; deterministic tie-break by min vertex
-    components.sort(key=lambda c: (c[0] == "pair", len(c[2]), min(c[2])))
+    components.sort(key=lambda c: (c[0][0] == "pair", len(c[1]), min(c[1])))
 
-    for kind, idx, verts in components:
+    for comp, verts in components:
         vert_set = set(verts)
         prescribed = core if len(verts) < d else patch
         other = patch if prescribed is core else core
@@ -160,39 +170,13 @@ def merge_step(
                 for v in src.adj[u]:
                     if v in vert_set:
                         continue
-                    okind, oidx = comp_of[v]
-                    steps: list[tuple[str, Edge]] = []
-                    if kind == "cycle":
-                        left_piece, removed = _open_cycle_from(verts, u)
-                        left = left_piece[::-1]  # ends at u
-                        steps.append(("-", removed))
-                    else:
-                        w = verts[0] if verts[1] == u else verts[1]
-                        left = [w, u]
-                    if okind == "cycle":
-                        right, removed_o = _open_cycle_from(cycles[oidx], v)
-                        steps.append(("-", removed_o))
-                    else:
-                        pv = pairs[oidx]
-                        right = [v, pv[0] if pv[1] == v else pv[1]]
+                    left, removed = _open_at(cycles, pairs, comp, u)
+                    right, removed_o = _open_at(cycles, pairs, comp_of[v], v)
+                    steps = [("-", e) for e in (removed, removed_o) if e is not None]
                     steps.append(("+", norm_edge(u, v)))
-                    new_cycles = [
-                        c
-                        for i, c in enumerate(cycles)
-                        if not (kind == "cycle" and i == idx)
-                        and not (okind == "cycle" and i == oidx)
-                    ]
-                    new_pairs = [
-                        p
-                        for i, p in enumerate(pairs)
-                        if not (kind == "pair" and i == idx)
-                        and not (okind == "pair" and i == oidx)
-                    ]
-                    partial = PartialHC.build(
-                        host, left + right, new_cycles, new_pairs
-                    )
-                    move = Move("merge", tuple(steps))
-                    return partial, move
+                    rest = _without(cycles, pairs, comp, comp_of[v])
+                    partial = PartialHC.build(host, left[::-1] + right, *rest)
+                    return partial, Move("merge", tuple(steps))
     raise SearchFailedError("no edge connects any factor component to another")
 
 
@@ -222,11 +206,12 @@ def _extension_at_end(
     comp_of,
     core: Graph,
     patch: Graph,
-):
+    host: Graph,
+) -> tuple[PartialHC, list[tuple[str, Edge]]] | None:
     """Extend the path's last endpoint into another component, if possible.
 
-    Returns (new_path, new_cycles, new_pairs, steps) or None.  Core
-    neighbors are preferred over patch neighbors.
+    Returns (partial, steps) or None.  Core neighbors are preferred over
+    patch neighbors.
     """
     tip = path[-1]
     on_path = set(path)
@@ -234,21 +219,12 @@ def _extension_at_end(
         for z in src.adj[tip]:
             if z in on_path or z not in comp_of:
                 continue
-            okind, oidx = comp_of[z]
+            piece, removed = _open_at(cycles, pairs, comp_of[z], z)
             steps: list[tuple[str, Edge]] = [("+", norm_edge(tip, z))]
-            if okind == "cycle":
-                piece, removed = _open_cycle_from(cycles[oidx], z)
+            if removed is not None:
                 steps.append(("-", removed))
-                new_path = path + piece
-                new_cycles = [c for i, c in enumerate(cycles) if i != oidx]
-                new_pairs = list(pairs)
-            else:
-                pv = pairs[oidx]
-                w = pv[0] if pv[1] == z else pv[1]
-                new_path = path + [z, w]
-                new_cycles = list(cycles)
-                new_pairs = [p for i, p in enumerate(pairs) if i != oidx]
-            return new_path, new_cycles, new_pairs, steps
+            rest = _without(cycles, pairs, comp_of[z])
+            return PartialHC.build(host, path + piece, *rest), steps
     return None
 
 
@@ -279,6 +255,34 @@ def _segment_ranges(length: int, s: int) -> list[tuple[int, int]]:
 
 def _interior_positions(rng: tuple[int, int]) -> range:
     return range(rng[0] + 1, rng[1])
+
+
+def _rotation_round(paths, core: Graph, pivot_ok, at_start: bool = False) -> dict:
+    """One bounded round of rotations over ``paths``, a sequence of
+    (path, steps).  Each path is rotated at every pivot position i that
+    ``pivot_ok(path, i)`` admits and whose vertex is a core neighbor of the
+    rotated endpoint (the near one when ``at_start``, else the far one).
+
+    Returns new endpoint -> (path, steps), keeping the first path per
+    endpoint.  Reaching MAX_PIVOTS_PER_ROUND endpoints stops only the
+    current path's scan, so later paths can still add one endpoint each.
+    """
+    found: dict[int, tuple[list[int], list]] = {}
+    for p, steps in paths:
+        if at_start:
+            end, positions, rotate = p[0], range(2, len(p) - 1), _rotate_start
+        else:
+            end, positions, rotate = p[-1], range(1, len(p) - 2), _rotate_end
+        for i in positions:
+            if not pivot_ok(p, i) or not core.has_edge(p[i], end):
+                continue
+            q, st = rotate(p, i)
+            key = q[0] if at_start else q[-1]
+            if key not in found:
+                found[key] = (q, steps + st)
+            if len(found) >= MAX_PIVOTS_PER_ROUND:
+                break
+    return found
 
 
 def _apparatus(
@@ -344,66 +348,34 @@ def _apparatus(
         path[i] for i in range(start_win[0], start_win[1] + 1)
     } | {path[i] for i in range(end_win[0], end_win[1] + 1)}
 
-    def finish_extension(new_parts, steps):
-        new_path, new_cycles, new_pairs, ext_steps = new_parts
-        move = Move("rotate-extend", tuple(steps + ext_steps))
-        partial = PartialHC.build(host, new_path, new_cycles, new_pairs)
-        return partial, move
+    def in_order(found: dict) -> list:
+        return [found[key] for key in sorted(found)]
+
+    def extension(found: dict, reverse: bool):
+        for p, steps in in_order(found):
+            ext = _extension_at_end(
+                p[::-1] if reverse else p, cycles, pairs, comp_of, core, patch, host
+            )
+            if ext:
+                return ext[0], Move("rotate-extend", tuple(steps + ext[1]))
+        return None
 
     # round 1: rotate the far endpoint, pivots inside the end window
-    first: dict[int, tuple[list[int], list]] = {}
-    for i in _interior_positions(end_win):
-        if not (1 <= i <= last - 2) or not core.has_edge(path[i], path[-1]):
-            continue
-        p1, steps1 = _rotate_end(path, i)
-        tip = p1[-1]
-        if tip not in first:
-            first[tip] = (p1, steps1)
-        if len(first) >= MAX_PIVOTS_PER_ROUND:
-            break
-    for tip in sorted(first):
-        p1, steps1 = first[tip]
-        ext = _extension_at_end(p1, cycles, pairs, comp_of, core, patch)
-        if ext:
-            return finish_extension(ext, steps1)
-
+    first = _rotation_round(
+        [(path, [])], core, lambda p, i: end_win[0] < i < end_win[1]
+    )
+    if found := extension(first, reverse=False):
+        return found
     # round 2: rotate the near endpoint, pivots inside the start window
-    second: dict[int, tuple[list[int], list]] = {}
-    for tip in sorted(first):
-        p1, steps1 = first[tip]
-        for j in range(2, len(p1) - 1):
-            if p1[j] not in start_interior:
-                continue
-            if not core.has_edge(p1[0], p1[j]):
-                continue
-            p2, steps2 = _rotate_start(p1, j)
-            head = p2[0]
-            if head not in second:
-                second[head] = (p2, steps1 + steps2)
-            if len(second) >= MAX_PIVOTS_PER_ROUND:
-                break
-    for head in sorted(second):
-        p2, steps2 = second[head]
-        rev = p2[::-1]
-        ext = _extension_at_end(rev, cycles, pairs, comp_of, core, patch)
-        if ext:
-            return finish_extension(ext, steps2)
-
+    second = _rotation_round(
+        in_order(first), core, lambda p, j: p[j] in start_interior, at_start=True
+    )
+    if found := extension(second, reverse=True):
+        return found
     # round 3: rotate the far endpoint again, pivots outside both windows
-    third: dict[int, tuple[list[int], list]] = {}
-    for head in sorted(second):
-        p2, steps2 = second[head]
-        for i in range(1, len(p2) - 2):
-            if p2[i] in window_vertices:
-                continue
-            if not core.has_edge(p2[i], p2[-1]):
-                continue
-            p3, steps3 = _rotate_end(p2, i)
-            tip = p3[-1]
-            if tip not in third:
-                third[tip] = (p3, steps2 + steps3)
-            if len(third) >= MAX_PIVOTS_PER_ROUND:
-                break
+    third = _rotation_round(
+        in_order(second), core, lambda p, i: p[i] not in window_vertices
+    )
     log.debug(
         "rotation rounds: %d segments, endpoint sets %d/%d/%d",
         s,
@@ -450,23 +422,13 @@ def _fallback_search(
             break
         cur_list = list(cur)
         for oriented in (cur_list, cur_list[::-1]):
-            ext = _extension_at_end(oriented, cycles, pairs, comp_of, core, patch)
+            ext = _extension_at_end(oriented, cycles, pairs, comp_of, core, patch, host)
             if ext:
-                new_path, new_cycles, new_pairs, ext_steps = ext
-                move = Move(
-                    "rotate-extend", tuple(list(steps) + ext_steps), note="fallback"
-                )
-                return (
-                    PartialHC.build(host, new_path, new_cycles, new_pairs),
-                    move,
-                )
+                move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
+                return ext[0], move
         closure = _closure_edge(cur_list, patch, core)
         if closure is not None:
-            move = Move(
-                "rotate-close",
-                tuple(list(steps) + [("+", closure)]),
-                note="fallback",
-            )
+            move = Move("rotate-close", steps + (("+", closure),), note="fallback")
             factor = TwoFactor.build(host, [cur_list] + list(cycles), pairs)
             return factor, move
         for i in range(1, len(cur_list) - 1):
@@ -475,26 +437,27 @@ def _fallback_search(
                 key = canon(tuple(p_new))
                 if key not in seen:
                     seen.add(key)
-                    queue.append((tuple(p_new), tuple(list(steps) + st)))
+                    queue.append((tuple(p_new), steps + tuple(st)))
             if i >= 2 and core.has_edge(cur_list[0], cur_list[i]):
                 p_new, st = _rotate_start(cur_list, i)
                 key = canon(tuple(p_new))
                 if key not in seen:
                     seen.add(key)
-                    queue.append((tuple(p_new), tuple(list(steps) + st)))
+                    queue.append((tuple(p_new), steps + tuple(st)))
     return None
 
 
 def rotate_or_close(
-    state: RotationState, core: Graph, patch: Graph, params, host: Graph | None = None
-) -> TwoFactor | PartialHC:
+    partial: PartialHC, core: Graph, patch: Graph, params, host: Graph | None = None
+) -> tuple[TwoFactor | PartialHC, Move]:
     """Advance a partial Hamilton cycle: absorb another component (one fewer
     component) or close the path into a cycle (same components, one more
-    edge).  Raises SearchFailedError when every round is exhausted.
-    ``host`` is core ∪ patch; it is derived from the two when omitted."""
-    partial = state.current
+    edge).  Tries endpoint extensions, then the windowed rotation apparatus,
+    then the breadth-first fallback; raises SearchFailedError when all
+    fail.  ``host`` is core ∪ patch; it is derived from the two when
+    omitted."""
     if not isinstance(partial, PartialHC):
-        raise InputError("rotate_or_close needs a PartialHC state")
+        raise InputError("rotate_or_close needs a PartialHC")
     if host is None:
         host = core.union(patch)
     path = list(partial.path)
@@ -502,26 +465,16 @@ def rotate_or_close(
     pairs = list(partial.pairs)
     comp_of = _component_map(cycles, pairs)
 
-    # endpoint extensions before any rotation
     for oriented in (path, path[::-1]):
-        ext = _extension_at_end(oriented, cycles, pairs, comp_of, core, patch)
+        ext = _extension_at_end(oriented, cycles, pairs, comp_of, core, patch, host)
         if ext:
-            new_path, new_cycles, new_pairs, steps = ext
-            move = Move("extend", tuple(steps))
-            result = PartialHC.build(host, new_path, new_cycles, new_pairs)
-            state.current = result
-            state.history.append(move)
-            return result
-
+            return ext[0], Move("extend", tuple(ext[1]))
     found = _apparatus(path, cycles, pairs, comp_of, core, patch, params, host)
     if found is None:
         found = _fallback_search(path, cycles, pairs, comp_of, core, patch, host)
     if found is None:
         raise SearchFailedError("rotation rounds exhausted with no extension/closure")
-    result, move = found
-    state.current = result
-    state.history.append(move)
-    return result
+    return found
 
 
 # -- substitution gadget ---------------------------------------------------------
@@ -639,18 +592,18 @@ def extract_hamilton_step(
                 spawn_seed(seed, "draw", restart),
                 deadline=params.deadline,
             )
-            state = RotationState(current=factor, start_factor=factor)
+            # merge_step and rotate_or_close are looked up as module globals
+            # on every call, so wrappers installed on this module see them
+            final: TwoFactor | PartialHC = factor
+            moves: list[Move] = []
             for _ in range(cap):
-                cur = state.current
-                if isinstance(cur, TwoFactor):
-                    if cur.is_hamilton_cycle:
+                if isinstance(final, TwoFactor):
+                    if final.is_hamilton_cycle:
                         break
-                    partial, move = merge_step(cur, core, patch, host)
-                    state.current = partial
-                    state.history.append(move)
+                    final, move = merge_step(final, core, patch, host)
                 else:
-                    rotate_or_close(state, core, patch, params, host)
-            final = state.current
+                    final, move = rotate_or_close(final, core, patch, params, host)
+                moves.append(move)
             if not (isinstance(final, TwoFactor) and final.is_hamilton_cycle):
                 raise SearchFailedError(f"no Hamilton cycle within {cap} moves")
 
@@ -704,7 +657,7 @@ def extract_hamilton_step(
                 dropped_core=dropped_set,
                 promoted_patch=promoted_set,
                 start_factor=factor,
-                moves=tuple(state.history),
+                moves=tuple(moves),
                 restarts=restart,
                 patch_edges_in_cycle=frozenset(shared),
             )

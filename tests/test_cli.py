@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hamdeck
 
 from hamdeck.cli import main
 from hamdeck.decompose import run_pipeline
@@ -269,3 +275,27 @@ class TestDeterminism:
             _, first = run_cli(capsys, *argv, "--no-meta")
             _, second = run_cli(capsys, *argv, "--no-meta")
             assert first == second
+
+
+class TestBlasThreads:
+    @staticmethod
+    def threads_after_import(preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(hamdeck.__file__).resolve().parents[1])
+        code = "import os, hamdeck; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return out.stdout.strip()
+
+    def test_import_pins_one_thread(self):
+        assert self.threads_after_import(None) == "1"
+
+    def test_explicit_setting_wins(self):
+        assert self.threads_after_import("2") == "2"

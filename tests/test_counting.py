@@ -82,7 +82,7 @@ class TestDecompositionCounts:
 
     def test_edge_cap(self):
         with pytest.raises(InputError):
-            count_decompositions_exact(complete_graph(11), max_edges=36)
+            count_decompositions_exact(complete_graph(11))
 
     def test_enumeration_matches_count(self):
         g = complete_graph(5)

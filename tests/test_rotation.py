@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from hamdeck import decompose, rotation
@@ -13,7 +16,6 @@ from hamdeck.graphs import (
 )
 from hamdeck.partition import default_params, tri_partition
 from hamdeck.rotation import (
-    RotationState,
     extract_hamilton_step,
     merge_step,
     replay_moves,
@@ -99,8 +101,7 @@ class TestRotateOrClose:
             6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         )
         partial = PartialHC.build(host, [0, 1, 2], [[3, 4, 5]], [])
-        state = RotationState(current=partial, start_factor=None)
-        result = rotate_or_close(state, host, empty_graph(6), params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, host, empty_graph(6), params_for(complete_graph(8)))
         assert isinstance(result, PartialHC)
         assert result.component_count == 1
         assert len(result.path) == 6
@@ -108,19 +109,17 @@ class TestRotateOrClose:
     def test_spanning_path_in_k6_closes(self):
         g = complete_graph(6)
         partial = PartialHC.build(g, [0, 1, 2, 3, 4, 5], [], [])
-        state = RotationState(current=partial, start_factor=None)
-        result = rotate_or_close(state, g, empty_graph(6), params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, g, empty_graph(6), params_for(complete_graph(8)))
         assert isinstance(result, TwoFactor)
         assert result.is_hamilton_cycle
-        assert len(state.history) == 1
+        assert move.kind == "rotate-close"
 
     def test_rotation_then_close_finds_unique_cycle(self):
         # path 0-1-2-3-4 with chords (1,4) and (0,2): the only Hamilton
         # cycle is 0-1-4-3-2-0, reachable by one rotation plus closure
         core = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (0, 2)])
         partial = PartialHC.build(core, [0, 1, 2, 3, 4], [], [])
-        state = RotationState(current=partial, start_factor=None)
-        result = rotate_or_close(state, core, empty_graph(5), params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, core, empty_graph(5), params_for(complete_graph(8)))
         assert isinstance(result, TwoFactor)
         assert result.edge_set() == frozenset(
             {(0, 1), (1, 4), (3, 4), (2, 3), (0, 2)}
@@ -132,8 +131,7 @@ class TestRotateOrClose:
         partial = PartialHC.build(
             Graph(4, core.edges | patch.edges), [0, 1, 2, 3], [], []
         )
-        state = RotationState(current=partial, start_factor=None)
-        result = rotate_or_close(state, core, patch, params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, core, patch, params_for(complete_graph(8)))
         assert isinstance(result, TwoFactor)
         assert (0, 3) in result.edge_set()
 
@@ -144,24 +142,21 @@ class TestRotateOrClose:
         partial = PartialHC.build(
             Graph(4, core.edges | patch.edges), [0, 1, 2, 3], [], []
         )
-        state = RotationState(current=partial, start_factor=None)
-        result = rotate_or_close(state, core, patch, params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, core, patch, params_for(complete_graph(8)))
         assert isinstance(result, TwoFactor)
         assert result.edge_set() == frozenset({(0, 1), (1, 3), (2, 3), (0, 2)})
 
     def test_dead_end_raises(self):
         core = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         partial = PartialHC.build(core, [0, 1, 2, 3], [], [])
-        state = RotationState(current=partial, start_factor=None)
         with pytest.raises(SearchFailedError):
-            rotate_or_close(state, core, empty_graph(4), params_for(complete_graph(8)))
+            rotate_or_close(partial, core, empty_graph(4), params_for(complete_graph(8)))
 
     def test_requires_partial(self):
         g = complete_graph(5)
         factor = TwoFactor.build(g, [[0, 1, 2, 3, 4]], [])
-        state = RotationState(current=factor, start_factor=factor)
         with pytest.raises(InputError):
-            rotate_or_close(state, g, empty_graph(5), params_for(complete_graph(8)))
+            rotate_or_close(factor, g, empty_graph(5), params_for(complete_graph(8)))
 
 
 class TestGadget:
@@ -327,3 +322,39 @@ class TestExtract:
             elif move.kind == "rotate-close":
                 assert len(edges) == before + 1
         assert comps == 1
+
+
+# sha256 of [decomposition JSON, step_stats] for pipeline runs whose moves
+# include every kind, each rotation kind both from the windowed apparatus
+# and from the breadth-first fallback.  Any change to the search order, a
+# round's pivot scan or a move's step order changes these digests.
+PINNED_RUNS = {
+    ("K21", 0): "cb0074c48a2ef12c2abd7444cde8cf17dbb43dbae758a03159b8734d61b88157",
+    ("K51", 1): "bd36236b8e530abe2f7e534c1a8b8cec96a779644eee885d5cb11e7c5535a114",
+    ("P53", 1): "30b700446ba7683f2fd32675bee907d25def3dee2282eb9b9608ad87b3e60e03",
+    ("P53", 2): "33ae219e85813fa1622c63c089239da91b27f540f9a2125f80bda11233f66c66",
+}
+
+
+def test_pipeline_outputs_are_pinned():
+    graphs = {"K21": complete_graph(21), "K51": complete_graph(51), "P53": paley(53)}
+    kinds = set()
+    for (name, seed), digest in PINNED_RUNS.items():
+        run = decompose.run_pipeline(graphs[name], seed=seed)
+        blob = json.dumps(
+            [run.decomposition.to_json_dict(), run.step_stats], sort_keys=True
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (name, seed)
+        kinds |= {
+            (m["kind"], m.get("note", ""))
+            for stats in run.step_stats
+            for m in stats["moves"]
+        }
+    assert kinds == {
+        ("merge", ""),
+        ("extend", ""),
+        ("rotate-extend", ""),
+        ("rotate-close", ""),
+        ("rotate-extend", "fallback"),
+        ("rotate-close", "fallback"),
+    }

@@ -216,7 +216,8 @@ def _cmd_check_expander(args, deadline) -> int:
     graph = _load_graph(args.graph)
     mode = "exact" if args.exact else "sampled"
     verdict = is_robust_expander(
-        graph, args.nu, args.tau, mode, trials=args.trials, seed=args.seed
+        graph, args.nu, args.tau, mode,
+        trials=args.trials, seed=args.seed, deadline=deadline,
     )
     payload = {
         "holds": verdict.holds,

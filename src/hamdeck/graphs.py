@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .util import EPS, ceil_frac, floor_frac
+from .util import EPS, ceil_frac, check_deadline, floor_frac
 
 Edge = tuple[int, int]
 
@@ -336,6 +336,7 @@ def is_robust_expander(
     *,
     trials: int = 100_000,
     seed: int = 0,
+    deadline: float | None = None,
 ) -> ExpanderVerdict:
     """Check the robust-expansion inequality over admissible vertex sets S.
 
@@ -343,7 +344,8 @@ def is_robust_expander(
     nu-neighborhood of size at least ``|S| + nu*n``.  Exact mode enumerates
     all such S (allowed only for n <= 24); sampled mode checks ``trials``
     uniformly random admissible sets and can only certify (holds=True) or
-    produce a concrete counterexample.
+    produce a concrete counterexample.  Exact mode checks ``deadline`` on
+    entry and every 1024 sets.
     """
     if not (0 < nu <= tau < 1):
         raise InputError(f"need 0 < nu <= tau < 1, got nu={nu}, tau={tau}")
@@ -360,8 +362,13 @@ def is_robust_expander(
             raise InputError(
                 f"exact expander check limited to n <= {EXACT_SET_PREDICATE_CAP}"
             )
+        check_deadline(deadline, "exact expander check")
+        checked = 0
         for size in range(lo, hi + 1):
             for combo in itertools.combinations(range(n), size):
+                checked += 1
+                if not checked & 1023:
+                    check_deadline(deadline, "exact expander check")
                 mask = _mask_of(combo)
                 if _expander_violated(g, mask, size, threshold):
                     return ExpanderVerdict(False, frozenset(combo), "exact")
@@ -407,12 +414,14 @@ def check_alpha_beta_regular(
     *,
     trials: int = 20_000,
     seed: int = 0,
+    deadline: float | None = None,
 ) -> RegularityVerdict:
     """Quasirandomness check: min degree and pairwise set densities near alpha.
 
     Requires min degree >= alpha*n - 1 and, for every pair of disjoint sets
     S, T with |S|, |T| >= beta*n, a density ``e(S,T)/(|S||T|)`` within beta
-    of alpha.  Exact only for n <= 24.
+    of alpha.  Exact only for n <= 24; exact mode checks ``deadline`` on
+    entry and every 1024 set pairs.
     """
     if not (0 < beta < 0.5):
         raise InputError(f"beta must be in (0, 1/2), got {beta}")
@@ -430,6 +439,8 @@ def check_alpha_beta_regular(
             raise InputError(
                 f"exact regularity check limited to n <= {EXACT_SET_PREDICATE_CAP}"
             )
+        check_deadline(deadline, "exact regularity check")
+        checked = 0
         verts = range(n)
         for s_size in range(lo, n - lo + 1):
             for s_combo in itertools.combinations(verts, s_size):
@@ -438,6 +449,9 @@ def check_alpha_beta_regular(
                 rest = [v for v in verts if v not in s_set]
                 for t_size in range(lo, len(rest) + 1):
                     for t_combo in itertools.combinations(rest, t_size):
+                        checked += 1
+                        if not checked & 1023:
+                            check_deadline(deadline, "exact regularity check")
                         if not density_ok(s_mask, t_combo, s_size, t_size):
                             return RegularityVerdict(
                                 False,

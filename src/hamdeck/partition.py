@@ -315,7 +315,9 @@ def verify_partition(
 
     # exact enumeration is affordable up to ~2^14 subsets; sample beyond
     if n <= 14:
-        expander = is_robust_expander(tp.residual, params.nu, params.tau, "exact")
+        expander = is_robust_expander(
+            tp.residual, params.nu, params.tau, "exact", deadline=params.deadline
+        )
     else:
         expander = is_robust_expander(
             tp.residual,

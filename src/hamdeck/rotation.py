@@ -27,6 +27,8 @@ from .walecki import cycle_edges
 
 log = logging.getLogger(__name__)
 
+# Endpoints at which one path's pivot scan stops in a rotation round; later
+# paths still scan, so a round may end with one extra endpoint per later path.
 MAX_PIVOTS_PER_ROUND = 32
 # Factor draws per rotation step before the step gives up with BudgetError.
 STEP_RESTARTS = 200

@@ -216,6 +216,16 @@ class TestOtherCommands:
         code, _ = run_cli(capsys, "sample-factor", graph_file(9))
         assert code == 2
 
+    def test_check_expander_budget_gives_exit_2(self, capsys, graph_file, monkeypatch):
+        monkeypatch.setenv("HAMDECK_BUDGET_MS", "0")
+        code, _ = run_cli(
+            capsys,
+            "check-expander",
+            graph_file(8),
+            "--nu", "0.1", "--tau", "0.25", "--exact",
+        )
+        assert code == 2
+
     def test_check_expander(self, capsys, graph_file):
         code, out = run_cli(
             capsys,

@@ -1,8 +1,10 @@
 import math
+import time
 
 import pytest
 
 from hamdeck.counting import (
+    _decompositions,
     bregman_log_bound,
     connected_regular_graphs,
     count_decompositions_exact,
@@ -15,7 +17,7 @@ from hamdeck.counting import (
     enumerate_decompositions,
     enumerate_hamilton_cycles,
 )
-from hamdeck.errors import InputError
+from hamdeck.errors import BudgetError, InputError
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
 
@@ -48,6 +50,14 @@ class TestHamiltonCounts:
     def test_cap(self):
         with pytest.raises(InputError):
             count_hamilton_cycles_exact(complete_graph(17))
+
+    def test_deadline_stops_the_search_midway(self):
+        # K11 has 1,814,400 Hamilton cycles: seconds of search, so the
+        # throttled check has to fire well inside it
+        with pytest.raises(BudgetError):
+            count_hamilton_cycles_exact(
+                complete_graph(11), deadline=time.monotonic() + 0.05
+            )
 
 
 class TestDecompositionCounts:
@@ -91,6 +101,28 @@ class TestDecompositionCounts:
         assert len({tuple(sorted(d)) for d in decos}) == len(decos)
         for d in decos:
             assert verify_decomposition(g, Decomposition.from_parts(5, d)).ok
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(5),
+            complete_graph(7),
+            complete_graph(8).subtract({(0, 1), (2, 3), (4, 5), (6, 7)}),
+        ],
+        ids=["K5", "K7", "K8-PM"],
+    )
+    def test_anchored_enumeration_matches_ordered_reference(self, g):
+        # the ordered recursion takes every cycle at every level; sorting
+        # and deduplicating its sequences gives the unordered list
+        ordered = _decompositions(g, None, ordered=True)
+        reference = sorted({tuple(sorted(d)) for d in ordered})
+        assert enumerate_decompositions(g) == reference
+
+    def test_expired_deadline_stops_counting_at_entry(self):
+        with pytest.raises(BudgetError):
+            count_decompositions_exact(
+                complete_graph(5), deadline=time.monotonic() - 1
+            )
 
     @pytest.mark.parametrize("n,r", [(5, 2), (6, 4), (7, 4)])
     def test_ordered_unordered_consistency(self, n, r):

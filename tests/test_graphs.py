@@ -1,10 +1,11 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamdeck.errors import InputError
+from hamdeck.errors import BudgetError, InputError
 from hamdeck.graphs import (
     Graph,
     build_graph,
@@ -229,6 +230,12 @@ class TestRobustExpander:
         with pytest.raises(InputError):
             is_robust_expander(complete_graph(6), 0.1, 0.2, "guess")
 
+    def test_exact_mode_honours_the_deadline(self):
+        with pytest.raises(BudgetError):
+            is_robust_expander(
+                complete_graph(8), 0.1, 0.25, "exact", deadline=time.monotonic() - 1
+            )
+
     def test_vacuous_range_certifies(self):
         # tau*n > (1-tau)*n leaves no admissible set
         verdict = is_robust_expander(complete_graph(3), 0.4, 0.6, "exact")
@@ -261,6 +268,21 @@ class TestAlphaBetaRegular:
 
     def test_c10_fails(self):
         assert not check_alpha_beta_regular(cycle_graph(10), 0.5, 0.2, "exact").holds
+
+    def test_exact_mode_honours_the_deadline(self):
+        with pytest.raises(BudgetError):
+            # under 3^6 < 1024 set pairs: only the entry check can fire
+            check_alpha_beta_regular(
+                complete_graph(6), 1.0, 0.3, "exact", deadline=time.monotonic() - 1
+            )
+
+    def test_deadline_stops_the_exact_search_midway(self):
+        # K16 passes every set pair, so the exact loop would visit all
+        # ~3^16 of them; the throttled check has to fire inside it
+        with pytest.raises(BudgetError):
+            check_alpha_beta_regular(
+                complete_graph(16), 1.0, 0.1, "exact", deadline=time.monotonic() + 0.05
+            )
 
     def test_sampled_mode(self):
         assert check_alpha_beta_regular(

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
+import time
 
 import pytest
 
-from hamdeck.errors import InputError
+from hamdeck.errors import BudgetError, InputError
 from hamdeck.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from hamdeck.partition import (
     PipelineParams,
@@ -154,6 +156,21 @@ class TestVerifyPartition:
         assert not report.expander.holds
         assert report.expander.witness is not None
         assert not report.ok
+
+    def test_exact_expander_check_honours_the_deadline(self):
+        # n <= 14 takes the exact expander predicate, which must see the
+        # pipeline's deadline
+        g, core = complete_graph(13), cycle_graph(13)
+        params = default_params(g, seed=0)
+        tp = TriPartition(
+            core=core,
+            patch=empty_graph(13),
+            residual=g.subtract(core.edges),
+            params=dataclasses.replace(params, deadline=time.monotonic() - 1),
+            core_degree=2,
+        )
+        with pytest.raises(BudgetError, match="expander"):
+            verify_partition(tp, graph=g, seed=0)
 
     def test_literal_threshold_reported(self):
         g = complete_graph(21)

@@ -52,10 +52,16 @@ def _meta(args, extra: dict | None = None) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        _emit_text(payload)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            _emit_text(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the rest, exit flush included, goes nowhere
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _emit_text(payload: dict, indent: int = 0) -> None:

@@ -172,7 +172,8 @@ def complete_residual(
     tree without finding a decomposition proves infeasibility
     (InfeasibleError); a slice that hits its node quota abandons its ordering
     and the next slice restarts.  BudgetError means every slice ran out
-    undecided.  A returned decomposition has been verified.
+    undecided, or that ``deadline`` passed (it is checked before each slice
+    and every 4096 nodes).  A returned decomposition has been verified.
     """
     degree = g.regular_degree()
     if degree is None:
@@ -213,6 +214,7 @@ def complete_residual(
     for attempt in range(COMPLETION_RESTARTS):
         if spent >= node_budget:
             break
+        check_deadline(deadline, "completion search")
         budget = _Budget(min(slice_budget, node_budget - spent), deadline)
         rng = random.Random(spawn_seed(seed, "order", attempt))
         try:

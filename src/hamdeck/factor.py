@@ -3,7 +3,7 @@
 Sampling goes through perfect matchings of the bipartite double cover: a
 perfect matching there is a fixed-point-free permutation supported on the
 edge set, and its permutation cycles project to components (2-cycles become
-isolated edges, longer cycles become graph cycles).  Each attempt relabels
+isolated edges, longer cycles become graph cycles).  Each draw relabels
 the rows and columns of the double cover at random and takes scipy's C
 maximum bipartite matching (Hopcroft-Karp).  The draws are random but follow
 no known distribution, so counting claims are delegated to the exhaustive
@@ -12,7 +12,6 @@ enumerator at small n.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -25,8 +24,6 @@ from .errors import InfeasibleError, InputError
 from .graphs import Edge, Graph, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
-
-log = logging.getLogger(__name__)
 
 ENUMERATION_CAP = 14
 
@@ -136,9 +133,8 @@ class PartialHC:
 
 
 def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:
-    """Check that ``cover``'s cycles and pairs, plus ``paths``, split the
-    host's vertices disjointly, that every cycle has length >= 3 and that
-    every edge is a host edge; raise InputError naming ``kind`` if not."""
+    """Raise InputError naming ``kind`` unless the cover's cycles (length >= 3),
+    pairs and ``paths`` split the host's vertices disjointly along host edges."""
     if host.n != cover.host_n:
         raise InputError(f"host size {host.n} != {kind} host {cover.host_n}")
     for cyc in cover.cycles:
@@ -147,9 +143,10 @@ def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:
     covered = [v for part in chain(paths, cover.cycles, cover.pairs) for v in part]
     if len(covered) != host.n or set(covered) != set(range(host.n)):
         raise InputError(f"{kind} components are not a disjoint spanning cover")
-    for e in cover.edge_set():
-        if e not in host.edges:
-            raise InputError(f"{kind} uses non-edge {e}")
+    for walk in chain(paths, (c + c[:1] for c in cover.cycles), cover.pairs):
+        for a, b in zip(walk, walk[1:]):
+            if not host.adj_bits[a] >> b & 1:
+                raise InputError(f"{kind} uses non-edge {norm_edge(a, b)}")
 
 
 def component_profile(f: TwoFactor) -> tuple[int, int, int]:
@@ -218,42 +215,24 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
 
 
 def sample_le2_factor(
-    g: Graph,
-    seed: int,
-    *,
-    resamples: int = 64,
-    deadline: float | None = None,
+    g: Graph, seed: int, *, deadline: float | None = None
 ) -> TwoFactor:
-    """Draw a random (<=2)-factor of g.
+    """Draw one random (<=2)-factor of g from ``spawn_seed(seed, "factor", 0)``.
 
-    Factors with more than ceil(sqrt(n ln n)) components are redrawn up to
-    ``resamples`` times, then accepted with a warning.  Raises
-    InfeasibleError when no factor exists, and BudgetError when ``deadline``
-    passes before a draw.
+    The component cap is the caller's policy: ``extract_hamilton_step``
+    redraws factors above ``component_budget``.  Raises InfeasibleError when
+    no factor exists, and BudgetError when ``deadline`` has passed.
     """
     if g.n < 2:
         raise InfeasibleError("graphs with fewer than 2 vertices have no factor")
-    cap = component_budget(g.n)
-    last: TwoFactor | None = None
-    for attempt in range(max(1, resamples)):
-        check_deadline(deadline, "factor sampling")
-        rng = np.random.default_rng(spawn_seed(seed, "factor", attempt))
-        sigma = _random_perfect_matching(g, rng)
-        if sigma is None:
-            raise InfeasibleError(
-                "no (<=2)-factor: bipartite double cover has no perfect matching"
-            )
-        cycles, pairs = _project_permutation(sigma)
-        last = TwoFactor.build(g, cycles, pairs)
-        if last.component_count <= cap:
-            return last
-    log.warning(
-        "accepting a factor with %d components (budget %d) after %d resamples",
-        last.component_count,
-        cap,
-        resamples,
-    )
-    return last
+    check_deadline(deadline, "factor sampling")
+    rng = np.random.default_rng(spawn_seed(seed, "factor", 0))
+    sigma = _random_perfect_matching(g, rng)
+    if sigma is None:
+        raise InfeasibleError(
+            "no (<=2)-factor: bipartite double cover has no perfect matching"
+        )
+    return TwoFactor.build(g, *_project_permutation(sigma))
 
 
 # -- enumeration ----------------------------------------------------------------

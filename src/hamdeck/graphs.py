@@ -345,7 +345,7 @@ def is_robust_expander(
     all such S (allowed only for n <= 24); sampled mode checks ``trials``
     uniformly random admissible sets and can only certify (holds=True) or
     produce a concrete counterexample.  Exact mode checks ``deadline`` on
-    entry and every 1024 sets.
+    entry and every 1024 sets, sampled mode before each block of sets.
     """
     if not (0 < nu <= tau < 1):
         raise InputError(f"need 0 < nu <= tau < 1, got nu={nu}, tau={tau}")
@@ -380,6 +380,7 @@ def is_robust_expander(
     adj = g.adjacency_matrix().astype(np.float32)
     rng = np.random.default_rng(seed)
     for sizes, ranks in random_ranks(rng, trials, n, lo, hi):
+        check_deadline(deadline, "sampled expander check")
         masks = ranks < sizes[:, None]
         counts = masks.astype(np.float32) @ adj
         rn_sizes = (counts >= threshold - 0.5).sum(axis=1)
@@ -421,7 +422,7 @@ def check_alpha_beta_regular(
     Requires min degree >= alpha*n - 1 and, for every pair of disjoint sets
     S, T with |S|, |T| >= beta*n, a density ``e(S,T)/(|S||T|)`` within beta
     of alpha.  Exact only for n <= 24; exact mode checks ``deadline`` on
-    entry and every 1024 set pairs.
+    entry and every 1024 set pairs, sampled mode before each block of pairs.
     """
     if not (0 < beta < 0.5):
         raise InputError(f"beta must be in (0, 1/2), got {beta}")
@@ -470,6 +471,7 @@ def check_alpha_beta_regular(
     adj = g.adjacency_matrix().astype(np.float32)
     rng = np.random.default_rng(seed)
     for s_sizes, ranks in random_ranks(rng, trials, n, lo, n - lo, chunk=1024):
+        check_deadline(deadline, "sampled regularity check")
         t_ends = s_sizes + rng.integers(lo, n - s_sizes + 1)
         s_masks = ranks < s_sizes[:, None]
         t_masks = ~s_masks & (ranks < t_ends[:, None])

@@ -119,9 +119,10 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
     """Split a regular graph into (core, patch, residual) with an exactly
     even-regular core.
 
-    Retries the whole random split on extraction failure; when the formula
-    target degree is infeasible for the drawn raw core, the target is
-    lowered to the largest feasible value (recorded in stats).
+    Retries the whole random split on extraction failure.  A flow shortfall
+    (SearchFailedError) lowers the target degree, down to the largest value
+    that saturates (recorded in stats); an InfeasibleError (degree band,
+    cross-density audit) holds for every target and ends the split at once.
     """
     n = graph.n
     r = graph.regular_degree()
@@ -173,6 +174,8 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
                 break
             except (SearchFailedError, InfeasibleError) as exc:
                 last_error = exc
+                if isinstance(exc, InfeasibleError):
+                    break
                 d_target -= 1
         if core is None:
             continue
@@ -314,18 +317,14 @@ def verify_partition(
             )
 
     # exact enumeration is affordable up to ~2^14 subsets; sample beyond
-    if n <= 14:
-        expander = is_robust_expander(
-            tp.residual, params.nu, params.tau, "exact", deadline=params.deadline
-        )
-    else:
-        expander = is_robust_expander(
-            tp.residual,
-            params.nu,
-            params.tau,
-            "sampled",
-            seed=spawn_seed(seed, "expander"),
-        )
+    expander = is_robust_expander(
+        tp.residual,
+        params.nu,
+        params.tau,
+        "exact" if n <= 14 else "sampled",
+        seed=spawn_seed(seed, "expander"),
+        deadline=params.deadline,
+    )
     if not expander.holds:
         issues.append(f"residual fails robust expansion (witness {expander.witness})")
 

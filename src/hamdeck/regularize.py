@@ -44,7 +44,7 @@ class Digraph:
 
 @dataclass(frozen=True)
 class RegularizeParams:
-    """Density/slack fractions for the extraction, plus budgets.
+    """Density/slack fractions for the extraction, plus its RNG seed.
 
     Requires 0 < eps0 <= c0 <= 1 and gamma0 > 0.  The target half-degree is
     d = ceil((c0 - eps0) * n / 2).
@@ -54,7 +54,6 @@ class RegularizeParams:
     eps0: float
     gamma0: float
     seed: int = 0
-    density_trials: int = 10_000
 
     def __post_init__(self) -> None:
         if not (0 < self.eps0 <= self.c0 <= 1):
@@ -215,20 +214,23 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     return MaxFlowResult(value, middle_flow, x_flow, y_flow)
 
 
+CROSS_DENSITY_TRIALS = 10_000  # random (A, B) pairs in the audit
+
+
 def _sampled_cross_density_check(g: Graph, params: RegularizeParams) -> None:
     """Sampled audit of the cross-density hypothesis: any pair of sets with
     |A| >= c0*n/3 and |B| >= n/2 should span at least gamma0*n^2 edges.
     A sampled violation is exact for that pair and raises."""
     n = g.n
-    if params.density_trials <= 0 or n < 4:
+    if n < 4:
         return
     size_a = max(1, ceil_frac(params.c0 * n / 3))
     size_b = max(1, ceil_frac(n / 2))
     adj = g.adjacency_matrix().astype(np.float32)
     threshold = params.gamma0 * n * n
     rng = np.random.default_rng(spawn_seed(params.seed, "density"))
-    a_draws = random_ranks(rng, params.density_trials, n, size_a, size_a, 64)
-    b_draws = random_ranks(rng, params.density_trials, n, size_b, size_b, 64)
+    a_draws = random_ranks(rng, CROSS_DENSITY_TRIALS, n, size_a, size_a, 64)
+    b_draws = random_ranks(rng, CROSS_DENSITY_TRIALS, n, size_b, size_b, 64)
     for (_, a_ranks), (_, b_ranks) in zip(a_draws, b_draws):
         a_masks = (a_ranks < size_a).astype(np.float32)
         b_masks = (b_ranks < size_b).astype(np.float32)

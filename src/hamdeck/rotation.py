@@ -570,7 +570,9 @@ def extract_hamilton_step(
     Samples a (<=2)-factor of the core, alternates merge and rotate/close
     moves under a hard iteration cap, then substitutes gadget edges for any
     patch edges consumed by the cycle so the new core is exactly
-    (d-2)-regular.  Las-Vegas: dead ends discard the factor and resample.
+    (d-2)-regular.  Las-Vegas: a factor above ``component_budget(n)``
+    components is discarded before any move, and so is every dead end; the
+    step redraws up to STEP_RESTARTS times, then raises BudgetError.
     """
     if core.n != patch.n:
         raise InputError("core and patch must share a vertex set")
@@ -583,7 +585,8 @@ def extract_hamilton_step(
         raise InputError(f"core degree must be even and >= 4, got {d}")
     n = core.n
     host = core.union(patch)
-    cap = 2 * component_budget(n) + 1
+    budget = component_budget(n)
+    cap = 2 * budget + 1
 
     last_error: Exception | None = None
     for restart in range(STEP_RESTARTS):
@@ -594,6 +597,11 @@ def extract_hamilton_step(
                 spawn_seed(seed, "draw", restart),
                 deadline=params.deadline,
             )
+            if factor.component_count > budget:
+                raise SearchFailedError(
+                    f"factor has {factor.component_count} components, "
+                    f"above the cap {budget}"
+                )
             # merge_step and rotate_or_close are looked up as module globals
             # on every call, so wrappers installed on this module see them
             final: TwoFactor | PartialHC = factor

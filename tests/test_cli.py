@@ -10,7 +10,7 @@ import hamdeck
 
 from hamdeck.cli import main
 from hamdeck.decompose import run_pipeline
-from hamdeck.graphs import complete_graph, save_edge_list
+from hamdeck.graphs import build_graph, complete_graph, save_edge_list
 
 from conftest import circulant
 
@@ -225,6 +225,54 @@ class TestOtherCommands:
             "--nu", "0.1", "--tau", "0.25", "--exact",
         )
         assert code == 2
+
+    def test_sampled_check_expander_budget_gives_exit_2(
+        self, capsys, graph_file, monkeypatch
+    ):
+        monkeypatch.setenv("HAMDECK_BUDGET_MS", "0")
+        code, _ = run_cli(
+            capsys,
+            "check-expander",
+            graph_file(60),
+            "--nu", "0.1", "--tau", "0.25", "--trials", "2000",
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("graph, expected", [("k12", 0), ("two-k6", 1)])
+    def test_closed_stdout_keeps_the_exit_code(
+        self, capsys, monkeypatch, tmp_path, graph, expected
+    ):
+        # a reader that stops early (`| head -1`) closes the pipe: the
+        # verdict's exit code stands and nothing goes to stderr
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        cliques = [(u, v) for h in (0, 6) for u in range(h, h + 6)
+                   for v in range(u + 1, h + 6)]
+        g = complete_graph(12) if graph == "k12" else build_graph(12, cliques)
+        path = tmp_path / f"{graph}.edges"
+        save_edge_list(g, path)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        try:
+            code = main(
+                ["check-expander", str(path), "--nu", "0.1", "--tau", "0.25",
+                 "--trials", "500"]
+            )
+        finally:
+            os.close(fd)
+        assert code == expected
+        assert capsys.readouterr().err == ""
 
     def test_check_expander(self, capsys, graph_file):
         code, out = run_cli(

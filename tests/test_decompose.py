@@ -129,6 +129,12 @@ class TestCompleteResidual:
         with pytest.raises(BudgetError):
             complete_residual(complete_graph(9), node_budget=5)
 
+    def test_expired_deadline_starts_no_slice(self):
+        # a deadline that has passed is not a node quota: no slice may start,
+        # and the error names the wall-clock budget
+        with pytest.raises(BudgetError, match="wall-clock budget"):
+            complete_residual(complete_graph(101), deadline=time.monotonic() - 1)
+
     def test_disconnected_rejected_before_search(self):
         # a zero node budget stops any search at once, so only the
         # connectivity check can give this verdict

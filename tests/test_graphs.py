@@ -236,6 +236,12 @@ class TestRobustExpander:
                 complete_graph(8), 0.1, 0.25, "exact", deadline=time.monotonic() - 1
             )
 
+    def test_sampled_mode_honours_the_deadline(self):
+        with pytest.raises(BudgetError, match="sampled expander"):
+            is_robust_expander(
+                complete_graph(12), 0.1, 0.25, "sampled", deadline=time.monotonic() - 1
+            )
+
     def test_vacuous_range_certifies(self):
         # tau*n > (1-tau)*n leaves no admissible set
         verdict = is_robust_expander(complete_graph(3), 0.4, 0.6, "exact")
@@ -274,6 +280,12 @@ class TestAlphaBetaRegular:
             # under 3^6 < 1024 set pairs: only the entry check can fire
             check_alpha_beta_regular(
                 complete_graph(6), 1.0, 0.3, "exact", deadline=time.monotonic() - 1
+            )
+
+    def test_sampled_mode_honours_the_deadline(self):
+        with pytest.raises(BudgetError, match="sampled regularity"):
+            check_alpha_beta_regular(
+                complete_graph(12), 1.0, 0.3, "sampled", deadline=time.monotonic() - 1
             )
 
     def test_deadline_stops_the_exact_search_midway(self):

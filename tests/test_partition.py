@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from hamdeck.errors import BudgetError, InputError
+from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from hamdeck.partition import (
+    PARTITION_RETRIES,
     PipelineParams,
     TriPartition,
     default_params,
@@ -99,6 +100,23 @@ class TestTriPartition:
         g = Graph(4, frozenset({(0, 1), (1, 2)}))
         with pytest.raises(InputError):
             tri_partition(g, PipelineParams(0.1, 0.05, 0.01, 0.2))
+
+    def test_infeasible_extraction_ends_the_split(self, monkeypatch):
+        # the cross-density audit does not depend on the target degree, so
+        # a failed audit costs one call per split, not one per target
+        import hamdeck.regularize as regularize
+
+        calls = []
+
+        def failing_audit(g, params):
+            calls.append(g)
+            raise InfeasibleError("cross-density hypothesis fails")
+
+        monkeypatch.setattr(regularize, "_sampled_cross_density_check", failing_audit)
+        g = complete_graph(21)
+        with pytest.raises(BudgetError, match="cross-density"):
+            tri_partition(g, default_params(g, seed=0))
+        assert len(calls) == PARTITION_RETRIES
 
     def test_split_fractions_concentrate(self):
         # over seeds at n >= 50: |patch|/|E| within +-50% of 1/ln n, raw

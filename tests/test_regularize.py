@@ -150,8 +150,11 @@ class TestExtract:
         monkeypatch.setattr(
             regularize, "max_flow", lambda net: calls.append(net) or real(net)
         )
+        monkeypatch.setattr(
+            regularize, "_sampled_cross_density_check", lambda g, params: None
+        )
         bowtie = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-        params = RegularizeParams(c0=0.6, eps0=0.1, gamma0=1e-4, density_trials=0)
+        params = RegularizeParams(c0=0.6, eps0=0.1, gamma0=1e-4)
         with pytest.raises(SearchFailedError, match="does not saturate"):
             extract_regular_subgraph(bowtie, params, d_override=1)
         assert len(calls) == 1

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from hamdeck import decompose, rotation
-from hamdeck.errors import InputError, SearchFailedError
+from hamdeck.errors import BudgetError, InputError, SearchFailedError
 from hamdeck.factor import PartialHC, TwoFactor
 from hamdeck.graphs import (
     Graph,
@@ -322,6 +322,19 @@ class TestExtract:
             elif move.kind == "rotate-close":
                 assert len(edges) == before + 1
         assert comps == 1
+
+    def test_factors_over_the_component_cap_are_redrawn(self, monkeypatch):
+        # with a cap of 0 every draw is over it: each is discarded before
+        # any move, and the restart loop ends in BudgetError
+        g = complete_graph(21)
+        params = params_for(g, seed=0)
+        tp = tri_partition(g, params)
+        merges = []
+        monkeypatch.setattr(rotation, "component_budget", lambda n: 0)
+        monkeypatch.setattr(rotation, "merge_step", lambda *a: merges.append(a))
+        with pytest.raises(BudgetError, match="above the cap"):
+            extract_hamilton_step(tp.core, tp.patch, params, seed=0)
+        assert merges == []
 
 
 # sha256 of [decomposition JSON, step_stats] for pipeline runs whose moves

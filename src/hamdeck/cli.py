@@ -187,8 +187,9 @@ def _cmd_partition(args, deadline) -> int:
     graph = _load_graph(args.graph)
     params = _params_for(graph, args, deadline)
     tp = tri_partition(graph, params)
-    paths = save_tri_partition(tp, args.out)
+    # a budget that runs out in the check leaves no files behind
     report = verify_partition(tp, graph=graph, seed=args.seed)
+    paths = save_tri_partition(tp, args.out)
     payload = {
         "files": paths,
         "core_degree": tp.core_degree,

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InfeasibleError, InputError
 from .graphs import Edge, Graph, norm_edge
@@ -194,6 +192,9 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
     maximum matching is smaller than n, which certifies that no (<=2)-factor
     exists.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     n = g.n
     rows = rng.permutation(n)
     cols = rng.permutation(n)

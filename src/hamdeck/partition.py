@@ -29,7 +29,7 @@ from .graphs import (
     save_edge_list,
 )
 from .regularize import RegularizeParams, extract_regular_subgraph
-from .util import EPS, ceil_frac, spawn_seed
+from .util import EPS, ceil_frac, check_deadline, spawn_seed
 
 # Whole random splits tried before tri_partition gives up with BudgetError.
 PARTITION_RETRIES = 16
@@ -121,8 +121,10 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
 
     Retries the whole random split on extraction failure.  A flow shortfall
     (SearchFailedError) lowers the target degree, down to the largest value
-    that saturates (recorded in stats); an InfeasibleError (degree band,
-    cross-density audit) holds for every target and ends the split at once.
+    that saturates (recorded in stats); an InfeasibleError (the degree band)
+    holds for every target and ends the split at once.  The parts are derived
+    from the input's bit rows, so no part is validated again.  An expired
+    ``params.deadline`` raises BudgetError before a split or a flow starts.
     """
     n = graph.n
     r = graph.regular_degree()
@@ -140,33 +142,20 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
     c0 = (1 - params.eps - p_patch) * r / n
     eps0 = params.eps * r / (2 * n)
     sorted_edges = sorted(graph.edges)
+    reg_params = RegularizeParams(c0=c0, eps0=min(eps0, c0))
+    formula_d = reg_params.half_degree(n)
 
     last_error: Exception | None = None
     for attempt in range(PARTITION_RETRIES):
+        check_deadline(params.deadline, "tri-partition")
         rng = random.Random(spawn_seed(params.seed, "split", attempt))
-        patch_edges: set[Edge] = set()
-        raw_residual: set[Edge] = set()
-        raw_core: set[Edge] = set()
-        for e in sorted_edges:
-            roll = rng.random()
-            if roll < p_patch:
-                patch_edges.add(e)
-            elif roll < p_patch + p_residual:
-                raw_residual.add(e)
-            else:
-                raw_core.add(e)
-        raw_core_graph = Graph(n, frozenset(raw_core))
-
-        reg_params = RegularizeParams(
-            c0=c0,
-            eps0=min(eps0, c0),
-            gamma0=params.gamma / 2,
-            seed=spawn_seed(params.seed, "extract", attempt),
+        patch, raw_residual, raw_core_graph = _random_split(
+            graph, sorted_edges, rng, p_patch, p_residual
         )
-        formula_d = reg_params.half_degree(n)
         d_target = min(formula_d, min(raw_core_graph.degrees(), default=0) // 2)
         core: Graph | None = None
         while d_target >= 1:
+            check_deadline(params.deadline, "tri-partition")
             try:
                 core = extract_regular_subgraph(
                     raw_core_graph, reg_params, d_override=d_target
@@ -180,8 +169,8 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         if core is None:
             continue
 
-        residual = Graph(n, frozenset(raw_residual) | (raw_core_graph.edges - core.edges))
-        patch = Graph(n, frozenset(patch_edges))
+        # the raw residual plus the trimmings (raw core minus core)
+        residual = _remainder(graph, patch, core)
         d0 = 2 * d_target
         asym_bound = (1 - 2 * params.eps) * r
         stats = {
@@ -193,7 +182,7 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
             "asymptotic_degree_bound_met": d0 + EPS >= asym_bound,
             "patch_probability": p_patch,
             "patch_edges": patch.edge_count,
-            "raw_residual_edges": len(raw_residual),
+            "raw_residual_edges": raw_residual.edge_count,
             "raw_core_edges": raw_core_graph.edge_count,
             "residual_edges": residual.edge_count,
         }
@@ -204,6 +193,47 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         f"tri-partition failed after {PARTITION_RETRIES} split attempts "
         f"(last: {last_error})"
     )
+
+
+def _random_split(
+    graph: Graph,
+    sorted_edges: list[Edge],
+    rng: random.Random,
+    p_patch: float,
+    p_residual: float,
+) -> tuple[Graph, Graph, Graph]:
+    """Patch, raw residual and raw core of one split: one roll per edge of
+    ``sorted_edges`` (the input's edges in order).  The parts are subgraphs
+    of the validated input, so they are derived, not validated: the patch and
+    the raw residual set their bit rows edge by edge, and the raw core, which
+    holds most edges, keeps the input's rows minus theirs."""
+    n = graph.n
+    edges: tuple[set[Edge], set[Edge]] = (set(), set())
+    rows = ([0] * n, [0] * n)
+    for u, v in sorted_edges:
+        roll = rng.random()
+        if roll < p_patch:
+            part = 0
+        elif roll < p_patch + p_residual:
+            part = 1
+        else:
+            continue
+        edges[part].add((u, v))
+        rows[part][u] |= 1 << v
+        rows[part][v] |= 1 << u
+    patch, raw_residual = (
+        Graph._derived(n, frozenset(e), tuple(r)) for e, r in zip(edges, rows)
+    )
+    return patch, raw_residual, _remainder(graph, patch, raw_residual)
+
+
+def _remainder(graph: Graph, *parts: Graph) -> Graph:
+    """``graph`` minus edge-disjoint subgraphs of it, by bit deltas."""
+    edges = graph.edges.difference(*(p.edges for p in parts))
+    rows = graph.adj_bits
+    for p in parts:
+        rows = tuple(a ^ b for a, b in zip(rows, p.adj_bits))
+    return Graph._derived(graph.n, edges, rows)
 
 
 def _assert_partition_exact(graph: Graph, tp: TriPartition) -> None:

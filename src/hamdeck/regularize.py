@@ -3,6 +3,12 @@ graph: orient the edges with in- and out-degree balanced at every vertex,
 route one integral max flow through a bipartite one-arc-per-edge network,
 and keep the saturated middle arcs.
 
+A saturated flow plus the exact 2d-regularity check of the result is the
+certificate; the paper's cross-density hypothesis, which guarantees
+saturation at large n, is not audited.  The orientation walks bit rows, the
+flow is read sparsely, and the extracted subgraph is derived from the
+input's bit rows rather than validated again.
+
 Digraphs here are internal machinery; the public surface consumes and
 produces undirected Graphs.
 """
@@ -13,12 +19,10 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InfeasibleError, InputError, SearchFailedError
-from .graphs import Edge, Graph, edges_between, norm_edge, random_ranks
-from .util import EPS, ceil_frac, spawn_seed
+from .graphs import Graph, norm_edge
+from .util import EPS, ceil_frac
 
 
 @dataclass(frozen=True)
@@ -44,24 +48,20 @@ class Digraph:
 
 @dataclass(frozen=True)
 class RegularizeParams:
-    """Density/slack fractions for the extraction, plus its RNG seed.
+    """Density and slack fractions for the extraction.
 
-    Requires 0 < eps0 <= c0 <= 1 and gamma0 > 0.  The target half-degree is
+    Requires 0 < eps0 <= c0 <= 1.  The target half-degree is
     d = ceil((c0 - eps0) * n / 2).
     """
 
     c0: float
     eps0: float
-    gamma0: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0 < self.eps0 <= self.c0 <= 1):
             raise InputError(
                 f"need 0 < eps0 <= c0 <= 1, got eps0={self.eps0}, c0={self.c0}"
             )
-        if self.gamma0 <= 0:
-            raise InputError(f"gamma0 must be positive, got {self.gamma0}")
 
     def half_degree(self, n: int) -> int:
         return ceil_frac((self.c0 - self.eps0) * n / 2)
@@ -79,46 +79,33 @@ def random_orientation(g: Graph, seed: int) -> Digraph:
 def balanced_orientation(g: Graph) -> Digraph:
     """Deterministic orientation with |out(v) - in(v)| <= 1 for every v.
 
-    Pairs up odd-degree vertices with virtual edges, walks Euler circuits,
-    and drops the virtual arcs.  The extraction uses it: a vertex of degree
-    >= 2d keeps at least d out-arcs and d in-arcs.
+    Pairs up odd-degree vertices with virtual edges, walks closed trails
+    from each vertex in turn (always to the lowest remaining neighbour), and
+    drops the first traversal of each virtual pair.  The extraction uses it:
+    a vertex of degree >= 2d keeps at least d out-arcs and d in-arcs.
     """
-    adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    real = list(g.adj_bits)
+    # a virtual pair may double a real edge (K4), so it keeps a row of its own
+    virtual = [0] * g.n
+    odd = [v for v, row in enumerate(real) if row.bit_count() % 2]
+    for u, v in zip(odd[::2], odd[1::2]):
+        virtual[u] |= 1 << v
+        virtual[v] |= 1 << u
 
-    def add(u: int, v: int, virtual: bool) -> None:
-        adj[u][v] = adj[u].get(v, 0) + 1
-        adj[v][u] = adj[v].get(u, 0) + 1
-        if virtual:
-            virtual_pairs.add(norm_edge(u, v))
-
-    virtual_pairs: set[Edge] = set()
-    for u, v in sorted(g.edges):
-        add(u, v, False)
-    odd = [v for v in range(g.n) if g.degree(v) % 2 == 1]
-    for i in range(0, len(odd), 2):
-        add(odd[i], odd[i + 1], True)
-
-    arcs: set[tuple[int, int]] = set()
+    arcs = []
     for start in range(g.n):
-        while adj[start]:
-            # walk a closed trail from `start`, orienting as we go
-            walk = [start]
-            v = start
-            while adj[v]:
-                w = min(adj[v])
-                adj[v][w] -= 1
-                adj[w][v] -= 1
-                if adj[v][w] == 0:
-                    del adj[v][w]
-                if adj[w][v] == 0:
-                    del adj[w][v]
-                walk.append(w)
-                v = w
-            for a, b in zip(walk, walk[1:]):
-                if norm_edge(a, b) in virtual_pairs:
-                    virtual_pairs.discard(norm_edge(a, b))
-                    continue
-                arcs.add((a, b))
+        # every degree is even, so each trail closes where it started
+        v = start
+        while row := real[v] | virtual[v]:
+            w = (row & -row).bit_length() - 1
+            if virtual[v] >> w & 1:
+                virtual[v] ^= 1 << w
+                virtual[w] ^= 1 << v
+            else:
+                real[v] ^= 1 << w
+                real[w] ^= 1 << v
+                arcs.append((v, w))
+            v = w
     return Digraph(g.n, frozenset(arcs))
 
 
@@ -177,77 +164,38 @@ class MaxFlowResult:
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Exact integral maximum flow; validates conservation and capacities."""
-    size = net.node_count
-    rows, cols, caps = [], [], []
-    for tail, head, cap in net.arcs():
-        rows.append(tail)
-        cols.append(head)
-        caps.append(cap)
-    matrix = csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(size, size)
-    )
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n, size = net.n, net.node_count
+    tails, heads, caps = np.array(net.arcs(), dtype=np.int64).reshape(-1, 3).T
+    matrix = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(size, size))
     result = maximum_flow(matrix, net.source, net.sink)
-    flow = result.flow.toarray()
+    # one sparse lookup per arc, in the order of net.arcs()
+    flow = np.asarray(result.flow[tails, heads]).ravel() if tails.size else tails
+    m = len(net.middle)
+    x_flow, middle, y_flow = flow[:n], flow[n : n + m], flow[n + m :]
 
-    middle_flow = {}
-    for u, v in net.middle:
-        f = int(flow[net.x_node(u), net.y_node(v)])
-        if f not in (0, 1):
-            raise AssertionError(f"non-integral or overfull middle arc flow {f}")
-        middle_flow[(u, v)] = f
-    x_flow = tuple(int(flow[net.source, net.x_node(v)]) for v in range(net.n))
-    y_flow = tuple(int(flow[net.y_node(v), net.sink]) for v in range(net.n))
-    for v in range(net.n):
-        if not (0 <= x_flow[v] <= net.d and 0 <= y_flow[v] <= net.d):
-            raise AssertionError("source/sink arc capacity violated")
-    out_by_x = {v: 0 for v in range(net.n)}
-    in_by_y = {v: 0 for v in range(net.n)}
-    for (u, v), f in middle_flow.items():
-        out_by_x[u] += f
-        in_by_y[v] += f
-    for v in range(net.n):
-        if out_by_x[v] != x_flow[v] or in_by_y[v] != y_flow[v]:
-            raise AssertionError(f"flow conservation violated at vertex {v}")
+    bad = middle[(middle != 0) & (middle != 1)]
+    if bad.size:
+        raise AssertionError(f"non-integral or overfull middle arc flow {bad[0]}")
+    if not ((0 <= x_flow) & (x_flow <= net.d) & (0 <= y_flow) & (y_flow <= net.d)).all():
+        raise AssertionError("source/sink arc capacity violated")
+    used = np.array(net.middle, dtype=np.int64).reshape(-1, 2)[middle == 1]
+    out_by_x = np.bincount(used[:, 0], minlength=n)
+    in_by_y = np.bincount(used[:, 1], minlength=n)
+    broken = np.flatnonzero((out_by_x != x_flow) | (in_by_y != y_flow))
+    if broken.size:
+        raise AssertionError(f"flow conservation violated at vertex {broken[0]}")
     value = int(result.flow_value)
-    if value != sum(x_flow):
+    if value != x_flow.sum():
         raise AssertionError("flow value inconsistent with source arcs")
-    return MaxFlowResult(value, middle_flow, x_flow, y_flow)
-
-
-CROSS_DENSITY_TRIALS = 10_000  # random (A, B) pairs in the audit
-
-
-def _sampled_cross_density_check(g: Graph, params: RegularizeParams) -> None:
-    """Sampled audit of the cross-density hypothesis: any pair of sets with
-    |A| >= c0*n/3 and |B| >= n/2 should span at least gamma0*n^2 edges.
-    A sampled violation is exact for that pair and raises."""
-    n = g.n
-    if n < 4:
-        return
-    size_a = max(1, ceil_frac(params.c0 * n / 3))
-    size_b = max(1, ceil_frac(n / 2))
-    adj = g.adjacency_matrix().astype(np.float32)
-    threshold = params.gamma0 * n * n
-    rng = np.random.default_rng(spawn_seed(params.seed, "density"))
-    a_draws = random_ranks(rng, CROSS_DENSITY_TRIALS, n, size_a, size_a, 64)
-    b_draws = random_ranks(rng, CROSS_DENSITY_TRIALS, n, size_b, size_b, 64)
-    for (_, a_ranks), (_, b_ranks) in zip(a_draws, b_draws):
-        a_masks = (a_ranks < size_a).astype(np.float32)
-        b_masks = (b_ranks < size_b).astype(np.float32)
-        both = a_masks * b_masks
-        # ordered pairs count each edge inside A & B twice, once otherwise;
-        # candidates within float slack of the threshold are recounted exactly
-        counts = ((a_masks @ adj) * b_masks).sum(axis=1)
-        counts -= ((both @ adj) * both).sum(axis=1) / 2
-        for i in np.nonzero(counts < threshold + 1.0)[0]:
-            a = np.flatnonzero(a_masks[i]).tolist()
-            b = np.flatnonzero(b_masks[i]).tolist()
-            exact = edges_between(g, a, b)
-            if exact < threshold - EPS:
-                raise InfeasibleError(
-                    f"cross-density hypothesis fails: sets of sizes "
-                    f"{len(a)}/{len(b)} span {exact} < {threshold:.2f} edges"
-                )
+    return MaxFlowResult(
+        value,
+        dict(zip(net.middle, middle.tolist())),
+        tuple(x_flow.tolist()),
+        tuple(y_flow.tolist()),
+    )
 
 
 def extract_regular_subgraph(
@@ -278,7 +226,6 @@ def extract_regular_subgraph(
         raise InfeasibleError(
             f"target degree {2 * d} exceeds minimum input degree {min(g.degrees())}"
         )
-    _sampled_cross_density_check(g, params)
 
     result = max_flow(build_flow_network(balanced_orientation(g), d))
     if result.value != d * n:
@@ -286,10 +233,11 @@ def extract_regular_subgraph(
             f"balanced orientation does not saturate the flow "
             f"(value {result.value} of {d * n})"
         )
-    edges = frozenset(
-        norm_edge(u, v) for (u, v), f in result.middle_flow.items() if f == 1
+    # one middle arc per edge of g: drop the edges whose arc carries no flow
+    dropped = frozenset(
+        norm_edge(u, v) for (u, v), f in result.middle_flow.items() if f == 0
     )
-    sub = Graph(n, edges)
+    sub = g._edited(dropped, frozenset())
     degs = set(sub.degrees())
     if degs != {2 * d}:
         raise AssertionError(f"extracted subgraph degrees {degs} != {2 * d}")

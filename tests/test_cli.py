@@ -295,6 +295,16 @@ class TestOtherCommands:
         assert (tmp_path / "part.core.edges").exists()
         assert (tmp_path / "part.params.json").exists()
 
+    def test_partition_budget_writes_no_files(
+        self, capsys, graph_file, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("HAMDECK_BUDGET_MS", "0")
+        code, _ = run_cli(
+            capsys, "partition", graph_file(21), "--out", str(tmp_path / "part")
+        )
+        assert code == 2
+        assert list(tmp_path.glob("part.*")) == []
+
     def test_bounds(self, capsys):
         code, out = run_cli(capsys, "bounds", "100", "50", "--no-meta")
         assert code == 0
@@ -357,3 +367,13 @@ class TestBlasThreads:
 
     def test_explicit_setting_wins(self):
         assert self.threads_after_import("2") == "2"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy loads with the first max-flow or matching, not with the package
+    env = dict(os.environ, PYTHONPATH=str(Path(hamdeck.__file__).resolve().parents[1]))
+    code = "import hamdeck, sys; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -102,21 +102,37 @@ class TestTriPartition:
             tri_partition(g, PipelineParams(0.1, 0.05, 0.01, 0.2))
 
     def test_infeasible_extraction_ends_the_split(self, monkeypatch):
-        # the cross-density audit does not depend on the target degree, so
-        # a failed audit costs one call per split, not one per target
-        import hamdeck.regularize as regularize
+        # an InfeasibleError holds for every target degree, so it costs one
+        # extraction per split, not one per target
+        import hamdeck.partition as partition
 
         calls = []
 
-        def failing_audit(g, params):
-            calls.append(g)
-            raise InfeasibleError("cross-density hypothesis fails")
+        def infeasible_extraction(g, params, *, d_override=None):
+            calls.append(d_override)
+            raise InfeasibleError("degree hypothesis violated")
 
-        monkeypatch.setattr(regularize, "_sampled_cross_density_check", failing_audit)
+        monkeypatch.setattr(partition, "extract_regular_subgraph", infeasible_extraction)
         g = complete_graph(21)
-        with pytest.raises(BudgetError, match="cross-density"):
+        with pytest.raises(BudgetError, match="degree hypothesis"):
             tri_partition(g, default_params(g, seed=0))
         assert len(calls) == PARTITION_RETRIES
+
+    def test_k201_makes_no_validated_graph_builds(self, monkeypatch):
+        # the raw core, patch, residual and core are derived from the
+        # input's bit rows
+        g = complete_graph(201)
+        builds = []
+        validate = Graph.__post_init__
+
+        def counting_validate(self):
+            builds.append(self.n)
+            validate(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_validate)
+        tp = tri_partition(g, default_params(g, seed=0))
+        assert tp.core.regular_degree() == tp.core_degree > 0
+        assert builds == []
 
     def test_split_fractions_concentrate(self):
         # over seeds at n >= 50: |patch|/|E| within +-50% of 1/ln n, raw

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, iter_bits, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -184,29 +184,31 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
     """Maximum matching of the double cover under random row and column labels.
 
     Row r of the n x n biadjacency is vertex rows[r] and column c is vertex
-    cols[c].  It is built column by column from ``g.adj`` (O(n + m)) and
-    converted to CSR, which sorts each row's neighbours by their random
-    labels, so scipy's Hopcroft-Karp visits rows and neighbours in a fresh
-    random order each call.  No distribution over matchings is promised.
+    cols[c].  Its CSR is built from the bit rows, by permuting the unpacked
+    adjacency matrix (O(n^2) numpy steps) or, when ``g.is_sparse``, by
+    relabelling each row's bits (O(m) Python steps).  The random labels give
+    scipy's Hopcroft-Karp a fresh order of rows and neighbours each call.
+    No distribution over matchings is promised.
     Returns sigma with sigma[i] = the partner of vertex i, or None when the
     maximum matching is smaller than n, which certifies that no (<=2)-factor
     exists.
     """
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     n = g.n
     rows = rng.permutation(n)
     cols = rng.permutation(n)
-    row_of = np.empty(n, dtype=np.int64)
-    row_of[rows] = np.arange(n)
-    nbrs = [g.adj[v] for v in cols.tolist()]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, nbrs), dtype=np.int64, count=n), out=indptr[1:])
-    flat = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=indptr[-1])
-    indices = row_of[flat]
-    data = np.ones(len(indices), dtype=np.int8)
-    biadj = csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+    if g.is_sparse:
+        col_of, bits = np.argsort(cols).tolist(), g.adj_bits
+        nbrs = [sorted(col_of[w] for w in iter_bits(bits[v])) for v in rows.tolist()]
+        counts = [len(a) for a in nbrs]
+        indices = np.fromiter(chain.from_iterable(nbrs), np.int64, sum(counts))
+    else:
+        hits, indices = np.nonzero(g.adjacency_matrix()[np.ix_(rows, cols)])
+        counts = np.bincount(hits, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    biadj = csr_matrix((np.ones(len(indices), np.int8), indices, indptr), shape=(n, n))
     match = maximum_bipartite_matching(biadj, perm_type="column")
     if (match < 0).any():
         return None

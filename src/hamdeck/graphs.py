@@ -9,9 +9,9 @@ Edge lists are validated once, where they enter: ``Graph(n, edges)`` and
 everything built on it (``build_graph``, ``parse_edge_list``, the
 generators) checks every edge and builds the bit rows and neighbour lists in
 O(m).  Graphs derived from a valid graph are trusted: ``subtract`` and
-``union`` check only the edges they move, then edit the parent's bit rows
-(``Graph._derived``), and the neighbour lists of a derived graph are decoded
-from its bit rows on first use.  Degrees are bit counts.
+``union`` bit-test only the edges they move, then edit the parent's bit rows
+(``Graph._derived``); a derived graph decodes its edge set and neighbour
+lists on first use.  Degrees, edge tests and equality read the bit rows.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
     ``adj_bits[v]`` has bit w set iff v ~ w; ``adj[v]`` lists v's neighbours
-    in increasing order.
+    in increasing order; a derived graph decodes ``edges`` on first use.
+    Equality and hashing compare n and the bit rows.
     """
 
     n: int
-    edges: frozenset[Edge]
-    adj_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edges: frozenset[Edge] = field(compare=False)
+    adj_bits: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -65,25 +66,32 @@ class Graph:
 
     @classmethod
     def _derived(
-        cls, n: int, edges: frozenset[Edge], adj_bits: tuple[int, ...]
+        cls, n: int, edges: frozenset[Edge] | None, adj_bits: tuple[int, ...]
     ) -> "Graph":
-        """Trusted constructor: the caller guarantees that ``edges`` is a valid
-        edge set on n vertices and that ``adj_bits`` encodes it."""
+        """Trusted constructor: ``adj_bits`` must encode a simple graph on n
+        vertices, and ``edges`` its edge set (None: decoded on first use)."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        if edges is not None:
+            object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "adj_bits", adj_bits)
         return g
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        return _decode_adj(self.n, self.adj_bits)
+        return _decode_adj(self)
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @property
+    def is_sparse(self) -> bool:
+        """Whether O(m) bit walks beat one O(n^2) numpy unpack, which is 9x
+        faster on K201, 8x slower on C_3000(1,2) and too big at n = 10^5."""
+        return self.n * self.n >= 32 * sum(self.degrees())
 
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
@@ -92,7 +100,8 @@ class Graph:
         return [b.bit_count() for b in self.adj_bits]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
+        # a row has no bits at n or above, so only v < 0 needs a test of its own
+        return 0 <= u < self.n and v >= 0 and self.adj_bits[u] >> v & 1 == 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -105,32 +114,32 @@ class Graph:
         return None
 
     def adjacency_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u, v in self.edges:
-            m[u, v] = 1
-            m[v, u] = 1
-        return m
+        """The n x n 0/1 uint8 matrix, unpacked from the bit rows."""
+        nbytes = (self.n + 7) // 8
+        raw = b"".join(b.to_bytes(nbytes, "little") for b in self.adj_bits)
+        packed = np.frombuffer(raw, np.uint8).reshape(self.n, nbytes)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
 
     # -- edge-set algebra -------------------------------------------------
 
     def subtract(self, removed: "frozenset[Edge] | set[Edge] | Graph") -> "Graph":
         """Graph with the given edges removed; they must all be present."""
         rem = _as_edge_set(removed)
-        if not rem <= self.edges:
-            e = min(rem - self.edges)
-            raise InputError(f"cannot subtract edge {e}: not present")
+        absent = [e for e in rem if not self.has_edge(*e)]
+        if absent:
+            raise InputError(f"cannot subtract edge {min(absent)}: not present")
         return self._edited(rem, frozenset())
 
     def union(self, added: "frozenset[Edge] | set[Edge] | Graph") -> "Graph":
         """Graph with the given edges added; they must all be new."""
-        add = _as_edge_set(added)
-        if not self.edges.isdisjoint(add):
-            e = min(add & self.edges)
-            raise InputError(f"cannot add edge {e}: already present")
         if isinstance(added, Graph) and added.n == self.n:
-            # a graph's edges are valid already: OR its bit rows in
-            bits = tuple(a | b for a, b in zip(self.adj_bits, added.adj_bits))
-            return Graph._derived(self.n, self.edges | add, bits)
+            rows = tuple(zip(self.adj_bits, added.adj_bits))
+            if not any(a & b for a, b in rows):  # valid edges: OR the rows in
+                return Graph._derived(self.n, None, tuple(a | b for a, b in rows))
+        add = _as_edge_set(added)
+        present = [e for e in add if self.has_edge(*e)]
+        if present:
+            raise InputError(f"cannot add edge {min(present)}: already present")
         for u, v in add:
             if u == v:
                 raise InputError(f"loop edge ({u}, {v}) not allowed")
@@ -145,26 +154,27 @@ class Graph:
         for u, v in itertools.chain(removed, added):
             bits[u] ^= 1 << v
             bits[v] ^= 1 << u
-        return Graph._derived(self.n, (self.edges - removed) | added, tuple(bits))
+        return Graph._derived(self.n, None, tuple(bits))
 
 
-def _decode_adj(n: int, adj_bits) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbour tuples from bit rows.  Dense graphs are unpacked by
-    numpy in O(n^2) C steps (9x faster than bit by bit on K201); sparse
-    ones bit by bit in O(m) Python steps, since an n x n unpack would be 8x
-    slower on C_3000(1,2) and would not fit in memory at n = 10^5."""
-    degs = [b.bit_count() for b in adj_bits]
-    if n * n >= 32 * sum(degs):
-        return tuple(tuple(iter_bits(b)) for b in adj_bits)
-    nbytes = (n + 7) // 8
-    raw = b"".join(b.to_bytes(nbytes, "little") for b in adj_bits)
-    rows = np.unpackbits(
-        np.frombuffer(raw, np.uint8).reshape(n, nbytes),
-        axis=1,
-        count=n,
-        bitorder="little",
-    )
-    cols = np.nonzero(rows)[1].tolist()
+def _decode_edges(g: Graph) -> frozenset[Edge]:
+    """A derived graph's edge set, decoded and cached on first use by a
+    non-data descriptor that a validated graph's own ``edges`` shadows (a
+    ``__getattr__`` would slow every attribute access on Graph)."""
+    adj = _decode_adj(g)
+    return frozenset((u, v) for u in range(g.n) for v in adj[u] if u < v)
+
+
+Graph.edges = cached_property(_decode_edges)  # type: ignore[assignment]
+Graph.edges.__set_name__(Graph, "edges")
+
+
+def _decode_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples, by bit walks or one unpack (``is_sparse``)."""
+    if g.is_sparse:
+        return tuple(tuple(iter_bits(b)) for b in g.adj_bits)
+    degs = g.degrees()
+    cols = np.nonzero(g.adjacency_matrix())[1].tolist()
     ends = itertools.accumulate(degs)
     return tuple(tuple(cols[e - d : e]) for d, e in zip(degs, ends))
 

@@ -10,7 +10,9 @@ bounded breadth-first search over rotations.  The working core supplies
 rotation pivots; the patch graph supplies closing and substitution edges
 (with the core as fallback so the engine stays total at desk scale).  Every
 move is an ordered list of edge operations, so a run can be replayed and
-audited.
+audited.  The engine reads bit rows only (``iter_bits`` neighbours in
+increasing order, bit-test edges, bit-delta working graphs), so a step
+neither decodes neighbour lists nor copies an edge set.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge
 from .util import EPS, ceil_frac, check_deadline, spawn_seed
 from .walecki import cycle_edges
 
@@ -164,14 +166,12 @@ def merge_step(
     components.sort(key=lambda c: (c[0][0] == "pair", len(c[1]), min(c[1])))
 
     for comp, verts in components:
-        vert_set = set(verts)
+        outside = ~_mask_of(verts)
         prescribed = core if len(verts) < d else patch
         other = patch if prescribed is core else core
         for src in (prescribed, other):
             for u in sorted(verts):
-                for v in src.adj[u]:
-                    if v in vert_set:
-                        continue
+                for v in iter_bits(src.adj_bits[u] & outside):
                     left, removed = _open_at(cycles, pairs, comp, u)
                     right, removed_o = _open_at(cycles, pairs, comp_of[v], v)
                     steps = [("-", e) for e in (removed, removed_o) if e is not None]
@@ -212,15 +212,13 @@ def _extension_at_end(
 ) -> tuple[PartialHC, list[tuple[str, Edge]]] | None:
     """Extend the path's last endpoint into another component, if possible.
 
-    Returns (partial, steps) or None.  Core neighbors are preferred over
-    patch neighbors.
+    Returns (partial, steps) or None: the lowest core, else patch, neighbour
+    off the path, which lies in a component because the cover spans.
     """
     tip = path[-1]
-    on_path = set(path)
+    off_path = ~_mask_of(path)
     for src in (core, patch):
-        for z in src.adj[tip]:
-            if z in on_path or z not in comp_of:
-                continue
+        for z in iter_bits(src.adj_bits[tip] & off_path):
             piece, removed = _open_at(cycles, pairs, comp_of[z], z)
             steps: list[tuple[str, Edge]] = [("+", norm_edge(tip, z))]
             if removed is not None:
@@ -235,9 +233,7 @@ def _closure_edge(path: list[int], patch: Graph, core: Graph) -> Edge | None:
     if len(path) < 3:
         return None
     a, b = path[0], path[-1]
-    if patch.has_edge(a, b):
-        return norm_edge(a, b)
-    if core.has_edge(a, b):
+    if patch.has_edge(a, b) or core.has_edge(a, b):
         return norm_edge(a, b)
     return None
 
@@ -275,8 +271,9 @@ def _rotation_round(paths, core: Graph, pivot_ok, at_start: bool = False) -> dic
             end, positions, rotate = p[0], range(2, len(p) - 1), _rotate_start
         else:
             end, positions, rotate = p[-1], range(1, len(p) - 2), _rotate_end
+        row = core.adj_bits[end]
         for i in positions:
-            if not pivot_ok(p, i) or not core.has_edge(p[i], end):
+            if not pivot_ok(p, i) or not row >> p[i] & 1:
                 continue
             q, st = rotate(p, i)
             key = q[0] if at_start else q[-1]
@@ -315,10 +312,9 @@ def _apparatus(
     segments = _segment_ranges(n, s)
 
     def count_pivots(endpoint: int, rng_: tuple[int, int], lo: int, hi: int) -> int:
+        row = core.adj_bits[endpoint]
         return sum(
-            1
-            for i in _interior_positions(rng_)
-            if lo <= i <= hi and core.has_edge(path[i], endpoint)
+            1 for i in _interior_positions(rng_) if lo <= i <= hi and row >> path[i] & 1
         )
 
     end_counts = [count_pivots(path[-1], r, 1, last - 2) for r in segments]
@@ -509,16 +505,16 @@ def substitution_gadget(
     def usable(u: int, v: int) -> bool:
         return norm_edge(u, v) not in avoid_edges
 
-    for x1 in core.adj[x]:
+    for x1 in iter_bits(core.adj_bits[x]):
         if x1 in banned or not usable(x, x1):
             continue
-        for x2 in patch.adj[x1]:
+        for x2 in iter_bits(patch.adj_bits[x1]):
             if x2 in banned or x2 == x1 or not usable(x1, x2):
                 continue
-            for y1 in core.adj[y]:
+            for y1 in iter_bits(core.adj_bits[y]):
                 if y1 in banned or y1 in (x1, x2) or not usable(y, y1):
                     continue
-                for y2 in patch.adj[y1]:
+                for y2 in iter_bits(patch.adj_bits[y1]):
                     if (
                         y2 in banned
                         or y2 in (x1, x2, y1)
@@ -576,7 +572,7 @@ def extract_hamilton_step(
     """
     if core.n != patch.n:
         raise InputError("core and patch must share a vertex set")
-    if not core.edges.isdisjoint(patch.edges):
+    if any(a & b for a, b in zip(core.adj_bits, patch.adj_bits)):
         raise InputError("core and patch must be edge-disjoint")
     d = core.regular_degree()
     if d is None:
@@ -619,7 +615,11 @@ def extract_hamilton_step(
 
             cycle = final.cycles[0]
             cycle_edge_set = final.edge_set()
-            shared = sorted(cycle_edge_set & patch.edges)
+            # a validated cover of host: its edges are in range for bit tests
+            cycle_in_patch = frozenset(
+                e for e in cycle_edge_set if not core.adj_bits[e[0]] >> e[1] & 1
+            )
+            shared = sorted(cycle_in_patch)
             excluded: set[int] = {v for e in shared for v in e}
             promoted: list[Edge] = []
             dropped: list[Edge] = []
@@ -640,13 +640,11 @@ def extract_hamilton_step(
 
             promoted_set = frozenset(promoted)
             dropped_set = frozenset(dropped)
-            cycle_in_patch = cycle_edge_set - core.edges
             # with core ∩ patch = ∅, these four facts give the identity
             # core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core
             if not (
-                dropped_set <= core.edges
-                and promoted_set <= patch.edges
-                and cycle_in_patch <= patch.edges
+                all(core.has_edge(*e) for e in dropped_set)
+                and all(patch.has_edge(*e) for e in promoted_set | cycle_in_patch)
                 and cycle_edge_set.isdisjoint(dropped_set | promoted_set)
             ):
                 raise AssertionError("edge accounting identity violated")

@@ -132,12 +132,15 @@ def test_criterion_4_bound_sanity():
 
 
 def test_criterion_5_regularize_suite():
-    """K9 extraction at eps0 = 2/9: 6-regular output for >= 95% of 100 seeds,
-    each under a second, with the flow self-checks silent."""
+    """K9 extraction at eps0 = 2/9, repeated 100 times: the extraction is
+    deterministic (it draws no random numbers), so all 100 outputs are the
+    same 6-regular subgraph; >= 95 runs finish under a second, with the flow
+    self-checks silent."""
     k9 = complete_graph(9)
     successes = 0
     worst = 0.0
-    for seed in range(100):
+    outputs = []
+    for _ in range(100):
         params = RegularizeParams(c0=8 / 9, eps0=2 / 9)
         t0 = time.perf_counter()
         sub = extract_regular_subgraph(k9, params)  # AssertionError if checks fire
@@ -145,8 +148,10 @@ def test_criterion_5_regularize_suite():
         worst = max(worst, elapsed)
         assert set(sub.degrees()) == {6}
         assert sub.edges <= k9.edges
+        outputs.append(sub.edges)
         if elapsed < 1.0:
             successes += 1
+    assert all(edges == outputs[0] for edges in outputs)
     assert successes >= 95
     report("5 regularize", f"{successes}/100 under 1s (worst {worst:.3f}s)")
 

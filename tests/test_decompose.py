@@ -278,6 +278,20 @@ class TestPipeline:
         assert run.rotation_cycles > 50
         assert len(builds) <= 10
 
+    def test_k201_decodes_few_neighbour_lists(self, monkeypatch):
+        # the factor sampler and the rotation moves read bit rows; only the
+        # edge sets of a few derived graphs are decoded, for the self-checks
+        from hamdeck import graphs
+
+        decodes = []
+        real = graphs._decode_adj
+        monkeypatch.setattr(
+            graphs, "_decode_adj", lambda *args: decodes.append(1) or real(*args)
+        )
+        run = run_pipeline(complete_graph(201), seed=0)
+        assert run.rotation_cycles > 50
+        assert len(decodes) <= 4
+
     def test_deterministic(self):
         g = complete_graph(9)
         assert decompose_pipeline(g, seed=5) == decompose_pipeline(g, seed=5)

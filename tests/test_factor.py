@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import time
 
@@ -14,8 +15,55 @@ from hamdeck.factor import (
     sample_le2_factor,
 )
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
+from hamdeck.partition import default_params, tri_partition
 
-from conftest import circulant
+from conftest import circulant, paley
+
+
+def _k101_core():
+    k101 = complete_graph(101)
+    return tri_partition(k101, default_params(k101, seed=0)).core
+
+
+# sha256 of the factors drawn at seeds 0-2.  The double cover is built from
+# bit rows, by a numpy unpack on dense graphs and by the O(m) route on
+# sparse ones; the matching scipy returns depends only on that CSR, so any
+# change to it changes these digests.
+@pytest.mark.parametrize(
+    "make, sparse, digest",
+    [
+        pytest.param(
+            lambda: complete_graph(201),
+            False,
+            "4f8a3b44fa759c6aba06d9286b1c3eb7d3444a2b5ec63809fff77953c2fbe3d3",
+            id="k201",
+        ),
+        pytest.param(
+            lambda: paley(197),
+            False,
+            "4d9152586e1acff7332c1b1149b4adbf86781b2b7402576fa7729db3a6777a15",
+            id="paley197",
+        ),
+        pytest.param(
+            _k101_core,
+            False,
+            "565a07581f58cd19e80038f5d66c17b20d955f70d7f657265cf955a4d0138339",
+            id="k101-derived-core",
+        ),
+        pytest.param(
+            lambda: circulant(300, (1, 2)),
+            True,
+            "9c59a4a39b69f584707410cc8e60c078c147b63c5c5340097fb36faf7d0ef3c1",
+            id="c300-sparse",
+        ),
+    ],
+)
+def test_random_perfect_matching_is_pinned(make, sparse, digest):
+    g = make()
+    assert g.is_sparse == sparse
+    factors = [sample_le2_factor(g, seed) for seed in (0, 1, 2)]
+    blob = repr([(f.cycles, f.pairs) for f in factors])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestEnumeration:

@@ -88,6 +88,45 @@ class TestEdgeAlgebra:
         g = cycle_graph(5)
         assert g.subtract(g.edges).edge_count == 0
 
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(5), complete_graph(5).subtract({(0, 1), (2, 4)})],
+        ids=["K5", "derived"],
+    )
+    def test_has_edge_is_false_off_the_edge_set(self, g):
+        # loops and out-of-range vertices are non-edges; a negative vertex
+        # must not wrap around to the last bit row (K5's row 4 has bit 0)
+        for u, v in itertools.product(range(-7, 8), repeat=2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+        assert not g.has_edge(-1, 0)
+
+    @settings(max_examples=60)
+    @given(
+        small_graphs(min_n=3, max_n=10),
+        st.lists(st.sampled_from(["subtract", "union", "union-graph", "edited"])),
+        st.randoms(use_true_random=False),
+    )
+    def test_derived_chains_match_a_fresh_build(self, g, ops, rnd):
+        pairs = list(itertools.combinations(range(g.n), 2))
+        expected = set(g.edges)
+        for op in ops:
+            drop = {e for e in sorted(expected) if rnd.random() < 0.3}
+            add = {e for e in pairs if e not in expected and rnd.random() < 0.3}
+            if op == "subtract":
+                g, expected = g.subtract(drop), expected - drop
+            elif op == "edited":
+                g = g._edited(frozenset(drop), frozenset(add))
+                expected = (expected - drop) | add
+            else:
+                g = g.union(Graph(g.n, frozenset(add)) if op == "union-graph" else add)
+                expected |= add
+            assert "edges" not in g.__dict__  # decoded on first use only
+        fresh = Graph(g.n, frozenset(expected))
+        assert g.edges == fresh.edges
+        assert g == fresh
+        assert hash(g) == hash(fresh)
+        assert g != Graph(g.n + 1, fresh.edges)
+
     @given(small_graphs(min_n=3))
     def test_subtract_then_union_is_identity(self, g):
         if not g.edges:

@@ -81,7 +81,7 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
 def _load_graph(path: str) -> Graph:
     try:
         return load_edge_list(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -175,7 +175,7 @@ def _cmd_verify(args, deadline) -> int:
             deco = Decomposition.from_json_dict(json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read {args.decomposition}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"bad JSON in {args.decomposition}: {exc}") from exc
     result = verify_decomposition(graph, deco)
     payload = {"ok": result.ok, "violation": result.violation, "meta": _meta(args)}

@@ -255,7 +255,7 @@ def _perfect_matchings(g: Graph):
         if False in matched:
             u = matched.index(False)
             matched[u] = True
-            stack.append((u, iter(g.adj[u])))
+            stack.append((u, iter_bits(g.adj_bits[u])))
         else:
             yield tuple(chosen)
         while stack:

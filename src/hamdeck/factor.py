@@ -252,7 +252,7 @@ def _valid_permutations(g: Graph):
         if i == n:
             yield list(sigma)
             return
-        for w in g.adj[i]:
+        for w in iter_bits(g.adj_bits[i]):
             if not used[w]:
                 used[w] = True
                 sigma[i] = w

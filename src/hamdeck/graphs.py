@@ -5,13 +5,15 @@ as ``(u, v)`` tuples with ``u < v``.  Graphs are immutable values and safe to
 share; all predicates are pure functions of their inputs (sampled modes take
 an explicit seed).
 
+A graph is ``n`` plus its bit rows ``adj_bits``; nothing else is built.
 Edge lists are validated once, where they enter: ``Graph(n, edges)`` and
 everything built on it (``build_graph``, ``parse_edge_list``, the
-generators) checks every edge and builds the bit rows and neighbour lists in
-O(m).  Graphs derived from a valid graph are trusted: ``subtract`` and
-``union`` bit-test only the edges they move, then edit the parent's bit rows
-(``Graph._derived``); a derived graph decodes its edge set and neighbour
-lists on first use.  Degrees, edge tests and equality read the bit rows.
+generators) checks every edge and sets the bit rows in O(m).  Graphs derived
+from a valid graph are trusted: ``subtract`` and ``union`` bit-test only the
+edges they move, then edit the parent's bit rows (``Graph._derived``).
+Degrees, edge tests, equality and the package's self-checks read the bit
+rows; the neighbour lists ``adj``, and a derived graph's edge set, are views
+decoded on first use.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ def norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1.
+    """Immutable undirected simple graph on vertices 0..n-1, held as its bit
+    rows: ``adj_bits[v]`` has bit w set iff v ~ w.
 
-    ``adj_bits[v]`` has bit w set iff v ~ w; ``adj[v]`` lists v's neighbours
-    in increasing order; a derived graph decodes ``edges`` on first use.
-    Equality and hashing compare n and the bit rows.
+    ``adj[v]`` (v's neighbours in increasing order) and a derived graph's
+    ``edges`` are decoded from the rows on first use.  Equality and hashing
+    compare n and the bit rows.
     """
 
     n: int
@@ -49,31 +52,24 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InputError(f"vertex count must be nonnegative, got {self.n}")
-        neighbors: list[list[int]] = [[] for _ in range(self.n)]
+        # a frozenset input is kept as is; a list loses its repeats
+        object.__setattr__(self, "edges", frozenset(self.edges))
         bits = [0] * self.n
         for u, v in self.edges:
             if u == v:
                 raise InputError(f"loop edge ({u}, {v}) not allowed")
             if not (0 <= u < v < self.n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
-            neighbors[u].append(v)
-            neighbors[v].append(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         object.__setattr__(self, "adj_bits", tuple(bits))
-        # the O(m) lists come with validation; derived graphs decode theirs
-        self.__dict__["adj"] = tuple(tuple(sorted(a)) for a in neighbors)
 
     @classmethod
-    def _derived(
-        cls, n: int, edges: frozenset[Edge] | None, adj_bits: tuple[int, ...]
-    ) -> "Graph":
+    def _derived(cls, n: int, adj_bits: tuple[int, ...]) -> "Graph":
         """Trusted constructor: ``adj_bits`` must encode a simple graph on n
-        vertices, and ``edges`` its edge set (None: decoded on first use)."""
+        vertices; its edge set is decoded on first use."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        if edges is not None:
-            object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "adj_bits", adj_bits)
         return g
 
@@ -85,7 +81,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees()) // 2
 
     @property
     def is_sparse(self) -> bool:
@@ -135,7 +131,7 @@ class Graph:
         if isinstance(added, Graph) and added.n == self.n:
             rows = tuple(zip(self.adj_bits, added.adj_bits))
             if not any(a & b for a, b in rows):  # valid edges: OR the rows in
-                return Graph._derived(self.n, None, tuple(a | b for a, b in rows))
+                return Graph._derived(self.n, tuple(a | b for a, b in rows))
         add = _as_edge_set(added)
         present = [e for e in add if self.has_edge(*e)]
         if present:
@@ -154,7 +150,7 @@ class Graph:
         for u, v in itertools.chain(removed, added):
             bits[u] ^= 1 << v
             bits[v] ^= 1 << u
-        return Graph._derived(self.n, None, tuple(bits))
+        return Graph._derived(self.n, tuple(bits))
 
 
 def _decode_edges(g: Graph) -> frozenset[Edge]:
@@ -170,13 +166,9 @@ Graph.edges.__set_name__(Graph, "edges")
 
 
 def _decode_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbour tuples, by bit walks or one unpack (``is_sparse``)."""
-    if g.is_sparse:
-        return tuple(tuple(iter_bits(b)) for b in g.adj_bits)
-    degs = g.degrees()
-    cols = np.nonzero(g.adjacency_matrix())[1].tolist()
-    ends = itertools.accumulate(degs)
-    return tuple(tuple(cols[e - d : e]) for d, e in zip(degs, ends))
+    """Sorted neighbour tuples, one bit walk per row: the only decoder of
+    the bit rows, behind both ``adj`` and a derived graph's ``edges``."""
+    return tuple(tuple(iter_bits(b)) for b in g.adj_bits)
 
 
 def _as_edge_set(obj) -> frozenset[Edge]:
@@ -223,11 +215,12 @@ def edges_between(g: Graph, a, b) -> int:
     An edge lying inside the intersection of the two sets is counted once.
     """
     sa, sb = _vertex_set(g, a), _vertex_set(g, b)
-    count = 0
-    for u, v in g.edges:
-        if (u in sa and v in sb) or (u in sb and v in sa):
-            count += 1
-    return count
+    mb, both = _mask_of(sb), sa & sb
+    mboth = _mask_of(both)
+    # arcs from A into B reach an edge inside A & B from both of its ends
+    arcs = sum((g.adj_bits[v] & mb).bit_count() for v in sa)
+    inside = sum((g.adj_bits[v] & mboth).bit_count() for v in both)
+    return arcs - inside // 2
 
 
 def _vertex_set(g: Graph, members) -> frozenset[int]:
@@ -506,8 +499,8 @@ def check_alpha_beta_regular(
 # Line 1: "n m"; then m lines "u v" with 0 <= u < v < n, ASCII decimal,
 # LF-terminated.  Duplicate edges and loops are rejected.
 
-# Largest header vertex count accepted: Graph builds per-vertex lists for all
-# n vertices, so an unchecked header could exhaust memory before any edge.
+# Largest header vertex count accepted: Graph builds a bit row for each of
+# the n vertices, so an unchecked header could exhaust memory before any edge.
 MAX_EDGE_LIST_VERTICES = 100_000
 
 

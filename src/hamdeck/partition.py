@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import BudgetError, InfeasibleError, InputError, SearchFailedError
 from .graphs import (
-    Edge,
     ExpanderVerdict,
     Graph,
     edges_between,
     is_robust_expander,
+    iter_bits,
     load_edge_list,
     random_ranks,
     save_edge_list,
@@ -141,7 +141,6 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         raise InputError("patch + residual probabilities reach 1; n too small")
     c0 = (1 - params.eps - p_patch) * r / n
     eps0 = params.eps * r / (2 * n)
-    sorted_edges = sorted(graph.edges)
     reg_params = RegularizeParams(c0=c0, eps0=min(eps0, c0))
     formula_d = reg_params.half_degree(n)
 
@@ -150,7 +149,7 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         check_deadline(params.deadline, "tri-partition")
         rng = random.Random(spawn_seed(params.seed, "split", attempt))
         patch, raw_residual, raw_core_graph = _random_split(
-            graph, sorted_edges, rng, p_patch, p_residual
+            graph, rng, p_patch, p_residual
         )
         d_target = min(formula_d, min(raw_core_graph.degrees(), default=0) // 2)
         core: Graph | None = None
@@ -196,50 +195,51 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
 
 
 def _random_split(
-    graph: Graph,
-    sorted_edges: list[Edge],
-    rng: random.Random,
-    p_patch: float,
-    p_residual: float,
+    graph: Graph, rng: random.Random, p_patch: float, p_residual: float
 ) -> tuple[Graph, Graph, Graph]:
-    """Patch, raw residual and raw core of one split: one roll per edge of
-    ``sorted_edges`` (the input's edges in order).  The parts are subgraphs
-    of the validated input, so they are derived, not validated: the patch and
-    the raw residual set their bit rows edge by edge, and the raw core, which
-    holds most edges, keeps the input's rows minus theirs."""
+    """Patch, raw residual and raw core of one split: one roll per edge
+    (u, v), u < v, in increasing (u, v) order, walked off the bit rows.  The
+    parts are subgraphs of the validated input, so they are derived, not
+    validated: the patch and the raw residual set their bit rows edge by
+    edge, and the raw core, which holds most edges, keeps the input's rows
+    minus theirs."""
     n = graph.n
-    edges: tuple[set[Edge], set[Edge]] = (set(), set())
     rows = ([0] * n, [0] * n)
-    for u, v in sorted_edges:
-        roll = rng.random()
-        if roll < p_patch:
-            part = 0
-        elif roll < p_patch + p_residual:
-            part = 1
-        else:
-            continue
-        edges[part].add((u, v))
-        rows[part][u] |= 1 << v
-        rows[part][v] |= 1 << u
-    patch, raw_residual = (
-        Graph._derived(n, frozenset(e), tuple(r)) for e, r in zip(edges, rows)
-    )
+    for u, row in enumerate(graph.adj_bits):
+        for v in iter_bits(row >> (u + 1) << (u + 1)):
+            roll = rng.random()
+            if roll < p_patch:
+                part = rows[0]
+            elif roll < p_patch + p_residual:
+                part = rows[1]
+            else:
+                continue
+            part[u] |= 1 << v
+            part[v] |= 1 << u
+    patch, raw_residual = (Graph._derived(n, tuple(r)) for r in rows)
     return patch, raw_residual, _remainder(graph, patch, raw_residual)
 
 
 def _remainder(graph: Graph, *parts: Graph) -> Graph:
     """``graph`` minus edge-disjoint subgraphs of it, by bit deltas."""
-    edges = graph.edges.difference(*(p.edges for p in parts))
     rows = graph.adj_bits
     for p in parts:
         rows = tuple(a ^ b for a, b in zip(rows, p.adj_bits))
-    return Graph._derived(graph.n, edges, rows)
+    return Graph._derived(graph.n, rows)
+
+
+def _union_rows(tp: TriPartition) -> tuple[tuple[int, ...], bool]:
+    """The OR of the parts' bit rows, and whether the parts are edge-disjoint,
+    i.e. the union has as many bits as the parts together."""
+    parts = (tp.core, tp.patch, tp.residual)
+    union = tuple(a | b | c for a, b, c in zip(*(p.adj_bits for p in parts)))
+    disjoint = sum(map(int.bit_count, union)) == sum(2 * p.edge_count for p in parts)
+    return union, disjoint
 
 
 def _assert_partition_exact(graph: Graph, tp: TriPartition) -> None:
-    parts = (tp.core.edges, tp.patch.edges, tp.residual.edges)
-    union = parts[0] | parts[1] | parts[2]
-    if sum(map(len, parts)) != len(union) or union != graph.edges:
+    union, disjoint = _union_rows(tp)
+    if not disjoint or union != graph.adj_bits:
         raise AssertionError("tri-partition is not an exact edge partition")
 
 
@@ -294,10 +294,8 @@ def verify_partition(
     n = tp.core.n
     params = tp.params
 
-    parts = (tp.core.edges, tp.patch.edges, tp.residual.edges)
-    union = parts[0] | parts[1] | parts[2]
-    exact = sum(map(len, parts)) == len(union)
-    if graph is not None and union != graph.edges:
+    union, exact = _union_rows(tp)
+    if graph is not None and union != graph.adj_bits:
         exact = False
         issues.append("union of parts differs from the input graph")
 
@@ -311,11 +309,7 @@ def verify_partition(
         issues.append("core degree is odd")
 
     # infer host degree from the union of the three parts
-    host_deg = [0] * n
-    for u, v in union:
-        host_deg[u] += 1
-        host_deg[v] += 1
-    r = max(host_deg, default=0)
+    r = max((row.bit_count() for row in union), default=0)
     asym_bound_met = core_regular and core_degree + EPS >= (1 - 2 * params.eps) * r
 
     min_a = max(1, ceil_frac(params.delta**2 * n))

@@ -73,10 +73,10 @@ class Decomposition:
             n = int(data["n"])
             cycles = [[int(v) for v in c] for c in data["cycles"]]
             matching = data.get("matching")
-        except (KeyError, TypeError, ValueError) as exc:
+            if matching is not None:
+                matching = [(int(u), int(v)) for u, v in matching]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed decomposition JSON: {exc}") from exc
-        if matching is not None:
-            matching = [(int(u), int(v)) for u, v in matching]
         return cls.from_parts(n, cycles, matching)
 
 
@@ -117,11 +117,15 @@ class VerifyResult:
 def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     """Check that d partitions g's edges into Hamilton cycles (+ matching).
 
-    Returns the first violation found instead of raising.
+    Works on a copy of g's bit rows and clears each edge as it is used, so a
+    cleared bit is a reused edge and the bits left over are the uncovered
+    edges.  d may come from outside: ``has_edge`` range-checks both ends of
+    a pair before its row is read.  Returns the first violation found
+    instead of raising.
     """
     if d.host_n != g.n:
         return VerifyResult(False, f"host mismatch: {d.host_n} != {g.n}")
-    seen: set[Edge] = set()
+    free = list(g.adj_bits)  # the host edges that nothing has used yet
     for idx, cyc in enumerate(d.cycles):
         if len(cyc) != g.n:
             return VerifyResult(
@@ -129,32 +133,34 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
             )
         if len(set(cyc)) != g.n:
             return VerifyResult(False, f"cycle {idx} revisits a vertex")
-        for e in cycle_edges(cyc):
-            if e not in g.edges:
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            e = norm_edge(u, v)
+            if not g.has_edge(u, v):
                 return VerifyResult(False, f"cycle {idx} uses non-edge {e}")
-            if e in seen:
+            if not free[u] >> v & 1:
                 return VerifyResult(False, f"edge {e} reused by cycle {idx}")
-            seen.add(e)
+            free[u] ^= 1 << v
+            free[v] ^= 1 << u
     if d.matching is not None:
         if g.n % 2 != 0:
             return VerifyResult(False, "matching present but n is odd")
-        touched: set[int] = set()
+        touched = 0
         for e in d.matching:
             u, v = e
-            if e not in g.edges:
+            if not g.has_edge(u, v):
                 return VerifyResult(False, f"matching uses non-edge {e}")
-            if e in seen:
+            if not free[u] >> v & 1:
                 return VerifyResult(False, f"edge {e} reused by matching")
-            if u in touched or v in touched:
+            if (touched >> u | touched >> v) & 1:
                 return VerifyResult(False, f"matching edge {e} shares a vertex")
-            seen.add(e)
-            touched.update(e)
-        if len(touched) != g.n:
+            free[u] ^= 1 << v
+            free[v] ^= 1 << u
+            touched |= 1 << u | 1 << v
+        if touched.bit_count() != g.n:
             return VerifyResult(
-                False, f"matching covers {len(touched)} of {g.n} vertices"
+                False, f"matching covers {touched.bit_count()} of {g.n} vertices"
             )
-    if len(seen) != g.edge_count:
-        return VerifyResult(
-            False, f"{g.edge_count - len(seen)} edges of the host graph uncovered"
-        )
+    uncovered = sum(row.bit_count() for row in free) // 2
+    if uncovered:
+        return VerifyResult(False, f"{uncovered} edges of the host graph uncovered")
     return VerifyResult(True)

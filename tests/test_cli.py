@@ -65,6 +65,14 @@ class TestCount:
         code, _ = run_cli(capsys, "count", str(tmp_path / "nope.edges"))
         assert code == 3
 
+    def test_non_ascii_edge_list_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "k3.edges"
+        path.write_bytes(b"3 3\n0 1\n0 2\n1 2\xe9\n")
+        code = main(["count", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_huge_header_is_input_error(self, capsys, tmp_path):
         # rejected from the header alone; the graph is never built
         path = tmp_path / "huge.edges"
@@ -98,6 +106,33 @@ class TestDecomposeAndVerify:
         data = json.loads(out)
         assert data["ok"] is False
         assert "reused" in data["violation"]
+
+    @pytest.mark.parametrize(
+        "decomposition",
+        [
+            b'{"n": 3, "cycles": [[0, 1, 2]], "matching": [[1]]}',
+            b'{"n": 3, "cycles": [[0, 1, 2]], "matching": 5}',
+            b'{"n": 3, "cycles": [[0, 1, 2]], "matching": null}\xff',
+            b'{"n": 1e400, "cycles": []}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=[
+            "short-matching-pair",
+            "matching-not-a-list",
+            "not-utf8",
+            "infinite-n",
+            "nested-too-deep",
+        ],
+    )
+    def test_malformed_decomposition_is_input_error(
+        self, capsys, graph_file, tmp_path, decomposition
+    ):
+        deco_file = tmp_path / "d.json"
+        deco_file.write_bytes(decomposition)
+        code = main(["verify", graph_file(3), str(deco_file)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_trace_emits_step_stats(self, capsys, graph_file):
         code = main(["decompose", graph_file(21), "--seed", "0", "--trace", "--no-meta"])

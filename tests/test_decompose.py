@@ -25,7 +25,7 @@ from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.graphs import Graph, build_graph, complete_graph, cycle_graph, iter_bits
 from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
 
-from conftest import petersen
+from conftest import paley, petersen
 
 
 def two_disjoint_cliques(k: int):
@@ -278,9 +278,14 @@ class TestPipeline:
         assert run.rotation_cycles > 50
         assert len(builds) <= 10
 
-    def test_k201_decodes_few_neighbour_lists(self, monkeypatch):
-        # the factor sampler and the rotation moves read bit rows; only the
-        # edge sets of a few derived graphs are decoded, for the self-checks
+    @pytest.mark.parametrize(
+        "g, min_cycles",
+        [(complete_graph(201), 50), (paley(197), 20)],
+        ids=["K201", "P197"],
+    )
+    def test_pipeline_decodes_nothing(self, g, min_cycles, monkeypatch):
+        # every stage and self-check reads bit rows: no neighbour list or
+        # edge set is decoded
         from hamdeck import graphs
 
         decodes = []
@@ -288,9 +293,9 @@ class TestPipeline:
         monkeypatch.setattr(
             graphs, "_decode_adj", lambda *args: decodes.append(1) or real(*args)
         )
-        run = run_pipeline(complete_graph(201), seed=0)
-        assert run.rotation_cycles > 50
-        assert len(decodes) <= 4
+        run = run_pipeline(g, seed=0)
+        assert run.rotation_cycles > min_cycles
+        assert decodes == []
 
     def test_deterministic(self):
         g = complete_graph(9)

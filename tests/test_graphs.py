@@ -154,9 +154,7 @@ class TestEdgeAlgebra:
     @pytest.mark.parametrize(
         "g, removed",
         [
-            # dense: decoded with numpy
             (complete_graph(40), {(i, i + 1) for i in range(39)}),
-            # sparse: decoded bit by bit
             (cycle_graph(300), {(0, 1), (7, 8), (0, 299)}),
         ],
     )
@@ -380,6 +378,11 @@ class TestEdgeListFormat:
     def test_rejects_bad_input(self, text):
         with pytest.raises(InputError):
             parse_edge_list(text)
+
+    def test_repeated_edges_in_a_list_count_once(self):
+        g = Graph(3, [(0, 1), (0, 1), (1, 2)])
+        assert g.edge_count == sum(g.degrees()) // 2 == 2
+        assert parse_edge_list(format_edge_list(g)) == g
 
     def test_rejects_huge_header_before_building(self):
         with pytest.raises(InputError, match="exceeds the limit"):

@@ -43,6 +43,8 @@ class TwoFactor:
 
     @classmethod
     def build(cls, host: Graph, cycles, pairs) -> "TwoFactor":
+        """Validating entry for factors from outside the rotation engine:
+        canonicalise, then raise InputError unless the cover spans host."""
         canon_cycles = tuple(sorted(canonical_cycle(c) for c in cycles))
         canon_pairs = tuple(sorted(norm_edge(u, v) for u, v in pairs))
         factor = cls(host.n, canon_cycles, canon_pairs)
@@ -85,7 +87,7 @@ class TwoFactor:
             pairs = tuple(
                 sorted(norm_edge(int(u), int(v)) for u, v in data["edges"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed factor JSON: {exc}") from exc
         return cls(n, tuple(sorted(cycles)), pairs)
 
@@ -102,6 +104,9 @@ class PartialHC:
 
     @classmethod
     def build(cls, host: Graph, path, cycles, pairs) -> "PartialHC":
+        """Validating entry for partial covers from outside the rotation
+        engine, whose moves derive theirs: canonicalise the cycles and pairs
+        (the path keeps its order), then validate against host."""
         partial = cls(
             host.n,
             tuple(path),

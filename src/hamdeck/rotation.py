@@ -13,6 +13,11 @@ move is an ordered list of edge operations, so a run can be replayed and
 audited.  The engine reads bit rows only (``iter_bits`` neighbours in
 increasing order, bit-test edges, bit-delta working graphs), so a step
 neither decodes neighbour lists nor copies an edge set.
+
+A move derives its cover from the current one: the components it does not
+absorb keep their canonical order, and a closure sorts its one new cycle in.
+Only the sampled factor and each finished Hamilton cycle are validated, the
+latter once per step by ``extract_hamilton_step``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
 from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge
 from .util import EPS, ceil_frac, check_deadline, spawn_seed
-from .walecki import cycle_edges
+from .walecki import canonical_cycle, cycle_edges
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +76,19 @@ class Move:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Move":
         try:
-            steps = tuple(
-                (str(op), norm_edge(int(e[0]), int(e[1]))) for op, e in data["steps"]
-            )
+            steps = tuple(_json_step(op, e) for op, e in data["steps"])
             return cls(str(data["kind"]), steps, str(data.get("note", "")))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"malformed move JSON: {exc}") from exc
+
+
+def _json_step(op, e) -> tuple[str, Edge]:
+    u, v = int(e[0]), int(e[1])
+    if op not in ("+", "-"):
+        raise ValueError(f"unknown op {op!r}")
+    if u == v:
+        raise ValueError(f"loop edge {[u, v]}")
+    return op, norm_edge(u, v)
 
 
 def replay_moves(initial_edges, moves) -> frozenset[Edge]:
@@ -98,86 +110,83 @@ def replay_moves(initial_edges, moves) -> frozenset[Edge]:
 
 
 # -- component helpers ---------------------------------------------------------
+# A cover's components other than its path are ``cover.cycles + cover.pairs``;
+# an isolated edge is a component of two vertices.  Moves build their result
+# from these tuples directly and never re-validate it.
 
 
-def _component_map(cycles, pairs) -> dict[int, tuple[str, int]]:
-    comp: dict[int, tuple[str, int]] = {}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            comp[v] = ("cycle", ci)
-    for pi, pr in enumerate(pairs):
-        for v in pr:
-            comp[v] = ("pair", pi)
-    return comp
+def _component_map(comps) -> dict[int, tuple[int, ...]]:
+    """Each vertex of ``comps`` mapped to the component that holds it."""
+    return {v: comp for comp in comps for v in comp}
 
 
-def _open_at(
-    cycles, pairs, comp: tuple[str, int], z: int
-) -> tuple[list[int], Edge | None]:
+def _open_at(comp: tuple[int, ...], z: int) -> tuple[list[int], Edge | None]:
     """Component ``comp`` as a path piece starting at z, plus the cycle edge
     dropped to open it (None for an isolated edge)."""
-    kind, idx = comp
-    if kind == "pair":
-        u, v = pairs[idx]
-        return [z, u if v == z else v], None
-    cycle = cycles[idx]
-    k = len(cycle)
-    i = cycle.index(z)
-    return [cycle[(i - j) % k] for j in range(k)], norm_edge(z, cycle[(i + 1) % k])
+    k = len(comp)
+    i = comp.index(z)
+    if k == 2:
+        return [z, comp[1 - i]], None
+    return [comp[(i - j) % k] for j in range(k)], norm_edge(z, comp[(i + 1) % k])
 
 
-def _without(cycles, pairs, *comps: tuple[str, int]) -> tuple[list, list]:
-    """The cycles and pairs left after removing the given components."""
-    drop = set(comps)
-    return (
-        [c for i, c in enumerate(cycles) if ("cycle", i) not in drop],
-        [p for i, p in enumerate(pairs) if ("pair", i) not in drop],
+def _extended(cover, path: list[int], *taken: tuple[int, ...]) -> PartialHC:
+    """``cover`` with the components ``taken`` absorbed into ``path``; the
+    rest keep their canonical order."""
+    return PartialHC(
+        cover.host_n,
+        tuple(path),
+        tuple(c for c in cover.cycles if c not in taken),
+        tuple(p for p in cover.pairs if p not in taken),
     )
+
+
+def _closed(partial: PartialHC, path: list[int]) -> TwoFactor:
+    """``partial`` with ``path`` (its path after rotations) closed into a
+    cycle that is sorted in among the others."""
+    cycles = sorted(partial.cycles + (canonical_cycle(path),))
+    return TwoFactor(partial.host_n, tuple(cycles), partial.pairs)
+
+
+def _check_sizes(cover, core: Graph, patch: Graph) -> None:
+    if not cover.host_n == core.n == patch.n:
+        raise InputError(
+            f"cover on {cover.host_n} vertices, core on {core.n}, patch on {patch.n}"
+        )
 
 
 # -- merge ----------------------------------------------------------------------
 
 
-def merge_step(
-    factor: TwoFactor, core: Graph, patch: Graph, host: Graph | None = None
-) -> tuple[PartialHC, Move]:
+def merge_step(factor: TwoFactor, core: Graph, patch: Graph) -> tuple[PartialHC, Move]:
     """Concatenate two components of a (<=2)-factor into one path.
 
     Picks a small component and a connecting edge, preferring the source
     graph the degree dichotomy prescribes (core when the component is
     smaller than the core degree, else patch) and falling back to either.
-    ``host`` is core ∪ patch; it is derived from the two when omitted.
     """
+    _check_sizes(factor, core, patch)
     if factor.component_count < 2:
         raise InputError("merge needs a factor with at least 2 components")
-    if host is None:
-        host = core.union(patch)
-    cycles = list(factor.cycles)
-    pairs = list(factor.pairs)
-    comp_of = _component_map(cycles, pairs)
+    comps = factor.cycles + factor.pairs
+    comp_of = _component_map(comps)
     d = core.regular_degree()
     if d is None:
         d = min(core.degrees(), default=0)
 
-    components = [(("cycle", i), cyc) for i, cyc in enumerate(cycles)] + [
-        (("pair", i), pr) for i, pr in enumerate(pairs)
-    ]
     # small cycles first, then pairs; deterministic tie-break by min vertex
-    components.sort(key=lambda c: (c[0][0] == "pair", len(c[1]), min(c[1])))
-
-    for comp, verts in components:
-        outside = ~_mask_of(verts)
-        prescribed = core if len(verts) < d else patch
+    for comp in sorted(comps, key=lambda c: (len(c) == 2, len(c), min(c))):
+        outside = ~_mask_of(comp)
+        prescribed = core if len(comp) < d else patch
         other = patch if prescribed is core else core
         for src in (prescribed, other):
-            for u in sorted(verts):
+            for u in sorted(comp):
                 for v in iter_bits(src.adj_bits[u] & outside):
-                    left, removed = _open_at(cycles, pairs, comp, u)
-                    right, removed_o = _open_at(cycles, pairs, comp_of[v], v)
+                    left, removed = _open_at(comp, u)
+                    right, removed_o = _open_at(comp_of[v], v)
                     steps = [("-", e) for e in (removed, removed_o) if e is not None]
                     steps.append(("+", norm_edge(u, v)))
-                    rest = _without(cycles, pairs, comp, comp_of[v])
-                    partial = PartialHC.build(host, left[::-1] + right, *rest)
+                    partial = _extended(factor, left[::-1] + right, comp, comp_of[v])
                     return partial, Move("merge", tuple(steps))
     raise SearchFailedError("no edge connects any factor component to another")
 
@@ -202,13 +211,7 @@ def _rotate_start(path: list[int], j: int) -> tuple[list[int], list[tuple[str, E
 
 
 def _extension_at_end(
-    path: list[int],
-    cycles: list[tuple[int, ...]],
-    pairs: list[Edge],
-    comp_of,
-    core: Graph,
-    patch: Graph,
-    host: Graph,
+    path: list[int], partial: PartialHC, comp_of, core: Graph, patch: Graph
 ) -> tuple[PartialHC, list[tuple[str, Edge]]] | None:
     """Extend the path's last endpoint into another component, if possible.
 
@@ -219,12 +222,11 @@ def _extension_at_end(
     off_path = ~_mask_of(path)
     for src in (core, patch):
         for z in iter_bits(src.adj_bits[tip] & off_path):
-            piece, removed = _open_at(cycles, pairs, comp_of[z], z)
+            piece, removed = _open_at(comp_of[z], z)
             steps: list[tuple[str, Edge]] = [("+", norm_edge(tip, z))]
             if removed is not None:
                 steps.append(("-", removed))
-            rest = _without(cycles, pairs, comp_of[z])
-            return PartialHC.build(host, path + piece, *rest), steps
+            return _extended(partial, path + piece, comp_of[z]), steps
     return None
 
 
@@ -284,16 +286,7 @@ def _rotation_round(paths, core: Graph, pivot_ok, at_start: bool = False) -> dic
     return found
 
 
-def _apparatus(
-    path: list[int],
-    cycles,
-    pairs,
-    comp_of,
-    core: Graph,
-    patch: Graph,
-    params,
-    host: Graph,
-):
+def _apparatus(partial: PartialHC, comp_of, core: Graph, patch: Graph, params):
     """Three bounded rotation rounds over split windows, then a closure.
 
     Round
@@ -304,6 +297,7 @@ def _apparatus(
     patch chord (core as fallback) between the final endpoint pairs closes
     the path into a cycle.
     """
+    path = list(partial.path)
     n = len(path)
     if n < 6:
         return None
@@ -352,7 +346,7 @@ def _apparatus(
     def extension(found: dict, reverse: bool):
         for p, steps in in_order(found):
             ext = _extension_at_end(
-                p[::-1] if reverse else p, cycles, pairs, comp_of, core, patch, host
+                p[::-1] if reverse else p, partial, comp_of, core, patch
             )
             if ext:
                 return ext[0], Move("rotate-extend", tuple(steps + ext[1]))
@@ -388,20 +382,11 @@ def _apparatus(
             if len(p) >= 3 and src.has_edge(p[0], p[-1]):
                 closure = norm_edge(p[0], p[-1])
                 move = Move("rotate-close", tuple(steps + [("+", closure)]))
-                factor = TwoFactor.build(host, [p] + list(cycles), pairs)
-                return factor, move
+                return _closed(partial, p), move
     return None
 
 
-def _fallback_search(
-    path: list[int],
-    cycles,
-    pairs,
-    comp_of,
-    core: Graph,
-    patch: Graph,
-    host: Graph,
-):
+def _fallback_search(partial: PartialHC, comp_of, core: Graph, patch: Graph):
     """Bounded breadth-first search over core-edge rotations from both ends,
     taking the first extension or closure found."""
 
@@ -409,7 +394,7 @@ def _fallback_search(
         rp = p[::-1]
         return p if p <= rp else rp
 
-    start = tuple(path)
+    start = tuple(partial.path)
     seen = {canon(start)}
     queue: deque[tuple[tuple[int, ...], tuple]] = deque([(start, ())])
     visits = 0
@@ -420,15 +405,14 @@ def _fallback_search(
             break
         cur_list = list(cur)
         for oriented in (cur_list, cur_list[::-1]):
-            ext = _extension_at_end(oriented, cycles, pairs, comp_of, core, patch, host)
+            ext = _extension_at_end(oriented, partial, comp_of, core, patch)
             if ext:
                 move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
                 return ext[0], move
         closure = _closure_edge(cur_list, patch, core)
         if closure is not None:
             move = Move("rotate-close", steps + (("+", closure),), note="fallback")
-            factor = TwoFactor.build(host, [cur_list] + list(cycles), pairs)
-            return factor, move
+            return _closed(partial, cur_list), move
         for i in range(1, len(cur_list) - 1):
             if i < len(cur_list) - 2 and core.has_edge(cur_list[i], cur_list[-1]):
                 p_new, st = _rotate_end(cur_list, i)
@@ -446,30 +430,26 @@ def _fallback_search(
 
 
 def rotate_or_close(
-    partial: PartialHC, core: Graph, patch: Graph, params, host: Graph | None = None
+    partial: PartialHC, core: Graph, patch: Graph, params
 ) -> tuple[TwoFactor | PartialHC, Move]:
     """Advance a partial Hamilton cycle: absorb another component (one fewer
     component) or close the path into a cycle (same components, one more
     edge).  Tries endpoint extensions, then the windowed rotation apparatus,
     then the breadth-first fallback; raises SearchFailedError when all
-    fail.  ``host`` is core ∪ patch; it is derived from the two when
-    omitted."""
+    fail."""
     if not isinstance(partial, PartialHC):
         raise InputError("rotate_or_close needs a PartialHC")
-    if host is None:
-        host = core.union(patch)
+    _check_sizes(partial, core, patch)
     path = list(partial.path)
-    cycles = list(partial.cycles)
-    pairs = list(partial.pairs)
-    comp_of = _component_map(cycles, pairs)
+    comp_of = _component_map(partial.cycles + partial.pairs)
 
     for oriented in (path, path[::-1]):
-        ext = _extension_at_end(oriented, cycles, pairs, comp_of, core, patch, host)
+        ext = _extension_at_end(oriented, partial, comp_of, core, patch)
         if ext:
             return ext[0], Move("extend", tuple(ext[1]))
-    found = _apparatus(path, cycles, pairs, comp_of, core, patch, params, host)
+    found = _apparatus(partial, comp_of, core, patch, params)
     if found is None:
-        found = _fallback_search(path, cycles, pairs, comp_of, core, patch, host)
+        found = _fallback_search(partial, comp_of, core, patch)
     if found is None:
         raise SearchFailedError("rotation rounds exhausted with no extension/closure")
     return found
@@ -606,16 +586,22 @@ def extract_hamilton_step(
                 if isinstance(final, TwoFactor):
                     if final.is_hamilton_cycle:
                         break
-                    final, move = merge_step(final, core, patch, host)
+                    final, move = merge_step(final, core, patch)
                 else:
-                    final, move = rotate_or_close(final, core, patch, params, host)
+                    final, move = rotate_or_close(final, core, patch, params)
                 moves.append(move)
             if not (isinstance(final, TwoFactor) and final.is_hamilton_cycle):
                 raise SearchFailedError(f"no Hamilton cycle within {cap} moves")
+            # moves derive their covers unchecked, so an invalid cycle here is
+            # an internal fault, not a dead end to redraw past
+            try:
+                final.validate_in(host)
+            except InputError as exc:
+                raise AssertionError(f"rotation moves built a bad cycle: {exc}") from exc
 
             cycle = final.cycles[0]
             cycle_edge_set = final.edge_set()
-            # a validated cover of host: its edges are in range for bit tests
+            # validated above: its edges are in range for bit tests
             cycle_in_patch = frozenset(
                 e for e in cycle_edge_set if not core.adj_bits[e[0]] >> e[1] & 1
             )

@@ -230,3 +230,7 @@ class TestStructures:
         g = complete_graph(6)
         f = TwoFactor.build(g, [[0, 2, 4], [1, 3, 5]], [])
         assert TwoFactor.from_json_dict(f.to_json_dict()) == f
+
+    def test_json_with_an_overflowing_size_is_input_error(self):
+        with pytest.raises(InputError, match="malformed factor JSON"):
+            TwoFactor.from_json_dict({"n": 1e400, "cycles": [], "edges": []})

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from hamdeck import decompose, rotation
+from hamdeck import decompose, factor as factor_mod, rotation
 from hamdeck.errors import BudgetError, InputError, SearchFailedError
 from hamdeck.factor import PartialHC, TwoFactor
 from hamdeck.graphs import (
@@ -16,12 +17,14 @@ from hamdeck.graphs import (
 )
 from hamdeck.partition import default_params, tri_partition
 from hamdeck.rotation import (
+    Move,
     extract_hamilton_step,
     merge_step,
     replay_moves,
     rotate_or_close,
     substitution_gadget,
 )
+from hamdeck.walecki import canonical_cycle
 
 from conftest import paley
 
@@ -93,6 +96,27 @@ class TestMerge:
         factor = TwoFactor.build(host, [[0, 1, 2], [3, 4, 5]], [])
         with pytest.raises(SearchFailedError):
             merge_step(factor, host, empty_graph(6))
+
+
+# (cover, core, patch) vertex counts that disagree
+SIZE_MISMATCHES = [(6, 7, 7), (6, 6, 7), (6, 7, 6)]
+
+
+@pytest.mark.parametrize("sizes", SIZE_MISMATCHES, ids=["6-7-7", "6-6-7", "6-7-6"])
+def test_merge_rejects_mismatched_sizes(sizes):
+    n, core_n, patch_n = sizes
+    factor = TwoFactor.build(complete_graph(n), [[0, 1, 2], [3, 4, 5]], [])
+    with pytest.raises(InputError, match="vertices"):
+        merge_step(factor, complete_graph(core_n), empty_graph(patch_n))
+
+
+@pytest.mark.parametrize("sizes", SIZE_MISMATCHES, ids=["6-7-7", "6-6-7", "6-7-6"])
+def test_rotate_or_close_rejects_mismatched_sizes(sizes):
+    n, core_n, patch_n = sizes
+    partial = PartialHC.build(complete_graph(n), [0, 1, 2], [[3, 4, 5]], [])
+    with pytest.raises(InputError, match="vertices"):
+        core, patch = complete_graph(core_n), empty_graph(patch_n)
+        rotate_or_close(partial, core, patch, params_for(complete_graph(8)))
 
 
 class TestRotateOrClose:
@@ -335,6 +359,76 @@ class TestExtract:
         with pytest.raises(BudgetError, match="above the cap"):
             extract_hamilton_step(tp.core, tp.patch, params, seed=0)
         assert merges == []
+
+
+class TestDerivedCovers:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: complete_graph(51), lambda: paley(53), lambda: complete_graph(101)],
+        ids=["K51", "P53", "K101"],
+    )
+    def test_moves_return_what_build_would(self, make, seed, monkeypatch):
+        # each derived cover is valid in core ∪ patch and already canonical
+        seen = []
+
+        def recording(move):
+            def wrapper(cover, core, patch, *rest):
+                out = move(cover, core, patch, *rest)
+                seen.append((out[0], core.union(patch)))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(rotation, "merge_step", recording(merge_step))
+        monkeypatch.setattr(rotation, "rotate_or_close", recording(rotate_or_close))
+        decompose.run_pipeline(make(), seed=seed)
+        assert seen
+        for cover, host in seen:
+            if isinstance(cover, PartialHC):
+                rebuilt = PartialHC.build(host, cover.path, cover.cycles, cover.pairs)
+            else:
+                rebuilt = TwoFactor.build(host, cover.cycles, cover.pairs)
+            assert rebuilt == cover
+
+    def test_k201_validates_each_draw_and_each_cycle_once(self, monkeypatch):
+        calls = []
+        validate = factor_mod._validate_cover
+
+        def counting(*args):
+            calls.append(args[0])
+            return validate(*args)
+
+        monkeypatch.setattr(factor_mod, "_validate_cover", counting)
+        decompose.run_pipeline(complete_graph(201), seed=0)
+        assert len(calls) <= 128
+
+    def test_a_cycle_on_a_non_edge_is_an_internal_fault(self, monkeypatch):
+        g = complete_graph(21)
+        params = params_for(g, seed=0)
+        tp = tri_partition(g, params)
+        a, b = min(tp.residual.edges)
+        # a Hamilton cycle of K21 through the residual edge (a, b)
+        cycle = [a, b] + [v for v in range(21) if v not in (a, b)]
+        bad = TwoFactor(21, (canonical_cycle(cycle),), ())
+        monkeypatch.setattr(
+            rotation, "rotate_or_close", lambda *args: (bad, Move("rotate-close", ()))
+        )
+        with pytest.raises(AssertionError, match="non-edge") as info:
+            extract_hamilton_step(tp.core, tp.patch, params, seed=0)
+        named = re.search(r"non-edge \((\d+), (\d+)\)", str(info.value)).groups()
+        assert tuple(map(int, named)) in tp.residual.edges
+
+
+class TestMoveJson:
+    @pytest.mark.parametrize(
+        "steps",
+        [[["+", [1e400, 2]]], [["*", [1, 2]]], [["+", [2, 2]]]],
+        ids=["overflow", "unknown-op", "loop"],
+    )
+    def test_malformed_steps_are_input_errors(self, steps):
+        with pytest.raises(InputError, match="malformed move JSON"):
+            Move.from_json_dict({"kind": "merge", "steps": steps})
 
 
 # sha256 of [decomposition JSON, step_stats] for pipeline runs whose moves

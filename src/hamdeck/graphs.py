@@ -352,6 +352,8 @@ def is_robust_expander(
     """
     if not (0 < nu <= tau < 1):
         raise InputError(f"need 0 < nu <= tau < 1, got nu={nu}, tau={tau}")
+    if mode == "sampled" and trials < 1:
+        raise InputError(f"sampled mode needs trials >= 1, got {trials}")
     n = g.n
     lo = ceil_frac(tau * n)
     hi = floor_frac((1 - tau) * n)
@@ -429,6 +431,8 @@ def check_alpha_beta_regular(
     """
     if not (0 < beta < 0.5):
         raise InputError(f"beta must be in (0, 1/2), got {beta}")
+    if mode == "sampled" and trials < 1:
+        raise InputError(f"sampled mode needs trials >= 1, got {trials}")
     n = g.n
     if min(g.degrees(), default=0) + 1 < alpha * n - EPS:
         return RegularityVerdict(False, None, "minimum degree too small", mode)

@@ -5,45 +5,25 @@ and keep the saturated middle arcs.
 
 A saturated flow plus the exact 2d-regularity check of the result is the
 certificate; the paper's cross-density hypothesis, which guarantees
-saturation at large n, is not audited.  The orientation walks bit rows, the
-flow is read sparsely, and the extracted subgraph is derived from the
-input's bit rows rather than validated again.
+saturation at large n, is not audited.
 
-Digraphs here are internal machinery; the public surface consumes and
-produces undirected Graphs.
+The stage speaks bit rows from end to end.  An orientation is its out-rows:
+bit w of ``out[v]`` is set iff there is an arc v -> w.  The flow network
+holds those rows, the flow's result holds the out-rows of the arcs that
+carry flow, and the extracted subgraph is those rows plus their mirror.
+The public surface consumes and produces undirected Graphs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, InputError, SearchFailedError
-from .graphs import Graph, norm_edge
+from .graphs import Graph, iter_bits
 from .util import EPS, ceil_frac
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Simple directed graph: at most one arc per ordered pair, no self-arcs."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for u, v in self.arcs:
-            if u == v:
-                raise InputError(f"self-arc ({u}, {v}) not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"arc ({u}, {v}) out of range for n={self.n}")
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[0] == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[1] == v)
 
 
 @dataclass(frozen=True)
@@ -67,17 +47,23 @@ class RegularizeParams:
         return ceil_frac((self.c0 - self.eps0) * n / 2)
 
 
-def random_orientation(g: Graph, seed: int) -> Digraph:
-    """Each edge becomes one arc, direction by an independent fair coin."""
+def random_orientation(g: Graph, seed: int) -> tuple[int, ...]:
+    """Out-rows of an orientation that directs each edge by an independent
+    fair coin, the edges taken in (u, v), u < v order."""
     rng = random.Random(seed)
-    arcs = set()
-    for u, v in sorted(g.edges):
-        arcs.add((u, v) if rng.random() < 0.5 else (v, u))
-    return Digraph(g.n, frozenset(arcs))
+    out = [0] * g.n
+    for u, row in enumerate(g.adj_bits):
+        for v in iter_bits(row & -(2 << u)):  # the neighbours above u
+            if rng.random() < 0.5:
+                out[u] |= 1 << v
+            else:
+                out[v] |= 1 << u
+    return tuple(out)
 
 
-def balanced_orientation(g: Graph) -> Digraph:
-    """Deterministic orientation with |out(v) - in(v)| <= 1 for every v.
+def balanced_orientation(g: Graph) -> tuple[int, ...]:
+    """Out-rows of a deterministic orientation with |out(v) - in(v)| <= 1
+    for every v.
 
     Pairs up odd-degree vertices with virtual edges, walks closed trails
     from each vertex in turn (always to the lowest remaining neighbour), and
@@ -92,7 +78,7 @@ def balanced_orientation(g: Graph) -> Digraph:
         virtual[u] |= 1 << v
         virtual[v] |= 1 << u
 
-    arcs = []
+    out = [0] * g.n
     for start in range(g.n):
         # every degree is even, so each trail closes where it started
         v = start
@@ -104,62 +90,41 @@ def balanced_orientation(g: Graph) -> Digraph:
             else:
                 real[v] ^= 1 << w
                 real[w] ^= 1 << v
-                arcs.append((v, w))
+                out[v] |= 1 << w
             v = w
-    return Digraph(g.n, frozenset(arcs))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Source/sink network whose middle layer mirrors a digraph.
-
-    Node ids: source = 0, X-copy of v = 1 + v, Y-copy of v = 1 + n + v,
-    sink = 1 + 2n.  Source->X and Y->sink arcs carry capacity d; each
-    digraph arc (u, v) becomes X_u -> Y_v with capacity 1.
-    """
+    """Source -> X copy of each vertex (capacity d), X_u -> Y_w for each arc
+    u -> w of the out-rows ``out`` (capacity 1), Y copy -> sink (capacity d)."""
 
     n: int
     d: int
-    middle: tuple[tuple[int, int], ...]
-
-    @property
-    def node_count(self) -> int:
-        return 2 * self.n + 2
-
-    @property
-    def source(self) -> int:
-        return 0
-
-    @property
-    def sink(self) -> int:
-        return 2 * self.n + 1
-
-    def x_node(self, v: int) -> int:
-        return 1 + v
-
-    def y_node(self, v: int) -> int:
-        return 1 + self.n + v
-
-    def arcs(self) -> list[tuple[int, int, int]]:
-        """All capacitated arcs as (tail, head, capacity)."""
-        out = [(self.source, self.x_node(v), self.d) for v in range(self.n)]
-        out.extend((self.x_node(u), self.y_node(v), 1) for u, v in self.middle)
-        out.extend((self.y_node(v), self.sink, self.d) for v in range(self.n))
-        return out
+    out: tuple[int, ...]
 
 
-def build_flow_network(dg: Digraph, half_degree: int) -> FlowNetwork:
+def build_flow_network(out, half_degree: int) -> FlowNetwork:
+    """The network over the out-rows ``out`` on ``len(out)`` vertices;
+    rejects a self-arc or an arc to a vertex >= n."""
     if half_degree < 1:
         raise InputError(f"half degree must be >= 1, got {half_degree}")
-    return FlowNetwork(dg.n, half_degree, tuple(sorted(dg.arcs)))
+    n = len(out)
+    for v, row in enumerate(out):
+        if row >> v & 1:
+            raise InputError(f"self-arc ({v}, {v}) not allowed")
+        if row >> n:
+            raise InputError(f"arc ({v}, {row.bit_length() - 1}) out of range for n={n}")
+    return FlowNetwork(n, half_degree, tuple(out))
 
 
 @dataclass(frozen=True)
 class MaxFlowResult:
+    """The flow value and ``kept``, the out-rows of the arcs carrying flow."""
+
     value: int
-    middle_flow: dict[tuple[int, int], int] = field(compare=False)
-    x_flow: tuple[int, ...] = ()
-    y_flow: tuple[int, ...] = ()
+    kept: tuple[int, ...]
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
@@ -167,21 +132,29 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    n, size = net.n, net.node_count
-    tails, heads, caps = np.array(net.arcs(), dtype=np.int64).reshape(-1, 3).T
-    matrix = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(size, size))
-    result = maximum_flow(matrix, net.source, net.sink)
-    # one sparse lookup per arc, in the order of net.arcs()
+    n, d = net.n, net.d
+    # middle arcs in (tail, head) order
+    arcs = [(u, w) for u, row in enumerate(net.out) for w in iter_bits(row)]
+    middle = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    m = len(middle)
+    # node ids: source 0, X copy of v 1 + v, Y copy of v 1 + n + v, sink 2n + 1
+    verts = np.arange(n, dtype=np.int64)
+    tails = np.concatenate([np.zeros(n, np.int64), 1 + middle[:, 0], 1 + n + verts])
+    heads = np.concatenate([1 + verts, 1 + n + middle[:, 1], np.full(n, 2 * n + 1)])
+    caps = np.concatenate([np.full(n, d), np.ones(m), np.full(n, d)]).astype(np.int32)
+    size = 2 * n + 2
+    matrix = csr_matrix((caps, (tails, heads)), shape=(size, size))
+    result = maximum_flow(matrix, 0, size - 1)
+    # one sparse lookup per arc: source arcs, middle arcs, sink arcs
     flow = np.asarray(result.flow[tails, heads]).ravel() if tails.size else tails
-    m = len(net.middle)
-    x_flow, middle, y_flow = flow[:n], flow[n : n + m], flow[n + m :]
+    x_flow, mid, y_flow = flow[:n], flow[n : n + m], flow[n + m :]
 
-    bad = middle[(middle != 0) & (middle != 1)]
+    bad = mid[(mid != 0) & (mid != 1)]
     if bad.size:
         raise AssertionError(f"non-integral or overfull middle arc flow {bad[0]}")
-    if not ((0 <= x_flow) & (x_flow <= net.d) & (0 <= y_flow) & (y_flow <= net.d)).all():
+    if not ((0 <= x_flow) & (x_flow <= d) & (0 <= y_flow) & (y_flow <= d)).all():
         raise AssertionError("source/sink arc capacity violated")
-    used = np.array(net.middle, dtype=np.int64).reshape(-1, 2)[middle == 1]
+    used = middle[mid == 1]
     out_by_x = np.bincount(used[:, 0], minlength=n)
     in_by_y = np.bincount(used[:, 1], minlength=n)
     broken = np.flatnonzero((out_by_x != x_flow) | (in_by_y != y_flow))
@@ -190,12 +163,10 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     value = int(result.flow_value)
     if value != x_flow.sum():
         raise AssertionError("flow value inconsistent with source arcs")
-    return MaxFlowResult(
-        value,
-        dict(zip(net.middle, middle.tolist())),
-        tuple(x_flow.tolist()),
-        tuple(y_flow.tolist()),
-    )
+    kept = [0] * n
+    for u, w in used.tolist():
+        kept[u] |= 1 << w
+    return MaxFlowResult(value, tuple(kept))
 
 
 def extract_regular_subgraph(
@@ -233,54 +204,13 @@ def extract_regular_subgraph(
             f"balanced orientation does not saturate the flow "
             f"(value {result.value} of {d * n})"
         )
-    # one middle arc per edge of g: drop the edges whose arc carries no flow
-    dropped = frozenset(
-        norm_edge(u, v) for (u, v), f in result.middle_flow.items() if f == 0
-    )
-    sub = g._edited(dropped, frozenset())
+    # each edge of g is one arc: the kept arcs and their mirror are the core
+    rows = list(result.kept)
+    for u, row in enumerate(result.kept):
+        for w in iter_bits(row):
+            rows[w] |= 1 << u
+    sub = Graph._derived(n, tuple(rows))
     degs = set(sub.degrees())
     if degs != {2 * d}:
         raise AssertionError(f"extracted subgraph degrees {degs} != {2 * d}")
     return sub
-
-
-@dataclass(frozen=True)
-class CutAudit:
-    capacity: int
-    required: int
-    satisfies: bool
-    case: str
-    middle_edges: int
-
-
-def audit_cut_cases(net: FlowNetwork, params: RegularizeParams, s_side, t_side) -> CutAudit:
-    """Capacity of the cut keeping X-copies ``s_side`` and Y-copies ``t_side``
-    on the source side, with the case of the saturation argument that applies.
-
-    Capacity = d*(n - |S|) + e(S, Y \\ T) + d*|T|.  Diagnostic for small n.
-    """
-    s = frozenset(s_side)
-    t = frozenset(t_side)
-    for v in s | t:
-        if not (0 <= v < net.n):
-            raise InputError(f"vertex {v} out of range")
-    crossing = sum(1 for (u, v) in net.middle if u in s and v not in t)
-    capacity = net.d * (net.n - len(s)) + crossing + net.d * len(t)
-    n = net.n
-    if len(s) <= len(t):
-        case = "trivial"
-    elif len(s) < net.d:
-        case = "small-source-side"
-    elif len(s) - len(t) >= 4 * n ** (2 / 3) / params.eps0:
-        case = "degree-slack"
-    elif len(s) <= (1 - params.c0 / 3) * n + EPS:
-        case = "cross-density"
-    else:
-        case = "large-source-side"
-    return CutAudit(
-        capacity=capacity,
-        required=net.d * n,
-        satisfies=capacity >= net.d * n,
-        case=case,
-        middle_edges=crossing,
-    )

@@ -88,6 +88,8 @@ def _json_step(op, e) -> tuple[str, Edge]:
         raise ValueError(f"unknown op {op!r}")
     if u == v:
         raise ValueError(f"loop edge {[u, v]}")
+    if u < 0 or v < 0:
+        raise ValueError(f"negative vertex in {[u, v]}")
     return op, norm_edge(u, v)
 
 

@@ -273,6 +273,15 @@ class TestOtherCommands:
         )
         assert code == 2
 
+    def test_sampled_check_expander_needs_a_trial(self, capsys, graph_file):
+        # zero trials would certify without checking a single set
+        code = main(
+            ["check-expander", graph_file(30), "--nu", "0.1", "--tau", "0.25",
+             "--trials", "0"]
+        )
+        assert code == 3
+        assert "trials >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("graph, expected", [("k12", 0), ("two-k6", 1)])
     def test_closed_stdout_keeps_the_exit_code(
         self, capsys, monkeypatch, tmp_path, graph, expected

@@ -255,6 +255,14 @@ class TestRobustExpander:
         )
         assert verdict.holds
 
+    @pytest.mark.parametrize("n", [30, 3], ids=["admissible-sets", "vacuous"])
+    def test_sampled_mode_needs_a_trial(self, n):
+        # zero trials would certify without checking a single set; on the
+        # 30-vertex graph 100 trials find a witness
+        g = build_graph(n, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match="trials >= 1"):
+            is_robust_expander(g, 0.1, 0.45, "sampled", trials=0)
+
     def test_exact_cap(self):
         with pytest.raises(InputError):
             is_robust_expander(empty_graph(30), 0.1, 0.25, "exact")
@@ -332,6 +340,11 @@ class TestAlphaBetaRegular:
             check_alpha_beta_regular(
                 complete_graph(16), 1.0, 0.1, "exact", deadline=time.monotonic() + 0.05
             )
+
+    @pytest.mark.parametrize("n", [12, 3], ids=["admissible-pairs", "vacuous"])
+    def test_sampled_mode_needs_a_trial(self, n):
+        with pytest.raises(InputError, match="trials >= 1"):
+            check_alpha_beta_regular(complete_graph(n), 1.0, 0.4, "sampled", trials=0)
 
     def test_sampled_mode(self):
         assert check_alpha_beta_regular(

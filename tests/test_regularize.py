@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,10 @@ from hamdeck.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    iter_bits,
 )
 from hamdeck.regularize import (
-    CutAudit,
-    Digraph,
     RegularizeParams,
-    audit_cut_cases,
     balanced_orientation,
     build_flow_network,
     extract_regular_subgraph,
@@ -37,6 +36,27 @@ def _random_graph(n, p, seed):
     )
 
 
+def _arcs(out):
+    """The arcs (u, w) of out-rows, in (tail, head) order."""
+    return [(u, w) for u, row in enumerate(out) for w in iter_bits(row)]
+
+
+def _rows(n, arcs):
+    out = [0] * n
+    for u, w in arcs:
+        out[u] |= 1 << w
+    return tuple(out)
+
+
+def _in_degree(out, v):
+    return sum(row >> v & 1 for row in out)
+
+
+def _k5_rows():
+    # each vertex of K5 has arcs to the next two: 2-in/2-out
+    return _rows(5, [(i, (i + k) % 5) for i in range(5) for k in (1, 2)])
+
+
 def _k201_raw_core():
     """K201 minus the patch and raw residual rolls of tri_partition's first
     split at seed 0: each edge stays with probability 1 - 1/ln(201) - 0.05."""
@@ -48,13 +68,13 @@ def _k201_raw_core():
 
 class TestOrientation:
     def test_triangle_preserves_degrees(self):
-        dg = random_orientation(cycle_graph(3), 0)
-        assert len(dg.arcs) == 3
+        out = random_orientation(cycle_graph(3), 0)
+        assert len(_arcs(out)) == 3
         for v in range(3):
-            assert dg.in_degree(v) + dg.out_degree(v) == 2
+            assert _in_degree(out, v) + out[v].bit_count() == 2
 
     def test_empty_graph(self):
-        assert random_orientation(empty_graph(4), 0).arcs == frozenset()
+        assert random_orientation(empty_graph(4), 0) == (0, 0, 0, 0)
 
     def test_deterministic_per_seed(self):
         g = complete_graph(5)
@@ -66,19 +86,28 @@ class TestOrientation:
             random_orientation(g, a) != random_orientation(g, 0) for a in range(1, 6)
         )
 
+    def test_coins_follow_sorted_edges(self):
+        # one coin per edge, drawn in sorted edge order: heads keeps (u, v)
+        g = _random_graph(12, 0.5, 3)
+        rng = random.Random(5)
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in sorted(g.edges)]
+        assert random_orientation(g, 5) == _rows(12, arcs)
+
     @given(small_graphs(min_n=2), st.integers(0, 5))
     def test_degree_preservation(self, g, seed):
-        dg = random_orientation(g, seed)
-        assert len(dg.arcs) == g.edge_count
+        out = random_orientation(g, seed)
+        assert len(_arcs(out)) == g.edge_count
         for v in range(g.n):
-            assert dg.in_degree(v) + dg.out_degree(v) == g.degree(v)
+            assert _in_degree(out, v) + out[v].bit_count() == g.degree(v)
+            assert out[v] & ~g.adj_bits[v] == 0
 
     @given(small_graphs(min_n=2))
     def test_balanced_orientation_is_balanced(self, g):
-        dg = balanced_orientation(g)
-        assert len(dg.arcs) == g.edge_count
+        out = balanced_orientation(g)
+        assert len(_arcs(out)) == g.edge_count
         for v in range(g.n):
-            assert abs(dg.in_degree(v) - dg.out_degree(v)) <= 1
+            assert abs(_in_degree(out, v) - out[v].bit_count()) <= 1
+            assert out[v] & ~g.adj_bits[v] == 0
 
     @pytest.mark.parametrize(
         "make, digest",
@@ -108,62 +137,84 @@ class TestOrientation:
     def test_balanced_orientation_is_pinned(self, make, digest):
         # K4's virtual pairs double real edges; the random graph has 14
         # odd-degree vertices
-        arcs = sorted(balanced_orientation(make()).arcs)
+        arcs = _arcs(balanced_orientation(make()))
         assert hashlib.sha256(repr(arcs).encode()).hexdigest() == digest
-
-    def test_self_arc_rejected(self):
-        with pytest.raises(InputError):
-            Digraph(3, frozenset({(1, 1)}))
 
 
 class TestFlowNetwork:
-    def test_triangle_network_shape(self):
-        dg = random_orientation(cycle_graph(3), 0)
-        net = build_flow_network(dg, 1)
-        assert net.node_count == 8
-        assert len(net.arcs()) == 9
-
     def test_empty_middle_layer(self):
-        net = build_flow_network(Digraph(2, frozenset()), 1)
+        net = build_flow_network((0, 0), 1)
         assert max_flow(net).value == 0
 
     def test_single_path(self):
-        net = build_flow_network(Digraph(2, frozenset({(0, 1)})), 1)
-        result = max_flow(net)
+        result = max_flow(build_flow_network((0b10, 0), 1))
         assert result.value == 1
-        assert result.middle_flow[(0, 1)] == 1
+        assert result.kept == (0b10, 0)
 
     def test_balanced_k5_saturates(self):
         # 2-in/2-out orientation of K5 exists; flow must reach d*n = 10
-        arcs = frozenset(
-            [(i, (i + 1) % 5) for i in range(5)] + [(i, (i + 2) % 5) for i in range(5)]
-        )
-        net = build_flow_network(Digraph(5, arcs), 2)
-        assert max_flow(net).value == 10
+        result = max_flow(build_flow_network(_k5_rows(), 2))
+        assert result.value == 10
+        assert result.kept == _k5_rows()
 
     def test_regular_digraph_saturates(self):
-        dg = balanced_orientation(complete_graph(9))
-        net = build_flow_network(dg, 4)
+        net = build_flow_network(balanced_orientation(complete_graph(9)), 4)
         assert max_flow(net).value == 36
 
     def test_half_degree_must_be_positive(self):
         with pytest.raises(InputError):
-            build_flow_network(Digraph(2, frozenset()), 0)
+            build_flow_network((0, 0), 0)
+
+    def test_self_arc_rejected(self):
+        with pytest.raises(InputError, match="self-arc"):
+            build_flow_network((0, 0b10, 0), 1)
+
+    def test_arc_out_of_range_rejected(self):
+        with pytest.raises(InputError, match="out of range"):
+            build_flow_network((0b100, 0), 1)
 
     @given(st.integers(0, 50), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_flow_internal_checks_never_fire(self, seed, d):
         rng = random.Random(seed)
         n = rng.randint(2, 7)
-        arcs = frozenset(
+        arcs = [
             (u, v)
             for u in range(n)
             for v in range(n)
             if u != v and rng.random() < 0.5
-        )
-        net = build_flow_network(Digraph(n, arcs), d)
+        ]
+        net = build_flow_network(_rows(n, arcs), d)
         result = max_flow(net)  # raises AssertionError on any inconsistency
         assert 0 <= result.value <= d * n
+        assert sum(row.bit_count() for row in result.kept) == result.value
+        for v in range(n):
+            assert result.kept[v] & ~net.out[v] == 0
+            assert result.kept[v].bit_count() <= d
+            assert _in_degree(result.kept, v) <= d
+
+    @pytest.mark.parametrize(
+        "flow_on_arc, message",
+        [(2, "middle arc flow 2"), (0, "conservation violated at vertex 0")],
+        ids=["middle-arc-carries-2", "conservation-broken"],
+    )
+    def test_doctored_flow_fails_self_checks(self, monkeypatch, flow_on_arc, message):
+        # the saturated K5 flow sends 1 along every middle arc; doctor the
+        # arc X_0 -> Y_1 (nodes 1 and 7) and leave the flow value alone
+        import scipy.sparse.csgraph as csgraph
+
+        real = csgraph.maximum_flow
+
+        def doctored(matrix, source, sink):
+            result = real(matrix, source, sink)
+            flow = result.flow.tolil()
+            assert flow[1, 7] == 1
+            flow[1, 7] = flow_on_arc
+            return SimpleNamespace(flow_value=result.flow_value, flow=flow.tocsr())
+
+        monkeypatch.setattr(csgraph, "maximum_flow", doctored)
+        with pytest.raises(AssertionError, match=message):
+            max_flow(build_flow_network(_k5_rows(), 2))
 
 
 class TestExtract:
@@ -217,54 +268,42 @@ class TestExtract:
             RegularizeParams(c0=0.5, eps0=0.6)
 
 
-class TestCutAudit:
-    def _k5_net(self):
-        arcs = frozenset(
-            [(i, (i + 1) % 5) for i in range(5)] + [(i, (i + 2) % 5) for i in range(5)]
-        )
-        return build_flow_network(Digraph(5, arcs), 2)
+def _cut_capacity(net, s, t):
+    """Capacity of the cut that keeps the source, the X-copies of ``s`` and
+    the Y-copies of ``t`` on the source side: d*(n - |S|) + e(S, Y \\ T) + d*|T|."""
+    t_mask = sum(1 << v for v in t)
+    crossing = sum((net.out[u] & ~t_mask).bit_count() for u in s)
+    return net.d * (net.n - len(s)) + crossing + net.d * len(t)
 
+
+class TestCutAudit:
     def test_empty_cut_is_trivial_dn(self):
-        net = self._k5_net()
-        params = RegularizeParams(c0=0.8, eps0=0.2)
-        audit = audit_cut_cases(net, params, [], [])
-        assert audit == CutAudit(10, 10, True, "trivial", 0)
+        net = build_flow_network(_k5_rows(), 2)
+        assert _cut_capacity(net, set(), set()) == 10 == max_flow(net).value
 
     def test_full_cut_is_dn(self):
-        net = self._k5_net()
-        params = RegularizeParams(c0=0.8, eps0=0.2)
-        audit = audit_cut_cases(net, params, range(5), range(5))
-        assert audit.capacity == 10
-        assert audit.satisfies
+        net = build_flow_network(_k5_rows(), 2)
+        assert _cut_capacity(net, range(5), range(5)) == 10
 
     def test_concrete_cut_recounted(self):
-        net = self._k5_net()
-        params = RegularizeParams(c0=0.8, eps0=0.2)
+        # the formula against the network's arcs listed one by one
+        net = build_flow_network(_k5_rows(), 2)
+        n, d = net.n, net.d
+        source, sink = "s", "t"
+        arcs = [(source, ("x", v), d) for v in range(n)]
+        arcs += [(("x", u), ("y", w), 1) for u, w in _arcs(net.out)]
+        arcs += [(("y", v), sink, d) for v in range(n)]
         s, t = {0, 1, 2}, {0}
-        audit = audit_cut_cases(net, params, s, t)
-        crossing = sum(1 for (u, v) in net.middle if u in s and v not in t)
-        assert audit.middle_edges == crossing
-        assert audit.capacity == 2 * (5 - 3) + crossing + 2 * 1
-        assert audit.satisfies == (audit.capacity >= 10)
-
-    def test_case_labels(self):
-        net = self._k5_net()
-        params = RegularizeParams(c0=0.8, eps0=0.2)
-        assert audit_cut_cases(net, params, {0}, set()).case == "small-source-side"
-        assert audit_cut_cases(net, params, {0, 1}, {4}).case == "cross-density"
-        assert (
-            audit_cut_cases(net, params, {0, 1, 2, 3, 4}, {0}).case
-            == "large-source-side"
-        )
-        assert audit_cut_cases(net, params, {0}, {1, 2}).case == "trivial"
+        side = {source} | {("x", v) for v in s} | {("y", v) for v in t}
+        capacity = sum(c for a, b, c in arcs if a in side and b not in side)
+        assert _cut_capacity(net, s, t) == capacity
 
     def test_min_cut_consistency_on_saturating_network(self):
-        # when max flow reaches d*n every cut must have capacity >= d*n
-        net = self._k5_net()
-        params = RegularizeParams(c0=0.8, eps0=0.2)
+        # weak duality: when max flow reaches d*n every cut has capacity >= d*n
+        net = build_flow_network(_k5_rows(), 2)
         assert max_flow(net).value == 10
         rng = random.Random(0)
         for _ in range(200):
             s = {v for v in range(5) if rng.random() < 0.5}
             t = {v for v in range(5) if rng.random() < 0.5}
-            assert audit_cut_cases(net, params, s, t).capacity >= 10
+            assert _cut_capacity(net, s, t) >= 10

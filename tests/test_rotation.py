@@ -423,8 +423,8 @@ class TestDerivedCovers:
 class TestMoveJson:
     @pytest.mark.parametrize(
         "steps",
-        [[["+", [1e400, 2]]], [["*", [1, 2]]], [["+", [2, 2]]]],
-        ids=["overflow", "unknown-op", "loop"],
+        [[["+", [1e400, 2]]], [["*", [1, 2]]], [["+", [2, 2]]], [["+", [-1, 2]]]],
+        ids=["overflow", "unknown-op", "loop", "negative-vertex"],
     )
     def test_malformed_steps_are_input_errors(self, steps):
         with pytest.raises(InputError, match="malformed move JSON"):

@@ -15,3 +15,28 @@ def test_benchmark_trace_sites_resolve():
     for module_name, name, *_ in sites:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_benchmark_trace_hooks_record_their_counters(tmp_path, monkeypatch):
+    # a hook that reads a renamed attribute of its call's result would fail
+    # the run; one whose counter stops being fed would go unseen
+    monkeypatch.chdir(tmp_path)
+    tracer = runpy.run_path(str(SPANS))["Tracer"]()
+    decompose = importlib.import_module("hamdeck.decompose")
+    from hamdeck.graphs import complete_graph
+
+    tracer.install()
+    try:
+        decompose.run_pipeline(complete_graph(21), seed=0)
+    finally:
+        tracer.uninstall()
+    for counter in (
+        "regularize.max_flow.saturated",
+        "partition.split_attempts",
+        "factor.components",
+        "rotation.step_restarts",
+        "decompose.run_pipeline.attempts",
+    ):
+        assert counter in tracer.counters, counter
+    assert tracer.counters["regularize.max_flow.saturated"] >= 1
+    assert list(tmp_path.iterdir()) == []

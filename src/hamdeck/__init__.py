@@ -6,9 +6,11 @@ Hamilton cycles, and exact backtracking completion, plus brute-force
 counting oracles and permanent-based bound formulas for validation at
 small n.
 
-Importing the package caps the BLAS/OpenMP pools at one thread unless the
-caller has set the variables: the package's matrix products are small, and
-on a shared host the default thread pools made them several times slower.
+Importing the package loads neither numpy nor scipy: each is imported by
+the first function that needs it.  The import caps the BLAS/OpenMP pools at
+one thread unless the caller has set the variables: the package's one matrix
+product, in the sampled robust-expander check, is small, and on a shared
+host the default thread pools made such products several times slower.
 """
 
 import os
@@ -46,7 +48,6 @@ from .factor import (
 from .graphs import (
     Graph,
     build_graph,
-    check_alpha_beta_regular,
     complete_graph,
     cycle_graph,
     edges_between,
@@ -80,7 +81,6 @@ __all__ = [
     "bregman_log_bound",
     "build_flow_network",
     "build_graph",
-    "check_alpha_beta_regular",
     "complete_graph",
     "complete_residual",
     "component_profile",

@@ -199,8 +199,6 @@ def _cmd_partition(args, deadline) -> int:
             "core_regular": report.core_regular,
             "core_degree_even": report.core_degree_even,
             "asymptotic_degree_bound_met": report.asymptotic_degree_bound_met,
-            "patch_density_floor_ok": report.patch_density_floor_ok,
-            "patch_density_literal_ok": report.patch_density_literal_ok,
             "expander_holds": report.expander.holds,
             "issues": list(report.issues),
         },

@@ -20,8 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InputError
 from .graphs import Graph, connected_over, strip_cycle
 from .util import check_deadline
@@ -303,6 +301,8 @@ def _isomorphic(g1: Graph, g2: Graph) -> bool:
 
 
 def _spectrum_key(g: Graph) -> tuple:
+    import numpy as np
+
     eig = np.linalg.eigvalsh(g.adjacency_matrix().astype(np.float64))
     return tuple(round(float(x), 6) for x in eig)
 

@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, InputError
 from .graphs import Edge, Graph, iter_bits, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_CAP = 14
 
@@ -198,6 +200,7 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
     maximum matching is smaller than n, which certifies that no (<=2)-factor
     exists.
     """
+    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -231,6 +234,8 @@ def sample_le2_factor(
     redraws factors above ``component_budget``.  Raises InfeasibleError when
     no factor exists, and BudgetError when ``deadline`` has passed.
     """
+    import numpy as np
+
     if g.n < 2:
         raise InfeasibleError("graphs with fewer than 2 vertices have no factor")
     check_deadline(deadline, "factor sampling")

@@ -2,8 +2,8 @@
 
 Vertices are always the integers ``0..n-1``; edges are unordered pairs stored
 as ``(u, v)`` tuples with ``u < v``.  Graphs are immutable values and safe to
-share; all predicates are pure functions of their inputs (sampled modes take
-an explicit seed).
+share; all predicates are pure functions of their inputs (the sampled
+expander check takes an explicit seed).
 
 A graph is ``n`` plus its bit rows ``adj_bits``; nothing else is built.
 Edge lists are validated once, where they enter: ``Graph(n, edges)`` and
@@ -21,11 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .util import EPS, ceil_frac, check_deadline, floor_frac
+from .util import ceil_frac, check_deadline, floor_frac
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, int]
 
@@ -111,6 +113,8 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """The n x n 0/1 uint8 matrix, unpacked from the bit rows."""
+        import numpy as np
+
         nbytes = (self.n + 7) // 8
         raw = b"".join(b.to_bytes(nbytes, "little") for b in self.adj_bits)
         packed = np.frombuffer(raw, np.uint8).reshape(self.n, nbytes)
@@ -231,26 +235,6 @@ def _vertex_set(g: Graph, members) -> frozenset[int]:
     return s
 
 
-def random_ranks(
-    rng: np.random.Generator, trials: int, n: int, lo: int, hi: int, chunk: int = 4096
-):
-    """Yield ``(sizes, ranks)`` in blocks of at most ``chunk`` of ``trials``
-    rows: per row a size drawn uniformly from [lo, hi] and an independent
-    uniformly random ranking of the vertices 0..n-1.
-
-    ``ranks < sizes[:, None]`` is a uniform random subset of each size, and
-    disjoint rank ranges give disjoint subsets.  Every sampled set predicate
-    and audit in the package draws its vertex sets here.
-    """
-    for start in range(0, trials, chunk):
-        rows = min(chunk, trials - start)
-        sizes = rng.integers(lo, hi + 1, size=rows)
-        order = rng.random((rows, n)).argsort(axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(n), axis=1)
-        yield sizes, ranks
-
-
 def _mask_of(members) -> int:
     m = 0
     for v in members:
@@ -324,6 +308,7 @@ class ExpanderVerdict:
 
 
 EXACT_SET_PREDICATE_CAP = 24  # 2^n subset enumerations beyond this are refused
+SAMPLE_BLOCK = 4096  # sampled sets drawn and checked per matrix product
 
 
 def _expander_violated(g: Graph, mask: int, size: int, threshold: int) -> bool:
@@ -345,10 +330,13 @@ def is_robust_expander(
 
     Every S with ``tau*n <= |S| <= (1-tau)*n`` must have a robust
     nu-neighborhood of size at least ``|S| + nu*n``.  Exact mode enumerates
-    all such S (allowed only for n <= 24); sampled mode checks ``trials``
-    uniformly random admissible sets and can only certify (holds=True) or
-    produce a concrete counterexample.  Exact mode checks ``deadline`` on
-    entry and every 1024 sets, sampled mode before each block of sets.
+    all such S (allowed only for n <= 24), so its verdict is a proof either
+    way.  Sampled mode checks ``trials`` random admissible sets, each of a
+    size drawn uniformly from the admissible range: holds=False comes with a
+    counterexample, re-checked exactly, but holds=True means only that none
+    of the ``trials`` sets drawn was a counterexample.  Exact mode checks
+    ``deadline`` on entry and every 1024 sets, sampled mode before each block
+    of ``SAMPLE_BLOCK`` sets.
     """
     if not (0 < nu <= tau < 1):
         raise InputError(f"need 0 < nu <= tau < 1, got nu={nu}, tau={tau}")
@@ -382,11 +370,18 @@ def is_robust_expander(
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
 
+    import numpy as np
+
     adj = g.adjacency_matrix().astype(np.float32)
     rng = np.random.default_rng(seed)
-    for sizes, ranks in random_ranks(rng, trials, n, lo, hi):
+    for start in range(0, trials, SAMPLE_BLOCK):
         check_deadline(deadline, "sampled expander check")
-        masks = ranks < sizes[:, None]
+        rows = min(SAMPLE_BLOCK, trials - start)
+        sizes = rng.integers(lo, hi + 1, size=rows)
+        order = rng.random((rows, n)).argsort(axis=1)
+        # row i holds the first sizes[i] vertices of a random order
+        masks = np.empty((rows, n), bool)
+        np.put_along_axis(masks, order, np.arange(n) < sizes[:, None], axis=1)
         counts = masks.astype(np.float32) @ adj
         rn_sizes = (counts >= threshold - 0.5).sum(axis=1)
         bad = np.nonzero(rn_sizes < sizes + threshold)[0]
@@ -396,106 +391,6 @@ def is_robust_expander(
             if _expander_violated(g, _mask_of(witness), len(witness), threshold):
                 return ExpanderVerdict(False, witness, f"sampled({trials})")
     return ExpanderVerdict(True, None, f"sampled({trials})")
-
-
-# -- density regularity ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularityVerdict:
-    holds: bool
-    witness: tuple[frozenset[int], frozenset[int]] | None
-    reason: str
-    mode: str
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.holds
-
-
-def check_alpha_beta_regular(
-    g: Graph,
-    alpha: float,
-    beta: float,
-    mode: str = "exact",
-    *,
-    trials: int = 20_000,
-    seed: int = 0,
-    deadline: float | None = None,
-) -> RegularityVerdict:
-    """Quasirandomness check: min degree and pairwise set densities near alpha.
-
-    Requires min degree >= alpha*n - 1 and, for every pair of disjoint sets
-    S, T with |S|, |T| >= beta*n, a density ``e(S,T)/(|S||T|)`` within beta
-    of alpha.  Exact only for n <= 24; exact mode checks ``deadline`` on
-    entry and every 1024 set pairs, sampled mode before each block of pairs.
-    """
-    if not (0 < beta < 0.5):
-        raise InputError(f"beta must be in (0, 1/2), got {beta}")
-    if mode == "sampled" and trials < 1:
-        raise InputError(f"sampled mode needs trials >= 1, got {trials}")
-    n = g.n
-    if min(g.degrees(), default=0) + 1 < alpha * n - EPS:
-        return RegularityVerdict(False, None, "minimum degree too small", mode)
-    lo = max(1, ceil_frac(beta * n))
-
-    def density_ok(s_mask: int, t_members, s_size: int, t_size: int) -> bool:
-        e = sum((g.adj_bits[v] & s_mask).bit_count() for v in t_members)
-        return abs(e / (s_size * t_size) - alpha) <= beta + EPS
-
-    if mode == "exact":
-        if n > EXACT_SET_PREDICATE_CAP:
-            raise InputError(
-                f"exact regularity check limited to n <= {EXACT_SET_PREDICATE_CAP}"
-            )
-        check_deadline(deadline, "exact regularity check")
-        checked = 0
-        verts = range(n)
-        for s_size in range(lo, n - lo + 1):
-            for s_combo in itertools.combinations(verts, s_size):
-                s_set = set(s_combo)
-                s_mask = _mask_of(s_combo)
-                rest = [v for v in verts if v not in s_set]
-                for t_size in range(lo, len(rest) + 1):
-                    for t_combo in itertools.combinations(rest, t_size):
-                        checked += 1
-                        if not checked & 1023:
-                            check_deadline(deadline, "exact regularity check")
-                        if not density_ok(s_mask, t_combo, s_size, t_size):
-                            return RegularityVerdict(
-                                False,
-                                (frozenset(s_combo), frozenset(t_combo)),
-                                "set-pair density out of band",
-                                "exact",
-                            )
-        return RegularityVerdict(True, None, "", "exact")
-
-    if mode != "sampled":
-        raise InputError(f"unknown mode {mode!r}")
-
-    if 2 * lo > n:
-        # no two disjoint admissible sets fit: the condition is vacuous
-        return RegularityVerdict(True, None, "", f"sampled({trials})")
-    adj = g.adjacency_matrix().astype(np.float32)
-    rng = np.random.default_rng(seed)
-    for s_sizes, ranks in random_ranks(rng, trials, n, lo, n - lo, chunk=1024):
-        check_deadline(deadline, "sampled regularity check")
-        t_ends = s_sizes + rng.integers(lo, n - s_sizes + 1)
-        s_masks = ranks < s_sizes[:, None]
-        t_masks = ~s_masks & (ranks < t_ends[:, None])
-        # S and T are disjoint, so each sum is the exact edge count e(S, T)
-        e = ((s_masks.astype(np.float32) @ adj) * t_masks).sum(axis=1)
-        density = e / (s_sizes * (t_ends - s_sizes))
-        for idx in np.nonzero(np.abs(density - alpha) > beta + EPS)[0]:
-            s_combo = np.flatnonzero(s_masks[idx]).tolist()
-            t_combo = np.flatnonzero(t_masks[idx]).tolist()
-            if not density_ok(_mask_of(s_combo), t_combo, len(s_combo), len(t_combo)):
-                return RegularityVerdict(
-                    False,
-                    (frozenset(s_combo), frozenset(t_combo)),
-                    "set-pair density out of band",
-                    f"sampled({trials})",
-                )
-    return RegularityVerdict(True, None, "", f"sampled({trials})")
 
 
 # -- edge-list text format ---------------------------------------------------

@@ -15,21 +15,17 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BudgetError, InfeasibleError, InputError, SearchFailedError
 from .graphs import (
     ExpanderVerdict,
     Graph,
-    edges_between,
     is_robust_expander,
     iter_bits,
     load_edge_list,
-    random_ranks,
     save_edge_list,
 )
 from .regularize import RegularizeParams, extract_regular_subgraph
-from .util import EPS, ceil_frac, check_deadline, spawn_seed
+from .util import EPS, check_deadline, spawn_seed
 
 # Whole random splits tried before tri_partition gives up with BudgetError.
 PARTITION_RETRIES = 16
@@ -45,7 +41,7 @@ class PipelineParams:
     ``max_steps`` on rotation steps, and an optional ``deadline``
     (``time.monotonic()`` value).
 
-    Derived, read-only: alpha = 3*eps*c, delta = min(eps*c/5, tau/2) and
+    Derived, read-only: delta = min(eps*c/5, tau/2) and
     nu = min(delta, eps*gamma/2).
     """
 
@@ -66,10 +62,6 @@ class PipelineParams:
             raise InputError(f"gamma must be positive, got {self.gamma}")
         if not (0 < self.tau < 1):
             raise InputError(f"tau must be in (0, 1), got {self.tau}")
-
-    @property
-    def alpha(self) -> float:
-        return 3 * self.eps * self.c
 
     @property
     def delta(self) -> float:
@@ -250,31 +242,21 @@ class PartitionReport:
     core_degree: int
     core_degree_even: bool
     asymptotic_degree_bound_met: bool
-    patch_density_floor_ok: bool
-    patch_density_literal_ok: bool
-    patch_density_literal_threshold: float
-    patch_min_edges_seen: int | None
     expander: ExpanderVerdict
     issues: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        """Hard bullets only: exact partition, even-regular core, residual
-        expansion.  The sampled patch-density results are reported but not
-        gated on, since at small n the admissible set sizes include single
-        vertices and the literal thresholds cannot bind."""
+        """Exact partition, even-regular core and residual expansion.  The
+        asymptotic core-degree bound is reported, not gated on: it cannot
+        bind at desk-scale n.  A sampled expansion check that holds only
+        drew no counterexample."""
         return (
             self.partition_exact
             and self.core_regular
             and self.core_degree_even
             and self.expander.holds
         )
-
-
-# Sampled (A, B) pairs in the patch density audit, and the desk-scale floor
-# on e(A, B) that the audit reports beside the literal n^1.6 threshold.
-DENSITY_TRIALS = 200
-DENSITY_FLOOR = 1
 
 
 def verify_partition(
@@ -285,10 +267,11 @@ def verify_partition(
 ) -> PartitionReport:
     """Report-valued check of the tri-partition contract.
 
-    Exactness and core regularity are exact; the patch density bullet is
-    sampled over admissible set pairs (the literal n^1.6 threshold is
-    reported alongside a desk-scale floor); residual robust expansion uses
-    the exact predicate for small n and sampling otherwise.
+    Exactness and core regularity are checked exactly.  Residual robust
+    expansion is exact for n <= 14 and sampled beyond, where holds=True only
+    means that no sampled set was a counterexample.  The patch's
+    pseudo-randomness is not audited: its literal n^1.6 edge threshold
+    cannot bind at desk-scale n.
     """
     issues: list[str] = []
     n = tp.core.n
@@ -312,34 +295,6 @@ def verify_partition(
     r = max((row.bit_count() for row in union), default=0)
     asym_bound_met = core_regular and core_degree + EPS >= (1 - 2 * params.eps) * r
 
-    min_a = max(1, ceil_frac(params.delta**2 * n))
-    size_b = max(1, ceil_frac((0.5 - params.delta) * n))
-    literal = n**1.6
-    floor_ok = True
-    literal_ok = True
-    min_seen: int | None = None
-    if min_a + size_b > n:
-        issues.append("vertex set too small for admissible density pairs")
-    else:
-        rng = np.random.default_rng(spawn_seed(seed, "patch-density"))
-        sizes, ranks = next(
-            random_ranks(rng, DENSITY_TRIALS, n, min_a, n - size_b, DENSITY_TRIALS)
-        )
-        a_masks = ranks < sizes[:, None]
-        b_masks = ~a_masks & (ranks < sizes[:, None] + size_b)
-        # A and B are disjoint, so each sum is the edge count e(A, B)
-        adj = tp.patch.adjacency_matrix().astype(np.float32)
-        counts = ((a_masks.astype(np.float32) @ adj) * b_masks).sum(axis=1)
-        worst = int(np.argmin(counts))
-        a, b = (np.flatnonzero(m[worst]).tolist() for m in (a_masks, b_masks))
-        min_seen = edges_between(tp.patch, a, b)
-        floor_ok = min_seen >= DENSITY_FLOOR
-        literal_ok = min_seen >= literal
-        if not floor_ok:
-            issues.append(
-                f"patch density floor violated: {min_seen} < {DENSITY_FLOOR}"
-            )
-
     # exact enumeration is affordable up to ~2^14 subsets; sample beyond
     expander = is_robust_expander(
         tp.residual,
@@ -358,10 +313,6 @@ def verify_partition(
         core_degree=core_degree,
         core_degree_even=core_even,
         asymptotic_degree_bound_met=asym_bound_met,
-        patch_density_floor_ok=floor_ok,
-        patch_density_literal_ok=literal_ok,
-        patch_density_literal_threshold=literal,
-        patch_min_edges_seen=min_seen,
         expander=expander,
         issues=tuple(issues),
     )
@@ -391,7 +342,6 @@ def save_tri_partition(tp: TriPartition, prefix: str) -> list[str]:
             "gamma": tp.params.gamma,
             "nu": tp.params.nu,
             "tau": tp.params.tau,
-            "alpha": tp.params.alpha,
             "seed": tp.params.seed,
         },
         "stats": tp.stats,
@@ -404,19 +354,45 @@ def save_tri_partition(tp: TriPartition, prefix: str) -> list[str]:
 
 
 def load_tri_partition(prefix: str) -> TriPartition:
+    """Read back the files ``save_tri_partition`` wrote.
+
+    Raises InputError when the sidecar is not such a JSON object (finite
+    numbers, an integer seed), when its derived fractions differ from the
+    ones its free fractions give, or when its ``n`` or ``core_degree``
+    disagree with the edge lists.  The ``alpha`` that older sidecars carry
+    is ignored.
+    """
     core = load_edge_list(f"{prefix}.core.edges")
     patch = load_edge_list(f"{prefix}.patch.edges")
     residual = load_edge_list(f"{prefix}.residual.edges")
-    with open(f"{prefix}.params.json", "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    p = payload["params"]
-    params = PipelineParams(p["c"], p["eps"], p["gamma"], p["tau"], seed=p["seed"])
-    for name in ("delta", "nu", "alpha"):
-        if abs(p[name] - getattr(params, name)) > EPS:
-            raise InputError(
-                f"sidecar {name} = {p[name]} differs from its derived value "
-                f"{getattr(params, name)}"
-            )
-    return TriPartition(
-        core, patch, residual, params, payload["core_degree"], payload.get("stats", {})
-    )
+    sidecar = f"{prefix}.params.json"
+    try:
+        with open(sidecar, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+        p = payload["params"]
+        values = [p[k] for k in ("c", "eps", "gamma", "tau", "delta", "nu", "seed")]
+        # isfinite rejects NaN and infinities and overflows on huge integers
+        if any(type(v) not in (int, float) or not math.isfinite(v) for v in values):
+            raise TypeError("parameters must be finite JSON numbers")
+        if type(p["seed"]) is not int:
+            raise TypeError(f"seed {p['seed']!r} is not an integer")
+        params = PipelineParams(p["c"], p["eps"], p["gamma"], p["tau"], seed=p["seed"])
+        for name in ("delta", "nu"):
+            if abs(p[name] - getattr(params, name)) > EPS:
+                raise InputError(
+                    f"{name} = {p[name]} differs from its derived value "
+                    f"{getattr(params, name)}"
+                )
+        n, core_degree = payload["n"], payload["core_degree"]
+        stats = payload.get("stats", {})
+        if not isinstance(stats, dict):
+            raise TypeError(f"stats {stats!r} is not an object")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise InputError(f"malformed partition sidecar {sidecar}: {exc}") from exc
+    if any(part.n != n for part in (core, patch, residual)):
+        raise InputError(f"sidecar n = {n!r} disagrees with the edge lists")
+    if core_degree != core.regular_degree():
+        raise InputError(
+            f"sidecar core_degree = {core_degree!r} disagrees with the core"
+        )
+    return TriPartition(core, patch, residual, params, core.regular_degree(), stats)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleError, InputError, SearchFailedError
 from .graphs import Graph, iter_bits
 from .util import EPS, ceil_frac
@@ -129,6 +127,7 @@ class MaxFlowResult:
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Exact integral maximum flow; validates conservation and capacities."""
+    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 

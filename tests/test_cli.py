@@ -11,6 +11,7 @@ import hamdeck
 from hamdeck.cli import main
 from hamdeck.decompose import run_pipeline
 from hamdeck.graphs import build_graph, complete_graph, save_edge_list
+from hamdeck.walecki import walecki_decomposition
 
 from conftest import circulant
 
@@ -413,11 +414,34 @@ class TestBlasThreads:
         assert self.threads_after_import("2") == "2"
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy loads with the first max-flow or matching, not with the package
+def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(hamdeck.__file__).resolve().parents[1]))
-    code = "import hamdeck, sys; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["hamdeck", "hamdeck.cli"])
+@pytest.mark.parametrize("library", ["numpy", "scipy"])
+def test_import_leaves_array_libraries_unloaded(module, library):
+    # numpy and scipy load with the first function that needs them
+    code = f"import {module}, sys; print({library!r} in sys.modules)"
+    assert _run_python(code) == "False"
+
+
+def test_walecki_bounds_and_verify_never_load_numpy(tmp_path):
+    graph = tmp_path / "k7.edges"
+    save_edge_list(complete_graph(7), graph)
+    deco = tmp_path / "k7.json"
+    deco.write_text(json.dumps(walecki_decomposition(7).to_json_dict()))
+    runs = [["walecki", "9"], ["bounds", "100", "50"], ["verify", str(graph), str(deco)]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from hamdeck.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _run_python(code) == "False"

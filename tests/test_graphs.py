@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hamdeck.errors import BudgetError, InputError
 from hamdeck.graphs import (
+    SAMPLE_BLOCK,
     Graph,
     build_graph,
-    check_alpha_beta_regular,
     complete_graph,
     connected_over,
     cycle_graph,
@@ -255,6 +255,18 @@ class TestRobustExpander:
         )
         assert verdict.holds
 
+    def test_sampled_draws_are_pinned(self):
+        # two disjoint K10: no set of the first block is a counterexample,
+        # and the first one drawn after it is this set.  A block draws all
+        # its sizes before its orders, so the sets depend on the block size.
+        halves = [range(10), range(10, 20)]
+        g = build_graph(20, [p for h in halves for p in itertools.combinations(h, 2)])
+        assert SAMPLE_BLOCK == 4096
+        first = is_robust_expander(g, 0.1, 0.2, "sampled", trials=4096, seed=0)
+        assert first.holds
+        later = is_robust_expander(g, 0.1, 0.2, "sampled", trials=30_000, seed=0)
+        assert later.witness == frozenset({5, 10, 11, 13, 14, 15, 16, 17, 19})
+
     @pytest.mark.parametrize("n", [30, 3], ids=["admissible-sets", "vacuous"])
     def test_sampled_mode_needs_a_trial(self, n):
         # zero trials would certify without checking a single set; on the
@@ -306,64 +318,6 @@ class TestRobustExpander:
             n, list(g.edges) + [pairs[i] for i in extra if pairs[i] not in g.edges]
         )
         assert is_robust_expander(bigger, 0.1, 0.3, "exact").holds
-
-
-class TestAlphaBetaRegular:
-    def test_complete_graph_is_one_beta_regular(self):
-        assert check_alpha_beta_regular(complete_graph(10), 1.0, 0.3, "exact").holds
-
-    def test_empty_graph_fails_degree(self):
-        verdict = check_alpha_beta_regular(empty_graph(10), 0.5, 0.3, "exact")
-        assert not verdict.holds
-        assert "degree" in verdict.reason
-
-    def test_c10_fails(self):
-        assert not check_alpha_beta_regular(cycle_graph(10), 0.5, 0.2, "exact").holds
-
-    def test_exact_mode_honours_the_deadline(self):
-        with pytest.raises(BudgetError):
-            # under 3^6 < 1024 set pairs: only the entry check can fire
-            check_alpha_beta_regular(
-                complete_graph(6), 1.0, 0.3, "exact", deadline=time.monotonic() - 1
-            )
-
-    def test_sampled_mode_honours_the_deadline(self):
-        with pytest.raises(BudgetError, match="sampled regularity"):
-            check_alpha_beta_regular(
-                complete_graph(12), 1.0, 0.3, "sampled", deadline=time.monotonic() - 1
-            )
-
-    def test_deadline_stops_the_exact_search_midway(self):
-        # K16 passes every set pair, so the exact loop would visit all
-        # ~3^16 of them; the throttled check has to fire inside it
-        with pytest.raises(BudgetError):
-            check_alpha_beta_regular(
-                complete_graph(16), 1.0, 0.1, "exact", deadline=time.monotonic() + 0.05
-            )
-
-    @pytest.mark.parametrize("n", [12, 3], ids=["admissible-pairs", "vacuous"])
-    def test_sampled_mode_needs_a_trial(self, n):
-        with pytest.raises(InputError, match="trials >= 1"):
-            check_alpha_beta_regular(complete_graph(n), 1.0, 0.4, "sampled", trials=0)
-
-    def test_sampled_mode(self):
-        assert check_alpha_beta_regular(
-            complete_graph(12), 1.0, 0.3, "sampled", trials=500, seed=0
-        ).holds
-
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    def test_set_pair_counterexample_rechecks(self, mode):
-        # two disjoint K6 pass the degree test at alpha = 1/2 (C10 above does
-        # not), but a pair drawn mostly from one clique has density far from 1/2
-        halves = [range(6), range(6, 12)]
-        g = build_graph(12, [(u, v) for h in halves for u in h for v in h if u < v])
-        verdict = check_alpha_beta_regular(g, 0.5, 0.2, mode, trials=500, seed=0)
-        assert not verdict.holds
-        assert verdict.reason == "set-pair density out of band"
-        s, t = verdict.witness
-        assert not s & t and min(len(s), len(t)) >= ceil_frac(0.2 * 12)
-        density = brute_edges_between(g, s, t) / (len(s) * len(t))
-        assert abs(density - 0.5) > 0.2
 
 
 class TestEdgeListFormat:

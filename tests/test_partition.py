@@ -20,10 +20,15 @@ from hamdeck.partition import (
 )
 
 
+def _with_params(payload, **changes):
+    """The sidecar payload with its params edited; None drops a field."""
+    params = {**payload["params"], **changes}
+    return {**payload, "params": {k: v for k, v in params.items() if v is not None}}
+
+
 class TestDeriveParams:
     def test_dense_example(self):
         p = PipelineParams(c=1.0, eps=0.05, gamma=0.01, tau=0.2)
-        assert p.alpha == pytest.approx(0.15)
         assert p.delta == pytest.approx(0.01)
         assert p.nu == pytest.approx(0.00025)
 
@@ -44,16 +49,43 @@ class TestDeriveParams:
         delta = PipelineParams(c=p.c, eps=eps, gamma=p.gamma, tau=tau).delta
         assert p.gamma == max(delta**3 / 2, 1e-12)
 
-    def test_sidecar_with_edited_alpha_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda p: _with_params(p, delta=p["params"]["delta"] * 2), "delta"),
+            (lambda p: _with_params(p, nu=p["params"]["nu"] * 2), "nu"),
+            (lambda p: _with_params(p, tau=None), "'tau'"),
+            (lambda p: _with_params(p, eps="x"), "finite JSON numbers"),
+            (lambda p: _with_params(p, gamma=math.nan), "finite JSON numbers"),
+            (lambda p: _with_params(p, seed=1.5), "seed"),
+            (lambda p: [p], "list indices"),
+            (lambda p: json.dumps(p)[:-2], "Expecting"),
+            (lambda p: {**p, "core_degree": str(p["core_degree"])}, "core_degree"),
+            (lambda p: {**p, "core_degree": p["core_degree"] + 2}, "core_degree"),
+            (lambda p: {**p, "n": p["n"] + 1}, "sidecar n"),
+            (lambda p: {**p, "stats": []}, "stats"),
+            # older sidecars carry alpha = 3 * eps * c, which is not read
+            (lambda p: _with_params(p, alpha=0.15), None),
+        ],
+        ids=[
+            "edited-delta", "edited-nu", "missing-tau", "string-eps", "nan-gamma",
+            "float-seed", "top-level-list", "truncated-json", "string-core-degree",
+            "wrong-core-degree", "wrong-n", "list-stats", "old-sidecar-with-alpha",
+        ],
+    )
+    def test_sidecar_checked_on_load(self, tmp_path, edit, error):
         g = complete_graph(21)
+        tp = tri_partition(g, default_params(g, seed=0))
         prefix = str(tmp_path / "part")
-        save_tri_partition(tri_partition(g, default_params(g, seed=0)), prefix)
+        save_tri_partition(tp, prefix)
         sidecar = tmp_path / "part.params.json"
-        payload = json.loads(sidecar.read_text())
-        payload["params"]["alpha"] *= 2
-        sidecar.write_text(json.dumps(payload))
-        with pytest.raises(InputError, match="alpha"):
-            load_tri_partition(prefix)
+        edited = edit(json.loads(sidecar.read_text()))
+        sidecar.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        if error is None:
+            assert load_tri_partition(prefix) == tp
+        else:
+            with pytest.raises(InputError, match=error):
+                load_tri_partition(prefix)
 
     def test_patch_probability_clamped(self):
         assert patch_probability(2) == 0.5
@@ -205,14 +237,6 @@ class TestVerifyPartition:
         )
         with pytest.raises(BudgetError, match="expander"):
             verify_partition(tp, graph=g, seed=0)
-
-    def test_literal_threshold_reported(self):
-        g = complete_graph(21)
-        tp = tri_partition(g, default_params(g, seed=0))
-        report = verify_partition(tp, graph=g, seed=0)
-        assert report.patch_density_literal_threshold == pytest.approx(21**1.6)
-        # n^1.6 = 131 exceeds the whole patch at n=21; literal check reports
-        assert not report.patch_density_literal_ok
 
 
 def test_save_load_round_trip(tmp_path):

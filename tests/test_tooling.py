@@ -1,11 +1,18 @@
-"""The benchmark's tracer wraps package functions by module and name, so a
-refactor that moves or renames one of them silently breaks ``--trace 1``."""
+"""The benchmark's tracer and the scripts import package functions by
+module and name, so a refactor that moves or renames one of them silently
+breaks ``--trace 1`` or a script."""
 
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+import hamdeck
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "benchmark" / "spans.py"
 
 
 def test_benchmark_trace_sites_resolve():
@@ -40,3 +47,21 @@ def test_benchmark_trace_hooks_record_their_counters(tmp_path, monkeypatch):
         assert counter in tracer.counters, counter
     assert tracer.counters["regularize.max_flow.saturated"] >= 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bounds_table_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(hamdeck.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bounds_table.py"), "--max-n", "5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[2:]]
+    # K5: one graph, 12 Hamilton cycles, 6 decompositions into two of them
+    n, r, graphs, cycles, _, decompositions, *_ = next(
+        row for row in rows if row[:2] == ["5", "4"]
+    )
+    assert (graphs, cycles, decompositions) == ("1", "12", "6")

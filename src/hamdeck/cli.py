@@ -18,8 +18,12 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from .counting import (
+    bregman_log_bound,
     count_hamilton_cycles_exact,
     count_report,
+    decomposition_log_lower,
+    decomposition_log_upper,
+    decomposition_log_upper_asymptotic,
 )
 from .decompose import decompose_odd, run_pipeline
 from .errors import BudgetError, InfeasibleError, InputError
@@ -81,7 +85,7 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
 def _load_graph(path: str) -> Graph:
     try:
         return load_edge_list(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -235,13 +239,6 @@ def _cmd_check_expander(args, deadline) -> int:
 
 
 def _cmd_bounds(args, deadline) -> int:
-    from .counting import (
-        bregman_log_bound,
-        decomposition_log_lower,
-        decomposition_log_upper,
-        decomposition_log_upper_asymptotic,
-    )
-
     eps = args.eps if args.eps is not None else 0.05
     payload = {
         "n": args.n,

@@ -26,7 +26,7 @@ from .graphs import Edge, Graph, connected_over, iter_bits, strip_cycle
 from .partition import PipelineParams, TriPartition, default_params, tri_partition
 from .rotation import extract_hamilton_step
 from .util import EPS, check_deadline, floor_frac, spawn_seed
-from .walecki import Decomposition, canonical_cycle, cycle_edges, verify_decomposition
+from .walecki import Decomposition, canonical_cycle, verify_decomposition
 
 log = logging.getLogger(__name__)
 
@@ -400,10 +400,7 @@ def run_pipeline(
                             f"working core degree {core.regular_degree()} != {expect}"
                         )
 
-            used = set()
-            for cyc in cycles:
-                used |= cycle_edges(cyc)
-            residual = graph.subtract(used)
+            residual = graph.subtract(p for c in cycles for p in zip(c, c[1:] + c[:1]))
             res_degree = residual.regular_degree()
             if res_degree is None:
                 raise AssertionError("residual after cycle removal is irregular")
@@ -485,7 +482,7 @@ def decompose_odd(
     deadline = params.deadline if params is not None else None
     for matching in _perfect_matchings(graph):
         check_deadline(deadline, "odd-degree decomposition")
-        remainder = graph.subtract(frozenset(matching))
+        remainder = graph.subtract(matching)
         try:
             if exact:
                 cycles = complete_residual(

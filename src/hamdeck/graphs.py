@@ -5,21 +5,21 @@ as ``(u, v)`` tuples with ``u < v``.  Graphs are immutable values and safe to
 share; all predicates are pure functions of their inputs (the sampled
 expander check takes an explicit seed).
 
-A graph is ``n`` plus its bit rows ``adj_bits``; nothing else is built.
-Edge lists are validated once, where they enter: ``Graph(n, edges)`` and
-everything built on it (``build_graph``, ``parse_edge_list``, the
-generators) checks every edge and sets the bit rows in O(m).  Graphs derived
-from a valid graph are trusted: ``subtract`` and ``union`` bit-test only the
-edges they move, then edit the parent's bit rows (``Graph._derived``).
-Degrees, edge tests, equality and the package's self-checks read the bit
-rows; the neighbour lists ``adj``, and a derived graph's edge set, are views
-decoded on first use.
+Every graph is ``n`` plus its bit rows ``adj_bits``; nothing else is kept.
+Edges are checked once, where they enter: ``_edge_rows`` checks the pairs
+given to ``Graph(n, edges)`` (and so to ``build_graph``, ``parse_edge_list``
+and the generators) and to ``subtract`` and ``union``.  Graphs derived from
+a valid graph are trusted: ``subtract`` and ``union`` bit-test the other
+side's rows against this graph's, then XOR or OR them in
+(``Graph._derived``).  Degrees, edge tests, equality and the package's
+self-checks read the bit rows; the neighbour lists ``adj`` and the edge set
+``edges`` are views decoded on first use.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -37,39 +37,50 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _edge_rows(n: int, pairs) -> tuple[int, ...]:
+    """The one edge check: bit rows of pairs 0 <= u < v < n, repeats once."""
+    if n < 0:
+        raise InputError(f"vertex count must be nonnegative, got {n}")
+    bits = [0] * n
+    for u, v in pairs:
+        if u == v:
+            raise InputError(f"loop edge ({u}, {v}) not allowed")
+        if not (0 <= u < v < n):
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return tuple(bits)
+
+
+def _first_edge(rows) -> Edge | None:
+    """The least edge of symmetric, loop-free bit rows: the first nonempty
+    row's lowest bit (a bit below the row would fill an earlier row)."""
+    for u, row in enumerate(rows):
+        if row:
+            return (u, (row & -row).bit_length() - 1)
+    return None
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1, held as its bit
     rows: ``adj_bits[v]`` has bit w set iff v ~ w.
 
-    ``adj[v]`` (v's neighbours in increasing order) and a derived graph's
-    ``edges`` are decoded from the rows on first use.  Equality and hashing
-    compare n and the bit rows.
+    ``adj[v]`` (v's neighbours in increasing order) and ``edges`` are decoded
+    from the rows on first use.  Equality and hashing compare n and the bit
+    rows.
     """
 
     n: int
-    edges: frozenset[Edge] = field(compare=False)
-    adj_bits: tuple[int, ...] = field(init=False, repr=False)
+    adj_bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
-        # a frozenset input is kept as is; a list loses its repeats
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        bits = [0] * self.n
-        for u, v in self.edges:
-            if u == v:
-                raise InputError(f"loop edge ({u}, {v}) not allowed")
-            if not (0 <= u < v < self.n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        object.__setattr__(self, "adj_bits", tuple(bits))
+    def __init__(self, n: int, edges) -> None:
+        object.__setattr__(self, "adj_bits", _edge_rows(n, edges))
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def _derived(cls, n: int, adj_bits: tuple[int, ...]) -> "Graph":
-        """Trusted constructor: ``adj_bits`` must encode a simple graph on n
-        vertices; its edge set is decoded on first use."""
+        """Trusted: ``adj_bits`` must encode a simple graph on n vertices."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj_bits", adj_bits)
@@ -78,6 +89,11 @@ class Graph:
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         return _decode_adj(self)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        adj = _decode_adj(self)
+        return frozenset((u, v) for u in range(self.n) for v in adj[u] if u < v)
 
     # -- basic accessors -------------------------------------------------
 
@@ -122,30 +138,29 @@ class Graph:
 
     # -- edge-set algebra -------------------------------------------------
 
-    def subtract(self, removed: "frozenset[Edge] | set[Edge] | Graph") -> "Graph":
-        """Graph with the given edges removed; they must all be present."""
-        rem = _as_edge_set(removed)
-        absent = [e for e in rem if not self.has_edge(*e)]
-        if absent:
-            raise InputError(f"cannot subtract edge {min(absent)}: not present")
-        return self._edited(rem, frozenset())
+    def subtract(self, removed) -> Graph:
+        """Graph minus ``removed``, a Graph or pairs; all must be present."""
+        rows = tuple(zip(self.adj_bits, self._rows_of(removed)))
+        absent = _first_edge(r & ~a for a, r in rows)
+        if absent is not None:
+            raise InputError(f"cannot subtract edge {absent}: not present")
+        return Graph._derived(self.n, tuple(a ^ r for a, r in rows))
 
-    def union(self, added: "frozenset[Edge] | set[Edge] | Graph") -> "Graph":
-        """Graph with the given edges added; they must all be new."""
-        if isinstance(added, Graph) and added.n == self.n:
-            rows = tuple(zip(self.adj_bits, added.adj_bits))
-            if not any(a & b for a, b in rows):  # valid edges: OR the rows in
-                return Graph._derived(self.n, tuple(a | b for a, b in rows))
-        add = _as_edge_set(added)
-        present = [e for e in add if self.has_edge(*e)]
-        if present:
-            raise InputError(f"cannot add edge {min(present)}: already present")
-        for u, v in add:
-            if u == v:
-                raise InputError(f"loop edge ({u}, {v}) not allowed")
-            if not (0 <= u < v < self.n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
-        return self._edited(frozenset(), add)
+    def union(self, added) -> Graph:
+        """Graph plus ``added``, a Graph or pairs; all must be new."""
+        rows = tuple(zip(self.adj_bits, self._rows_of(added)))
+        present = _first_edge(r & a for a, r in rows)
+        if present is not None:
+            raise InputError(f"cannot add edge {present}: already present")
+        return Graph._derived(self.n, tuple(a | r for a, r in rows))
+
+    def _rows_of(self, other) -> tuple[int, ...]:
+        """Rows of ``other`` on this graph's n: a same-n Graph's own, or else
+        the checked rows of its pairs, taken in either order."""
+        if isinstance(other, Graph) and other.n == self.n:
+            return other.adj_bits
+        pairs = other.edges if isinstance(other, Graph) else other
+        return _edge_rows(self.n, (norm_edge(u, v) for u, v in pairs))
 
     def _edited(self, removed: frozenset[Edge], added: frozenset[Edge]) -> "Graph":
         """Trusted delta: ``removed`` must be edges of this graph and ``added``
@@ -157,57 +172,32 @@ class Graph:
         return Graph._derived(self.n, tuple(bits))
 
 
-def _decode_edges(g: Graph) -> frozenset[Edge]:
-    """A derived graph's edge set, decoded and cached on first use by a
-    non-data descriptor that a validated graph's own ``edges`` shadows (a
-    ``__getattr__`` would slow every attribute access on Graph)."""
-    adj = _decode_adj(g)
-    return frozenset((u, v) for u in range(g.n) for v in adj[u] if u < v)
-
-
-Graph.edges = cached_property(_decode_edges)  # type: ignore[assignment]
-Graph.edges.__set_name__(Graph, "edges")
-
-
 def _decode_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples, one bit walk per row: the only decoder of
-    the bit rows, behind both ``adj`` and a derived graph's ``edges``."""
+    the bit rows, behind both ``adj`` and ``edges``."""
     return tuple(tuple(iter_bits(b)) for b in g.adj_bits)
 
 
-def _as_edge_set(obj) -> frozenset[Edge]:
-    if isinstance(obj, Graph):
-        return obj.edges
-    return frozenset(norm_edge(u, v) for u, v in obj)
-
-
 def build_graph(n: int, edge_list) -> Graph:
-    """Validate and deduplicate an edge list into a canonical Graph.
+    """A Graph from pairs in either order, repeats counting once.
 
     Raises InputError for out-of-range endpoints or loop edges.
     """
-    edges = set()
-    for u, v in edge_list:
-        if u == v:
-            raise InputError(f"loop edge ({u}, {v}) not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-        edges.add(norm_edge(u, v))
-    return Graph(n, frozenset(edges))
+    return Graph(n, (norm_edge(u, v) for u, v in edge_list))
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset(itertools.combinations(range(n), 2)))
+    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
-    return Graph(n, frozenset(norm_edge(i, (i + 1) % n) for i in range(n)))
+    return Graph(n, (norm_edge(i, (i + 1) % n) for i in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 # -- set-pair edge counting ------------------------------------------------
@@ -435,7 +425,7 @@ def parse_edge_list(text: str) -> Graph:
         if (u, v) in edges:
             raise InputError(f"duplicate edge {u} {v}")
         edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -445,8 +435,12 @@ def format_edge_list(g: Graph) -> str:
 
 
 def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -161,7 +161,7 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
             continue
 
         # the raw residual plus the trimmings (raw core minus core)
-        residual = _remainder(graph, patch, core)
+        residual = raw_residual.union(raw_core_graph.subtract(core))
         d0 = 2 * d_target
         asym_bound = (1 - 2 * params.eps) * r
         stats = {
@@ -209,15 +209,7 @@ def _random_split(
             part[u] |= 1 << v
             part[v] |= 1 << u
     patch, raw_residual = (Graph._derived(n, tuple(r)) for r in rows)
-    return patch, raw_residual, _remainder(graph, patch, raw_residual)
-
-
-def _remainder(graph: Graph, *parts: Graph) -> Graph:
-    """``graph`` minus edge-disjoint subgraphs of it, by bit deltas."""
-    rows = graph.adj_bits
-    for p in parts:
-        rows = tuple(a ^ b for a, b in zip(rows, p.adj_bits))
-    return Graph._derived(graph.n, rows)
+    return patch, raw_residual, graph.subtract(patch).subtract(raw_residual)
 
 
 def _union_rows(tp: TriPartition) -> tuple[tuple[int, ...], bool]:

@@ -554,15 +554,13 @@ def extract_hamilton_step(
     """
     if core.n != patch.n:
         raise InputError("core and patch must share a vertex set")
-    if any(a & b for a, b in zip(core.adj_bits, patch.adj_bits)):
-        raise InputError("core and patch must be edge-disjoint")
     d = core.regular_degree()
     if d is None:
         raise InputError("core must be regular")
     if d % 2 != 0 or d < 4:
         raise InputError(f"core degree must be even and >= 4, got {d}")
     n = core.n
-    host = core.union(patch)
+    host = core.union(patch)  # InputError if they share an edge
     budget = component_budget(n)
     cap = 2 * budget + 1
 

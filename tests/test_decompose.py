@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hamdeck import decompose
+from hamdeck import decompose, graphs
 from hamdeck.counting import (
     connected_regular_graphs,
     count_decompositions_exact,
@@ -180,6 +180,26 @@ class TestCompleteResidual:
                 rest = g.subtract(cycle_edges(cyc))
                 assert pruned_cycles(rest) == set(enumerate_hamilton_cycles(rest))
 
+    def test_cut_vertex_graph_is_proven_infeasible(self):
+        # two copies of K5 minus an edge, each missing edge's ends joined to
+        # one cut vertex: 4-regular and connected, but a Hamilton cycle would
+        # pass the cut vertex twice, so the search tree runs out
+        halves = [range(5), range(5, 10)]
+        pairs = [p for h in halves for p in itertools.combinations(h, 2)]
+        pairs = [p for p in pairs if p not in {(0, 1), (5, 6)}]
+        g = build_graph(11, pairs + [(10, v) for v in (0, 1, 5, 6)])
+        assert g.regular_degree() == 4 and count_decompositions_exact(g) == 0
+        with pytest.raises(InfeasibleError, match="no Hamiltonian decomposition"):
+            complete_residual(g)
+
+    def test_exhaustive_search_alone_decomposes(self, monkeypatch):
+        # with no heuristic tries every level's cycles come from the DFS
+        monkeypatch.setattr(decompose, "HEURISTIC_TRIES", 0)
+        graphs_ = [complete_graph(n) for n in (7, 9, 11)] + even_corpus()
+        for g in graphs_:
+            deco = complete_residual(g)
+            assert verify_decomposition(g, deco).ok, sorted(g.edges)
+
     def test_verdicts_match_counts_across_corpus(self):
         # a decomposition exactly when one exists, InfeasibleError otherwise
         for g in even_corpus():
@@ -264,16 +284,16 @@ class TestPipeline:
 
     def test_k201_builds_few_validated_graphs(self, monkeypatch):
         # the rotation steps derive their working graphs from bit deltas;
-        # only the tri-partition's parts are validated
+        # only the edges of the rotation cycles are checked, in one subtract
         g = complete_graph(201)
         builds = []
-        validate = Graph.__post_init__
+        check = graphs._edge_rows
 
-        def counting_validate(self):
-            builds.append(self.n)
-            validate(self)
+        def counting_check(n, pairs):
+            builds.append(n)
+            return check(n, pairs)
 
-        monkeypatch.setattr(Graph, "__post_init__", counting_validate)
+        monkeypatch.setattr(graphs, "_edge_rows", counting_check)
         run = run_pipeline(g, seed=0)
         assert run.rotation_cycles > 50
         assert len(builds) <= 10
@@ -286,8 +306,6 @@ class TestPipeline:
     def test_pipeline_decodes_nothing(self, g, min_cycles, monkeypatch):
         # every stage and self-check reads bit rows: no neighbour list or
         # edge set is decoded
-        from hamdeck import graphs
-
         decodes = []
         real = graphs._decode_adj
         monkeypatch.setattr(
@@ -296,6 +314,49 @@ class TestPipeline:
         run = run_pipeline(g, seed=0)
         assert run.rotation_cycles > min_cycles
         assert decodes == []
+
+    def test_infeasible_completion_after_rotation_retries(self, monkeypatch):
+        # with rotation cycles removed, an infeasible residual proves nothing
+        # about the input: the next attempt starts over with a fresh seed
+        real, calls = decompose.complete_residual, []
+
+        def infeasible_once(g, **kwargs):
+            calls.append(g.n)
+            if len(calls) == 1:
+                raise InfeasibleError("no Hamiltonian decomposition exists")
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(decompose, "complete_residual", infeasible_once)
+        g = complete_graph(51)
+        run = run_pipeline(g, seed=0)
+        assert run.attempts == 2 and run.rotation_cycles > 0
+        assert verify_decomposition(g, run.decomposition).ok
+
+    def test_failure_on_every_attempt_is_a_budget_error(self, monkeypatch):
+        def out_of_budget(g, **kwargs):
+            raise BudgetError("completion search spent 0 nodes without a decision")
+
+        monkeypatch.setattr(decompose, "complete_residual", out_of_budget)
+        with pytest.raises(BudgetError, match="pipeline failed after 3 attempts"):
+            run_pipeline(complete_graph(51), seed=0)
+
+    def test_failed_step_leaves_a_larger_residual(self, monkeypatch):
+        g = complete_graph(51)
+        full = run_pipeline(g, seed=0)
+        real, steps = decompose.extract_hamilton_step, []
+
+        def fail_second_step(*args):
+            steps.append(1)
+            if len(steps) == 2:
+                raise BudgetError("hamilton step failed after 16 restarts")
+            return real(*args)
+
+        monkeypatch.setattr(decompose, "extract_hamilton_step", fail_second_step)
+        run = run_pipeline(g, seed=0)
+        assert run.rotation_cycles == 1 < full.rotation_cycles
+        assert run.completed_cycles == 25 - 1 > full.completed_cycles
+        assert run.attempts == 1
+        assert verify_decomposition(g, run.decomposition).ok
 
     def test_deterministic(self):
         g = complete_graph(9)

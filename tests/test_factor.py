@@ -231,6 +231,21 @@ class TestStructures:
         f = TwoFactor.build(g, [[0, 2, 4], [1, 3, 5]], [])
         assert TwoFactor.from_json_dict(f.to_json_dict()) == f
 
+    @pytest.mark.parametrize(
+        "cycles, edges",
+        [
+            ([[0, 1, 2]], [[3, 3]]),
+            ([[0, 1, -1]], [[2, 3]]),
+            ([[0, 1, 5]], [[2, 3]]),
+            ([[0, 1, 2]], [[3, 5]]),
+            ([[0, 1, 2]], []),
+        ],
+        ids=["loop", "negative", "big-cycle-vertex", "big-pair-vertex", "too-few"],
+    )
+    def test_json_vertices_are_checked(self, cycles, edges):
+        with pytest.raises(InputError, match="malformed factor JSON"):
+            TwoFactor.from_json_dict({"n": 5, "cycles": cycles, "edges": edges})
+
     def test_json_with_an_overflowing_size_is_input_error(self):
         with pytest.raises(InputError, match="malformed factor JSON"):
             TwoFactor.from_json_dict({"n": 1e400, "cycles": [], "edges": []})

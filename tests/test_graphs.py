@@ -134,6 +134,22 @@ class TestEdgeAlgebra:
         some = frozenset(sorted(g.edges)[: len(g.edges) // 2 + 1])
         assert g.subtract(some).union(some) == g
 
+    def test_a_built_graph_keeps_only_its_rows(self):
+        g = complete_graph(201)
+        assert set(g.__dict__) == {"n", "adj_bits"}
+        assert len(g.edges) == 201 * 100 and "edges" in g.__dict__
+
+    def test_edge_sets_in_either_order_and_the_least_offender(self):
+        c5 = cycle_graph(5)
+        assert c5.subtract([(1, 0), (4, 3)]) == build_graph(5, [(1, 2), (2, 3), (0, 4)])
+        with pytest.raises(InputError, match=r"edge \(1, 3\): not present"):
+            c5.subtract([(4, 2), (0, 1), (3, 1)])
+        with pytest.raises(InputError, match=r"edge \(1, 2\): already present"):
+            c5.union(complete_graph(5).subtract([(0, 1), (4, 0)]))
+        assert empty_graph(5).union(complete_graph(3)).edges == complete_graph(3).edges
+        with pytest.raises(InputError, match="out of range"):
+            empty_graph(3).union(complete_graph(5))
+
     def test_union_out_of_range_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             cycle_graph(3).union({(1, 3)})

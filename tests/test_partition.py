@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from hamdeck import graphs
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from hamdeck.partition import (
@@ -155,13 +156,13 @@ class TestTriPartition:
         # input's bit rows
         g = complete_graph(201)
         builds = []
-        validate = Graph.__post_init__
+        check = graphs._edge_rows
 
-        def counting_validate(self):
-            builds.append(self.n)
-            validate(self)
+        def counting_check(n, pairs):
+            builds.append(n)
+            return check(n, pairs)
 
-        monkeypatch.setattr(Graph, "__post_init__", counting_validate)
+        monkeypatch.setattr(graphs, "_edge_rows", counting_check)
         tp = tri_partition(g, default_params(g, seed=0))
         assert tp.core.regular_degree() == tp.core_degree > 0
         assert builds == []
@@ -237,6 +238,18 @@ class TestVerifyPartition:
         )
         with pytest.raises(BudgetError, match="expander"):
             verify_partition(tp, graph=g, seed=0)
+
+
+def test_undecodable_edge_files_are_input_errors(tmp_path):
+    g = complete_graph(21)
+    prefix = str(tmp_path / "p")
+    save_tri_partition(tri_partition(g, default_params(g, seed=0)), prefix)
+    with open(f"{prefix}.patch.edges", "ab") as fh:
+        fh.write(b"\xff\n")
+    with pytest.raises(InputError, match="cannot read"):
+        load_tri_partition(prefix)
+    with pytest.raises(InputError, match="cannot read"):
+        graphs.load_edge_list(f"{prefix}.patch.edges")
 
 
 def test_save_load_round_trip(tmp_path):

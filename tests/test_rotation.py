@@ -240,6 +240,12 @@ class TestExtract:
         with pytest.raises(InputError):
             extract_hamilton_step(g, g, params_for(g), 0)
 
+    def test_patch_sharing_a_core_edge_rejected(self):
+        # an even-regular core, so only the overlap can be at fault
+        core, patch = complete_graph(9), build_graph(9, [(3, 5), (7, 2)])
+        with pytest.raises(InputError, match=r"\(2, 7\): already present"):
+            extract_hamilton_step(core, patch, params_for(core), 0)
+
     def test_partitioned_k21_accounting(self):
         g = complete_graph(21)
         params = params_for(g, seed=0)

@@ -187,6 +187,10 @@ def _cmd_verify(args, deadline) -> int:
     return EXIT_OK if result.ok else EXIT_FAIL
 
 
+def _sorted_or_none(witness) -> list[int] | None:
+    return None if witness is None else sorted(witness)
+
+
 def _cmd_partition(args, deadline) -> int:
     graph = _load_graph(args.graph)
     params = _params_for(graph, args, deadline)
@@ -204,6 +208,7 @@ def _cmd_partition(args, deadline) -> int:
             "core_degree_even": report.core_degree_even,
             "asymptotic_degree_bound_met": report.asymptotic_degree_bound_met,
             "expander_holds": report.expander.holds,
+            "expander_witness": _sorted_or_none(report.expander.witness),
             "issues": list(report.issues),
         },
         "meta": _meta(args),
@@ -230,7 +235,7 @@ def _cmd_check_expander(args, deadline) -> int:
     )
     payload = {
         "holds": verdict.holds,
-        "witness": sorted(verdict.witness) if verdict.witness is not None else None,
+        "witness": _sorted_or_none(verdict.witness),
         "mode": verdict.mode,
         "meta": _meta(args),
     }

@@ -1,9 +1,11 @@
 """Exact counting oracles for tiny graphs and closed-form log-scale bounds.
 
-The oracles (Hamilton-cycle counts, Hamiltonian-decomposition counts, a
-connected-regular-graph corpus) are exhaustive searches meant for n <= ~16;
-the bound formulas are permanent-based upper bounds and the constructive
-lower bound, all in natural-log scale.
+The Hamilton-cycle count sweeps path states (visited mask, end vertex) and
+merges the paths that reach each one, so it never lists a cycle; the cycle
+enumerator and the other oracles (Hamiltonian-decomposition counts, a
+connected-regular-graph corpus) are exhaustive searches.  Both cycle oracles
+stop at n = 16.  The bound formulas are permanent-based upper bounds and the
+constructive lower bound, all in natural-log scale.
 
 The three decomposition oracles wrap one recursion, ``_decompositions``.
 Unordered, each level anchors on the edge from vertex 0 to its lowest
@@ -76,10 +78,38 @@ def enumerate_hamilton_cycles(g: Graph, deadline=None) -> list[tuple[int, ...]]:
 
 
 def count_hamilton_cycles_exact(g: Graph, deadline=None) -> int:
-    """Number of distinct Hamilton cycles as undirected, unrooted subgraphs."""
+    """Number of distinct Hamilton cycles as undirected, unrooted subgraphs.
+
+    Sweeps path states without listing a cycle (Bellman 1962, Held-Karp
+    1962): a state is (visited mask, end vertex) and holds the number of
+    paths from vertex 0 that reach it, so paths reaching the same state are
+    merged.  After n - 2 extensions every state is a Hamilton path; those
+    ending next to 0 close into cycles, each counted once per direction.
+    Independent of ``_hamilton_cycles_from``, so the two check each other.
+    Checks the deadline on entry and every 1024 states.
+    """
     if g.n > HAMILTON_COUNT_CAP:
         raise InputError(f"exact count limited to n <= {HAMILTON_COUNT_CAP}")
-    return sum(1 for _ in _hamilton_cycles_from(g.adj_bits, g.n, deadline))
+    check_deadline(deadline, "hamilton cycle count")
+    n, adj_bits = g.n, g.adj_bits
+    if n < 3:
+        return 0
+    layer = {(1 | 1 << v, v): 1 for v in range(1, n) if adj_bits[0] >> v & 1}
+    states = 0
+    for _ in range(n - 2):
+        merged: dict[tuple[int, int], int] = {}
+        for (visited, end), paths in layer.items():
+            states += 1
+            if not states & 1023:
+                check_deadline(deadline, "hamilton cycle count")
+            options = adj_bits[end] & ~visited
+            while options:
+                low = options & -options
+                options ^= low
+                key = (visited | low, low.bit_length() - 1)
+                merged[key] = merged.get(key, 0) + paths
+        layer = merged
+    return sum(paths for (_, end), paths in layer.items() if adj_bits[end] & 1) // 2
 
 
 # -- Hamiltonian decomposition counting --------------------------------------

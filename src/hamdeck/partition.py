@@ -297,7 +297,9 @@ def verify_partition(
         deadline=params.deadline,
     )
     if not expander.holds:
-        issues.append(f"residual fails robust expansion (witness {expander.witness})")
+        issues.append(
+            f"residual fails robust expansion (witness {sorted(expander.witness)})"
+        )
 
     return PartitionReport(
         partition_exact=exact,

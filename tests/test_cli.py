@@ -337,8 +337,25 @@ class TestOtherCommands:
         assert code == 0
         data = json.loads(out)
         assert data["report"]["partition_exact"] is True
+        assert data["report"]["expander_witness"] is None
         assert (tmp_path / "part.core.edges").exists()
         assert (tmp_path / "part.params.json").exists()
+
+    def test_partition_reports_the_expansion_witness(
+        self, capsys, graph_file, tmp_path
+    ):
+        # K21 at seed 3 leaves a residual that fails robust expansion
+        prefix = str(tmp_path / "part")
+        code, out = run_cli(
+            capsys, "partition", graph_file(21), "--out", prefix, "--seed", "3",
+            "--no-meta",
+        )
+        assert code == 1
+        report = json.loads(out)["report"]
+        assert report["expander_holds"] is False
+        witness = report["expander_witness"]
+        assert witness == sorted(set(witness)) and witness
+        assert f"(witness {witness})" in report["issues"][-1]
 
     def test_partition_budget_writes_no_files(
         self, capsys, graph_file, monkeypatch, tmp_path

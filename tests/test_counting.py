@@ -21,6 +21,8 @@ from hamdeck.errors import BudgetError, InputError
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
 
+from conftest import circulant
+
 
 class TestHamiltonCounts:
     def test_k5(self):
@@ -29,7 +31,7 @@ class TestHamiltonCounts:
     def test_k7(self):
         assert count_hamilton_cycles_exact(complete_graph(7)) == 360
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 11, 13])
     def test_complete_graph_formula(self, n):
         assert count_hamilton_cycles_exact(complete_graph(n)) == math.factorial(
             n - 1
@@ -52,12 +54,37 @@ class TestHamiltonCounts:
             count_hamilton_cycles_exact(complete_graph(17))
 
     def test_deadline_stops_the_search_midway(self):
-        # K11 has 1,814,400 Hamilton cycles: seconds of search, so the
+        # K16 takes about a second of path-state sweeping, so the
         # throttled check has to fire well inside it
         with pytest.raises(BudgetError):
             count_hamilton_cycles_exact(
-                complete_graph(11), deadline=time.monotonic() + 0.05
+                complete_graph(16), deadline=time.monotonic() + 0.05
             )
+
+    def test_expired_deadline_stops_counting_at_entry(self):
+        with pytest.raises(BudgetError):
+            count_hamilton_cycles_exact(cycle_graph(3), deadline=time.monotonic() - 1)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_count_matches_enumeration_on_the_corpus(self, n):
+        # the path-state sweep and the DFS are independent exact methods
+        for r in range(2, n):
+            for g in connected_regular_graphs(n, r):
+                assert count_hamilton_cycles_exact(g) == len(
+                    enumerate_hamilton_cycles(g)
+                )
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(8).subtract({(0, 1), (2, 3), (4, 5), (6, 7)}),
+            circulant(9, (1, 2, 3)),
+            circulant(9, (1, 2, 4)),
+        ],
+        ids=["K8-PM", "C9(1,2,3)", "C9(1,2,4)"],
+    )
+    def test_count_matches_enumeration(self, g):
+        assert count_hamilton_cycles_exact(g) == len(enumerate_hamilton_cycles(g))
 
 
 class TestDecompositionCounts:

@@ -236,8 +236,9 @@ class TestExtract:
             extract_hamilton_step(g, empty_graph(5), params_for(complete_graph(8)), 0)
 
     def test_overlapping_patch_rejected(self):
-        g = complete_graph(6)
-        with pytest.raises(InputError):
+        # K5 is 4-regular, so the degree checks pass and the overlap fires
+        g = complete_graph(5)
+        with pytest.raises(InputError, match="already present"):
             extract_hamilton_step(g, g, params_for(g), 0)
 
     def test_patch_sharing_a_core_edge_rejected(self):

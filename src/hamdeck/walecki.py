@@ -119,9 +119,9 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
 
     Works on a copy of g's bit rows and clears each edge as it is used, so a
     cleared bit is a reused edge and the bits left over are the uncovered
-    edges.  d may come from outside: ``has_edge`` range-checks both ends of
-    a pair before its row is read.  Returns the first violation found
-    instead of raising.
+    edges.  d may come from outside: in a cycle with a vertex out of range,
+    ``has_edge`` range-checks both ends of each pair before its row is read.
+    Returns the first violation found instead of raising.
     """
     if d.host_n != g.n:
         return VerifyResult(False, f"host mismatch: {d.host_n} != {g.n}")
@@ -133,11 +133,14 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
             )
         if len(set(cyc)) != g.n:
             return VerifyResult(False, f"cycle {idx} revisits a vertex")
+        # free rows are subsets of host rows, so inside the range one bit
+        # test per edge finds both a non-edge and a reused edge
+        in_range = min(cyc, default=0) >= 0 and max(cyc, default=0) < g.n
         for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-            e = norm_edge(u, v)
-            if not g.has_edge(u, v):
-                return VerifyResult(False, f"cycle {idx} uses non-edge {e}")
-            if not free[u] >> v & 1:
+            if not ((in_range or g.has_edge(u, v)) and free[u] >> v & 1):
+                e = norm_edge(u, v)
+                if not g.has_edge(u, v):
+                    return VerifyResult(False, f"cycle {idx} uses non-edge {e}")
                 return VerifyResult(False, f"edge {e} reused by cycle {idx}")
             free[u] ^= 1 << v
             free[v] ^= 1 << u

@@ -462,3 +462,13 @@ def test_walecki_bounds_and_verify_never_load_numpy(tmp_path):
         "print('numpy' in sys.modules)"
     )
     assert _run_python(code) == "False"
+
+
+def test_corpus_build_never_loads_numpy():
+    code = (
+        "import sys\n"
+        "from hamdeck.counting import connected_regular_graphs\n"
+        "assert len(connected_regular_graphs(7, 4)) == 2\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _run_python(code) == "False"

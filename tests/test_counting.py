@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
 import time
 
 import pytest
 
 from hamdeck.counting import (
     _decompositions,
+    _isomorphic,
+    _vertex_invariants,
     bregman_log_bound,
     connected_regular_graphs,
     count_decompositions_exact,
@@ -18,7 +22,7 @@ from hamdeck.counting import (
     enumerate_hamilton_cycles,
 )
 from hamdeck.errors import BudgetError, InputError
-from hamdeck.graphs import build_graph, complete_graph, cycle_graph
+from hamdeck.graphs import build_graph, complete_graph, connected_over, cycle_graph
 from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
 
 from conftest import circulant
@@ -208,7 +212,94 @@ class TestBounds:
             decomposition_log_lower(5, 4, 0.2)
 
 
+def full_stream_corpus(n, r):
+    """The corpus from every labeled r-regular graph on n vertices, vertex 0
+    taking each neighbour set in ``itertools.combinations`` order like the
+    others, with each connected class kept at its first member."""
+    deg, edges, reps = [0] * n, [], []
+
+    def labeled(v):
+        if v == n:
+            yield build_graph(n, edges)
+            return
+        candidates = [w for w in range(v + 1, n) if deg[w] < r]
+        for combo in itertools.combinations(candidates, r - deg[v]):
+            for w in combo:
+                deg[w] += 1
+                edges.append((v, w))
+            yield from labeled(v + 1)
+            for w in combo:
+                deg[w] -= 1
+                edges.pop()
+
+    for g in labeled(0):
+        if connected_over(g.adj_bits, (1 << n) - 1) and not any(
+            plainly_isomorphic(g, rep) for rep in reps
+        ):
+            reps.append(g)
+    return tuple(reps)
+
+
+def plainly_isomorphic(g1, g2):
+    """Backtracking over vertex maps, one ``has_edge`` pair test at a time."""
+    mapping = []
+
+    def extend(v):
+        if v == g1.n:
+            return True
+        for w in range(g2.n):
+            if w not in mapping and all(
+                g1.has_edge(u, v) == g2.has_edge(mapping[u], w) for u in range(v)
+            ):
+                mapping.append(w)
+                if extend(v + 1):
+                    return True
+                mapping.pop()
+        return False
+
+    return extend(0)
+
+
+def relabeled(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_full_labeled_stream(self, n):
+        # fixing N(0) = {1, ..., r} keeps a prefix of the full stream that
+        # holds every class's first member: same graphs, same order
+        for r in range(n):
+            assert connected_regular_graphs(n, r) == full_stream_corpus(n, r)
+
+    @pytest.mark.parametrize(
+        "n,r,classes",
+        [(8, 3, 5), (8, 4, 6), (8, 5, 3), (9, 4, 16), (9, 6, 4)],
+    )
+    def test_class_counts_match_oeis(self, n, r, classes):
+        # OEIS A002851, A006820, A006821 and A006822 (connected r-regular)
+        assert len(connected_regular_graphs(n, r)) == classes
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_isomorphism_test_separates_the_classes(self, n):
+        rng = random.Random(n)
+        for r in range(n):
+            reps = connected_regular_graphs(n, r)
+            for g in reps:
+                assert _isomorphic(g, relabeled(g, rng))
+            for a, b in itertools.combinations(reps, 2):
+                assert not _isomorphic(a, b)
+
+    def test_isomorphism_test_backtracks_past_equal_invariants(self):
+        # C10 and two disjoint C5 give every vertex the same codegree
+        # profile, so only the backtrack can tell them apart
+        c10 = cycle_graph(10)
+        two_c5 = build_graph(10, [(v, v - v % 5 + (v + 1) % 5) for v in range(10)])
+        assert _vertex_invariants(c10.adj_bits) == _vertex_invariants(two_c5.adj_bits)
+        assert not _isomorphic(c10, two_c5)
+        assert _isomorphic(c10, relabeled(c10, random.Random(0)))
+
     def test_known_class_counts(self):
         assert len(connected_regular_graphs(6, 3)) == 2
         assert len(connected_regular_graphs(7, 4)) == 2

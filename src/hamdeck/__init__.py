@@ -50,7 +50,6 @@ from .graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
-    edges_between,
     empty_graph,
     is_robust_expander,
     parse_edge_list,
@@ -58,7 +57,6 @@ from .graphs import (
 )
 from .partition import PipelineParams, tri_partition, verify_partition
 from .regularize import (
-    RegularizeParams,
     build_flow_network,
     extract_regular_subgraph,
     max_flow,
@@ -76,7 +74,6 @@ __all__ = [
     "InputError",
     "PartialHC",
     "PipelineParams",
-    "RegularizeParams",
     "TwoFactor",
     "bregman_log_bound",
     "build_flow_network",
@@ -91,7 +88,6 @@ __all__ = [
     "decompose_pipeline",
     "decomposition_log_lower",
     "decomposition_log_upper",
-    "edges_between",
     "empty_graph",
     "enumerate_le2_factors",
     "extract_hamilton_step",

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 verification failure or infeasibility; 2 budget
-exhaustion; 3 input errors; 4 internal errors (a failed self-check or the
-recursion limit), printed without a traceback.  Every subcommand takes a
-seed (default 0) and echoes it in the output metadata, so artifacts are
-reproducible; --no-meta drops the timestamp for byte-stable comparisons.
+exhaustion; 3 input errors, usage errors and a non-finite HAMDECK_BUDGET_MS
+included; 4 internal errors (a failed self-check or the recursion limit),
+printed without a traceback.  Every subcommand takes a seed (default 0) and
+echoes it in the output metadata, so artifacts are reproducible; --no-meta
+drops the timestamp for byte-stable comparisons.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -266,6 +268,15 @@ def _cmd_bounds(args, deadline) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_INPUT, not argparse's 2,
+    which here means budget exhaustion; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
@@ -286,7 +297,7 @@ def _add_params(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamdeck",
         description="Hamiltonian decompositions of dense regular graphs",
     )
@@ -367,10 +378,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     budget_ms = os.environ.get("HAMDECK_BUDGET_MS")
     try:
-        deadline = deadline_from_ms(float(budget_ms)) if budget_ms else None
+        budget = float(budget_ms) if budget_ms else None
+        # NaN and infinity never expire, so either would mean no budget at all
+        if budget is not None and not math.isfinite(budget):
+            raise ValueError(budget_ms)
     except ValueError:
         print(f"error: bad HAMDECK_BUDGET_MS value {budget_ms!r}", file=sys.stderr)
         return EXIT_INPUT
+    deadline = deadline_from_ms(budget)
     try:
         return args.handler(args, deadline)
     except InputError as exc:

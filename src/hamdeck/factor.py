@@ -18,7 +18,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, InputError
-from .graphs import Edge, Graph, _edge_rows, iter_bits, norm_edge
+from .graphs import Edge, Graph, iter_bits, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -80,25 +80,6 @@ class TwoFactor:
             "cycles": [list(c) for c in self.cycles],
             "edges": [list(e) for e in self.pairs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TwoFactor":
-        """Read ``to_json_dict`` output, checking its size, loops and ranges."""
-        try:
-            n = int(data["n"])
-            cycles = tuple(canonical_cycle([int(v) for v in c]) for c in data["cycles"])
-            pairs = tuple(
-                sorted(norm_edge(int(u), int(v)) for u, v in data["edges"])
-            )
-            if sum(map(len, cycles)) + 2 * len(pairs) != n:
-                raise InputError(f"components do not hold n={n} vertices")
-            _edge_rows(n, pairs)
-            for v in chain.from_iterable(cycles):
-                if not 0 <= v < n:
-                    raise InputError(f"cycle vertex {v} out of range for n={n}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed factor JSON: {exc}") from exc
-        return cls(n, tuple(sorted(cycles)), pairs)
 
 
 @dataclass(frozen=True)

@@ -200,23 +200,6 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, ())
 
 
-# -- set-pair edge counting ------------------------------------------------
-
-
-def edges_between(g: Graph, a, b) -> int:
-    """Number of edges with one endpoint in ``a`` and the other in ``b``.
-
-    An edge lying inside the intersection of the two sets is counted once.
-    """
-    sa, sb = _vertex_set(g, a), _vertex_set(g, b)
-    mb, both = _mask_of(sb), sa & sb
-    mboth = _mask_of(both)
-    # arcs from A into B reach an edge inside A & B from both of its ends
-    arcs = sum((g.adj_bits[v] & mb).bit_count() for v in sa)
-    inside = sum((g.adj_bits[v] & mboth).bit_count() for v in both)
-    return arcs - inside // 2
-
-
 def _vertex_set(g: Graph, members) -> frozenset[int]:
     s = frozenset(members)
     for v in s:
@@ -292,9 +275,6 @@ class ExpanderVerdict:
     holds: bool
     witness: frozenset[int] | None
     mode: str
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.holds
 
 
 EXACT_SET_PREDICATE_CAP = 24  # 2^n subset enumerations beyond this are refused

@@ -24,8 +24,8 @@ from .graphs import (
     load_edge_list,
     save_edge_list,
 )
-from .regularize import RegularizeParams, extract_regular_subgraph
-from .util import EPS, check_deadline, spawn_seed
+from .regularize import extract_regular_subgraph
+from .util import EPS, ceil_frac, check_deadline, spawn_seed
 
 # Whole random splits tried before tri_partition gives up with BudgetError.
 PARTITION_RETRIES = 16
@@ -111,17 +111,20 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
     """Split a regular graph into (core, patch, residual) with an exactly
     even-regular core.
 
-    Retries the whole random split on extraction failure.  A flow shortfall
-    (SearchFailedError) lowers the target degree, down to the largest value
-    that saturates (recorded in stats); an InfeasibleError (the degree band)
-    holds for every target and ends the split at once.  The parts are derived
-    from the input's bit rows, so no part is validated again.  An expired
-    ``params.deadline`` raises BudgetError before a split or a flow starts.
+    Retries the whole random split on extraction failure.  The paper's
+    degree band |deg - c0*n| <= n^(2/3) on the raw core is checked here, once
+    per split and before any flow, since it depends on c0 only: a vertex
+    outside it ends the split.  A flow shortfall (SearchFailedError) lowers
+    the target degree, down to the largest value that saturates (recorded in
+    stats); an InfeasibleError holds for every target and ends the split at
+    once.  The parts are derived from the input's bit rows, so no part is
+    validated again.  An expired ``params.deadline`` raises BudgetError
+    before a split or a flow starts.
     """
     n = graph.n
     r = graph.regular_degree()
-    if r is None:
-        raise InputError("tri-partition needs a regular graph")
+    if not r:
+        raise InputError("tri-partition needs a regular graph with edges")
     if r % 2 != 0:
         raise InputError(f"degree {r} is odd")
     if r + EPS < params.c * n:
@@ -133,8 +136,8 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         raise InputError("patch + residual probabilities reach 1; n too small")
     c0 = (1 - params.eps - p_patch) * r / n
     eps0 = params.eps * r / (2 * n)
-    reg_params = RegularizeParams(c0=c0, eps0=min(eps0, c0))
-    formula_d = reg_params.half_degree(n)
+    formula_d = ceil_frac((c0 - min(eps0, c0)) * n / 2)
+    band, center = n ** (2 / 3), c0 * n
 
     last_error: Exception | None = None
     for attempt in range(PARTITION_RETRIES):
@@ -143,14 +146,21 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         patch, raw_residual, raw_core_graph = _random_split(
             graph, rng, p_patch, p_residual
         )
-        d_target = min(formula_d, min(raw_core_graph.degrees(), default=0) // 2)
+        degrees = raw_core_graph.degrees()
+        outside = [v for v, deg in enumerate(degrees) if abs(deg - center) > band + EPS]
+        if outside:
+            v = outside[0]
+            last_error = InfeasibleError(
+                f"degree hypothesis violated: deg({v})={degrees[v]} is outside "
+                f"{center:.2f} +- {band:.2f}"
+            )
+            continue
+        d_target = min(formula_d, min(degrees, default=0) // 2)
         core: Graph | None = None
         while d_target >= 1:
             check_deadline(params.deadline, "tri-partition")
             try:
-                core = extract_regular_subgraph(
-                    raw_core_graph, reg_params, d_override=d_target
-                )
+                core = extract_regular_subgraph(raw_core_graph, d_target)
                 break
             except (SearchFailedError, InfeasibleError) as exc:
                 last_error = exc

@@ -1,7 +1,8 @@
-"""Extract an exactly 2d-regular spanning subgraph from a dense near-regular
-graph: orient the edges with in- and out-degree balanced at every vertex,
-route one integral max flow through a bipartite one-arc-per-edge network,
-and keep the saturated middle arcs.
+"""Extract an exactly 2d-regular spanning subgraph, for a half-degree d the
+caller chooses, from a dense near-regular graph: orient the edges with in-
+and out-degree balanced at every vertex, route one integral max flow
+through a bipartite one-arc-per-edge network, and keep the saturated middle
+arcs.
 
 A saturated flow plus the exact 2d-regularity check of the result is the
 certificate; the paper's cross-density hypothesis, which guarantees
@@ -21,28 +22,6 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputError, SearchFailedError
 from .graphs import Graph, iter_bits
-from .util import EPS, ceil_frac
-
-
-@dataclass(frozen=True)
-class RegularizeParams:
-    """Density and slack fractions for the extraction.
-
-    Requires 0 < eps0 <= c0 <= 1.  The target half-degree is
-    d = ceil((c0 - eps0) * n / 2).
-    """
-
-    c0: float
-    eps0: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.eps0 <= self.c0 <= 1):
-            raise InputError(
-                f"need 0 < eps0 <= c0 <= 1, got eps0={self.eps0}, c0={self.c0}"
-            )
-
-    def half_degree(self, n: int) -> int:
-        return ceil_frac((self.c0 - self.eps0) * n / 2)
 
 
 def random_orientation(g: Graph, seed: int) -> tuple[int, ...]:
@@ -168,34 +147,22 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     return MaxFlowResult(value, tuple(kept))
 
 
-def extract_regular_subgraph(
-    g: Graph, params: RegularizeParams, *, d_override: int | None = None
-) -> Graph:
+def extract_regular_subgraph(g: Graph, d: int) -> Graph:
     """Spanning subgraph in which every vertex has degree exactly 2d.
 
-    d defaults to ceil((c0 - eps0) * n / 2).  Keeps the middle arcs of one
-    integral max flow over the balanced orientation when it saturates (value
-    d*n).  A flow that falls short raises SearchFailedError: no budget ran
-    out, and the shortfall proves nothing about the graph, so the caller
-    retries (``tri_partition`` lowers the target).  ``d_override`` lets
-    callers lower the target when the input cannot support the formula value.
+    Keeps the middle arcs of one integral max flow over the balanced
+    orientation when it saturates (value d*n).  A flow that falls short
+    raises SearchFailedError: no budget ran out, and the shortfall proves
+    nothing about the graph, so the caller retries (``tri_partition`` lowers
+    the target).  The paper's degree band on the input is checked by
+    ``tri_partition``, once per split, not here.
     """
     n = g.n
-    band = n ** (2 / 3)
-    center = params.c0 * n
-    for v in range(n):
-        if abs(g.degree(v) - center) > band + EPS:
-            raise InfeasibleError(
-                f"degree hypothesis violated: deg({v})={g.degree(v)} is outside "
-                f"{center:.2f} +- {band:.2f}"
-            )
-    d = params.half_degree(n) if d_override is None else d_override
     if d < 1:
         raise InfeasibleError(f"target half-degree {d} is degenerate")
-    if 2 * d > min(g.degrees()):
-        raise InfeasibleError(
-            f"target degree {2 * d} exceeds minimum input degree {min(g.degrees())}"
-        )
+    low = min(g.degrees())
+    if 2 * d > low:
+        raise InfeasibleError(f"target degree {2 * d} exceeds minimum input degree {low}")
 
     result = max_flow(build_flow_network(balanced_orientation(g), d))
     if result.value != d * n:

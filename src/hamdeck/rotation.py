@@ -73,25 +73,6 @@ class Move:
             out["note"] = self.note
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Move":
-        try:
-            steps = tuple(_json_step(op, e) for op, e in data["steps"])
-            return cls(str(data["kind"]), steps, str(data.get("note", "")))
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise InputError(f"malformed move JSON: {exc}") from exc
-
-
-def _json_step(op, e) -> tuple[str, Edge]:
-    u, v = int(e[0]), int(e[1])
-    if op not in ("+", "-"):
-        raise ValueError(f"unknown op {op!r}")
-    if u == v:
-        raise ValueError(f"loop edge {[u, v]}")
-    if u < 0 or v < 0:
-        raise ValueError(f"negative vertex in {[u, v]}")
-    return op, norm_edge(u, v)
-
 
 def replay_moves(initial_edges, moves) -> frozenset[Edge]:
     """Apply a move history to an edge set; raises on inconsistent steps."""
@@ -318,6 +299,12 @@ def _apparatus(partial: PartialHC, comp_of, core: Graph, patch: Graph, params):
     q_end = max(range(s), key=lambda k: (end_counts[k], -k))
     q_start = max(range(s), key=lambda k: (start_counts[k], -k))
     if q_end == q_start:
+        # Split the shared segment into a start and an end window.  Each
+        # window needs an interior pivot, so only a segment of >= 6 positions
+        # scores above 0; with s = min(ceil(2/delta), L // 3) that takes a
+        # path of L >= 5 * ceil(2/delta) + 1 vertices: K_n with n >= 1006 at
+        # the default eps, and L >= 506 for any params the pipeline accepts
+        # (eps < 0.1 and c < 1 give delta < 0.02).
         a, b = segments[q_end]
         if b - a < 3:
             return None

@@ -110,9 +110,6 @@ class VerifyResult:
     ok: bool
     violation: str | None = None
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     """Check that d partitions g's edges into Hamilton cycles (+ matching).

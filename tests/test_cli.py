@@ -211,6 +211,36 @@ class TestDecomposeAndVerify:
         code, _ = run_cli(capsys, "count", graph_file(5))
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_env_is_an_input_error(
+        self, capsys, graph_file, monkeypatch, budget
+    ):
+        # a NaN deadline never passes, so "nan" used to run unbounded
+        monkeypatch.setenv("HAMDECK_BUDGET_MS", budget)
+        assert main(["count", graph_file(5), "--exact"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad HAMDECK_BUDGET_MS value {budget!r}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["walecki", "notanint"], ["walecki", "9", "--bogus"], [], ["nosuchcommand"]],
+        ids=["bad-int", "unknown-flag", "no-subcommand", "unknown-subcommand"],
+    )
+    def test_usage_errors_exit_3(self, capsys, argv):
+        # argparse's own code is 2, which here means budget exhaustion
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["walecki", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
 
 class TestInternalErrors:
     @pytest.mark.parametrize("error", [AssertionError, RecursionError])

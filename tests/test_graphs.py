@@ -13,7 +13,6 @@ from hamdeck.graphs import (
     complete_graph,
     connected_over,
     cycle_graph,
-    edges_between,
     empty_graph,
     format_edge_list,
     is_robust_expander,
@@ -25,15 +24,6 @@ from hamdeck.graphs import (
 from hamdeck.util import ceil_frac
 
 from conftest import small_graphs, two_disjoint_k4
-
-
-def brute_edges_between(g, a, b):
-    # independent recount straight from the definition
-    count = 0
-    for u, v in itertools.combinations(range(g.n), 2):
-        if g.has_edge(u, v) and ((u in a and v in b) or (v in a and u in b)):
-            count += 1
-    return count
 
 
 def assert_same_graph(derived, full):
@@ -178,39 +168,6 @@ class TestEdgeAlgebra:
         derived = g.subtract(removed)
         assert "adj" not in derived.__dict__  # decoded on first use only
         assert_same_graph(derived, Graph(g.n, derived.edges))
-
-
-class TestEdgesBetween:
-    def test_k5_disjoint_sets(self):
-        assert edges_between(complete_graph(5), {0, 1}, {2, 3, 4}) == 6
-
-    def test_k5_overlapping_sets(self):
-        # brute-force count over the 10 edges of K5: the inside edge {1,2}
-        # counts once, giving 6
-        g = complete_graph(5)
-        a, b = {0, 1, 2}, {1, 2, 3}
-        assert brute_edges_between(g, a, b) == 6
-        assert edges_between(g, a, b) == 6
-
-    def test_no_loops_means_no_self_pair_edges(self):
-        assert edges_between(cycle_graph(3), {0}, {0}) == 0
-
-    @given(small_graphs(), st.data())
-    def test_symmetry(self, g, data):
-        a = data.draw(st.sets(st.integers(0, g.n - 1)))
-        b = data.draw(st.sets(st.integers(0, g.n - 1)))
-        assert edges_between(g, a, b) == edges_between(g, b, a)
-        assert edges_between(g, a, b) == brute_edges_between(g, a, b)
-
-    @given(small_graphs(min_n=4), st.data())
-    def test_disjoint_sum_of_neighbor_counts(self, g, data):
-        verts = list(range(g.n))
-        a = data.draw(st.sets(st.sampled_from(verts), max_size=g.n // 2))
-        b = data.draw(
-            st.sets(st.sampled_from([v for v in verts if v not in a]))
-        )
-        expected = sum(len(set(g.neighbors(v)) & b) for v in a)
-        assert edges_between(g, a, b) == expected
 
 
 class TestRobustNeighborhood:

@@ -20,6 +20,8 @@ from hamdeck.partition import (
     verify_partition,
 )
 
+from conftest import circulant
+
 
 def _with_params(payload, **changes):
     """The sidecar payload with its params edited; None drops a field."""
@@ -134,6 +136,11 @@ class TestTriPartition:
         with pytest.raises(InputError):
             tri_partition(g, PipelineParams(0.1, 0.05, 0.01, 0.2))
 
+    def test_edgeless_input_rejected(self):
+        # degree 0 clears a tiny c*n and would leave nothing to extract
+        with pytest.raises(InputError, match="with edges"):
+            tri_partition(empty_graph(6), PipelineParams(1e-12, 0.05, 0.01, 0.2))
+
     def test_infeasible_extraction_ends_the_split(self, monkeypatch):
         # an InfeasibleError holds for every target degree, so it costs one
         # extraction per split, not one per target
@@ -141,8 +148,8 @@ class TestTriPartition:
 
         calls = []
 
-        def infeasible_extraction(g, params, *, d_override=None):
-            calls.append(d_override)
+        def infeasible_extraction(g, d):
+            calls.append(d)
             raise InfeasibleError("degree hypothesis violated")
 
         monkeypatch.setattr(partition, "extract_regular_subgraph", infeasible_extraction)
@@ -150,6 +157,32 @@ class TestTriPartition:
         with pytest.raises(BudgetError, match="degree hypothesis"):
             tri_partition(g, default_params(g, seed=0))
         assert len(calls) == PARTITION_RETRIES
+
+    def test_raw_core_outside_the_degree_band_ends_each_split(self, monkeypatch):
+        # K21 at the default eps gives c0*n = 12.43 and n^(2/3) = 7.61.  The
+        # stand-in raw core has vertex 0 at degree 4, below the band, and its
+        # other vertices at 11 or 12, inside it; a split whose raw core leaves
+        # the band ends before any flow, so every split ends the same way.
+        import hamdeck.partition as partition
+        import hamdeck.regularize as regularize
+
+        g = complete_graph(21)
+        dropped = [(0, v) for v in (3, 4, 5, 6, 15, 16, 17, 18)]
+        raw_core = circulant(21, range(1, 7)).subtract(dropped)
+        assert raw_core.degree(0) == 4
+        assert set(raw_core.degrees()[1:]) == {11, 12}
+        splits, flows = [], []
+
+        def split(graph, rng, p_patch, p_residual):
+            splits.append(rng)
+            return empty_graph(21), graph.subtract(raw_core), raw_core
+
+        monkeypatch.setattr(partition, "_random_split", split)
+        monkeypatch.setattr(regularize, "max_flow", lambda net: flows.append(net))
+        with pytest.raises(BudgetError, match=r"degree hypothesis violated: deg\(0\)=4"):
+            tri_partition(g, default_params(g, seed=0))
+        assert len(splits) == PARTITION_RETRIES
+        assert flows == []
 
     def test_k201_makes_no_validated_graph_builds(self, monkeypatch):
         # the raw core, patch, residual and core are derived from the

@@ -17,7 +17,6 @@ from hamdeck.graphs import (
     iter_bits,
 )
 from hamdeck.regularize import (
-    RegularizeParams,
     balanced_orientation,
     build_flow_network,
     extract_regular_subgraph,
@@ -219,33 +218,28 @@ class TestFlowNetwork:
 
 class TestExtract:
     def test_k9_gives_six_regular(self):
-        params = RegularizeParams(c0=8 / 9, eps0=2 / 9)
-        sub = extract_regular_subgraph(complete_graph(9), params)
+        sub = extract_regular_subgraph(complete_graph(9), 3)
         assert set(sub.degrees()) == {6}
         assert sub.edges <= complete_graph(9).edges
 
     def test_already_regular_graph_is_its_own_output(self):
         # K5 is 4-regular; target degree 2d = 4 forces the graph itself
-        params = RegularizeParams(c0=0.8, eps0=0.0005)
-        sub = extract_regular_subgraph(complete_graph(5), params)
+        sub = extract_regular_subgraph(complete_graph(5), 2)
         assert sub == complete_graph(5)
 
     def test_star_rejected(self):
         star = build_graph(6, [(0, i) for i in range(1, 6)])
-        params = RegularizeParams(c0=0.5, eps0=0.1)
         with pytest.raises(InfeasibleError):
-            extract_regular_subgraph(star, params)
+            extract_regular_subgraph(star, 2)
 
     def test_d_override(self):
-        params = RegularizeParams(c0=8 / 9, eps0=2 / 9)
-        sub = extract_regular_subgraph(complete_graph(9), params, d_override=2)
+        sub = extract_regular_subgraph(complete_graph(9), 2)
         assert set(sub.degrees()) == {4}
 
     def test_target_above_min_degree_is_infeasible(self):
         # a 4-regular graph cannot contain a 6-regular spanning subgraph
-        params = RegularizeParams(c0=0.9, eps0=0.1)
         with pytest.raises(InfeasibleError):
-            extract_regular_subgraph(complete_graph(5), params, d_override=3)
+            extract_regular_subgraph(complete_graph(5), 3)
 
     def test_unsaturated_flow_costs_one_max_flow(self, monkeypatch):
         # bowtie: triangles 0-1-2 and 0-3-4 share vertex 0, so no cycle
@@ -258,14 +252,9 @@ class TestExtract:
             regularize, "max_flow", lambda net: calls.append(net) or real(net)
         )
         bowtie = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-        params = RegularizeParams(c0=0.6, eps0=0.1)
         with pytest.raises(SearchFailedError, match="does not saturate"):
-            extract_regular_subgraph(bowtie, params, d_override=1)
+            extract_regular_subgraph(bowtie, 1)
         assert len(calls) == 1
-
-    def test_params_validation(self):
-        with pytest.raises(InputError):
-            RegularizeParams(c0=0.5, eps0=0.6)
 
 
 def _cut_capacity(net, s, t):

@@ -24,6 +24,13 @@ def test_benchmark_trace_sites_resolve():
         assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
+def test_package_exports_resolve():
+    # a name left in __all__ after its definition goes breaks ``import *``
+    assert len(set(hamdeck.__all__)) == len(hamdeck.__all__)
+    missing = [name for name in hamdeck.__all__ if not hasattr(hamdeck, name)]
+    assert missing == []
+
+
 def test_benchmark_trace_hooks_record_their_counters(tmp_path, monkeypatch):
     # a hook that reads a renamed attribute of its call's result would fail
     # the run; one whose counter stops being fed would go unseen

@@ -5,7 +5,11 @@ The asymptotic bounds need not bracket exact counts at these sizes; the
 table makes the gap visible.
 
 Usage:
-    python scripts/bounds_table.py [--max-n 7]
+    python scripts/bounds_table.py [--max-n N]   (3 <= N <= 9, default 7)
+
+--max-n 9 ends with the K9 row in a few seconds.  n = 10 is refused: its
+8-regular graphs have 40 edges, above the exact decomposition count's edge
+cap.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import math
 
 from hamdeck.counting import (
+    DECOMPOSITION_EDGE_CAP,
     bregman_log_bound,
     connected_regular_graphs,
     count_decompositions_exact,
@@ -28,6 +33,14 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--eps", type=float, default=0.05)
     args = parser.parse_args()
+    # the largest even degree below n must fit the exact count's edge cap
+    top = (args.max_n - 1) // 2 * 2
+    if args.max_n * top // 2 > DECOMPOSITION_EDGE_CAP:
+        parser.error(
+            f"--max-n {args.max_n} reaches {top}-regular graphs with "
+            f"{args.max_n * top // 2} edges, above the exact decomposition "
+            f"count's cap of {DECOMPOSITION_EDGE_CAP}; use --max-n 9 or less"
+        )
 
     header = (
         f"{'n':>3} {'r':>3} {'graphs':>6} {'max H-cycles':>12} "

@@ -2,18 +2,24 @@
 
 The Hamilton-cycle count sweeps path states (visited mask, end vertex) and
 merges the paths that reach each one, so it never lists a cycle; the cycle
-enumerator and the other oracles (Hamiltonian-decomposition counts, a
-connected-regular-graph corpus) are exhaustive searches, the corpus over
-the labeled graphs in which vertex 0's neighbours are 1, ..., r.  Both
+enumerator and the connected-regular-graph corpus are exhaustive searches,
+the corpus over the labeled graphs in which vertex 0's neighbours are
+1, ..., r, kept one per isomorphism class by ``_class_entry``.  Both
 cycle oracles stop at n = 16.  The bound formulas are permanent-based upper
 bounds and the constructive lower bound, all in natural-log scale.
 
-The three decomposition oracles wrap one recursion, ``_decompositions``.
-Unordered, each level anchors on the edge from vertex 0 to its lowest
-remaining neighbour; the ordered count stays unanchored on purpose, as an
-independent cross-check.  Cycles come from ``_hamilton_cycles_from``, kept
-apart from the completer's pruned DFS on purpose: it is the reference the
-completer is checked against, and it is 5-6x faster on the oracle's inputs.
+Every unordered decomposition has exactly one cycle through the edge from
+vertex 0 to its lowest remaining neighbour a, so the decomposition count is
+H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  H is
+invariant under relabeling, so ``count_decompositions_exact`` memoises it,
+for one call, on the isomorphism class of each residual; K9 counts in well
+under a second.  The two unmemoised oracles, ``enumerate_decompositions``
+(anchored, every decomposition listed) and ``count_decompositions_ordered``
+(unanchored on purpose), walk one recursion, ``_decompositions``, and are
+the independent cross-checks of the memoised count.  Cycles come from
+``_hamilton_cycles_from``, kept apart from the completer's pruned DFS on
+purpose: it is the reference the completer is checked against, and it is
+5-6x faster on the oracle's inputs.
 """
 
 from __future__ import annotations
@@ -155,12 +161,33 @@ def _decompositions(g: Graph, deadline, *, ordered: bool = False):
 def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
     """Exact number of unordered Hamiltonian decompositions.
 
-    Counts by canonical-order enumeration: cycles are chosen in strictly
-    increasing canonical order, so each unordered decomposition is reached
-    exactly once.  No symmetry division is ever applied.
+    H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a), a
+    being vertex 0's lowest remaining neighbour: the anchor of
+    ``_decompositions``, under which each decomposition is reached once.
+    H(no edges) = 1 and H(disconnected) = 0.  H is memoised on the
+    residual's isomorphism class (``_class_entry``), for this call only, so
+    no decomposition is listed and nothing carries over to the next call.
+    The deadline is checked at every residual.  No symmetry division is
+    ever applied.
     """
     _check_decomposable_input(g)
-    return sum(1 for _ in _decompositions(g, deadline))
+    n = g.n
+    full = (1 << n) - 1
+    classes: dict[tuple, list[list]] = {}
+
+    def count(bits) -> int:
+        check_deadline(deadline, "decomposition counting")
+        if not any(bits):
+            return 1
+        if not connected_over(bits, full):
+            return 0
+        entry, new = _class_entry(classes, bits)
+        if new:
+            cycles = _hamilton_cycles_from(bits, n, deadline, bits[0] & -bits[0])
+            entry[2] = sum(count(strip_cycle(bits, cyc)) for cyc in cycles)
+        return entry[2]
+
+    return count(g.adj_bits)
 
 
 def count_decompositions_ordered(g: Graph, *, deadline=None) -> int:
@@ -251,7 +278,7 @@ def count_report(
     exact_count = None
     if exact:
         exact_count = count_decompositions_exact(g, deadline=deadline)
-        methods.append("canonical-order-enumeration")
+        methods.append("anchored-recursion-class-memo")
     log_lower = None
     if r >= 2:
         log_lower = decomposition_log_lower(g.n, r, eps)
@@ -329,7 +356,10 @@ def _maps_onto(rows1, inv1, rows2, inv2) -> bool:
     mask compare per candidate.
     """
     n = len(rows1)
-    candidates = [sum(1 << w for w in range(n) if inv2[w] == key) for key in inv1]
+    where: dict[tuple, int] = {}
+    for w, key in enumerate(inv2):
+        where[key] = where.get(key, 0) | 1 << w
+    candidates = [where.get(key, 0) for key in inv1]
     mapping = [0] * n
 
     def rec(v: int, image: int) -> bool:
@@ -355,6 +385,25 @@ def _maps_onto(rows1, inv1, rows2, inv2) -> bool:
     return rec(0, 0)
 
 
+def _class_entry(classes: dict, rows) -> tuple[list, bool]:
+    """The entry [rows, invariants, value] of rows' isomorphism class in
+    ``classes``, and whether the class is new.
+
+    ``classes`` maps sorted ``_vertex_invariants`` to the entries of the
+    classes seen so far; rows is tested with ``_maps_onto`` against each
+    entry in its bucket.  A new class gets an entry holding rows and value
+    None, for the caller to fill.
+    """
+    inv = _vertex_invariants(rows)
+    bucket = classes.setdefault(tuple(sorted(inv)), [])
+    for entry in bucket:
+        if _maps_onto(rows, inv, entry[0], entry[1]):
+            return entry, False
+    entry = [rows, inv, None]
+    bucket.append(entry)
+    return entry, True
+
+
 def _isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test by backtracking (intended for n <= 10)."""
     inv1, inv2 = _vertex_invariants(g1.adj_bits), _vertex_invariants(g2.adj_bits)
@@ -370,22 +419,16 @@ def connected_regular_graphs(n: int, degree: int) -> tuple[Graph, ...]:
     Generator: degree-constrained backtracking over the labeled graphs with
     N(0) = {1, ..., r} (``_labeled_regular_graphs``).  Each class keeps its
     first member in that stream, which is also its first member in the
-    unrestricted labeled stream.  The graphs are bucketed by their sorted
-    ``_vertex_invariants`` and compared within a bucket by an exact
-    backtracking isomorphism test.  The n = 8 classes take well under a
-    second and the 16 4-regular graphs on 9 vertices under two.
+    unrestricted labeled stream.  ``_class_entry`` buckets the graphs by
+    their sorted ``_vertex_invariants`` and compares them within a bucket
+    by an exact backtracking isomorphism test.  The n = 8 classes take well
+    under a second and the 16 4-regular graphs on 9 vertices under two.
     """
     if n > 10:
         raise InputError("regular-graph corpus limited to n <= 10")
     reps: list[Graph] = []
-    buckets: dict[tuple, list[tuple]] = {}
+    classes: dict[tuple, list[list]] = {}
     for rows in _labeled_regular_graphs(n, degree):
-        if not connected_over(rows, (1 << n) - 1):
-            continue
-        inv = _vertex_invariants(rows)
-        bucket = buckets.setdefault(tuple(sorted(inv)), [])
-        if any(_maps_onto(rows, inv, *seen) for seen in bucket):
-            continue
-        bucket.append((rows, inv))
-        reps.append(Graph._derived(n, rows))
+        if connected_over(rows, (1 << n) - 1) and _class_entry(classes, rows)[1]:
+            reps.append(Graph._derived(n, rows))
     return tuple(reps)

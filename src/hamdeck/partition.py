@@ -116,10 +116,11 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
     per split and before any flow, since it depends on c0 only: a vertex
     outside it ends the split.  A flow shortfall (SearchFailedError) lowers
     the target degree, down to the largest value that saturates (recorded in
-    stats); an InfeasibleError holds for every target and ends the split at
-    once.  The parts are derived from the input's bit rows, so no part is
-    validated again.  An expired ``params.deadline`` raises BudgetError
-    before a split or a flow starts.
+    stats).  The target stays in 1 <= d <= min degree // 2, so the
+    extraction's own InfeasibleError checks never fire here.  The parts are
+    derived from the input's bit rows, so no part is validated again.  An
+    expired ``params.deadline`` raises BudgetError before a split or a flow
+    starts.
     """
     n = graph.n
     r = graph.regular_degree()
@@ -162,10 +163,8 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
             try:
                 core = extract_regular_subgraph(raw_core_graph, d_target)
                 break
-            except (SearchFailedError, InfeasibleError) as exc:
+            except SearchFailedError as exc:
                 last_error = exc
-                if isinstance(exc, InfeasibleError):
-                    break
                 d_target -= 1
         if core is None:
             continue

@@ -54,6 +54,13 @@ class TestCount:
         assert data["exact_count"] == "6"
         assert data["log_upper"] == pytest.approx(5.7054, abs=1e-3)
 
+    def test_exact_k9(self, capsys, graph_file):
+        code, out = run_cli(capsys, "count", graph_file(9), "--exact", "--no-meta")
+        assert code == 0
+        data = json.loads(out)
+        assert data["exact_count"] == "40037760"
+        assert "anchored-recursion-class-memo" in data["methods"]
+
     def test_hamilton_flag(self, capsys, graph_file):
         code, out = run_cli(
             capsys, "count", graph_file(5), "--hamilton", "--no-meta"
@@ -202,7 +209,9 @@ class TestDecomposeAndVerify:
         assert code == 2
 
     def test_budget_env_caps_exact_counting(self, capsys, graph_file, monkeypatch):
-        monkeypatch.setenv("HAMDECK_BUDGET_MS", "300")
+        # the memoised K9 count takes about 0.4 s, so the budget stays far
+        # below it on a faster host
+        monkeypatch.setenv("HAMDECK_BUDGET_MS", "20")
         code, _ = run_cli(capsys, "count", graph_file(9), "--exact")
         assert code == 2
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from hamdeck.counting import (
+    _class_entry,
     _decompositions,
     _isomorphic,
     _vertex_invariants,
@@ -155,6 +156,52 @@ class TestDecompositionCounts:
                 complete_graph(5), deadline=time.monotonic() - 1
             )
 
+    def test_k9_counts_in_tier_one_time(self):
+        # 5040 Hamilton cycles pass through (0, 1), and each leaves the
+        # complement of a 9-cycle, a relabeled C9(1,2,3) with 7944
+        start = time.perf_counter()
+        assert count_decompositions_exact(complete_graph(9)) == 40_037_760
+        assert time.perf_counter() - start < 2.0
+
+    def test_deadline_stops_the_k9_recursion_midway(self):
+        with pytest.raises(BudgetError):
+            count_decompositions_exact(
+                complete_graph(9), deadline=time.monotonic() + 0.05
+            )
+
+    def test_count_matches_enumeration_on_the_corpus(self):
+        # the memoised recursion against the unmemoised anchored listing on
+        # every even-degree class with n <= 9 and at most 27 edges
+        checked = 0
+        for n in range(3, 10):
+            for r in range(2, n, 2):
+                if n * r // 2 > 27:
+                    continue
+                for g in connected_regular_graphs(n, r):
+                    assert count_decompositions_exact(g) == len(
+                        enumerate_decompositions(g)
+                    ), (n, r, sorted(g.edges))
+                    checked += 1
+        assert checked == 39
+
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (circulant(9, (1, 2, 3)), 7944),
+            (circulant(9, (1, 2, 4)), 8448),
+            (complete_graph(7), 960),
+            (complete_graph(8).subtract({(0, 1), (2, 3), (4, 5), (6, 7)}), 2816),
+        ],
+        ids=["C9(1,2,3)", "C9(1,2,4)", "K7", "K8-PM"],
+    )
+    def test_count_is_invariant_under_relabeling(self, g, expected):
+        # a relabeling moves the anchor edge and the order residuals meet
+        # the memo, so each run takes another path through the classes
+        rng = random.Random(expected)
+        assert count_decompositions_exact(g) == expected
+        for _ in range(3):
+            assert count_decompositions_exact(relabeled(g, rng)) == expected
+
     @pytest.mark.parametrize("n,r", [(5, 2), (6, 4), (7, 4)])
     def test_ordered_unordered_consistency(self, n, r):
         for g in connected_regular_graphs(n, r):
@@ -299,6 +346,19 @@ class TestCorpus:
         assert _vertex_invariants(c10.adj_bits) == _vertex_invariants(two_c5.adj_bits)
         assert not _isomorphic(c10, two_c5)
         assert _isomorphic(c10, relabeled(c10, random.Random(0)))
+
+    def test_class_lookup_backtracks_past_equal_invariants(self):
+        # the lookup shared by the corpus and the count's memo puts C10 and
+        # two C5 in one bucket, so it must still keep them apart
+        c10 = cycle_graph(10)
+        two_c5 = build_graph(10, [(v, v - v % 5 + (v + 1) % 5) for v in range(10)])
+        classes = {}
+        entry, new = _class_entry(classes, c10.adj_bits)
+        assert new
+        assert _class_entry(classes, two_c5.adj_bits)[1]
+        relabel = relabeled(c10, random.Random(1)).adj_bits
+        assert _class_entry(classes, relabel) == (entry, False)
+        assert len(classes) == 1
 
     def test_known_class_counts(self):
         assert len(connected_regular_graphs(6, 3)) == 2

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from hamdeck import graphs
-from hamdeck.errors import BudgetError, InfeasibleError, InputError
+from hamdeck.errors import BudgetError, InputError
 from hamdeck.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from hamdeck.partition import (
     PARTITION_RETRIES,
@@ -140,23 +140,6 @@ class TestTriPartition:
         # degree 0 clears a tiny c*n and would leave nothing to extract
         with pytest.raises(InputError, match="with edges"):
             tri_partition(empty_graph(6), PipelineParams(1e-12, 0.05, 0.01, 0.2))
-
-    def test_infeasible_extraction_ends_the_split(self, monkeypatch):
-        # an InfeasibleError holds for every target degree, so it costs one
-        # extraction per split, not one per target
-        import hamdeck.partition as partition
-
-        calls = []
-
-        def infeasible_extraction(g, d):
-            calls.append(d)
-            raise InfeasibleError("degree hypothesis violated")
-
-        monkeypatch.setattr(partition, "extract_regular_subgraph", infeasible_extraction)
-        g = complete_graph(21)
-        with pytest.raises(BudgetError, match="degree hypothesis"):
-            tri_partition(g, default_params(g, seed=0))
-        assert len(calls) == PARTITION_RETRIES
 
     def test_raw_core_outside_the_degree_band_ends_each_split(self, monkeypatch):
         # K21 at the default eps gives c0*n = 12.43 and n^(2/3) = 7.61.  The

@@ -72,3 +72,18 @@ def test_bounds_table_script_runs():
         row for row in rows if row[:2] == ["5", "4"]
     )
     assert (graphs, cycles, decompositions) == ("1", "12", "6")
+
+
+def test_bounds_table_refuses_rows_above_the_edge_cap():
+    # n = 10 reaches 8-regular graphs with 40 edges, above the cap of 36
+    env = dict(os.environ, PYTHONPATH=str(Path(hamdeck.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bounds_table.py"), "--max-n", "10"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "40 edges, above the exact decomposition count's cap of 36" in out.stderr

@@ -483,3 +483,24 @@ def test_pipeline_outputs_are_pinned():
         ("rotate-extend", "fallback"),
         ("rotate-close", "fallback"),
     }
+
+
+# The same digests for the benchmark's own pipeline ops (kn-mid's K101 and
+# large-n's K201 and Paley(197)) at seed 0, so that a change to the flow,
+# the split, the rotation rounds or the residual cannot alter what the
+# benchmark times.
+PINNED_LARGE_RUNS = {
+    "K101": (complete_graph, 101, "51eb6bcb77e2c0448a8f9f3fbe4e5d17c5a53c24ac6bb2f9c873a54d1805c79b"),
+    "K201": (complete_graph, 201, "871ec160e0cafa5e69c7b2ce373e1b474c3f616ea8e6b738481ab13b2e32a1e6"),
+    "P197": (paley, 197, "56dee328659217d6e681b86569d6dcdaf32777172ef48682a9ddedbb365f24d9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LARGE_RUNS))
+def test_benchmark_pipeline_outputs_are_pinned(name):
+    make, n, digest = PINNED_LARGE_RUNS[name]
+    run = decompose.run_pipeline(make(n), seed=0)
+    blob = json.dumps(
+        [run.decomposition.to_json_dict(), run.step_stats], sort_keys=True
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

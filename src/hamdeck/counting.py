@@ -342,7 +342,9 @@ def _vertex_invariants(rows) -> list[tuple]:
         for w, other in enumerate(rows):
             if w != v:
                 (near if row >> w & 1 else far).append((row & other).bit_count())
-        out.append((tuple(sorted(near)), tuple(sorted(far))))
+        near.sort()
+        far.sort()
+        out.append((tuple(near), tuple(far)))
     return out
 
 

@@ -20,6 +20,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from .errors import BudgetError, InfeasibleError, InputError
 from .graphs import Edge, Graph, connected_over, iter_bits, strip_cycle
@@ -400,7 +401,9 @@ def run_pipeline(
                             f"working core degree {core.regular_degree()} != {expect}"
                         )
 
-            residual = graph.subtract(p for c in cycles for p in zip(c, c[1:] + c[:1]))
+            # a reused or missing edge is caught by the final verification
+            rows = reduce(strip_cycle, cycles, graph.adj_bits)
+            residual = Graph._derived(graph.n, rows)
             res_degree = residual.regular_degree()
             if res_degree is None:
                 raise AssertionError("residual after cycle removal is irregular")

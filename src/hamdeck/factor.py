@@ -201,9 +201,9 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
         counts = [len(a) for a in nbrs]
         indices = np.fromiter(chain.from_iterable(nbrs), np.int64, sum(counts))
     else:
-        permuted = g.adjacency_matrix().take(rows, 0).take(cols, 1)
-        hits, indices = np.divmod(np.flatnonzero(permuted.view(bool)), n)
-        counts = np.bincount(hits, minlength=n)
+        permuted = g.adjacency_matrix().take(rows, 0).take(cols, 1).view(bool)
+        indices = np.flatnonzero(permuted) % n
+        counts = np.count_nonzero(permuted, axis=1)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     biadj = csr_matrix((np.ones(len(indices), np.int8), indices, indptr), shape=(n, n))
     match = maximum_bipartite_matching(biadj, perm_type="column")

@@ -20,8 +20,8 @@ from .graphs import (
     ExpanderVerdict,
     Graph,
     is_robust_expander,
-    iter_bits,
     load_edge_list,
+    pack_rows,
     save_edge_list,
 )
 from .regularize import extract_regular_subgraph
@@ -199,26 +199,26 @@ def _random_split(
     graph: Graph, rng: random.Random, p_patch: float, p_residual: float
 ) -> tuple[Graph, Graph, Graph]:
     """Patch, raw residual and raw core of one split: one roll per edge
-    (u, v), u < v, in increasing (u, v) order, walked off the bit rows.  The
-    parts are subgraphs of the validated input, so they are derived, not
-    validated: the patch and the raw residual set their bit rows edge by
-    edge, and the raw core, which holds most edges, keeps the input's rows
-    minus theirs."""
+    (u, v), u < v, in increasing (u, v) order.  The edges are the upper
+    triangle of the adjacency matrix in row-major order; each roll labels
+    its edge 1 (patch), 2 (raw residual) or 3 (raw core), and each part is
+    the packed rows of one label.  The parts are subgraphs of the validated
+    input, so they are derived, not validated."""
+    import numpy as np
+
     n = graph.n
-    rows = ([0] * n, [0] * n)
-    for u, row in enumerate(graph.adj_bits):
-        for v in iter_bits(row >> (u + 1) << (u + 1)):
-            roll = rng.random()
-            if roll < p_patch:
-                part = rows[0]
-            elif roll < p_patch + p_residual:
-                part = rows[1]
-            else:
-                continue
-            part[u] |= 1 << v
-            part[v] |= 1 << u
-    patch, raw_residual = (Graph._derived(n, tuple(r)) for r in rows)
-    return patch, raw_residual, graph.subtract(patch).subtract(raw_residual)
+    us, vs = np.nonzero(np.triu(graph.adjacency_matrix(), 1))
+    roll, m = rng.random, len(us)
+    rolls = np.fromiter((roll() for _ in range(m)), float, m)
+    labels = np.zeros((n, n), np.uint8)
+    labels[us, vs] = np.where(
+        rolls < p_patch, 1, np.where(rolls < p_patch + p_residual, 2, 3)
+    )
+    labels |= labels.T
+    patch, raw_residual, raw_core = (
+        Graph._derived(n, pack_rows(labels == k)) for k in (1, 2, 3)
+    )
+    return patch, raw_residual, raw_core
 
 
 def _union_rows(tp: TriPartition) -> tuple[tuple[int, ...], bool]:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputError, SearchFailedError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, pack_rows, unpack_rows
 
 
 def random_orientation(g: Graph, seed: int) -> tuple[int, ...]:
@@ -111,9 +111,8 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     from scipy.sparse.csgraph import maximum_flow
 
     n, d = net.n, net.d
-    # middle arcs in (tail, head) order
-    arcs = [(u, w) for u, row in enumerate(net.out) for w in iter_bits(row)]
-    middle = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    # middle arcs in (tail, head) order: row-major over the unpacked out-rows
+    middle = np.argwhere(unpack_rows(net.out, n))
     m = len(middle)
     # node ids: source 0, X copy of v 1 + v, Y copy of v 1 + n + v, sink 2n + 1
     verts = np.arange(n, dtype=np.int64)
@@ -141,10 +140,9 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     value = int(result.flow_value)
     if value != x_flow.sum():
         raise AssertionError("flow value inconsistent with source arcs")
-    kept = [0] * n
-    for u, w in used.tolist():
-        kept[u] |= 1 << w
-    return MaxFlowResult(value, tuple(kept))
+    kept = np.zeros((n, n), np.uint8)
+    kept[used[:, 0], used[:, 1]] = 1
+    return MaxFlowResult(value, pack_rows(kept))
 
 
 def extract_regular_subgraph(g: Graph, d: int) -> Graph:
@@ -171,11 +169,8 @@ def extract_regular_subgraph(g: Graph, d: int) -> Graph:
             f"(value {result.value} of {d * n})"
         )
     # each edge of g is one arc: the kept arcs and their mirror are the core
-    rows = list(result.kept)
-    for u, row in enumerate(result.kept):
-        for w in iter_bits(row):
-            rows[w] |= 1 << u
-    sub = Graph._derived(n, tuple(rows))
+    kept = unpack_rows(result.kept, n)
+    sub = Graph._derived(n, pack_rows(kept | kept.T))
     degs = set(sub.degrees())
     if degs != {2 * d}:
         raise AssertionError(f"extracted subgraph degrees {degs} != {2 * d}")

@@ -12,7 +12,10 @@ rotation pivots; the patch graph supplies closing and substitution edges
 move is an ordered list of edge operations, so a run can be replayed and
 audited.  The engine reads bit rows only (``iter_bits`` neighbours in
 increasing order, bit-test edges, bit-delta working graphs), so a step
-neither decodes neighbour lists nor copies an edge set.
+neither decodes neighbour lists nor copies an edge set.  No rotation
+changes the path's vertex set, so ``rotate_or_close`` builds the off-path
+mask once for every extension test; a rotation round admits its pivots by a
+vertex mask.
 
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
@@ -194,17 +197,18 @@ def _rotate_start(path: list[int], j: int) -> tuple[list[int], list[tuple[str, E
 
 
 def _extension_at_end(
-    path: list[int], partial: PartialHC, comp_of, core: Graph, patch: Graph
+    path: list[int], off_path: int, partial: PartialHC, comp_of, core, patch
 ) -> tuple[PartialHC, list[tuple[str, Edge]]] | None:
     """Extend the path's last endpoint into another component, if possible.
 
     Returns (partial, steps) or None: the lowest core, else patch, neighbour
-    off the path, which lies in a component because the cover spans.
+    in ``off_path`` (the vertices off the path, which no rotation changes),
+    which lies in a component because the cover spans.
     """
     tip = path[-1]
-    off_path = ~_mask_of(path)
     for src in (core, patch):
-        for z in iter_bits(src.adj_bits[tip] & off_path):
+        if row := src.adj_bits[tip] & off_path:
+            z = (row & -row).bit_length() - 1
             piece, removed = _open_at(comp_of[z], z)
             steps: list[tuple[str, Edge]] = [("+", norm_edge(tip, z))]
             if removed is not None:
@@ -224,27 +228,21 @@ def _closure_edge(path: list[int], patch: Graph, core: Graph) -> Edge | None:
 
 
 def _segment_ranges(length: int, s: int) -> list[tuple[int, int]]:
-    """Split positions 0..length-1 into s contiguous ranges (inclusive)."""
-    base = length // s
-    extra = length % s
-    ranges = []
-    start = 0
-    for k in range(s):
-        size = base + (1 if k < extra else 0)
-        ranges.append((start, start + size - 1))
-        start += size
-    return ranges
+    """Split positions 0..length-1 into s contiguous ranges (inclusive), the
+    first ``length % s`` of them one position longer than the rest."""
+    base, extra = divmod(length, s)
+    starts = [k * base + min(k, extra) for k in range(s + 1)]
+    return [(a, b - 1) for a, b in zip(starts, starts[1:])]
 
 
-def _interior_positions(rng: tuple[int, int]) -> range:
-    return range(rng[0] + 1, rng[1])
-
-
-def _rotation_round(paths, core: Graph, pivot_ok, at_start: bool = False) -> dict:
+def _rotation_round(
+    paths, core: Graph, mask: int, at_start: bool = False, window=None
+) -> dict:
     """One bounded round of rotations over ``paths``, a sequence of
-    (path, steps).  Each path is rotated at every pivot position i that
-    ``pivot_ok(path, i)`` admits and whose vertex is a core neighbor of the
-    rotated endpoint (the near one when ``at_start``, else the far one).
+    (path, steps).  Each path is rotated, in increasing order, at every pivot
+    position whose vertex is in the vertex bitmask ``mask`` and is a core
+    neighbour of the rotated endpoint (the near one when ``at_start``, else
+    the far one), and, when a ``window`` (a, b) is given, strictly inside it.
 
     Returns new endpoint -> (path, steps), keeping the first path per
     endpoint.  Reaching MAX_PIVOTS_PER_ROUND endpoints stops only the
@@ -252,82 +250,70 @@ def _rotation_round(paths, core: Graph, pivot_ok, at_start: bool = False) -> dic
     """
     found: dict[int, tuple[list[int], list]] = {}
     for p, steps in paths:
+        # pivots lie in 1..L-3 for the far endpoint, in 2..L-2 for the near one
         if at_start:
-            end, positions, rotate = p[0], range(2, len(p) - 1), _rotate_start
+            end, lo, hi, shift, rotate = p[0], 2, len(p) - 1, -1, _rotate_start
         else:
-            end, positions, rotate = p[-1], range(1, len(p) - 2), _rotate_end
-        row = core.adj_bits[end]
-        for i in positions:
-            if not pivot_ok(p, i) or not row >> p[i] & 1:
-                continue
-            q, st = rotate(p, i)
-            key = q[0] if at_start else q[-1]
-            if key not in found:
+            end, lo, hi, shift, rotate = p[-1], 1, len(p) - 2, 1, _rotate_end
+        if window is not None:
+            lo, hi = max(lo, window[0] + 1), min(hi, window[1])
+        ok = core.adj_bits[end] & mask
+        for i in [i for i in range(lo, hi) if ok >> p[i] & 1]:
+            # the rotation's new endpoint is the pivot's neighbour away from it
+            if (key := p[i + shift]) not in found:
+                q, st = rotate(p, i)
                 found[key] = (q, steps + st)
             if len(found) >= MAX_PIVOTS_PER_ROUND:
                 break
     return found
 
 
-def _apparatus(partial: PartialHC, comp_of, core: Graph, patch: Graph, params):
-    """Three bounded rotation rounds over split windows, then a closure.
+def _apparatus(
+    partial: PartialHC, off_path: int, comp_of, core: Graph, patch: Graph, params
+):
+    """Three bounded rotation rounds over two windows, then a closure.
 
+    The path's positions are cut into segments; the far endpoint's window is
+    the segment with the most pivots for it, the near endpoint's likewise.
     Round
-      1. pivots near the far endpoint produce new far endpoints;
-      2. pivots near the near endpoint produce new near endpoints;
+      1. pivots inside the end window produce new far endpoints;
+      2. pivots at the start window's interior vertices produce new near
+         endpoints;
       3. pivots outside both windows produce the closing endpoints.
     Extensions off the path are taken as soon as any round exposes one; a
     patch chord (core as fallback) between the final endpoint pairs closes
-    the path into a cycle.
+    the path into a cycle.  When both endpoints prefer the same segment the
+    apparatus gives up and leaves the path to the breadth-first fallback.
     """
     path = list(partial.path)
     n = len(path)
     if n < 6:
         return None
-    last = n - 1
     s = max(2, min(ceil_frac(2 / params.delta), n // 3))
     segments = _segment_ranges(n, s)
-
-    def count_pivots(endpoint: int, rng_: tuple[int, int], lo: int, hi: int) -> int:
-        row = core.adj_bits[endpoint]
-        return sum(
-            1 for i in _interior_positions(rng_) if lo <= i <= hi and row >> path[i] & 1
-        )
-
-    end_counts = [count_pivots(path[-1], r, 1, last - 2) for r in segments]
-    start_counts = [count_pivots(path[0], r, 2, last - 1) for r in segments]
-    q_end = max(range(s), key=lambda k: (end_counts[k], -k))
-    q_start = max(range(s), key=lambda k: (start_counts[k], -k))
+    # one pass over the segments' interiors counts each endpoint's pivots,
+    # which lie in 1..L-3 for the far endpoint and in 2..L-2 for the near one
+    end_row = core.adj_bits[path[-1]] & ~(1 << path[-2])
+    start_row = core.adj_bits[path[0]] & ~(1 << path[1])
+    end_counts, start_counts = [0] * s, [0] * s
+    for k, (a, b) in enumerate(segments):
+        for v in path[a + 1 : b]:
+            end_counts[k] += end_row >> v & 1
+            start_counts[k] += start_row >> v & 1
+    # each window is the first segment with the most pivots
+    q_end = end_counts.index(max(end_counts))
+    q_start = start_counts.index(max(start_counts))
     if q_end == q_start:
-        # Split the shared segment into a start and an end window.  Each
-        # window needs an interior pivot, so only a segment of >= 6 positions
-        # scores above 0; with s = min(ceil(2/delta), L // 3) that takes a
-        # path of L >= 5 * ceil(2/delta) + 1 vertices: K_n with n >= 1006 at
-        # the default eps, and L >= 506 for any params the pipeline accepts
-        # (eps < 0.1 and c < 1 give delta < 0.02).
-        a, b = segments[q_end]
-        if b - a < 3:
-            return None
-        best = None
-        for m in range(a + 1, b - 1):
-            for first_is_start in (True, False):
-                left, right = (a, m), (m + 1, b)
-                sw, ew = (left, right) if first_is_start else (right, left)
-                score = min(
-                    count_pivots(path[0], sw, 2, last - 1),
-                    count_pivots(path[-1], ew, 1, last - 2),
-                )
-                if best is None or score > best[0]:
-                    best = (score, sw, ew)
-        if best is None or best[0] == 0:
-            return None
-        _, start_win, end_win = best
-    else:
-        start_win, end_win = segments[q_start], segments[q_end]
-    start_interior = {path[i] for i in _interior_positions(start_win)}
-    window_vertices = {
-        path[i] for i in range(start_win[0], start_win[1] + 1)
-    } | {path[i] for i in range(end_win[0], end_win[1] + 1)}
+        # Splitting the shared segment into two windows needs an interior
+        # pivot in each half, so a segment of >= 6 positions; with
+        # s = min(ceil(2/delta), L // 3) that takes a path of
+        # L >= 5 * ceil(2/delta) + 1 >= 506 vertices for any params the
+        # pipeline accepts (eps < 0.1 and c < 1 give delta < 0.02).
+        return None
+    start_win, end_win = segments[q_start], segments[q_end]
+    start_interior = _mask_of(path[start_win[0] + 1 : start_win[1]])
+    windows = path[start_win[0] : start_win[1] + 1] + path[end_win[0] : end_win[1] + 1]
+    window_vertices = _mask_of(windows)
 
     def in_order(found: dict) -> list:
         return [found[key] for key in sorted(found)]
@@ -335,28 +321,22 @@ def _apparatus(partial: PartialHC, comp_of, core: Graph, patch: Graph, params):
     def extension(found: dict, reverse: bool):
         for p, steps in in_order(found):
             ext = _extension_at_end(
-                p[::-1] if reverse else p, partial, comp_of, core, patch
+                p[::-1] if reverse else p, off_path, partial, comp_of, core, patch
             )
             if ext:
                 return ext[0], Move("rotate-extend", tuple(steps + ext[1]))
         return None
 
     # round 1: rotate the far endpoint, pivots inside the end window
-    first = _rotation_round(
-        [(path, [])], core, lambda p, i: end_win[0] < i < end_win[1]
-    )
+    first = _rotation_round([(path, [])], core, -1, window=end_win)
     if found := extension(first, reverse=False):
         return found
-    # round 2: rotate the near endpoint, pivots inside the start window
-    second = _rotation_round(
-        in_order(first), core, lambda p, j: p[j] in start_interior, at_start=True
-    )
+    # round 2: rotate the near endpoint, pivots at the start window's interior
+    second = _rotation_round(in_order(first), core, start_interior, at_start=True)
     if found := extension(second, reverse=True):
         return found
     # round 3: rotate the far endpoint again, pivots outside both windows
-    third = _rotation_round(
-        in_order(second), core, lambda p, i: p[i] not in window_vertices
-    )
+    third = _rotation_round(in_order(second), core, ~window_vertices)
     log.debug(
         "rotation rounds: %d segments, endpoint sets %d/%d/%d",
         s,
@@ -375,7 +355,9 @@ def _apparatus(partial: PartialHC, comp_of, core: Graph, patch: Graph, params):
     return None
 
 
-def _fallback_search(partial: PartialHC, comp_of, core: Graph, patch: Graph):
+def _fallback_search(
+    partial: PartialHC, off_path: int, comp_of, core: Graph, patch: Graph
+):
     """Bounded breadth-first search over core-edge rotations from both ends,
     taking the first extension or closure found."""
 
@@ -394,7 +376,7 @@ def _fallback_search(partial: PartialHC, comp_of, core: Graph, patch: Graph):
             break
         cur_list = list(cur)
         for oriented in (cur_list, cur_list[::-1]):
-            ext = _extension_at_end(oriented, partial, comp_of, core, patch)
+            ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
             if ext:
                 move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
                 return ext[0], move
@@ -402,14 +384,15 @@ def _fallback_search(partial: PartialHC, comp_of, core: Graph, patch: Graph):
         if closure is not None:
             move = Move("rotate-close", steps + (("+", closure),), note="fallback")
             return _closed(partial, cur_list), move
+        end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
         for i in range(1, len(cur_list) - 1):
-            if i < len(cur_list) - 2 and core.has_edge(cur_list[i], cur_list[-1]):
+            if i < len(cur_list) - 2 and end_row >> cur[i] & 1:
                 p_new, st = _rotate_end(cur_list, i)
                 key = canon(tuple(p_new))
                 if key not in seen:
                     seen.add(key)
                     queue.append((tuple(p_new), steps + tuple(st)))
-            if i >= 2 and core.has_edge(cur_list[0], cur_list[i]):
+            if i >= 2 and start_row >> cur[i] & 1:
                 p_new, st = _rotate_start(cur_list, i)
                 key = canon(tuple(p_new))
                 if key not in seen:
@@ -430,15 +413,16 @@ def rotate_or_close(
         raise InputError("rotate_or_close needs a PartialHC")
     _check_sizes(partial, core, patch)
     path = list(partial.path)
+    off_path = ~_mask_of(path)
     comp_of = _component_map(partial.cycles + partial.pairs)
 
     for oriented in (path, path[::-1]):
-        ext = _extension_at_end(oriented, partial, comp_of, core, patch)
+        ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
         if ext:
             return ext[0], Move("extend", tuple(ext[1]))
-    found = _apparatus(partial, comp_of, core, patch, params)
+    found = _apparatus(partial, off_path, comp_of, core, patch, params)
     if found is None:
-        found = _fallback_search(partial, comp_of, core, patch)
+        found = _fallback_search(partial, off_path, comp_of, core, patch)
     if found is None:
         raise SearchFailedError("rotation rounds exhausted with no extension/closure")
     return found

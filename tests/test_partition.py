@@ -1,17 +1,19 @@
 import dataclasses
 import json
 import math
+import random
 import time
 
 import pytest
 
 from hamdeck import graphs
 from hamdeck.errors import BudgetError, InputError
-from hamdeck.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from hamdeck.graphs import Graph, complete_graph, cycle_graph, empty_graph, iter_bits
 from hamdeck.partition import (
     PARTITION_RETRIES,
     PipelineParams,
     TriPartition,
+    _random_split,
     default_params,
     load_tri_partition,
     patch_probability,
@@ -20,7 +22,7 @@ from hamdeck.partition import (
     verify_partition,
 )
 
-from conftest import circulant
+from conftest import circulant, paley
 
 
 def _with_params(payload, **changes):
@@ -198,6 +200,43 @@ class TestTriPartition:
         residual_mean = sum(residual_fracs) / len(residual_fracs)
         assert 0.5 * target <= patch_mean <= 1.5 * target
         assert 0.025 <= residual_mean <= 0.075
+
+
+def _random_split_reference(graph, rng, p_patch, p_residual):
+    """_random_split as first written: one roll per edge in a bit walk of
+    each row above the diagonal, the parts' rows set edge by edge, and the
+    raw core by subtraction."""
+    n = graph.n
+    rows = ([0] * n, [0] * n)
+    for u, row in enumerate(graph.adj_bits):
+        for v in iter_bits(row >> (u + 1) << (u + 1)):
+            roll = rng.random()
+            if roll < p_patch:
+                part = rows[0]
+            elif roll < p_patch + p_residual:
+                part = rows[1]
+            else:
+                continue
+            part[u] |= 1 << v
+            part[v] |= 1 << u
+    patch, raw_residual = (Graph._derived(n, tuple(r)) for r in rows)
+    return patch, raw_residual, graph.subtract(patch).subtract(raw_residual)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [circulant(13, (1, 2, 5)), circulant(30, range(1, 12)), paley(53), empty_graph(6)],
+    ids=["C13(1,2,5)", "C30(1..11)", "P53", "empty6"],
+)
+@pytest.mark.parametrize("probs", [(0.3, 0.05), (0.25, 0.5)])
+def test_random_split_matches_reference(g, probs):
+    for seed in range(3):
+        new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        parts = _random_split(g, new_rng, *probs)
+        reference = _random_split_reference(g, ref_rng, *probs)
+        assert [p.adj_bits for p in parts] == [p.adj_bits for p in reference]
+        # one roll per edge on both sides
+        assert new_rng.random() == ref_rng.random()
 
 
 class TestVerifyPartition:

@@ -19,13 +19,14 @@ from hamdeck.graphs import (
 from hamdeck.regularize import (
     balanced_orientation,
     build_flow_network,
+    MaxFlowResult,
     extract_regular_subgraph,
     max_flow,
     random_orientation,
 )
 from hamdeck.util import spawn_seed
 
-from conftest import small_graphs
+from conftest import paley, small_graphs
 
 
 def _random_graph(n, p, seed):
@@ -255,6 +256,64 @@ class TestExtract:
         with pytest.raises(SearchFailedError, match="does not saturate"):
             extract_regular_subgraph(bowtie, 1)
         assert len(calls) == 1
+
+
+def _max_flow_reference(net):
+    """max_flow's value and kept rows as first written: the middle arcs
+    listed by a bit walk of the out-rows, the kept rows set arc by arc."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n, d = net.n, net.d
+    arcs = _arcs(net.out)
+    middle = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    verts = np.arange(n, dtype=np.int64)
+    tails = np.concatenate([np.zeros(n, np.int64), 1 + middle[:, 0], 1 + n + verts])
+    heads = np.concatenate([1 + verts, 1 + n + middle[:, 1], np.full(n, 2 * n + 1)])
+    caps = np.concatenate([np.full(n, d), np.ones(len(arcs)), np.full(n, d)])
+    size = 2 * n + 2
+    matrix = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(size, size))
+    result = maximum_flow(matrix, 0, size - 1)
+    mid = np.asarray(result.flow[tails, heads]).ravel()[n : n + len(arcs)]
+    kept = [0] * n
+    for (u, w), f in zip(arcs, mid.tolist()):
+        if f == 1:
+            kept[u] |= 1 << w
+    return int(result.flow_value), tuple(kept)
+
+
+def _mirrored(kept):
+    rows = list(kept)
+    for u, row in enumerate(kept):
+        for w in iter_bits(row):
+            rows[w] |= 1 << u
+    return tuple(rows)
+
+
+class TestFlowAgainstReference:
+    @pytest.mark.parametrize("n", [5, 13, 27, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_graphs_keep_the_same_arcs(self, n, seed):
+        g = _random_graph(n, 0.6, seed)
+        for out in (balanced_orientation(g), random_orientation(g, seed)):
+            for d in (1, 2, 3):
+                net = build_flow_network(out, d)
+                assert max_flow(net) == MaxFlowResult(*_max_flow_reference(net))
+
+    def test_network_without_arcs(self):
+        net = build_flow_network((0,) * 9, 2)
+        assert max_flow(net) == MaxFlowResult(0, (0,) * 9)
+        assert _max_flow_reference(net) == (0, (0,) * 9)
+
+    def test_paley53_extraction(self):
+        g = paley(53)
+        for d in (13, 10):
+            net = build_flow_network(balanced_orientation(g), d)
+            value, kept = _max_flow_reference(net)
+            assert max_flow(net) == MaxFlowResult(value, kept)
+            assert value == 53 * d
+            assert extract_regular_subgraph(g, d).adj_bits == _mirrored(kept)
 
 
 def _cut_capacity(net, s, t):

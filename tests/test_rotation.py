@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 import re
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamdeck import decompose, factor as factor_mod, rotation
 from hamdeck.errors import BudgetError, InputError, SearchFailedError
@@ -171,25 +173,6 @@ class TestRotateOrClose:
         assert isinstance(result, TwoFactor)
         assert result.edge_set() == frozenset({(0, 1), (1, 3), (2, 3), (0, 2)})
 
-    def test_apparatus_splits_a_segment_both_endpoints_prefer(self):
-        # delta = 0.5 cuts the 30-vertex path 0..29 into the segments 0-7,
-        # 8-15, 16-22 and 23-29.  The endpoints' only core chords, (0, 10)
-        # and (29, 13), both lie in 8-15, so the apparatus splits it into a
-        # start window 8-11 and an end window 12-15: rotating 29 at 13 and
-        # then 0 at 10 leaves the endpoints 9 and 14, which the patch closes.
-        core = build_graph(30, [(v, v + 1) for v in range(29)] + [(0, 10), (13, 29)])
-        patch = build_graph(30, [(9, 14)])
-        host = core.union(patch)
-        partial = PartialHC.build(host, range(30), [], [])
-        found = rotation._apparatus(partial, {}, core, patch, SimpleNamespace(delta=0.5))
-        assert found is not None
-        cover, move = found
-        assert move.kind == "rotate-close"
-        assert TwoFactor.build(host, cover.cycles, cover.pairs) == cover
-        assert cover.is_hamilton_cycle
-        assert cover.edge_set() == replay_moves(partial.edge_set(), [move])
-        assert {(0, 10), (13, 29), (9, 14)} <= cover.edge_set()
-
     def test_dead_end_raises(self):
         core = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         partial = PartialHC.build(core, [0, 1, 2, 3], [], [])
@@ -201,6 +184,60 @@ class TestRotateOrClose:
         factor = TwoFactor.build(g, [[0, 1, 2, 3, 4]], [])
         with pytest.raises(InputError):
             rotate_or_close(factor, g, empty_graph(5), params_for(complete_graph(8)))
+
+
+def _rotation_round_reference(paths, core, pivot_ok, at_start=False):
+    """_rotation_round as first written: every position of the pivot range
+    goes through the ``pivot_ok(path, i)`` predicate and the endpoint's row,
+    and each admitted pivot is rotated before its endpoint is looked up."""
+    found = {}
+    for p, steps in paths:
+        if at_start:
+            end, positions, rotate = p[0], range(2, len(p) - 1), rotation._rotate_start
+        else:
+            end, positions, rotate = p[-1], range(1, len(p) - 2), rotation._rotate_end
+        row = core.adj_bits[end]
+        for i in positions:
+            if not pivot_ok(p, i) or not row >> p[i] & 1:
+                continue
+            q, st_ = rotate(p, i)
+            key = q[0] if at_start else q[-1]
+            if key not in found:
+                found[key] = (q, steps + st_)
+            if len(found) >= rotation.MAX_PIVOTS_PER_ROUND:
+                break
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 90),
+    st.floats(0.05, 1.0),
+    st.integers(1, 40),
+)
+def test_rotation_rounds_match_reference(seed, n, density, path_count):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    core = build_graph(n, [e for e in pairs if rng.random() < density])
+    paths = [
+        (rng.sample(range(n), rng.randint(4, n)), [("+", (k, k + 1))])
+        for k in range(path_count)
+    ]
+    a, b = sorted(rng.sample(range(n), 2))
+    mask = rng.getrandbits(n)
+    rounds = [
+        # round 1: far endpoint, pivots strictly inside the window (a, b)
+        ((-1, False, (a, b)), lambda p, i: a < i < b),
+        # round 2: near endpoint, pivots at the vertices of the mask
+        ((mask, True, None), lambda p, i: mask >> p[i] & 1),
+        # round 3: far endpoint, pivots at the vertices outside the mask
+        ((~mask, False, None), lambda p, i: not mask >> p[i] & 1),
+    ]
+    for (vertices, at_start, window), pivot_ok in rounds:
+        found = rotation._rotation_round(paths, core, vertices, at_start, window)
+        reference = _rotation_round_reference(paths, core, pivot_ok, at_start)
+        assert list(found.items()) == list(reference.items())
 
 
 class TestGadget:
@@ -490,17 +527,17 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation rounds or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": (complete_graph, 101, "51eb6bcb77e2c0448a8f9f3fbe4e5d17c5a53c24ac6bb2f9c873a54d1805c79b"),
-    "K201": (complete_graph, 201, "871ec160e0cafa5e69c7b2ce373e1b474c3f616ea8e6b738481ab13b2e32a1e6"),
-    "P197": (paley, 197, "56dee328659217d6e681b86569d6dcdaf32777172ef48682a9ddedbb365f24d9"),
+    "K101": "51eb6bcb77e2c0448a8f9f3fbe4e5d17c5a53c24ac6bb2f9c873a54d1805c79b",
+    "K201": "871ec160e0cafa5e69c7b2ce373e1b474c3f616ea8e6b738481ab13b2e32a1e6",
+    "P197": "56dee328659217d6e681b86569d6dcdaf32777172ef48682a9ddedbb365f24d9",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LARGE_RUNS))
 def test_benchmark_pipeline_outputs_are_pinned(name):
-    make, n, digest = PINNED_LARGE_RUNS[name]
-    run = decompose.run_pipeline(make(n), seed=0)
+    make = paley if name[0] == "P" else complete_graph
+    run = decompose.run_pipeline(make(int(name[1:])), seed=0)
     blob = json.dumps(
         [run.decomposition.to_json_dict(), run.step_stats], sort_keys=True
     )
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_LARGE_RUNS[name]

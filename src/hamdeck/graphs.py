@@ -264,9 +264,11 @@ def connected_over(adj_bits, mask: int) -> bool:
 def strip_cycle(adj_bits, cyc) -> tuple[int, ...]:
     """Adjacency bits with the edges of the closed vertex sequence removed."""
     bits = list(adj_bits)
-    # each vertex loses the edges to its successor and its predecessor
-    for v, succ, pred in zip(cyc, cyc[1:] + cyc[:1], cyc[-1:] + cyc[:-1]):
-        bits[v] &= ~(1 << succ | 1 << pred)
+    u = cyc[-1]
+    for v in cyc:  # the edges (last, first), (first, second), ...
+        bits[u] &= ~(1 << v)
+        bits[v] &= ~(1 << u)
+        u = v
     return tuple(bits)
 
 

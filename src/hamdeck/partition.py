@@ -215,10 +215,7 @@ def _random_split(
         rolls < p_patch, 1, np.where(rolls < p_patch + p_residual, 2, 3)
     )
     labels |= labels.T
-    patch, raw_residual, raw_core = (
-        Graph._derived(n, pack_rows(labels == k)) for k in (1, 2, 3)
-    )
-    return patch, raw_residual, raw_core
+    return tuple(Graph._derived(n, pack_rows(labels == k)) for k in (1, 2, 3))
 
 
 def _union_rows(tp: TriPartition) -> tuple[tuple[int, ...], bool]:

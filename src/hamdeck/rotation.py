@@ -197,7 +197,8 @@ def _rotate_start(path: list[int], j: int) -> tuple[list[int], list[tuple[str, E
 
 
 def _extension_at_end(
-    path: list[int], off_path: int, partial: PartialHC, comp_of, core, patch
+    path: list[int], off_path: int, partial: PartialHC, comp_of,
+    core: Graph, patch: Graph,
 ) -> tuple[PartialHC, list[tuple[str, Edge]]] | None:
     """Extend the path's last endpoint into another component, if possible.
 
@@ -304,11 +305,9 @@ def _apparatus(
     q_end = end_counts.index(max(end_counts))
     q_start = start_counts.index(max(start_counts))
     if q_end == q_start:
-        # Splitting the shared segment into two windows needs an interior
-        # pivot in each half, so a segment of >= 6 positions; with
-        # s = min(ceil(2/delta), L // 3) that takes a path of
-        # L >= 5 * ceil(2/delta) + 1 >= 506 vertices for any params the
-        # pipeline accepts (eps < 0.1 and c < 1 give delta < 0.02).
+        # two windows in one segment need >= 6 positions, so a path of
+        # L >= 5 * ceil(2/delta) + 1 >= 506 vertices (eps < 0.1 and c < 1
+        # give delta < 0.02); the fallback search takes such paths instead
         return None
     start_win, end_win = segments[q_start], segments[q_end]
     start_interior = _mask_of(path[start_win[0] + 1 : start_win[1]])
@@ -386,13 +385,13 @@ def _fallback_search(
             return _closed(partial, cur_list), move
         end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
         for i in range(1, len(cur_list) - 1):
-            if i < len(cur_list) - 2 and end_row >> cur[i] & 1:
+            if i < len(cur_list) - 2 and end_row >> cur_list[i] & 1:
                 p_new, st = _rotate_end(cur_list, i)
                 key = canon(tuple(p_new))
                 if key not in seen:
                     seen.add(key)
                     queue.append((tuple(p_new), steps + tuple(st)))
-            if i >= 2 and start_row >> cur[i] & 1:
+            if i >= 2 and start_row >> cur_list[i] & 1:
                 p_new, st = _rotate_start(cur_list, i)
                 key = canon(tuple(p_new))
                 if key not in seen:

@@ -231,10 +231,16 @@ def complete_residual(
         raise BudgetError(
             f"completion search spent {spent} nodes without a decision"
         )
-    deco = Decomposition.from_parts(g.n, found)
+    return _verified(g, found, "completer output failed verification")
+
+
+def _verified(g: Graph, cycles, fault: str) -> Decomposition:
+    """The decomposition of ``cycles``, checked to partition g's edges into
+    Hamilton cycles; an AssertionError starting with ``fault`` otherwise."""
+    deco = Decomposition.from_parts(g.n, cycles)
     check = verify_decomposition(g, deco)
     if not check.ok:
-        raise AssertionError(f"completer output failed verification: {check.violation}")
+        raise AssertionError(f"{fault}: {check.violation}")
     return deco
 
 
@@ -401,23 +407,27 @@ def run_pipeline(
                             f"working core degree {core.regular_degree()} != {expect}"
                         )
 
-            # a reused or missing edge is caught by the final verification
             rows = reduce(strip_cycle, cycles, graph.adj_bits)
             residual = Graph._derived(graph.n, rows)
             res_degree = residual.regular_degree()
             if res_degree is None:
                 raise AssertionError("residual after cycle removal is irregular")
+            # every edge is verified once: the rotation cycles must partition
+            # the edges they removed, the completer's the residual, so a
+            # reused, missing or foreign edge fails one of the two checks
+            removed = tuple(a & ~b for a, b in zip(graph.adj_bits, rows))
+            rotated = _verified(
+                Graph._derived(graph.n, removed), cycles, "pipeline output invalid"
+            )
             completion = complete_residual(
                 residual,
                 deadline=params.deadline,
                 seed=spawn_seed(attempt_seed, "completion"),
             )
-            deco = Decomposition.from_parts(
-                graph.n, list(cycles) + [list(c) for c in completion.cycles]
+            # both parts are canonical already
+            deco = Decomposition(
+                graph.n, tuple(sorted(rotated.cycles + completion.cycles))
             )
-            check = verify_decomposition(graph, deco)
-            if not check.ok:
-                raise AssertionError(f"pipeline output invalid: {check.violation}")
             return PipelineRun(
                 n=graph.n,
                 degree=r,

@@ -202,8 +202,9 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
         indices = np.fromiter(chain.from_iterable(nbrs), np.int64, sum(counts))
     else:
         permuted = g.adjacency_matrix().take(rows, 0).take(cols, 1).view(bool)
-        indices = np.flatnonzero(permuted) % n
         counts = np.count_nonzero(permuted, axis=1)
+        # flat index minus its row's offset: cheaper than an int64 modulo
+        indices = np.flatnonzero(permuted) - np.repeat(np.arange(0, n * n, n), counts)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     biadj = csr_matrix((np.ones(len(indices), np.int8), indices, indptr), shape=(n, n))
     match = maximum_bipartite_matching(biadj, perm_type="column")

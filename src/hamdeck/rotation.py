@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
@@ -358,45 +359,51 @@ def _fallback_search(
     partial: PartialHC, off_path: int, comp_of, core: Graph, patch: Graph
 ):
     """Bounded breadth-first search over core-edge rotations from both ends,
-    taking the first extension or closure found."""
+    taking the first extension or closure found.
+
+    Each path is tested (both extensions, then closure) as soon as it is
+    made, in the order paths are made; that is the order a FIFO queue pops
+    them, so the first hit is the same, without building the rest of its
+    parent's rotations.  At most ROTATION_VISIT_CAP paths are tested.
+    """
 
     def canon(p: tuple[int, ...]) -> tuple[int, ...]:
         rp = p[::-1]
         return p if p <= rp else rp
 
-    start = tuple(partial.path)
-    seen = {canon(start)}
-    queue: deque[tuple[tuple[int, ...], tuple]] = deque([(start, ())])
-    visits = 0
-    while queue:
-        cur, steps = queue.popleft()
-        visits += 1
-        if visits > ROTATION_VISIT_CAP:
-            break
-        cur_list = list(cur)
-        for oriented in (cur_list, cur_list[::-1]):
+    def made():
+        """(path, steps) for the start path, then each new rotation."""
+        start = list(partial.path)
+        seen = {canon(tuple(start))}
+        queue = deque([(start, ())])
+        yield start, ()
+        while queue:
+            cur, steps = queue.popleft()
+            end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
+            for i in range(1, len(cur) - 1):
+                rotated = []
+                if i < len(cur) - 2 and end_row >> cur[i] & 1:
+                    rotated.append(_rotate_end(cur, i))
+                if i >= 2 and start_row >> cur[i] & 1:
+                    rotated.append(_rotate_start(cur, i))
+                for p_new, st in rotated:
+                    key = canon(tuple(p_new))
+                    if key not in seen:
+                        seen.add(key)
+                        item = (p_new, steps + tuple(st))
+                        queue.append(item)
+                        yield item
+
+    for cur, steps in islice(made(), ROTATION_VISIT_CAP):
+        for oriented in (cur, cur[::-1]):
             ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
             if ext:
                 move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
                 return ext[0], move
-        closure = _closure_edge(cur_list, patch, core)
+        closure = _closure_edge(cur, patch, core)
         if closure is not None:
             move = Move("rotate-close", steps + (("+", closure),), note="fallback")
-            return _closed(partial, cur_list), move
-        end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
-        for i in range(1, len(cur_list) - 1):
-            if i < len(cur_list) - 2 and end_row >> cur_list[i] & 1:
-                p_new, st = _rotate_end(cur_list, i)
-                key = canon(tuple(p_new))
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((tuple(p_new), steps + tuple(st)))
-            if i >= 2 and start_row >> cur_list[i] & 1:
-                p_new, st = _rotate_start(cur_list, i)
-                key = canon(tuple(p_new))
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((tuple(p_new), steps + tuple(st)))
+            return _closed(partial, cur), move
     return None
 
 

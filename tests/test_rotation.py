@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hamdeck.graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
+    _mask_of,
     empty_graph,
     norm_edge,
 )
@@ -238,6 +240,107 @@ def test_rotation_rounds_match_reference(seed, n, density, path_count):
         found = rotation._rotation_round(paths, core, vertices, at_start, window)
         reference = _rotation_round_reference(paths, core, pivot_ok, at_start)
         assert list(found.items()) == list(reference.items())
+
+
+def _fallback_search_reference(partial, off_path, comp_of, core, patch):
+    """_fallback_search as first written: every rotation of a path is queued
+    before any is tested, and a path is tested when the FIFO queue pops it;
+    the search stops at the pop of path ROTATION_VISIT_CAP + 1."""
+
+    def canon(p):
+        rp = p[::-1]
+        return p if p <= rp else rp
+
+    start = tuple(partial.path)
+    seen = {canon(start)}
+    queue = deque([(start, ())])
+    visits = 0
+    while queue:
+        cur, steps = queue.popleft()
+        visits += 1
+        if visits > rotation.ROTATION_VISIT_CAP:
+            break
+        cur_list = list(cur)
+        for oriented in (cur_list, cur_list[::-1]):
+            ext = rotation._extension_at_end(
+                oriented, off_path, partial, comp_of, core, patch
+            )
+            if ext:
+                move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
+                return ext[0], move
+        closure = rotation._closure_edge(cur_list, patch, core)
+        if closure is not None:
+            move = Move("rotate-close", steps + (("+", closure),), note="fallback")
+            return rotation._closed(partial, cur_list), move
+        end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
+        for i in range(1, len(cur_list) - 1):
+            if i < len(cur_list) - 2 and end_row >> cur_list[i] & 1:
+                p_new, st_ = rotation._rotate_end(cur_list, i)
+                if canon(tuple(p_new)) not in seen:
+                    seen.add(canon(tuple(p_new)))
+                    queue.append((tuple(p_new), steps + tuple(st_)))
+            if i >= 2 and start_row >> cur_list[i] & 1:
+                p_new, st_ = rotation._rotate_start(cur_list, i)
+                if canon(tuple(p_new)) not in seen:
+                    seen.add(canon(tuple(p_new)))
+                    queue.append((tuple(p_new), steps + tuple(st_)))
+    return None
+
+
+def _fallback_outcomes(partial, core, patch, caps):
+    """(search, reference) results for each visit cap in ``caps``."""
+    off_path = ~_mask_of(partial.path)
+    comp_of = rotation._component_map(partial.cycles + partial.pairs)
+    args = (partial, off_path, comp_of, core, patch)
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in caps:
+            mp.setattr(rotation, "ROTATION_VISIT_CAP", cap)
+            out.append(
+                (rotation._fallback_search(*args), _fallback_search_reference(*args))
+            )
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 40),
+    st.floats(0.05, 0.5),
+    st.sampled_from([0, 2, 3, 5]),
+)
+def test_fallback_search_matches_reference(seed, n, density, off):
+    # sparse core and patch, so that closures are rare and the search runs
+    # deep; ``off`` vertices sit off the path, as one cycle or one pair
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    core = build_graph(n, [e for e in pairs if rng.random() < density])
+    patch = build_graph(n, [e for e in pairs if rng.random() < density / 4])
+    order = rng.sample(range(n), n)
+    path, rest = tuple(order[: n - off]), tuple(order[n - off :])
+    cycles = (canonical_cycle(rest),) if off >= 3 else ()
+    pairs_ = (tuple(sorted(rest)),) if off == 2 else ()
+    partial = PartialHC(n, path, cycles, pairs_)
+    for got, want in _fallback_outcomes(partial, core, patch, (1, 2, 3, 5, 4000)):
+        assert got == want
+
+
+def test_fallback_search_stops_at_the_visit_cap():
+    # the path 0-1-...-9 in a sparse core with no chord between its ends:
+    # the first closure lies some rotations deep, so a smaller cap finds
+    # nothing and a larger one finds the same move in both versions
+    rng = random.Random(3)
+    n = 10
+    path_edges = [(k, k + 1) for k in range(n - 1)]
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
+    core = build_graph(n, path_edges + [e for e in chords if e != (0, n - 1)])
+    partial = PartialHC(n, tuple(range(n)), (), ())
+    results = _fallback_outcomes(partial, core, empty_graph(n), range(1, 40))
+    for got, want in results:
+        assert got == want
+    found = [got is not None for got, _ in results]
+    assert not found[0] and found[-1]
+    assert found == sorted(found)
 
 
 class TestGadget:

@@ -112,24 +112,52 @@ def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Rando
 
 
 def _rotation_first_cycle(
-    adj_bits, n: int, budget: _Budget, rng: random.Random
+    adj_bits,
+    n: int,
+    budget: _Budget,
+    rng: random.Random,
+    last: tuple[int, ...] | None = None,
+    tried=frozenset(),
 ) -> tuple[int, ...] | None:
-    """Heuristic Hamilton cycle: random greedy path growth plus random
-    endpoint rotations.  Near-certain and fast on dense levels, where plain
-    DFS can thrash; returns None when it fails (a disconnected level, no
-    pivot, or its step cap)."""
+    """Heuristic Hamilton cycle on a connected level: random greedy path
+    growth plus random endpoint rotations (Pósa).  Near-certain and fast on
+    dense levels, where plain DFS can thrash.
+
+    Given ``last``, the walk starts from that cycle opened at a random edge
+    and rotates on from it, instead of growing a path from one vertex.  It
+    never closes into a cycle of ``tried`` (canonical forms).  Once ``tried``
+    is not empty, a rotation never undoes the one before it when another
+    pivot exists, and a full path that has rotated 4n times without a new
+    cycle has stalled: a walk from ``last`` then starts afresh from a random
+    vertex, and a fresh path gives up.  With ``tried`` empty the walk is the
+    plain one.  Returns None when it fails (that stall, no pivot, or its
+    step cap).
+    """
     if n < 3 or any(b == 0 for b in adj_bits):
         return None
     full = (1 << n) - 1
-    if not connected_over(adj_bits, full):
-        return None
-    start = rng.randrange(n)
-    path = [start]
     pos = [0] * n  # pos[v] is v's index in path while v is visited
-    visited = 1 << start
-    steps_cap = 8 * n * n
-    for _ in range(steps_cap):
+    if last is None:
+        path = [rng.randrange(n)]
+        visited = 1 << path[0]
+    else:
+        k = rng.randrange(n)
+        path = list(last[k + 1 :] + last[: k + 1])
+        for i, v in enumerate(path):
+            pos[v] = i
+        visited = full
+    stall = 4 * n if tried else -1
+    idle = 0  # rotations of the full path since it was (re)started
+    undo = -1  # the pivot that would undo a walk's last rotation
+    for _ in range(8 * n * n):
         budget.spend()
+        if idle == stall:
+            if last is None:
+                return None
+            last, idle, undo = None, 0, -1
+            path = [rng.randrange(n)]
+            pos[path[0]] = 0
+            visited = 1 << path[0]
         tip = path[-1]
         free = adj_bits[tip] & ~visited
         if free:
@@ -140,15 +168,22 @@ def _rotation_first_cycle(
             pos[w] = len(path)
             path.append(w)
             visited |= 1 << w
+            undo = -1
             continue
-        if visited == full and adj_bits[tip] & (1 << path[0]):
-            return tuple(path)
+        if visited == full:
+            if adj_bits[tip] & (1 << path[0]) and (
+                not tried or canonical_cycle(path) not in tried
+            ):
+                return tuple(path)
+            idle += 1
         # rotate: pick a pivot among the tip's on-path neighbors in path
         # order; the last of them is the tip's predecessor, not a pivot
         pivots = sorted(pos[w] for w in iter_bits(adj_bits[tip] & visited))[:-1]
+        if tried and undo in pivots and len(pivots) > 1:
+            pivots.remove(undo)
         if not pivots:
             return None
-        i = pivots[rng.randrange(len(pivots))]
+        i = undo = pivots[rng.randrange(len(pivots))]
         path[i + 1 :] = path[i + 1 :][::-1]
         for k in range(i + 1, len(path)):
             pos[path[k]] = k
@@ -183,28 +218,32 @@ def complete_residual(
         raise InputError(f"degree {degree} is odd")
     if degree == 0:
         return Decomposition.from_parts(g.n, [])
-    if not connected_over(g.adj_bits, (1 << g.n) - 1):
+    full = (1 << g.n) - 1
+    if not connected_over(g.adj_bits, full):
         raise InfeasibleError("a disconnected graph has no Hamilton cycle")
 
     def candidates(bits, budget, rng):
-        tried = set()
+        tried: set[tuple[int, ...]] = set()
+        cyc = None
         for _ in range(HEURISTIC_TRIES):
-            cyc = _rotation_first_cycle(bits, g.n, budget, rng)
+            cyc = _rotation_first_cycle(bits, g.n, budget, rng, cyc, tried)
             if cyc is None:
                 break
-            key = canonical_cycle(cyc)
-            if key not in tried:
-                tried.add(key)
-                yield cyc
+            tried.add(canonical_cycle(cyc))
+            yield cyc
         for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng):
             if canonical_cycle(cyc) not in tried:
                 yield cyc
 
     def search(bits, budget, rng) -> list[tuple[int, ...]] | None:
-        if not any(bits):
-            return []
         for cyc in candidates(bits, budget, rng):
-            rest = search(strip_cycle(bits, cyc), budget, rng)
+            rest_bits = strip_cycle(bits, cyc)
+            if not any(rest_bits):
+                return [cyc]
+            # one connectivity test rejects a disconnected residual
+            if not connected_over(rest_bits, full):
+                continue
+            rest = search(rest_bits, budget, rng)
             if rest is not None:
                 return [cyc] + rest
         return None

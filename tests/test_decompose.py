@@ -142,7 +142,7 @@ class TestCompleteResidual:
         with pytest.raises(InfeasibleError):
             complete_residual(two_disjoint_cliques(5), node_budget=0)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(48))
     def test_degree_four_union_completes_within_small_budget(self, seed):
         # degree 4 is the completer's tail: most Hamilton cycles leave a
         # disconnected complement, so the heuristic tries several per level
@@ -150,6 +150,46 @@ class TestCompleteResidual:
         deco = complete_residual(g, node_budget=20_000)
         assert deco.cycle_count == 2
         assert verify_decomposition(g, deco).ok
+
+    def test_degree_four_levels_take_few_rotation_steps(self, monkeypatch):
+        # the pipeline's last heuristic level: most of its cycles leave a
+        # disconnected complement, so it tries several; rebuilding each try
+        # from one vertex took 41,958 steps here, walking on from the last
+        # cycle takes about 10,000
+        real, steps = decompose._rotation_first_cycle, []
+
+        def counting(adj_bits, n, budget, *rest):
+            before = budget.nodes
+            cyc = real(adj_bits, n, budget, *rest)
+            if adj_bits[0].bit_count() == 4:
+                steps.append(budget.nodes - before)
+            return cyc
+
+        monkeypatch.setattr(decompose, "_rotation_first_cycle", counting)
+        for g in (complete_graph(201), paley(197)):
+            for seed in range(5):
+                run_pipeline(g, seed=seed)
+        assert sum(steps) <= 16_000, (len(steps), sum(steps))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_walk_never_closes_into_a_tried_cycle(self, seed):
+        # with every Hamilton cycle tried, a walk from one of them can only
+        # stall, start afresh and stall again, well inside its step cap;
+        # with one cycle left untried, it returns that cycle or nothing
+        rng = random.Random(seed)
+        for g in connected_regular_graphs(9, 4):
+            cycles = set(enumerate_hamilton_cycles(g))
+            if len(cycles) < 2:
+                continue
+            budget = _Budget(10**9, None)
+            last = min(cycles)
+            assert _rotation_first_cycle(g.adj_bits, 9, budget, rng, last, cycles) is None
+            assert budget.nodes < 8 * 9 * 9
+            for keep in rng.sample(sorted(cycles), 3):
+                got = _rotation_first_cycle(
+                    g.adj_bits, 9, budget, rng, last, cycles - {keep}
+                )
+                assert got is None or canonical_cycle(got) == keep
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rotation_heuristic_picks_the_scanned_pivots(self, seed):

@@ -595,9 +595,9 @@ class TestDerivedCovers:
 # round's pivot scan or a move's step order changes these digests.
 PINNED_RUNS = {
     ("K21", 0): "cb0074c48a2ef12c2abd7444cde8cf17dbb43dbae758a03159b8734d61b88157",
-    ("K51", 1): "bd36236b8e530abe2f7e534c1a8b8cec96a779644eee885d5cb11e7c5535a114",
-    ("P53", 1): "30b700446ba7683f2fd32675bee907d25def3dee2282eb9b9608ad87b3e60e03",
-    ("P53", 2): "33ae219e85813fa1622c63c089239da91b27f540f9a2125f80bda11233f66c66",
+    ("K51", 1): "d1149309579c9871c7de042f4a5ba86cb6a9b124f0381a2feea8da98b2084ab3",
+    ("P53", 1): "6a30aaf74db281ec2d1f037b0eddd0c274aec90dd63fcb1a7061d11e7e39d426",
+    ("P53", 2): "8626918cf5541940a3832584fa80925cbf439656a548ad13c10dc1c82a4b337c",
 }
 
 
@@ -630,9 +630,9 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation rounds or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "51eb6bcb77e2c0448a8f9f3fbe4e5d17c5a53c24ac6bb2f9c873a54d1805c79b",
-    "K201": "871ec160e0cafa5e69c7b2ce373e1b474c3f616ea8e6b738481ab13b2e32a1e6",
-    "P197": "56dee328659217d6e681b86569d6dcdaf32777172ef48682a9ddedbb365f24d9",
+    "K101": "bf9f06217dbb1cd25a2fbf0ed28bc6d126c7bf974f53dddf851258bec7e2082c",
+    "K201": "929cf2cbfef2561d8985ace4da39c868be18522ea36ecdb8f4885d95224f1d85",
+    "P197": "89187acba058414ad745de6660867443194ecb70f4c56a8f9cfd853df78fcbc3",
 }
 
 

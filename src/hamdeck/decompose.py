@@ -5,9 +5,14 @@ the odd-degree variant that peels off a perfect matching first.
 The completer peels one Hamilton cycle per level.  At each level it first
 tries cycles from a randomized rotation heuristic (up to HEURISTIC_TRIES
 calls), then an exhaustive DFS over the Hamilton cycles not yet tried, with
-connectivity and degree pruning.  The search is therefore exhaustive, and a
-node budget bounds it, so "budget ran out" (BudgetError) stays distinct from
-"no decomposition exists" (InfeasibleError).
+connectivity and degree pruning.  The first try grows a path from a random
+vertex; each later try opens the cycle tried last at a random edge and
+walks on from it by Pósa rotations, never closing into a tried cycle, and
+starts afresh only when that walk stalls.  A cycle whose residual is
+disconnected is rejected by one connectivity test before the next level.
+The search is therefore exhaustive, and a node budget bounds it, so "budget
+ran out" (BudgetError) stays distinct from "no decomposition exists"
+(InfeasibleError).
 
 The pruned DFS is kept apart from ``counting._hamilton_cycles_from`` on
 purpose: that plain DFS is the reference the completer is checked against,
@@ -36,8 +41,10 @@ log = logging.getLogger(__name__)
 
 # Heuristic calls per completion level before the exhaustive DFS takes over.
 # At residual degree 4 most Hamilton cycles leave a disconnected complement;
-# on 40 unions of two random Hamilton cycles of order 101 the level needed up
-# to 29 tries, each far cheaper than the DFS that would list the same cycles.
+# on 48 unions of two random Hamilton cycles of order 101 the level needed up
+# to 29 tries (6.2 on average).  A retry walks on from the last cycle, so on
+# K201 and Paley(197) it takes about 74 rotation steps against 576 for the
+# first try's fresh build, and all are far cheaper than the DFS.
 HEURISTIC_TRIES = 64
 # Restart slices the completion budget is split into.
 COMPLETION_RESTARTS = 24

@@ -6,8 +6,8 @@ Hamilton cycles, and exact backtracking completion, plus brute-force
 counting oracles and permanent-based bound formulas for validation at
 small n.
 
-Importing the package loads neither numpy nor scipy: each is imported by
-the first function that needs it.  The import caps the BLAS/OpenMP pools at
+Importing the package does not load numpy: the first function that needs
+it imports it.  Nothing in the package imports scipy.  The import caps the BLAS/OpenMP pools at
 one thread unless the caller has set the variables: the package's one matrix
 product, in the sampled robust-expander check, is small, and on a shared
 host the default thread pools made such products several times slower.

@@ -556,8 +556,10 @@ def decompose_odd(
         break
     else:
         raise InfeasibleError("no perfect matching leaves a decomposable remainder")
-    deco = Decomposition.from_parts(graph.n, [list(c) for c in cycles], matching)
-    check = verify_decomposition(graph, deco)
-    if not check.ok:
-        raise AssertionError(f"odd-degree output invalid: {check.violation}")
-    return deco
+    # the cycles were verified against the remainder, whose subtraction
+    # checked that each matching edge is an edge of graph; what is left to
+    # check is that the matching covers every vertex exactly once
+    covered = sorted(v for e in matching for v in e)
+    if covered != list(range(graph.n)):
+        raise AssertionError("odd-degree output invalid: the matching is not perfect")
+    return Decomposition.from_parts(graph.n, [list(c) for c in cycles], matching)

@@ -3,11 +3,12 @@
 Sampling goes through perfect matchings of the bipartite double cover: a
 perfect matching there is a fixed-point-free permutation supported on the
 edge set, and its permutation cycles project to components (2-cycles become
-isolated edges, longer cycles become graph cycles).  Each draw relabels
-the rows and columns of the double cover at random and takes scipy's C
-maximum bipartite matching (Hopcroft-Karp).  The draws are random but follow
-no known distribution, so counting claims are delegated to the exhaustive
-enumerator at small n.
+isolated edges, longer cycles become graph cycles).  Each draw matches the
+double cover on the graph's bit rows: a greedy pass over the rows in random
+order, each from a random offset, then one breadth-first augmenting-path
+search per row left unmatched.  The draws are random but follow no known
+distribution, so counting claims are delegated to the exhaustive enumerator
+at small n.
 """
 
 from __future__ import annotations
@@ -176,43 +177,71 @@ def _project_permutation(sigma: list[int]) -> tuple[list[list[int]], list[Edge]]
 
 
 def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | None:
-    """Maximum matching of the double cover under random row and column labels.
+    """Maximum matching of the double cover, grown from a random greedy one.
 
-    Row r of the n x n biadjacency is vertex rows[r] and column c is vertex
-    cols[c].  Its CSR is built from the bit rows, by permuting the unpacked
-    adjacency matrix (O(n^2) numpy steps) or, when ``g.is_sparse``, by
-    relabelling each row's bits (O(m) Python steps).  The random labels give
-    scipy's Hopcroft-Karp a fresh order of rows and neighbours each call.
-    No distribution over matchings is promised.
-    Returns sigma with sigma[i] = the partner of vertex i, or None when the
-    maximum matching is smaller than n, which certifies that no (<=2)-factor
-    exists.
+    Row v of the n x n biadjacency is vertex v and its columns are v's
+    neighbours, read from the bit row.  The rows are visited in a random
+    order, and each takes its lowest free column at or above a random
+    offset, wrapping round; order and offsets are drawn in bulk.  Each row
+    left unmatched then runs one breadth-first search for an augmenting
+    path.  No distribution over matchings is promised.
+    Returns sigma with sigma[i] = the partner of vertex i, or None when some
+    row has no augmenting path: a maximum matching then leaves that row
+    unmatched, which certifies that no (<=2)-factor exists.
     """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
+    n, rows = g.n, g.adj_bits
+    sigma = [-1] * n  # row -> its column
+    owner = [-1] * n  # column -> its row
+    free = (1 << n) - 1  # the unmatched columns
+    unmatched = []
+    for v, k in zip(rng.permutation(n).tolist(), rng.integers(0, n, n).tolist()):
+        options = rows[v] & free
+        if not options:
+            unmatched.append(v)
+            continue
+        if upper := options >> k:
+            w = k + (upper & -upper).bit_length() - 1
+        else:
+            w = (options & -options).bit_length() - 1
+        sigma[v], owner[w] = w, v
+        free ^= 1 << w
+    for root in unmatched:
+        w = _augment(rows, sigma, owner, free, root)
+        if w < 0:
+            return None
+        free ^= 1 << w
+    return sigma
 
-    n = g.n
-    rows = rng.permutation(n)
-    cols = rng.permutation(n)
-    if g.is_sparse:
-        col_of, bits = np.argsort(cols).tolist(), g.adj_bits
-        nbrs = [sorted(col_of[w] for w in iter_bits(bits[v])) for v in rows.tolist()]
-        counts = [len(a) for a in nbrs]
-        indices = np.fromiter(chain.from_iterable(nbrs), np.int64, sum(counts))
-    else:
-        permuted = g.adjacency_matrix().take(rows, 0).take(cols, 1).view(bool)
-        counts = np.count_nonzero(permuted, axis=1)
-        # flat index minus its row's offset: cheaper than an int64 modulo
-        indices = np.flatnonzero(permuted) - np.repeat(np.arange(0, n * n, n), counts)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    biadj = csr_matrix((np.ones(len(indices), np.int8), indices, indptr), shape=(n, n))
-    match = maximum_bipartite_matching(biadj, perm_type="column")
-    if (match < 0).any():
-        return None
-    sigma = np.empty(n, dtype=np.int64)
-    sigma[rows] = cols[match]
-    return sigma.tolist()
+
+def _augment(rows, sigma, owner, free: int, root: int) -> int:
+    """Match the unmatched row ``root`` along a shortest alternating path to
+    a column in the mask ``free``, found breadth first; returns that column,
+    or -1 when no path exists.
+
+    A row enters the search only once its neighbours hold no free column:
+    the root's were all taken when it was left unmatched, and each later
+    row is tested as soon as its matched column is reached, so on a dense
+    graph the search stops after a few columns."""
+    reached: dict[int, int] = {}  # column -> the row it was reached from
+    seen = 0
+    queue = [root]
+    for v in queue:  # grows while it is read: first in, first out
+        new = rows[v] & ~seen
+        seen |= new
+        for w in iter_bits(new):
+            reached[w] = v
+            u = owner[w]
+            if hit := rows[u] & free:
+                end = w = (hit & -hit).bit_length() - 1
+                reached[w] = u
+                # flip the path: each row on it takes the column it reached
+                while True:
+                    v = reached[w]
+                    sigma[v], owner[w], w = w, v, sigma[v]
+                    if v == root:
+                        return end
+            queue.append(u)
+    return -1
 
 
 def sample_le2_factor(

@@ -105,12 +105,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self._degrees) // 2
 
-    @property
-    def is_sparse(self) -> bool:
-        """Whether O(m) bit walks beat one O(n^2) numpy unpack, which is 9x
-        faster on K201, 8x slower on C_3000(1,2) and too big at n = 10^5."""
-        return self.n * self.n >= 32 * sum(self._degrees)
-
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
 

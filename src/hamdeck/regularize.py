@@ -12,13 +12,18 @@ The stage speaks bit rows from end to end.  An orientation is its out-rows:
 bit w of ``out[v]`` is set iff there is an arc v -> w.  The flow network
 holds those rows, the flow's result holds the out-rows of the arcs that
 carry flow, and the extracted subgraph is those rows plus their mirror.
-The public surface consumes and produces undirected Graphs.
+The flow is found as its complement, the fewest arcs to drop so that no
+vertex keeps more than d out-arcs or d in-arcs: a greedy pass over bit-mask
+buckets, then augmenting paths (``max_flow``).  Only the in-rows come from
+numpy, by one unpack, transpose and pack.  The public surface consumes and
+produces undirected Graphs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InfeasibleError, InputError, SearchFailedError
 from .graphs import Graph, iter_bits, pack_rows, unpack_rows
@@ -105,44 +110,148 @@ class MaxFlowResult:
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Exact integral maximum flow; validates conservation and capacities."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
+    """Exact integral maximum flow, found as the fewest arcs to leave empty;
+    validates the capacities and the flow value.
 
+    An integral flow is a set of kept arcs with at most d out-arcs and d
+    in-arcs at each vertex, so vertex u must drop a(u) = out(u) - d of its
+    out-arcs and w must drop b(w) = in(w) - d in-arcs, where positive.  One
+    dropped arc serves a tail and a head at once: with M the largest set of
+    arcs that gives no tail more than a(u) and no head more than b(w), the
+    fewest drops number sum a + sum b - |M| (Gallai's identity for bipartite
+    b-matchings and b-edge covers), so the value is m - sum a - sum b + |M|.
+    """
     n, d = net.n, net.d
-    # middle arcs in (tail, head) order: row-major over the unpacked out-rows
-    middle = np.argwhere(unpack_rows(net.out, n))
-    m = len(middle)
-    # node ids: source 0, X copy of v 1 + v, Y copy of v 1 + n + v, sink 2n + 1
-    verts = np.arange(n, dtype=np.int64)
-    tails = np.concatenate([np.zeros(n, np.int64), 1 + middle[:, 0], 1 + n + verts])
-    heads = np.concatenate([1 + verts, 1 + n + middle[:, 1], np.full(n, 2 * n + 1)])
-    caps = np.concatenate([np.full(n, d), np.ones(m), np.full(n, d)]).astype(np.int32)
-    size = 2 * n + 2
-    matrix = csr_matrix((caps, (tails, heads)), shape=(size, size))
-    result = maximum_flow(matrix, 0, size - 1)
-    # one sparse lookup per arc: source arcs, middle arcs, sink arcs
-    flow = np.asarray(result.flow[tails, heads]).ravel() if tails.size else tails
-    x_flow, mid, y_flow = flow[:n], flow[n : n + m], flow[n + m :]
+    in_rows = _transpose(net.out, n)
+    out_need = [max(row.bit_count() - d, 0) for row in net.out]
+    in_need = [max(row.bit_count() - d, 0) for row in in_rows]
+    drop, matched = _drop_arcs(net.out, in_rows, out_need, in_need)
 
-    bad = mid[(mid != 0) & (mid != 1)]
-    if bad.size:
-        raise AssertionError(f"non-integral or overfull middle arc flow {bad[0]}")
-    if not ((0 <= x_flow) & (x_flow <= d) & (0 <= y_flow) & (y_flow <= d)).all():
-        raise AssertionError("source/sink arc capacity violated")
-    used = middle[mid == 1]
-    out_by_x = np.bincount(used[:, 0], minlength=n)
-    in_by_y = np.bincount(used[:, 1], minlength=n)
-    broken = np.flatnonzero((out_by_x != x_flow) | (in_by_y != y_flow))
-    if broken.size:
-        raise AssertionError(f"flow conservation violated at vertex {broken[0]}")
-    value = int(result.flow_value)
-    if value != x_flow.sum():
-        raise AssertionError("flow value inconsistent with source arcs")
-    kept = np.zeros((n, n), np.uint8)
-    kept[used[:, 0], used[:, 1]] = 1
-    return MaxFlowResult(value, pack_rows(kept))
+    for v, (row, x) in enumerate(zip(net.out, drop)):
+        if x & ~row:
+            raise AssertionError(f"vertex {v} drops an arc it does not have")
+    kept = tuple(row & ~x for row, x in zip(net.out, drop))
+    for v, (row, col) in enumerate(zip(kept, _transpose(kept, n))):
+        if row.bit_count() > d or col.bit_count() > d:
+            raise AssertionError(f"source/sink arc capacity violated at vertex {v}")
+    arcs = sum(row.bit_count() for row in net.out)
+    value = arcs - sum(out_need) - sum(in_need) + matched
+    if value != sum(row.bit_count() for row in kept):
+        raise AssertionError(f"flow conservation violated: value {value} != kept arcs")
+    return MaxFlowResult(value, kept)
+
+
+def _transpose(rows, n: int) -> list[int]:
+    """The in-rows of out-rows on n vertices: one numpy unpack, transpose
+    and pack (packbits is slow on a strided view, so the transpose is
+    copied first)."""
+    return list(pack_rows(unpack_rows(rows, n).T.copy()))
+
+
+def _drop_arcs(out, in_rows, out_need, in_need) -> tuple[list[int], int]:
+    """Out-rows of a fewest set of arcs that gives each tail u at least
+    ``out_need[u]`` and each head w at least ``in_need[w]``, and the size of
+    the maximum b-matching M inside it.
+
+    M is grown greedily, most needed first: tails in order of need, each
+    taking heads with the most drops still needed, from bit-mask buckets
+    indexed by that need.  A tail still short then searches breadth first
+    for augmenting paths, until none is left; each tail and head still short
+    after that drops arbitrary further arcs.
+    """
+    n = len(out)
+    drop = [0] * n
+    out_left = list(out_need)
+    buckets = [0] * (max(in_need, default=0) + 1)  # heads by need left
+    for w, k in enumerate(in_need):
+        buckets[k] |= 1 << w
+    for u in sorted(range(n), key=out_need.__getitem__, reverse=True):
+        r = out_need[u]
+        if not r:
+            break
+        avail = out[u]
+        for k in range(len(buckets) - 1, 0, -1):
+            take = avail & buckets[k]
+            if not take:
+                continue
+            if take.bit_count() > r:
+                rest = take
+                for _ in range(r):
+                    rest &= rest - 1
+                take ^= rest  # its lowest r heads
+            buckets[k] ^= take
+            buckets[k - 1] |= take
+            avail ^= take
+            drop[u] |= take
+            r -= take.bit_count()
+            if not r:
+                break
+        out_left[u] = r
+    drop_in = _transpose(drop, n)
+    in_left = [k - row.bit_count() for k, row in zip(in_need, drop_in)]
+    spare = sum(buckets[1:])  # heads that may take one more drop
+
+    for u in range(n):
+        while out_left[u]:
+            w = _augment(out, in_rows, drop, drop_in, spare, u)
+            if w < 0:
+                break  # no path from u now, so none after later augmentations
+            out_left[u] -= 1
+            in_left[w] -= 1
+            if not in_left[w]:
+                spare ^= 1 << w
+    matched = sum(out_need) - sum(out_left)
+
+    for u, r in enumerate(out_left):
+        for w in islice(iter_bits(out[u] & ~drop[u]), r):
+            drop[u] |= 1 << w
+            drop_in[w] |= 1 << u
+    for w, r in enumerate(in_left):
+        for u in islice(iter_bits(in_rows[w] & ~drop_in[w]), r):
+            drop[u] |= 1 << w
+    return drop, matched
+
+
+def _augment(out, in_rows, drop, drop_in, spare: int, root: int) -> int:
+    """Grow the b-matching ``drop`` by one arc along a shortest alternating
+    path from the tail ``root``: out along an undropped arc, back along a
+    dropped one, ending at a head in the mask ``spare``.  Returns that head,
+    or -1 when no path exists.
+
+    Each finished layer of the search is a pair of vertex masks, (tails,
+    heads), and the path is walked back through them, so no vertex records
+    its parent.  The search stops at the first tail that reaches a spare
+    head."""
+    tails = seen_tails = 1 << root
+    seen_heads = 0
+    layers: list[tuple[int, int]] = []
+    while tails:
+        heads = 0
+        for t in iter_bits(tails):
+            new = out[t] & ~drop[t] & ~seen_heads
+            if hit := new & spare:
+                end = w = (hit & -hit).bit_length() - 1
+                while True:
+                    drop[t] |= 1 << w  # a forward arc joins the matching
+                    drop_in[w] |= 1 << t
+                    if not layers:
+                        return end
+                    prev_tails, prev_heads = layers.pop()
+                    back = drop[t] & prev_heads  # the arc that reached t
+                    w = (back & -back).bit_length() - 1
+                    drop[t] ^= 1 << w
+                    drop_in[w] ^= 1 << t
+                    back = in_rows[w] & ~drop_in[w] & prev_tails
+                    t = (back & -back).bit_length() - 1
+            heads |= new
+        layers.append((tails, heads))
+        seen_heads |= heads
+        tails = 0
+        for w in iter_bits(heads):
+            tails |= drop_in[w]
+        tails &= ~seen_tails
+        seen_tails |= tails
+    return -1
 
 
 def extract_regular_subgraph(g: Graph, d: int) -> Graph:

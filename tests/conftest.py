@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import strategies as st
@@ -22,6 +23,14 @@ def dense_graphs(draw, min_n: int = 4, max_n: int = 10):
     pairs = list(itertools.combinations(range(n), 2))
     drop = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=len(pairs) // 4))
     return build_graph(n, [p for i, p in enumerate(pairs) if i not in drop])
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p): each pair u < v, in order, is an edge with probability p."""
+    rng = random.Random(seed)
+    return build_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
 
 
 def two_disjoint_k4() -> Graph:

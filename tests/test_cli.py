@@ -503,6 +503,25 @@ def test_walecki_bounds_and_verify_never_load_numpy(tmp_path):
     assert _run_python(code) == "False"
 
 
+def test_pipeline_commands_never_load_scipy(tmp_path):
+    graph = tmp_path / "k21.edges"
+    save_edge_list(complete_graph(21), graph)
+    runs = [
+        ["decompose", str(graph)],
+        ["sample-factor", str(graph)],
+        ["partition", str(graph), "--out", str(tmp_path / "k21")],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from hamdeck.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert _run_python(code) == "False"
+
+
 def test_corpus_build_never_loads_numpy():
     code = (
         "import sys\n"

@@ -511,6 +511,17 @@ class TestDecomposeOdd:
         assert deco.matching == ((0, 1), (2, 3), (4, 5))
         assert verify_decomposition(g, deco).ok
 
+    @pytest.mark.parametrize("n", [6, 22], ids=["exact", "pipeline"])
+    def test_a_matching_that_repeats_an_edge_is_an_internal_fault(self, n, monkeypatch):
+        # the remainder is subtracted once per edge, so it still decomposes;
+        # only the final check sees that the matching is not perfect
+        real = decompose._perfect_matchings
+        monkeypatch.setattr(
+            decompose, "_perfect_matchings", lambda g: (m + m[:1] for m in real(g))
+        )
+        with pytest.raises(AssertionError, match="odd-degree output invalid"):
+            decompose_odd(complete_graph(n), seed=0)
+
     def test_petersen_infeasible_by_budget_or_proof(self):
         # 3-regular with a perfect matching, but the 2-factor left over is
         # two 5-cycles, never a Hamilton cycle

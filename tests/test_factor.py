@@ -4,11 +4,14 @@ import logging
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.factor import (
     PartialHC,
     TwoFactor,
+    _random_perfect_matching,
     component_budget,
     component_profile,
     count_factor_permutations,
@@ -18,7 +21,7 @@ from hamdeck.factor import (
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.partition import default_params, tri_partition
 
-from conftest import circulant, paley
+from conftest import circulant, paley, random_graph, small_graphs
 
 
 def _k101_core():
@@ -26,45 +29,85 @@ def _k101_core():
     return tri_partition(k101, default_params(k101, seed=0)).core
 
 
-# sha256 of the factors drawn at seeds 0-2.  The double cover is built from
-# bit rows, by a numpy unpack on dense graphs and by the O(m) route on
-# sparse ones; the matching scipy returns depends only on that CSR, so any
-# change to it changes these digests.
+# sha256 of the factors drawn at seeds 0-2.  The draw is a greedy matching of
+# the double cover in a random row order from random offsets, finished by
+# augmenting paths, so any change to the draws, the greedy or the search
+# order changes these digests.
 @pytest.mark.parametrize(
-    "make, sparse, digest",
+    "make, digest",
     [
         pytest.param(
             lambda: complete_graph(201),
-            False,
-            "4f8a3b44fa759c6aba06d9286b1c3eb7d3444a2b5ec63809fff77953c2fbe3d3",
+            "5a60784f7b7745388ff1e14ad0e073ffcc7caa544bbb5c8689a1ba682f445c70",
             id="k201",
         ),
         pytest.param(
             lambda: paley(197),
-            False,
-            "4d9152586e1acff7332c1b1149b4adbf86781b2b7402576fa7729db3a6777a15",
+            "0b73cf7d8332ae6c06c5c9fa4a094ac59fd7eb3e8dd4042ca935fa87a7fcb69d",
             id="paley197",
         ),
         pytest.param(
             _k101_core,
-            False,
-            "565a07581f58cd19e80038f5d66c17b20d955f70d7f657265cf955a4d0138339",
+            "fc2d200acdd6eb7daf11bc8135e8a78378313f4c527ce8926c5307db468928f3",
             id="k101-derived-core",
         ),
         pytest.param(
             lambda: circulant(300, (1, 2)),
-            True,
-            "9c59a4a39b69f584707410cc8e60c078c147b63c5c5340097fb36faf7d0ef3c1",
+            "fd437582093c8e1619af4a1a85793dd4baac288a9cf69d748e022c855b2026e8",
             id="c300-sparse",
         ),
     ],
 )
-def test_random_perfect_matching_is_pinned(make, sparse, digest):
-    g = make()
-    assert g.is_sparse == sparse
-    factors = [sample_le2_factor(g, seed) for seed in (0, 1, 2)]
+def test_random_perfect_matching_is_pinned(make, digest):
+    factors = [sample_le2_factor(make(), seed) for seed in (0, 1, 2)]
     blob = repr([(f.cycles, f.pairs) for f in factors])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _scipy_has_perfect_matching(g):
+    """The reference: scipy's maximum bipartite matching of the double cover."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    biadjacency = csr_matrix(g.adjacency_matrix())
+    return bool((maximum_bipartite_matching(biadjacency, perm_type="column") >= 0).all())
+
+
+def _check_matching_against_scipy(g, seed):
+    import numpy as np
+
+    sigma = _random_perfect_matching(g, np.random.default_rng(seed))
+    assert (sigma is not None) == _scipy_has_perfect_matching(g)
+    if sigma is not None:
+        assert sorted(sigma) == list(range(g.n))
+        assert all(g.adj_bits[v] >> w & 1 for v, w in enumerate(sigma))
+
+
+class TestMatchingAgainstScipy:
+    @given(small_graphs(min_n=2, max_n=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_perfect_exactly_when_scipy_finds_one(self, g, seed):
+        _check_matching_against_scipy(g, seed)
+
+    @pytest.mark.parametrize("p", [0.04, 0.08, 0.15, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [9, 30, 61])
+    def test_random_graphs_dense_and_sparse(self, n, p):
+        # irregular throughout; the sparse ones mostly have no perfect matching
+        for seed in range(8):
+            _check_matching_against_scipy(random_graph(n, p, seed), seed)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_graph(62, [(u, v) for u in range(30) for v in range(30, 62)]),
+            build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+            build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (3, 5), (0, 3)]),
+            circulant(3000, (1, 2)),
+        ],
+        ids=["k30-32", "star", "two-triangles", "c3000"],
+    )
+    def test_fixed_cases(self, g):
+        _check_matching_against_scipy(g, 0)
 
 
 class TestEnumeration:

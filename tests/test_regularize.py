@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from hamdeck.graphs import (
     empty_graph,
     iter_bits,
 )
+from hamdeck.partition import default_params, tri_partition
 from hamdeck.regularize import (
     MaxFlowResult,
     balanced_orientation,
@@ -26,14 +26,7 @@ from hamdeck.regularize import (
 )
 from hamdeck.util import spawn_seed
 
-from conftest import paley, small_graphs
-
-
-def _random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return build_graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
+from conftest import paley, random_graph, small_graphs
 
 
 def _arcs(out):
@@ -88,7 +81,7 @@ class TestOrientation:
 
     def test_coins_follow_sorted_edges(self):
         # one coin per edge, drawn in sorted edge order: heads keeps (u, v)
-        g = _random_graph(12, 0.5, 3)
+        g = random_graph(12, 0.5, 3)
         rng = random.Random(5)
         arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in sorted(g.edges)]
         assert random_orientation(g, 5) == _rows(12, arcs)
@@ -123,7 +116,7 @@ class TestOrientation:
                 id="one-edge",
             ),
             pytest.param(
-                lambda: _random_graph(30, 0.3, 7),
+                lambda: random_graph(30, 0.3, 7),
                 "833872bdf0a90172a4d5937c6b494bd8c5c247bbe7fead107fb0d9fabfee43b3",
                 id="odd-degrees",
             ),
@@ -194,27 +187,27 @@ class TestFlowNetwork:
             assert _in_degree(result.kept, v) <= d
 
     @pytest.mark.parametrize(
-        "flow_on_arc, message",
-        [(2, "middle arc flow 2"), (0, "conservation violated at vertex 0")],
-        ids=["middle-arc-carries-2", "conservation-broken"],
+        "doctor, message",
+        [
+            (lambda drop, matched: ([drop[0] ^ (drop[0] & -drop[0])] + drop[1:], matched),
+             "capacity violated at vertex 0"),
+            (lambda drop, matched: (drop, matched + 1), "conservation violated"),
+            (lambda drop, matched: ([drop[0] | 1] + drop[1:], matched),
+             "vertex 0 drops an arc it does not have"),
+        ],
+        ids=["capacity-exceeded", "conservation-broken", "non-arc-dropped"],
     )
-    def test_doctored_flow_fails_self_checks(self, monkeypatch, flow_on_arc, message):
-        # the saturated K5 flow sends 1 along every middle arc; doctor the
-        # arc X_0 -> Y_1 (nodes 1 and 7) and leave the flow value alone
-        import scipy.sparse.csgraph as csgraph
+    def test_doctored_flow_fails_self_checks(self, monkeypatch, doctor, message):
+        # with d = 1 each vertex of the 2-in/2-out K5 drops one out-arc and
+        # one in-arc; doctor the drops and leave the network alone
+        import hamdeck.regularize as regularize
 
-        real = csgraph.maximum_flow
-
-        def doctored(matrix, source, sink):
-            result = real(matrix, source, sink)
-            flow = result.flow.tolil()
-            assert flow[1, 7] == 1
-            flow[1, 7] = flow_on_arc
-            return SimpleNamespace(flow_value=result.flow_value, flow=flow.tocsr())
-
-        monkeypatch.setattr(csgraph, "maximum_flow", doctored)
+        real = regularize._drop_arcs
+        monkeypatch.setattr(
+            regularize, "_drop_arcs", lambda *args: doctor(*real(*args))
+        )
         with pytest.raises(AssertionError, match=message):
-            max_flow(build_flow_network(_k5_rows(), 2))
+            max_flow(build_flow_network(_k5_rows(), 1))
 
 
 class TestExtract:
@@ -258,9 +251,9 @@ class TestExtract:
         assert len(calls) == 1
 
 
-def _max_flow_reference(net):
-    """max_flow's value and kept rows as first written: the middle arcs
-    listed by a bit walk of the out-rows, the kept rows set arc by arc."""
+def _scipy_flow_value(net):
+    """The reference: scipy's maximum flow value over the same network, its
+    middle arcs listed by a bit walk of the out-rows."""
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
@@ -274,13 +267,22 @@ def _max_flow_reference(net):
     caps = np.concatenate([np.full(n, d), np.ones(len(arcs)), np.full(n, d)])
     size = 2 * n + 2
     matrix = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(size, size))
-    result = maximum_flow(matrix, 0, size - 1)
-    mid = np.asarray(result.flow[tails, heads]).ravel()[n : n + len(arcs)]
-    kept = [0] * n
-    for (u, w), f in zip(arcs, mid.tolist()):
-        if f == 1:
-            kept[u] |= 1 << w
-    return int(result.flow_value), tuple(kept)
+    return int(maximum_flow(matrix, 0, size - 1).flow_value)
+
+
+def _check_against_reference(net):
+    """max_flow reaches scipy's value, and its kept arcs are arcs of the
+    network that give each vertex at most d out-arcs and d in-arcs, exactly
+    d when the flow saturates."""
+    result = max_flow(net)
+    assert result.value == _scipy_flow_value(net)
+    assert sum(row.bit_count() for row in result.kept) == result.value
+    saturated = result.value == net.d * net.n
+    for v in range(net.n):
+        assert result.kept[v] & ~net.out[v] == 0
+        for degree in (result.kept[v].bit_count(), _in_degree(result.kept, v)):
+            assert degree == net.d if saturated else degree <= net.d
+    return result
 
 
 def _mirrored(kept):
@@ -295,25 +297,53 @@ class TestFlowAgainstReference:
     @pytest.mark.parametrize("n", [5, 13, 27, 50])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_graphs_keep_the_same_arcs(self, n, seed):
-        g = _random_graph(n, 0.6, seed)
+        # the same number of arcs as scipy's flow, not the same set: the
+        # drop search picks its own maximum flow
+        g = random_graph(n, 0.6, seed)
         for out in (balanced_orientation(g), random_orientation(g, seed)):
             for d in (1, 2, 3):
-                net = build_flow_network(out, d)
-                assert max_flow(net) == MaxFlowResult(*_max_flow_reference(net))
+                _check_against_reference(build_flow_network(out, d))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.floats(0.05, 0.95))
+    @settings(max_examples=200, deadline=None)
+    def test_random_networks_reach_scipys_value(self, seed, n, p):
+        # arbitrary arc sets, so in- and out-degrees are unbalanced and many
+        # networks do not saturate
+        rng = random.Random(seed)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        for d in (1, 2, 4):
+            _check_against_reference(build_flow_network(_rows(n, arcs), d))
 
     def test_network_without_arcs(self):
         net = build_flow_network((0,) * 9, 2)
-        assert max_flow(net) == MaxFlowResult(*_max_flow_reference(net))
+        assert _scipy_flow_value(net) == 0
         assert max_flow(net) == MaxFlowResult(0, (0,) * 9)
 
     def test_paley53_extraction(self):
         g = paley(53)
         for d in (13, 10):
             net = build_flow_network(balanced_orientation(g), d)
-            value, kept = _max_flow_reference(net)
-            assert max_flow(net) == MaxFlowResult(value, kept)
-            assert value == 53 * d
-            assert extract_regular_subgraph(g, d).adj_bits == _mirrored(kept)
+            result = _check_against_reference(net)
+            assert result.value == 53 * d
+            assert extract_regular_subgraph(g, d).adj_bits == _mirrored(result.kept)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: complete_graph(201), lambda: paley(197)], ids=["k201", "paley197"]
+    )
+    def test_tri_partition_networks(self, make, monkeypatch):
+        # the networks of a seed-0 split of each large-n benchmark input
+        import hamdeck.regularize as regularize
+
+        nets = []
+        real = regularize.build_flow_network
+        monkeypatch.setattr(
+            regularize, "build_flow_network", lambda *a: nets.append(real(*a)) or nets[-1]
+        )
+        g = make()
+        tri_partition(g, default_params(g, seed=0))
+        assert nets
+        for net in nets:
+            _check_against_reference(net)
 
 
 def _cut_capacity(net, s, t):

@@ -561,16 +561,35 @@ class TestDerivedCovers:
             assert rebuilt == cover
 
     def test_k201_validates_each_draw_and_each_cycle_once(self, monkeypatch):
-        calls = []
+        calls, draws, closed = [], [], []
         validate = factor_mod._validate_cover
+        sample = rotation.sample_le2_factor
+        close = rotation.rotate_or_close
 
         def counting(*args):
             calls.append(args[0])
             return validate(*args)
 
+        def drawing(*args, **kwargs):
+            draws.append(sample(*args, **kwargs))
+            return draws[-1]
+
+        def closing(*args):
+            cover, move = close(*args)
+            if isinstance(cover, TwoFactor) and cover.is_hamilton_cycle:
+                closed.append(cover)
+            return cover, move
+
         monkeypatch.setattr(factor_mod, "_validate_cover", counting)
-        decompose.run_pipeline(complete_graph(201), seed=0)
-        assert len(calls) <= 128
+        monkeypatch.setattr(rotation, "sample_le2_factor", drawing)
+        monkeypatch.setattr(rotation, "rotate_or_close", closing)
+        run = decompose.run_pipeline(complete_graph(201), seed=0)
+        # a cycle is finished when a move closes it or the draw is one; a
+        # gadget dead end after it restarts the step, so finished cycles
+        # can outnumber the run's rotation cycles
+        finished = len(closed) + sum(f.is_hamilton_cycle for f in draws)
+        assert finished >= run.rotation_cycles
+        assert len(calls) == len(draws) + finished
 
     def test_a_cycle_on_a_non_edge_is_an_internal_fault(self, monkeypatch):
         g = complete_graph(21)
@@ -594,10 +613,12 @@ class TestDerivedCovers:
 # and from the breadth-first fallback.  Any change to the search order, a
 # round's pivot scan or a move's step order changes these digests.
 PINNED_RUNS = {
-    ("K21", 0): "cb0074c48a2ef12c2abd7444cde8cf17dbb43dbae758a03159b8734d61b88157",
-    ("K51", 1): "d1149309579c9871c7de042f4a5ba86cb6a9b124f0381a2feea8da98b2084ab3",
-    ("P53", 1): "6a30aaf74db281ec2d1f037b0eddd0c274aec90dd63fcb1a7061d11e7e39d426",
-    ("P53", 2): "8626918cf5541940a3832584fa80925cbf439656a548ad13c10dc1c82a4b337c",
+    ("K21", 0): "66a378d26d7e8abbc44959074c7c0db54077e0ccdf20f517ae23d0fc191013f9",
+    ("K51", 1): "c9b2507f5aa7028e56cf54f535430feb24ef21112c9d0d934b329dc55ecb9549",
+    # the one run here whose moves include a fallback rotate-extend
+    ("K51", 3): "9794ab5ffd32ebf3ce28e0eb10e2ead34917735d19aad720adedc11809e90f5e",
+    ("P53", 1): "aed70e600671877b08f9f27449033187a60e5e62b08215ef89c576c66f88a540",
+    ("P53", 2): "9ca64c57c54cdde22f942bf02936ab2849ffa55e8959ca3c280b40d20588319d",
 }
 
 
@@ -630,9 +651,9 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation rounds or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "bf9f06217dbb1cd25a2fbf0ed28bc6d126c7bf974f53dddf851258bec7e2082c",
-    "K201": "929cf2cbfef2561d8985ace4da39c868be18522ea36ecdb8f4885d95224f1d85",
-    "P197": "89187acba058414ad745de6660867443194ecb70f4c56a8f9cfd853df78fcbc3",
+    "K101": "009bf744c44fcb9d534aa32e78673218054658a81e26985f758dbb1986889738",
+    "K201": "eda6529bd013b197b096166609853d2a8b90ae15dfe269e770bb463792a6e8b9",
+    "P197": "7b51891e68f24d2e122af985ac7159deae611c176bdd88c6468727d59673e2b9",
 }
 
 

@@ -7,10 +7,11 @@ counting oracles and permanent-based bound formulas for validation at
 small n.
 
 Importing the package does not load numpy: the first function that needs
-it imports it.  Nothing in the package imports scipy.  The import caps the BLAS/OpenMP pools at
-one thread unless the caller has set the variables: the package's one matrix
-product, in the sampled robust-expander check, is small, and on a shared
-host the default thread pools made such products several times slower.
+it imports it.  Nothing in the package imports scipy.  The import caps the
+BLAS/OpenMP pools at one thread unless the caller has set the variables: the
+package's one matrix product, in the sampled robust-expander check, is
+small, and on a shared host the default thread pools made such products
+several times slower.
 """
 
 import os

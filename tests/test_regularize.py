@@ -189,11 +189,17 @@ class TestFlowNetwork:
     @pytest.mark.parametrize(
         "doctor, message",
         [
-            (lambda drop, matched: ([drop[0] ^ (drop[0] & -drop[0])] + drop[1:], matched),
-             "capacity violated at vertex 0"),
+            # vertex 0 keeps the arc it dropped
+            (
+                lambda drop, matched: ([drop[0] & drop[0] - 1] + drop[1:], matched),
+                "capacity violated at vertex 0",
+            ),
             (lambda drop, matched: (drop, matched + 1), "conservation violated"),
-            (lambda drop, matched: ([drop[0] | 1] + drop[1:], matched),
-             "vertex 0 drops an arc it does not have"),
+            # vertex 0 also drops the self-arc (0, 0), which is no arc
+            (
+                lambda drop, matched: ([drop[0] | 1] + drop[1:], matched),
+                "vertex 0 drops an arc it does not have",
+            ),
         ],
         ids=["capacity-exceeded", "conservation-broken", "non-arc-dropped"],
     )

@@ -20,7 +20,16 @@ vertex mask.
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
 Only the sampled factor and each finished Hamilton cycle are validated, the
-latter once per step by ``extract_hamilton_step``.
+latter by ``extract_hamilton_step``.
+
+Each patch edge the cycle keeps costs a substitution gadget, and the
+gadgets' exclusion set must stay within n^0.6.  It starts as the endpoints
+of the patch edges and grows by exactly four vertices per gadget, so the
+step knows before any gadget search whether the set would overflow.  Such a
+cycle is rerouted: it is opened at its lowest patch edge and the
+breadth-first search closes the Hamilton path again by core rotations and a
+core chord, one ``reroute`` move each time, until the gadgets fit.  The step
+redraws its factor only when a reroute gives up or a gadget is not found.
 """
 
 from __future__ import annotations
@@ -434,7 +443,43 @@ def rotate_or_close(
     return found
 
 
+def _reroute(
+    cycle: TwoFactor, edge: Edge, core: Graph
+) -> tuple[TwoFactor, Move] | None:
+    """Trade the Hamilton cycle's patch edge ``edge`` for core edges.
+
+    Opens the cycle at ``edge`` and runs the breadth-first fallback on that
+    Hamilton path with nothing off it and the core as the closing graph, so
+    every pivot and the closing chord are core edges and the new cycle holds
+    fewer patch edges.  Returns None when the search gives up.
+    """
+    comp = cycle.cycles[0]
+    a, b = edge
+    z = a if comp[(comp.index(a) + 1) % len(comp)] == b else b
+    path, _ = _open_at(comp, z)
+    partial = PartialHC(cycle.host_n, tuple(path), (), ())
+    found = _fallback_search(partial, 0, {}, core, core)
+    if found is None:
+        return None
+    closed, move = found
+    return closed, Move("reroute", (("-", edge),) + move.steps)
+
+
 # -- substitution gadget ---------------------------------------------------------
+
+
+def _gadget_capacity(n: int) -> float:
+    """The most vertices a gadget search may exclude on n vertices, n^0.6."""
+    return n**0.6 + EPS
+
+
+def _peak_exclusion(shared: list[Edge]) -> int:
+    """The exclusion set that the last gadget for the k patch edges
+    ``shared`` sees: their endpoints, plus the four new vertices each earlier
+    gadget adds, |V(shared)| + 4(k - 1).  0 when there is no patch edge."""
+    if not shared:
+        return 0
+    return len({v for e in shared for v in e}) + 4 * (len(shared) - 1)
 
 
 def substitution_gadget(
@@ -456,9 +501,10 @@ def substitution_gadget(
         raise InputError("gadget endpoints must be distinct")
     n = core.n
     banned = set(excluded) | {x, y}
-    if len(excluded) > n**0.6 + EPS:
+    if len(excluded) > _gadget_capacity(n):
         raise InputError(
-            f"exclusion set of size {len(excluded)} exceeds capacity {n**0.6:.2f}"
+            f"exclusion set of size {len(excluded)} exceeds capacity "
+            f"{_gadget_capacity(n):.2f}"
         )
 
     def usable(u: int, v: int) -> bool:
@@ -486,11 +532,30 @@ def substitution_gadget(
     d = core.regular_degree()
     raise SearchFailedError(
         f"no substitution gadget for ({x}, {y}) with {len(excluded)} excluded "
-        f"vertices (core degree {d}, capacity hint n^0.6={n**0.6:.2f})"
+        f"vertices (core degree {d}, capacity n^0.6={_gadget_capacity(n):.2f})"
     )
 
 
 # -- one full extraction ----------------------------------------------------------
+
+
+def _check_cycle(final: TwoFactor, host: Graph) -> None:
+    """Validate a finished cycle in the host.  Moves derive their covers
+    unchecked, so an invalid cycle is an internal fault, not a dead end to
+    redraw past."""
+    try:
+        final.validate_in(host)
+    except InputError as exc:
+        raise AssertionError(f"rotation moves built a bad cycle: {exc}") from exc
+
+
+def _edges_and_patch_edges(
+    final: TwoFactor, core: Graph
+) -> tuple[frozenset[Edge], list[Edge]]:
+    """A validated cycle's edges, and those not in the core, sorted."""
+    edges = final.edge_set()
+    # validated: its edges are in range for bit tests
+    return edges, sorted(e for e in edges if not core.adj_bits[e[0]] >> e[1] & 1)
 
 
 @dataclass(frozen=True)
@@ -523,11 +588,14 @@ def extract_hamilton_step(
     """Extract one Hamilton cycle from core ∪ patch and rebalance the core.
 
     Samples a (<=2)-factor of the core, alternates merge and rotate/close
-    moves under a hard iteration cap, then substitutes gadget edges for any
-    patch edges consumed by the cycle so the new core is exactly
-    (d-2)-regular.  Las-Vegas: a factor above ``component_budget(n)``
-    components is discarded before any move, and so is every dead end; the
-    step redraws up to STEP_RESTARTS times, then raises BudgetError.
+    moves under a hard iteration cap, reroutes a cycle whose gadgets would
+    overflow the exclusion set through core rotations, then substitutes
+    gadget edges for any patch edges consumed by the cycle so the new core
+    is exactly (d-2)-regular.  Las-Vegas: a factor above
+    ``component_budget(n)`` components is discarded before any move, and so
+    is every dead end, including a reroute that reaches ROTATION_VISIT_CAP
+    paths; the step redraws up to STEP_RESTARTS times, then raises
+    BudgetError.
     """
     if core.n != patch.n:
         raise InputError("core and patch must share a vertex set")
@@ -555,8 +623,9 @@ def extract_hamilton_step(
                     f"factor has {factor.component_count} components, "
                     f"above the cap {budget}"
                 )
-            # merge_step and rotate_or_close are looked up as module globals
-            # on every call, so wrappers installed on this module see them
+            # merge_step, rotate_or_close and _reroute are looked up as module
+            # globals on every call, so wrappers installed on this module see
+            # them
             final: TwoFactor | PartialHC = factor
             moves: list[Move] = []
             for _ in range(cap):
@@ -569,28 +638,28 @@ def extract_hamilton_step(
                 moves.append(move)
             if not (isinstance(final, TwoFactor) and final.is_hamilton_cycle):
                 raise SearchFailedError(f"no Hamilton cycle within {cap} moves")
-            # moves derive their covers unchecked, so an invalid cycle here is
-            # an internal fault, not a dead end to redraw past
-            try:
-                final.validate_in(host)
-            except InputError as exc:
-                raise AssertionError(f"rotation moves built a bad cycle: {exc}") from exc
+            _check_cycle(final, host)
+            cycle_edge_set, shared = _edges_and_patch_edges(final, core)
+            # a cycle whose gadgets would overflow the exclusion set trades
+            # its lowest patch edge for core edges until they fit; the step
+            # redraws only when a reroute gives up
+            while (peak := _peak_exclusion(shared)) > _gadget_capacity(n):
+                rerouted = _reroute(final, shared[0], core)
+                if rerouted is None:
+                    raise SearchFailedError(
+                        f"gadget exclusion set {peak} over capacity"
+                    )
+                final, move = rerouted
+                moves.append(move)
+                _check_cycle(final, host)
+                cycle_edge_set, shared = _edges_and_patch_edges(final, core)
 
             cycle = final.cycles[0]
-            cycle_edge_set = final.edge_set()
-            # validated above: its edges are in range for bit tests
-            cycle_in_patch = frozenset(
-                e for e in cycle_edge_set if not core.adj_bits[e[0]] >> e[1] & 1
-            )
-            shared = sorted(cycle_in_patch)
+            cycle_in_patch = frozenset(shared)
             excluded: set[int] = {v for e in shared for v in e}
             promoted: list[Edge] = []
             dropped: list[Edge] = []
             for x, y in shared:
-                if len(excluded) > n**0.6 + EPS:
-                    raise SearchFailedError(
-                        f"gadget exclusion set {len(excluded)} over capacity"
-                    )
                 avoid = cycle_edge_set | frozenset(promoted) | frozenset(dropped)
                 x1, x2, y1, y2 = substitution_gadget(
                     core, patch, x, y, excluded, avoid_edges=avoid
@@ -630,7 +699,7 @@ def extract_hamilton_step(
                 start_factor=factor,
                 moves=tuple(moves),
                 restarts=restart,
-                patch_edges_in_cycle=frozenset(shared),
+                patch_edges_in_cycle=cycle_in_patch,
             )
         except SearchFailedError as exc:
             last_error = exc

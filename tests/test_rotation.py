@@ -31,7 +31,7 @@ from hamdeck.rotation import (
 )
 from hamdeck.walecki import canonical_cycle
 
-from conftest import paley
+from conftest import circulant, paley
 
 
 def params_for(g, **overrides):
@@ -516,6 +516,46 @@ class TestExtract:
                 assert len(edges) == before + 1
         assert comps == 1
 
+    def test_overflowing_cycle_is_rerouted_through_core_edges(self, monkeypatch):
+        # the draw is the Hamilton cycle 0-1-...-29, all 30 of its edges in
+        # the patch: far more than gadgets can fit in n^0.6 ~ 7.7 excluded
+        # vertices, so the step reroutes it through core rotations instead
+        n = 30
+        core, patch = circulant(n, (4, 7)), circulant(n, (1, 2))
+        host = core.union(patch)
+        start = TwoFactor(n, (canonical_cycle(range(n)),), ())
+        sample = rotation.sample_le2_factor
+        draws = iter([start])
+
+        def drawing(*args, **kwargs):
+            return next(draws, None) or sample(*args, **kwargs)
+
+        monkeypatch.setattr(rotation, "sample_le2_factor", drawing)
+        reroute = rotation._reroute
+        rerouted = []
+
+        def checking(*args):
+            old = args[0]
+            out = reroute(*args)
+            assert out is not None
+            new, move = out
+            assert new.is_hamilton_cycle
+            new.validate_in(host)
+            assert all(e in core.edges for op, e in move.steps if op == "+")
+            assert len(new.edge_set() - core.edges) < len(old.edge_set() - core.edges)
+            assert replay_moves(old.edge_set(), [move]) == new.edge_set()
+            rerouted.append(move)
+            return out
+
+        monkeypatch.setattr(rotation, "_reroute", checking)
+        step = extract_hamilton_step(core, patch, params_for(complete_graph(n)), 0)
+        assert step.restarts == 0 and step.start_factor == start
+        assert len(rerouted) >= 2
+        assert list(step.moves) == rerouted
+        assert {m.kind for m in step.moves} == {"reroute"}
+        assert replay_moves(start.edge_set(), step.moves) == step.cycle_edges()
+        assert step.new_core.regular_degree() == 2
+
     def test_factors_over_the_component_cap_are_redrawn(self, monkeypatch):
         # with a cap of 0 every draw is over it: each is discarded before
         # any move, and the restart loop ends in BudgetError
@@ -561,10 +601,20 @@ class TestDerivedCovers:
             assert rebuilt == cover
 
     def test_k201_validates_each_draw_and_each_cycle_once(self, monkeypatch):
-        calls, draws, closed = [], [], []
+        self._validations_match_draws_and_cycles(complete_graph(201), monkeypatch)
+
+    def test_paley197_validates_each_draw_and_each_cycle_once(self, monkeypatch):
+        # Paley(197) at seed 0 reroutes cycles whose gadgets would overflow
+        rerouted = self._validations_match_draws_and_cycles(paley(197), monkeypatch)
+        assert rerouted > 0
+
+    @staticmethod
+    def _validations_match_draws_and_cycles(g, monkeypatch) -> int:
+        calls, draws, closed, rerouted = [], [], [], []
         validate = factor_mod._validate_cover
         sample = rotation.sample_le2_factor
         close = rotation.rotate_or_close
+        reroute = rotation._reroute
 
         def counting(*args):
             calls.append(args[0])
@@ -580,16 +630,26 @@ class TestDerivedCovers:
                 closed.append(cover)
             return cover, move
 
+        def rerouting(*args):
+            out = reroute(*args)
+            if out is not None:
+                rerouted.append(out[0])
+            return out
+
         monkeypatch.setattr(factor_mod, "_validate_cover", counting)
         monkeypatch.setattr(rotation, "sample_le2_factor", drawing)
         monkeypatch.setattr(rotation, "rotate_or_close", closing)
-        run = decompose.run_pipeline(complete_graph(201), seed=0)
-        # a cycle is finished when a move closes it or the draw is one; a
-        # gadget dead end after it restarts the step, so finished cycles
-        # can outnumber the run's rotation cycles
-        finished = len(closed) + sum(f.is_hamilton_cycle for f in draws)
+        monkeypatch.setattr(rotation, "_reroute", rerouting)
+        run = decompose.run_pipeline(g, seed=0)
+        # a cycle is finished when a move closes it, the draw is one or a
+        # reroute makes it; a gadget dead end after it restarts the step, so
+        # finished cycles can outnumber the run's rotation cycles
+        finished = (
+            len(closed) + sum(f.is_hamilton_cycle for f in draws) + len(rerouted)
+        )
         assert finished >= run.rotation_cycles
         assert len(calls) == len(draws) + finished
+        return len(rerouted)
 
     def test_a_cycle_on_a_non_edge_is_an_internal_fault(self, monkeypatch):
         g = complete_graph(21)
@@ -608,16 +668,34 @@ class TestDerivedCovers:
         assert tuple(map(int, named)) in tp.residual.edges
 
 
+@pytest.mark.parametrize("name", ["K201", "P197"])
+def test_no_step_redraws_for_gadget_overflow(name, monkeypatch):
+    # every SearchFailedError made anywhere is recorded, even one caught and
+    # redrawn past inside the step
+    messages = []
+    init = SearchFailedError.__init__
+
+    def recording(self, *args):
+        messages.append(str(args[0]) if args else "")
+        init(self, *args)
+
+    monkeypatch.setattr(SearchFailedError, "__init__", recording)
+    g = paley(197) if name == "P197" else complete_graph(201)
+    for seed in range(5):
+        decompose.run_pipeline(g, seed=seed)
+    assert not [m for m in messages if "over capacity" in m]
+
+
 # sha256 of [decomposition JSON, step_stats] for pipeline runs whose moves
 # include every kind, each rotation kind both from the windowed apparatus
 # and from the breadth-first fallback.  Any change to the search order, a
 # round's pivot scan or a move's step order changes these digests.
 PINNED_RUNS = {
     ("K21", 0): "66a378d26d7e8abbc44959074c7c0db54077e0ccdf20f517ae23d0fc191013f9",
-    ("K51", 1): "c9b2507f5aa7028e56cf54f535430feb24ef21112c9d0d934b329dc55ecb9549",
+    ("K51", 1): "6d1d1b39fbb5e802091f287e35ecc740c48c30cb2a04f568bcc594aacc6ed8e7",
     # the one run here whose moves include a fallback rotate-extend
-    ("K51", 3): "9794ab5ffd32ebf3ce28e0eb10e2ead34917735d19aad720adedc11809e90f5e",
-    ("P53", 1): "aed70e600671877b08f9f27449033187a60e5e62b08215ef89c576c66f88a540",
+    ("K51", 3): "ff3708ddb9c9975487e5037f7901a16c34a86d1c972440463dc3c4812c668b39",
+    ("P53", 1): "73b29da54df3d1bf26e49a15533613bd26ada350327a5dbeccbd7941a055cb12",
     ("P53", 2): "9ca64c57c54cdde22f942bf02936ab2849ffa55e8959ca3c280b40d20588319d",
 }
 
@@ -643,6 +721,7 @@ def test_pipeline_outputs_are_pinned():
         ("rotate-close", ""),
         ("rotate-extend", "fallback"),
         ("rotate-close", "fallback"),
+        ("reroute", ""),
     }
 
 
@@ -651,9 +730,9 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation rounds or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "009bf744c44fcb9d534aa32e78673218054658a81e26985f758dbb1986889738",
+    "K101": "0ae2ee487304359b8a3c9cb81ad6b3ec3b5c3f258151dd721efaa5e9063c361e",
     "K201": "eda6529bd013b197b096166609853d2a8b90ae15dfe269e770bb463792a6e8b9",
-    "P197": "7b51891e68f24d2e122af985ac7159deae611c176bdd88c6468727d59673e2b9",
+    "P197": "53b21ed52a4a8ceb56c977e3cd23cda98e1c1a6a2891e830ce1a53355c6cc865",
 }
 
 

@@ -531,7 +531,7 @@ def decompose_odd(
         raise InfeasibleError("a disconnected graph has no Hamilton cycle")
     exact = graph.n < PIPELINE_MIN_N or r == 1
     if graph.n == 2:
-        log.warning("degenerate n=2 input: matching only, no cycles")
+        log.debug("degenerate n=2 input: matching only, no cycles")
     if not exact and params is not None:
         # the caller's density fraction described the odd input; the
         # remainder is one degree thinner

@@ -4,18 +4,20 @@ repair the working core's regularity with substitution gadgets.
 
 Both moves take the current structure and return ``(cover, Move)``:
 ``merge_step`` joins two components of a TwoFactor into a PartialHC, and
-``rotate_or_close`` advances a PartialHC by trying, in order, an extension
-at either endpoint, the windowed three-round rotation apparatus, and a
-bounded breadth-first search over rotations.  The working core supplies
-rotation pivots; the patch graph supplies closing and substitution edges
-(with the core as fallback so the engine stays total at desk scale).  Every
-move is an ordered list of edge operations, so a run can be replayed and
-audited.  The engine reads bit rows only (``iter_bits`` neighbours in
-increasing order, bit-test edges, bit-delta working graphs), so a step
-neither decodes neighbour lists nor copies an edge set.  No rotation
-changes the path's vertex set, so ``rotate_or_close`` builds the off-path
-mask once for every extension test; a rotation round admits its pivots by a
-vertex mask.
+``rotate_or_close`` advances a PartialHC by an extension at either endpoint
+or, failing that, by a bounded breadth-first search over Pósa rotations
+that takes the first extension or closure it reaches.  The paper's proof
+schedules these rotations as three rounds over two windows of the path; a
+breadth-first search over the same moves replaces that schedule, because
+on the benchmark inputs the search alone found a move in every call and
+was faster.  The working core supplies rotation pivots; the patch graph
+supplies closing and substitution edges (with the core as fallback so the
+engine stays total at desk scale).  Every move is an ordered list of edge
+operations, so a run can be replayed and audited.  The engine reads bit
+rows only (``iter_bits`` neighbours in increasing order, bit-test edges,
+bit-delta working graphs), so a step neither decodes neighbour lists nor
+copies an edge set.  No rotation changes the path's vertex set, so
+``rotate_or_close`` builds the off-path mask once for every extension test.
 
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
@@ -34,7 +36,6 @@ redraws its factor only when a reroute gives up or a gadget is not found.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -42,17 +43,12 @@ from itertools import islice
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
 from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge
-from .util import EPS, ceil_frac, check_deadline, spawn_seed
+from .util import EPS, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
-log = logging.getLogger(__name__)
-
-# Endpoints at which one path's pivot scan stops in a rotation round; later
-# paths still scan, so a round may end with one extra endpoint per later path.
-MAX_PIVOTS_PER_ROUND = 32
 # Factor draws per rotation step before the step gives up with BudgetError.
 STEP_RESTARTS = 200
-# Paths the breadth-first fallback search visits before giving up.
+# Paths the breadth-first rotation search tests before giving up.
 ROTATION_VISIT_CAP = 4000
 
 
@@ -64,45 +60,11 @@ class Move:
     steps: tuple[tuple[str, Edge], ...]
     note: str = ""
 
-    def net_effect(self) -> tuple[frozenset[Edge], frozenset[Edge]]:
-        added: set[Edge] = set()
-        removed: set[Edge] = set()
-        for op, e in self.steps:
-            if op == "+":
-                if e in removed:
-                    removed.discard(e)
-                else:
-                    added.add(e)
-            else:
-                if e in added:
-                    added.discard(e)
-                else:
-                    removed.add(e)
-        return frozenset(added), frozenset(removed)
-
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "steps": [[op, list(e)] for op, e in self.steps]}
         if self.note:
             out["note"] = self.note
         return out
-
-
-def replay_moves(initial_edges, moves) -> frozenset[Edge]:
-    """Apply a move history to an edge set; raises on inconsistent steps."""
-    edges = set(initial_edges)
-    for move in moves:
-        for op, e in move.steps:
-            if op == "+":
-                if e in edges:
-                    raise InputError(f"replay: adding present edge {e}")
-                edges.add(e)
-            elif op == "-":
-                if e not in edges:
-                    raise InputError(f"replay: removing absent edge {e}")
-                edges.discard(e)
-            else:
-                raise InputError(f"replay: unknown op {op!r}")
-    return frozenset(edges)
 
 
 # -- component helpers ---------------------------------------------------------
@@ -238,132 +200,6 @@ def _closure_edge(path: list[int], patch: Graph, core: Graph) -> Edge | None:
     return None
 
 
-def _segment_ranges(length: int, s: int) -> list[tuple[int, int]]:
-    """Split positions 0..length-1 into s contiguous ranges (inclusive), the
-    first ``length % s`` of them one position longer than the rest."""
-    base, extra = divmod(length, s)
-    starts = [k * base + min(k, extra) for k in range(s + 1)]
-    return [(a, b - 1) for a, b in zip(starts, starts[1:])]
-
-
-def _rotation_round(
-    paths, core: Graph, mask: int, at_start: bool = False, window=None
-) -> dict:
-    """One bounded round of rotations over ``paths``, a sequence of
-    (path, steps).  Each path is rotated, in increasing order, at every pivot
-    position whose vertex is in the vertex bitmask ``mask`` and is a core
-    neighbour of the rotated endpoint (the near one when ``at_start``, else
-    the far one), and, when a ``window`` (a, b) is given, strictly inside it.
-
-    Returns new endpoint -> (path, steps), keeping the first path per
-    endpoint.  Reaching MAX_PIVOTS_PER_ROUND endpoints stops only the
-    current path's scan, so later paths can still add one endpoint each.
-    """
-    found: dict[int, tuple[list[int], list]] = {}
-    for p, steps in paths:
-        # pivots lie in 1..L-3 for the far endpoint, in 2..L-2 for the near one
-        if at_start:
-            end, lo, hi, shift, rotate = p[0], 2, len(p) - 1, -1, _rotate_start
-        else:
-            end, lo, hi, shift, rotate = p[-1], 1, len(p) - 2, 1, _rotate_end
-        if window is not None:
-            lo, hi = max(lo, window[0] + 1), min(hi, window[1])
-        ok = core.adj_bits[end] & mask
-        for i in [i for i in range(lo, hi) if ok >> p[i] & 1]:
-            # the rotation's new endpoint is the pivot's neighbour away from it
-            if (key := p[i + shift]) not in found:
-                q, st = rotate(p, i)
-                found[key] = (q, steps + st)
-            if len(found) >= MAX_PIVOTS_PER_ROUND:
-                break
-    return found
-
-
-def _apparatus(
-    partial: PartialHC, off_path: int, comp_of, core: Graph, patch: Graph, params
-):
-    """Three bounded rotation rounds over two windows, then a closure.
-
-    The path's positions are cut into segments; the far endpoint's window is
-    the segment with the most pivots for it, the near endpoint's likewise.
-    Round
-      1. pivots inside the end window produce new far endpoints;
-      2. pivots at the start window's interior vertices produce new near
-         endpoints;
-      3. pivots outside both windows produce the closing endpoints.
-    Extensions off the path are taken as soon as any round exposes one; a
-    patch chord (core as fallback) between the final endpoint pairs closes
-    the path into a cycle.  When both endpoints prefer the same segment the
-    apparatus gives up and leaves the path to the breadth-first fallback.
-    """
-    path = list(partial.path)
-    n = len(path)
-    if n < 6:
-        return None
-    s = max(2, min(ceil_frac(2 / params.delta), n // 3))
-    segments = _segment_ranges(n, s)
-    # one pass over the segments' interiors counts each endpoint's pivots,
-    # which lie in 1..L-3 for the far endpoint and in 2..L-2 for the near one
-    end_row = core.adj_bits[path[-1]] & ~(1 << path[-2])
-    start_row = core.adj_bits[path[0]] & ~(1 << path[1])
-    end_counts, start_counts = [0] * s, [0] * s
-    for k, (a, b) in enumerate(segments):
-        for v in path[a + 1 : b]:
-            end_counts[k] += end_row >> v & 1
-            start_counts[k] += start_row >> v & 1
-    # each window is the first segment with the most pivots
-    q_end = end_counts.index(max(end_counts))
-    q_start = start_counts.index(max(start_counts))
-    if q_end == q_start:
-        # two windows in one segment need >= 6 positions, so a path of
-        # L >= 5 * ceil(2/delta) + 1 >= 506 vertices (eps < 0.1 and c < 1
-        # give delta < 0.02); the fallback search takes such paths instead
-        return None
-    start_win, end_win = segments[q_start], segments[q_end]
-    start_interior = _mask_of(path[start_win[0] + 1 : start_win[1]])
-    windows = path[start_win[0] : start_win[1] + 1] + path[end_win[0] : end_win[1] + 1]
-    window_vertices = _mask_of(windows)
-
-    def in_order(found: dict) -> list:
-        return [found[key] for key in sorted(found)]
-
-    def extension(found: dict, reverse: bool):
-        for p, steps in in_order(found):
-            ext = _extension_at_end(
-                p[::-1] if reverse else p, off_path, partial, comp_of, core, patch
-            )
-            if ext:
-                return ext[0], Move("rotate-extend", tuple(steps + ext[1]))
-        return None
-
-    # round 1: rotate the far endpoint, pivots inside the end window
-    first = _rotation_round([(path, [])], core, -1, window=end_win)
-    if found := extension(first, reverse=False):
-        return found
-    # round 2: rotate the near endpoint, pivots at the start window's interior
-    second = _rotation_round(in_order(first), core, start_interior, at_start=True)
-    if found := extension(second, reverse=True):
-        return found
-    # round 3: rotate the far endpoint again, pivots outside both windows
-    third = _rotation_round(in_order(second), core, ~window_vertices)
-    log.debug(
-        "rotation rounds: %d segments, endpoint sets %d/%d/%d",
-        s,
-        len(first),
-        len(second),
-        len(third),
-    )
-
-    candidates = list(second.items()) + list(third.items())
-    for src in (patch, core):
-        for _, (p, steps) in sorted(candidates, key=lambda kv: kv[0]):
-            if len(p) >= 3 and src.has_edge(p[0], p[-1]):
-                closure = norm_edge(p[0], p[-1])
-                move = Move("rotate-close", tuple(steps + [("+", closure)]))
-                return _closed(partial, p), move
-    return None
-
-
 def _fallback_search(
     partial: PartialHC, off_path: int, comp_of, core: Graph, patch: Graph
 ):
@@ -421,9 +257,10 @@ def rotate_or_close(
 ) -> tuple[TwoFactor | PartialHC, Move]:
     """Advance a partial Hamilton cycle: absorb another component (one fewer
     component) or close the path into a cycle (same components, one more
-    edge).  Tries endpoint extensions, then the windowed rotation apparatus,
-    then the breadth-first fallback; raises SearchFailedError when all
-    fail."""
+    edge).  Tries the two endpoint extensions, then the breadth-first
+    rotation search (``_fallback_search``, whose moves carry the note
+    ``fallback``); raises SearchFailedError when both fail.  ``params`` is
+    not read."""
     if not isinstance(partial, PartialHC):
         raise InputError("rotate_or_close needs a PartialHC")
     _check_sizes(partial, core, patch)
@@ -435,11 +272,9 @@ def rotate_or_close(
         ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
         if ext:
             return ext[0], Move("extend", tuple(ext[1]))
-    found = _apparatus(partial, off_path, comp_of, core, patch, params)
+    found = _fallback_search(partial, off_path, comp_of, core, patch)
     if found is None:
-        found = _fallback_search(partial, off_path, comp_of, core, patch)
-    if found is None:
-        raise SearchFailedError("rotation rounds exhausted with no extension/closure")
+        raise SearchFailedError("rotation search exhausted with no extension/closure")
     return found
 
 
@@ -448,7 +283,7 @@ def _reroute(
 ) -> tuple[TwoFactor, Move] | None:
     """Trade the Hamilton cycle's patch edge ``edge`` for core edges.
 
-    Opens the cycle at ``edge`` and runs the breadth-first fallback on that
+    Opens the cycle at ``edge`` and runs the breadth-first search on that
     Hamilton path with nothing off it and the core as the closing graph, so
     every pivot and the closing chord are core edges and the new cycle holds
     fewer patch edges.  Returns None when the search gives up.

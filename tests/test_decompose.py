@@ -462,6 +462,13 @@ class TestDecomposeOdd:
         assert deco.matching == ((0, 1),)
         assert verify_decomposition(g, deco).ok
 
+    def test_k2_logs_no_warning(self, caplog):
+        # the oracle workload decomposes K2 hundreds of times per run
+        with caplog.at_level("DEBUG", logger="hamdeck"):
+            decompose_odd(complete_graph(2), seed=0)
+        assert [r for r in caplog.records if r.levelname == "WARNING"] == []
+        assert any("degenerate n=2" in r.getMessage() for r in caplog.records)
+
     def test_prism_tries_every_matching(self):
         # the first matching found is the three rungs, whose remainder is two
         # triangles; each other matching leaves a Hamilton cycle

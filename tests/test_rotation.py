@@ -25,13 +25,13 @@ from hamdeck.rotation import (
     Move,
     extract_hamilton_step,
     merge_step,
-    replay_moves,
     rotate_or_close,
     substitution_gadget,
 )
 from hamdeck.walecki import canonical_cycle
 
 from conftest import circulant, paley
+from replay import net_effect, replay_moves
 
 
 def params_for(g, **overrides):
@@ -77,7 +77,7 @@ class TestMerge:
         assert partial.component_count == 1
         assert len(partial.path) == 6
         assert len(partial.edge_set()) == 5
-        added, removed = move.net_effect()
+        added, removed = net_effect(move)
         assert added == {(2, 3)}
         assert len(removed) == 2
 
@@ -87,7 +87,7 @@ class TestMerge:
         partial, move = merge_step(factor, host, empty_graph(4))
         assert partial.component_count == 1
         assert list(partial.path) in ([0, 1, 2, 3], [3, 2, 1, 0])
-        added, removed = move.net_effect()
+        added, removed = net_effect(move)
         assert added == {(1, 2)} and not removed
 
     def test_single_component_rejected(self):
@@ -186,60 +186,6 @@ class TestRotateOrClose:
         factor = TwoFactor.build(g, [[0, 1, 2, 3, 4]], [])
         with pytest.raises(InputError):
             rotate_or_close(factor, g, empty_graph(5), params_for(complete_graph(8)))
-
-
-def _rotation_round_reference(paths, core, pivot_ok, at_start=False):
-    """_rotation_round as first written: every position of the pivot range
-    goes through the ``pivot_ok(path, i)`` predicate and the endpoint's row,
-    and each admitted pivot is rotated before its endpoint is looked up."""
-    found = {}
-    for p, steps in paths:
-        if at_start:
-            end, positions, rotate = p[0], range(2, len(p) - 1), rotation._rotate_start
-        else:
-            end, positions, rotate = p[-1], range(1, len(p) - 2), rotation._rotate_end
-        row = core.adj_bits[end]
-        for i in positions:
-            if not pivot_ok(p, i) or not row >> p[i] & 1:
-                continue
-            q, st_ = rotate(p, i)
-            key = q[0] if at_start else q[-1]
-            if key not in found:
-                found[key] = (q, steps + st_)
-            if len(found) >= rotation.MAX_PIVOTS_PER_ROUND:
-                break
-    return found
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(4, 90),
-    st.floats(0.05, 1.0),
-    st.integers(1, 40),
-)
-def test_rotation_rounds_match_reference(seed, n, density, path_count):
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    core = build_graph(n, [e for e in pairs if rng.random() < density])
-    paths = [
-        (rng.sample(range(n), rng.randint(4, n)), [("+", (k, k + 1))])
-        for k in range(path_count)
-    ]
-    a, b = sorted(rng.sample(range(n), 2))
-    mask = rng.getrandbits(n)
-    rounds = [
-        # round 1: far endpoint, pivots strictly inside the window (a, b)
-        ((-1, False, (a, b)), lambda p, i: a < i < b),
-        # round 2: near endpoint, pivots at the vertices of the mask
-        ((mask, True, None), lambda p, i: mask >> p[i] & 1),
-        # round 3: far endpoint, pivots at the vertices outside the mask
-        ((~mask, False, None), lambda p, i: not mask >> p[i] & 1),
-    ]
-    for (vertices, at_start, window), pivot_ok in rounds:
-        found = rotation._rotation_round(paths, core, vertices, at_start, window)
-        reference = _rotation_round_reference(paths, core, pivot_ok, at_start)
-        assert list(found.items()) == list(reference.items())
 
 
 def _fallback_search_reference(partial, off_path, comp_of, core, patch):
@@ -341,6 +287,37 @@ def test_fallback_search_stops_at_the_visit_cap():
     found = [got is not None for got, _ in results]
     assert not found[0] and found[-1]
     assert found == sorted(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 40),
+    st.floats(0.05, 0.6),
+    st.sampled_from([0, 2, 3, 5]),
+)
+def test_rotate_or_close_is_the_breadth_first_search(seed, n, density, off):
+    # no core or patch edge joins an endpoint of the path to a vertex off
+    # it, so neither endpoint extends and every move must be the search's
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    path, rest = tuple(order[: n - off]), tuple(order[n - off :])
+    blocked = {norm_edge(a, z) for a in (path[0], path[-1]) for z in rest}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = [e for e in pairs if e not in blocked]
+    core = build_graph(n, [e for e in pairs if rng.random() < density])
+    patch = build_graph(n, [e for e in pairs if rng.random() < density / 4])
+    cycles = (canonical_cycle(rest),) if off >= 3 else ()
+    pairs_ = (tuple(sorted(rest)),) if off == 2 else ()
+    partial = PartialHC(n, path, cycles, pairs_)
+    comp_of = rotation._component_map(cycles + pairs_)
+    want = rotation._fallback_search(partial, ~_mask_of(path), comp_of, core, patch)
+    params = params_for(complete_graph(n))
+    if want is None:
+        with pytest.raises(SearchFailedError):
+            rotate_or_close(partial, core, patch, params)
+    else:
+        assert rotate_or_close(partial, core, patch, params) == want
 
 
 class TestGadget:
@@ -504,7 +481,7 @@ class TestExtract:
         edges = set(step.start_factor.edge_set())
         comps = step.start_factor.component_count
         for move in step.moves:
-            added, removed = move.net_effect()
+            added, removed = net_effect(move)
             before = len(edges)
             edges -= removed
             edges |= added
@@ -687,16 +664,15 @@ def test_no_step_redraws_for_gadget_overflow(name, monkeypatch):
 
 
 # sha256 of [decomposition JSON, step_stats] for pipeline runs whose moves
-# include every kind, each rotation kind both from the windowed apparatus
-# and from the breadth-first fallback.  Any change to the search order, a
-# round's pivot scan or a move's step order changes these digests.
+# include every kind: merges, endpoint extensions, both moves of the
+# breadth-first rotation search and reroutes.  Any change to the search
+# order or a move's step order changes these digests.
 PINNED_RUNS = {
-    ("K21", 0): "66a378d26d7e8abbc44959074c7c0db54077e0ccdf20f517ae23d0fc191013f9",
-    ("K51", 1): "6d1d1b39fbb5e802091f287e35ecc740c48c30cb2a04f568bcc594aacc6ed8e7",
-    # the one run here whose moves include a fallback rotate-extend
-    ("K51", 3): "ff3708ddb9c9975487e5037f7901a16c34a86d1c972440463dc3c4812c668b39",
-    ("P53", 1): "73b29da54df3d1bf26e49a15533613bd26ada350327a5dbeccbd7941a055cb12",
-    ("P53", 2): "9ca64c57c54cdde22f942bf02936ab2849ffa55e8959ca3c280b40d20588319d",
+    ("K21", 0): "96d385fa82f1e72b4f560f60f99d1fe9e5902c22b57f47573c4e8d89de1aafc4",
+    ("K51", 1): "8f1c2734f8ed8896b38b75a0bfbaeadde36b8d429ccd6b36b921170625c3417c",
+    ("K51", 3): "f19bae72c36490fef900ef44b918b5b9e53e37887d47c542e992cfac8db7561c",
+    ("P53", 1): "f07c679902c2da6e967972112e7164716ea9a60ac5d6f501c480296fae1c94ba",
+    ("P53", 2): "5e9f96abdf5fe7f15c74c6f14fbdadb79d3b19843cffb490efb4eaddc224b487",
 }
 
 
@@ -717,8 +693,6 @@ def test_pipeline_outputs_are_pinned():
     assert kinds == {
         ("merge", ""),
         ("extend", ""),
-        ("rotate-extend", ""),
-        ("rotate-close", ""),
         ("rotate-extend", "fallback"),
         ("rotate-close", "fallback"),
         ("reroute", ""),
@@ -727,12 +701,12 @@ def test_pipeline_outputs_are_pinned():
 
 # The same digests for the benchmark's own pipeline ops (kn-mid's K101 and
 # large-n's K201 and Paley(197)) at seed 0, so that a change to the flow,
-# the split, the rotation rounds or the residual cannot alter what the
+# the split, the rotation search or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "0ae2ee487304359b8a3c9cb81ad6b3ec3b5c3f258151dd721efaa5e9063c361e",
-    "K201": "eda6529bd013b197b096166609853d2a8b90ae15dfe269e770bb463792a6e8b9",
-    "P197": "53b21ed52a4a8ceb56c977e3cd23cda98e1c1a6a2891e830ce1a53355c6cc865",
+    "K101": "1b60122f49827b111fa63c28441a5ba974323eaa6b9b2ef0f952301475461a14",
+    "K201": "d751b9bea8b3cd0236870cb8b8bc2b8187bed87a327299da86a141dba25b1f0c",
+    "P197": "2ce265883b706aa20f58347c2db8406654ce28fcdbb0f4a8eae832696947dc8a",
 }
 
 

@@ -2,6 +2,7 @@
 module and name, so a refactor that moves or renames one of them silently
 breaks ``--trace 1`` or a script."""
 
+import ast
 import importlib
 import os
 import runpy
@@ -87,3 +88,28 @@ def test_bounds_table_refuses_rows_above_the_edge_cap():
     assert out.returncode == 2
     assert out.stdout == ""
     assert "40 edges, above the exact decomposition count's cap of 36" in out.stderr
+
+
+def test_src_has_no_unused_imports():
+    # a helper deleted without its import leaves a name nothing reads;
+    # __init__.py imports names to re-export them, so it is skipped
+    unused = []
+    for path in sorted((ROOT / "src" / "hamdeck").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []

@@ -5,10 +5,11 @@ perfect matching there is a fixed-point-free permutation supported on the
 edge set, and its permutation cycles project to components (2-cycles become
 isolated edges, longer cycles become graph cycles).  Each draw matches the
 double cover on the graph's bit rows: a greedy pass over the rows in random
-order, each from a random offset, then one breadth-first augmenting-path
-search per row left unmatched.  The draws are random but follow no known
-distribution, so counting claims are delegated to the exhaustive enumerator
-at small n.
+order, each from a random offset, then one augmenting-path search per row
+left unmatched, by ``graphs.augment``, the breadth-first search that
+``regularize.max_flow`` also uses.  The draws are random but follow no
+known distribution, so counting claims are delegated to the exhaustive
+enumerator at small n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, InputError
-from .graphs import Edge, Graph, iter_bits, norm_edge
+from .graphs import Edge, Graph, augment, iter_bits, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -184,14 +185,15 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
     order, and each takes its lowest free column at or above a random
     offset, wrapping round; order and offsets are drawn in bulk.  Each row
     left unmatched then runs one breadth-first search for an augmenting
-    path.  No distribution over matchings is promised.
+    path, ``graphs.augment`` with b = 1.  No distribution over matchings is
+    promised.
     Returns sigma with sigma[i] = the partner of vertex i, or None when some
     row has no augmenting path: a maximum matching then leaves that row
     unmatched, which certifies that no (<=2)-factor exists.
     """
     n, rows = g.n, g.adj_bits
-    sigma = [-1] * n  # row -> its column
-    owner = [-1] * n  # column -> its row
+    match = [0] * n  # row -> its column's bit
+    match_in = [0] * n  # column -> its row's bit
     free = (1 << n) - 1  # the unmatched columns
     unmatched = []
     for v, k in zip(rng.permutation(n).tolist(), rng.integers(0, n, n).tolist()):
@@ -203,45 +205,14 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
             w = k + (upper & -upper).bit_length() - 1
         else:
             w = (options & -options).bit_length() - 1
-        sigma[v], owner[w] = w, v
+        match[v], match_in[w] = 1 << w, 1 << v
         free ^= 1 << w
     for root in unmatched:
-        w = _augment(rows, sigma, owner, free, root)
+        w = augment(rows, rows, match, match_in, free, root)
         if w < 0:
             return None
         free ^= 1 << w
-    return sigma
-
-
-def _augment(rows, sigma, owner, free: int, root: int) -> int:
-    """Match the unmatched row ``root`` along a shortest alternating path to
-    a column in the mask ``free``, found breadth first; returns that column,
-    or -1 when no path exists.
-
-    A row enters the search only once its neighbours hold no free column:
-    the root's were all taken when it was left unmatched, and each later
-    row is tested as soon as its matched column is reached, so on a dense
-    graph the search stops after a few columns."""
-    reached: dict[int, int] = {}  # column -> the row it was reached from
-    seen = 0
-    queue = [root]
-    for v in queue:  # grows while it is read: first in, first out
-        new = rows[v] & ~seen
-        seen |= new
-        for w in iter_bits(new):
-            reached[w] = v
-            u = owner[w]
-            if hit := rows[u] & free:
-                end = w = (hit & -hit).bit_length() - 1
-                reached[w] = u
-                # flip the path: each row on it takes the column it reached
-                while True:
-                    v = reached[w]
-                    sigma[v], owner[w], w = w, v, sigma[v]
-                    if v == root:
-                        return end
-            queue.append(u)
-    return -1
+    return [row.bit_length() - 1 for row in match]
 
 
 def sample_le2_factor(

@@ -255,6 +255,50 @@ def connected_over(adj_bits, mask: int) -> bool:
     return seen == mask
 
 
+def augment(out, in_rows, matched, matched_in, spare: int, root: int) -> int:
+    """Grow the b-matching ``matched`` by one edge along a shortest
+    alternating path from the tail ``root``: out along an unmatched edge of
+    ``out``, back along a matched one, ending at a head in the mask
+    ``spare``.  Returns that head, or -1 when no path exists.  Both
+    ``matched`` and its in-rows ``matched_in`` are updated.  ``max_flow``
+    drops arcs with it; ``_random_perfect_matching`` finishes the factor
+    draw's matching with it (b = 1, both rows the graph's bit rows).
+
+    Each finished layer is a pair of vertex masks, (tails, heads), and the
+    path is walked back through them, so no vertex records its parent.  The
+    search stops at the first tail that reaches a spare head."""
+    tails = seen_tails = 1 << root
+    seen_heads = 0
+    layers: list[tuple[int, int]] = []
+    while tails:
+        heads = 0
+        for t in iter_bits(tails):
+            new = out[t] & ~matched[t] & ~seen_heads
+            if hit := new & spare:
+                end = w = (hit & -hit).bit_length() - 1
+                while True:
+                    matched[t] |= 1 << w  # a forward edge joins the matching
+                    matched_in[w] |= 1 << t
+                    if not layers:
+                        return end
+                    prev_tails, prev_heads = layers.pop()
+                    back = matched[t] & prev_heads  # the edge that reached t
+                    w = (back & -back).bit_length() - 1
+                    matched[t] ^= 1 << w
+                    matched_in[w] ^= 1 << t
+                    back = in_rows[w] & ~matched_in[w] & prev_tails
+                    t = (back & -back).bit_length() - 1
+            heads |= new
+        layers.append((tails, heads))
+        seen_heads |= heads
+        tails = 0
+        for w in iter_bits(heads):
+            tails |= matched_in[w]
+        tails &= ~seen_tails
+        seen_tails |= tails
+    return -1
+
+
 def strip_cycle(adj_bits, cyc) -> tuple[int, ...]:
     """Adjacency bits with the edges of the closed vertex sequence removed."""
     bits = list(adj_bits)

@@ -14,9 +14,9 @@ holds those rows, the flow's result holds the out-rows of the arcs that
 carry flow, and the extracted subgraph is those rows plus their mirror.
 The flow is found as its complement, the fewest arcs to drop so that no
 vertex keeps more than d out-arcs or d in-arcs: a greedy pass over bit-mask
-buckets, then augmenting paths (``max_flow``).  Only the in-rows come from
-numpy, by one unpack, transpose and pack.  The public surface consumes and
-produces undirected Graphs.
+buckets, then augmenting paths (``max_flow``, by ``graphs.augment``).  Only
+the in-rows come from numpy, by one unpack, transpose and pack.  The public
+surface consumes and produces undirected Graphs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import InfeasibleError, InputError, SearchFailedError
-from .graphs import Graph, iter_bits, pack_rows, unpack_rows
+from .graphs import Graph, augment, iter_bits, pack_rows, unpack_rows
 
 
 def random_orientation(g: Graph, seed: int) -> tuple[int, ...]:
@@ -193,7 +193,7 @@ def _drop_arcs(out, in_rows, out_need, in_need) -> tuple[list[int], int]:
 
     for u in range(n):
         while out_left[u]:
-            w = _augment(out, in_rows, drop, drop_in, spare, u)
+            w = augment(out, in_rows, drop, drop_in, spare, u)
             if w < 0:
                 break  # no path from u now, so none after later augmentations
             out_left[u] -= 1
@@ -210,48 +210,6 @@ def _drop_arcs(out, in_rows, out_need, in_need) -> tuple[list[int], int]:
         for u in islice(iter_bits(in_rows[w] & ~drop_in[w]), r):
             drop[u] |= 1 << w
     return drop, matched
-
-
-def _augment(out, in_rows, drop, drop_in, spare: int, root: int) -> int:
-    """Grow the b-matching ``drop`` by one arc along a shortest alternating
-    path from the tail ``root``: out along an undropped arc, back along a
-    dropped one, ending at a head in the mask ``spare``.  Returns that head,
-    or -1 when no path exists.
-
-    Each finished layer of the search is a pair of vertex masks, (tails,
-    heads), and the path is walked back through them, so no vertex records
-    its parent.  The search stops at the first tail that reaches a spare
-    head."""
-    tails = seen_tails = 1 << root
-    seen_heads = 0
-    layers: list[tuple[int, int]] = []
-    while tails:
-        heads = 0
-        for t in iter_bits(tails):
-            new = out[t] & ~drop[t] & ~seen_heads
-            if hit := new & spare:
-                end = w = (hit & -hit).bit_length() - 1
-                while True:
-                    drop[t] |= 1 << w  # a forward arc joins the matching
-                    drop_in[w] |= 1 << t
-                    if not layers:
-                        return end
-                    prev_tails, prev_heads = layers.pop()
-                    back = drop[t] & prev_heads  # the arc that reached t
-                    w = (back & -back).bit_length() - 1
-                    drop[t] ^= 1 << w
-                    drop_in[w] ^= 1 << t
-                    back = in_rows[w] & ~drop_in[w] & prev_tails
-                    t = (back & -back).bit_length() - 1
-            heads |= new
-        layers.append((tails, heads))
-        seen_heads |= heads
-        tails = 0
-        for w in iter_bits(heads):
-            tails |= drop_in[w]
-        tails &= ~seen_tails
-        seen_tails |= tails
-    return -1
 
 
 def extract_regular_subgraph(g: Graph, d: int) -> Graph:

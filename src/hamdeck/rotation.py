@@ -4,20 +4,18 @@ repair the working core's regularity with substitution gadgets.
 
 Both moves take the current structure and return ``(cover, Move)``:
 ``merge_step`` joins two components of a TwoFactor into a PartialHC, and
-``rotate_or_close`` advances a PartialHC by an extension at either endpoint
-or, failing that, by a bounded breadth-first search over Pósa rotations
-that takes the first extension or closure it reaches.  The paper's proof
-schedules these rotations as three rounds over two windows of the path; a
-breadth-first search over the same moves replaces that schedule, because
-on the benchmark inputs the search alone found a move in every call and
-was faster.  The working core supplies rotation pivots; the patch graph
-supplies closing and substitution edges (with the core as fallback so the
-engine stays total at desk scale).  Every move is an ordered list of edge
-operations, so a run can be replayed and audited.  The engine reads bit
-rows only (``iter_bits`` neighbours in increasing order, bit-test edges,
-bit-delta working graphs), so a step neither decodes neighbour lists nor
-copies an edge set.  No rotation changes the path's vertex set, so
-``rotate_or_close`` builds the off-path mask once for every extension test.
+``rotate_or_close`` advances a PartialHC by a bounded breadth-first search
+over Pósa rotations that takes the first extension or closure it reaches.
+The paper's proof schedules these rotations as three rounds over two
+windows of the path; a breadth-first search over the same moves replaces
+that schedule, because on the benchmark inputs the search alone found a
+move in every call and was faster.  The working core supplies rotation
+pivots; the patch graph supplies closing and substitution edges (with the
+core as fallback so the engine stays total at desk scale).  Every move is
+an ordered list of edge operations, so a run can be replayed and audited.
+The engine reads bit rows only (``iter_bits`` neighbours in increasing
+order, bit-test edges, bit-delta working graphs), so a step neither decodes
+neighbour lists nor copies an edge set.
 
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
@@ -200,17 +198,21 @@ def _closure_edge(path: list[int], patch: Graph, core: Graph) -> Edge | None:
     return None
 
 
-def _fallback_search(
-    partial: PartialHC, off_path: int, comp_of, core: Graph, patch: Graph
-):
+def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
     """Bounded breadth-first search over core-edge rotations from both ends,
     taking the first extension or closure found.
 
     Each path is tested (both extensions, then closure) as soon as it is
     made, in the order paths are made; that is the order a FIFO queue pops
     them, so the first hit is the same, without building the rest of its
-    parent's rotations.  At most ROTATION_VISIT_CAP paths are tested.
+    parent's rotations.  The start path is tested first, and an extension
+    of it is an ``extend`` move; every other hit carries the note
+    ``fallback``.  No rotation changes the path's vertex set, so one
+    off-path mask serves every extension test.  At most ROTATION_VISIT_CAP
+    paths are tested.
     """
+    off_path = ~_mask_of(partial.path)
+    comp_of = _component_map(partial.cycles + partial.pairs)
 
     def canon(p: tuple[int, ...]) -> tuple[int, ...]:
         rp = p[::-1]
@@ -219,9 +221,9 @@ def _fallback_search(
     def made():
         """(path, steps) for the start path, then each new rotation."""
         start = list(partial.path)
+        yield start, ()  # most searches end here, before any state is built
         seen = {canon(tuple(start))}
         queue = deque([(start, ())])
-        yield start, ()
         while queue:
             cur, steps = queue.popleft()
             end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
@@ -243,6 +245,8 @@ def _fallback_search(
         for oriented in (cur, cur[::-1]):
             ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
             if ext:
+                if not steps:
+                    return ext[0], Move("extend", tuple(ext[1]))
                 move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
                 return ext[0], move
         closure = _closure_edge(cur, patch, core)
@@ -253,26 +257,16 @@ def _fallback_search(
 
 
 def rotate_or_close(
-    partial: PartialHC, core: Graph, patch: Graph, params
+    partial: PartialHC, core: Graph, patch: Graph
 ) -> tuple[TwoFactor | PartialHC, Move]:
     """Advance a partial Hamilton cycle: absorb another component (one fewer
     component) or close the path into a cycle (same components, one more
-    edge).  Tries the two endpoint extensions, then the breadth-first
-    rotation search (``_fallback_search``, whose moves carry the note
-    ``fallback``); raises SearchFailedError when both fail.  ``params`` is
-    not read."""
+    edge), by the breadth-first rotation search (``_rotation_search``);
+    raises SearchFailedError when it finds neither."""
     if not isinstance(partial, PartialHC):
         raise InputError("rotate_or_close needs a PartialHC")
     _check_sizes(partial, core, patch)
-    path = list(partial.path)
-    off_path = ~_mask_of(path)
-    comp_of = _component_map(partial.cycles + partial.pairs)
-
-    for oriented in (path, path[::-1]):
-        ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
-        if ext:
-            return ext[0], Move("extend", tuple(ext[1]))
-    found = _fallback_search(partial, off_path, comp_of, core, patch)
+    found = _rotation_search(partial, core, patch)
     if found is None:
         raise SearchFailedError("rotation search exhausted with no extension/closure")
     return found
@@ -293,7 +287,7 @@ def _reroute(
     z = a if comp[(comp.index(a) + 1) % len(comp)] == b else b
     path, _ = _open_at(comp, z)
     partial = PartialHC(cycle.host_n, tuple(path), (), ())
-    found = _fallback_search(partial, 0, {}, core, core)
+    found = _rotation_search(partial, core, core)
     if found is None:
         return None
     closed, move = found
@@ -469,7 +463,7 @@ def extract_hamilton_step(
                         break
                     final, move = merge_step(final, core, patch)
                 else:
-                    final, move = rotate_or_close(final, core, patch, params)
+                    final, move = rotate_or_close(final, core, patch)
                 moves.append(move)
             if not (isinstance(final, TwoFactor) and final.is_hamilton_cycle):
                 raise SearchFailedError(f"no Hamilton cycle within {cap} moves")

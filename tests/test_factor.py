@@ -43,12 +43,12 @@ def _k101_core():
         ),
         pytest.param(
             lambda: paley(197),
-            "0b73cf7d8332ae6c06c5c9fa4a094ac59fd7eb3e8dd4042ca935fa87a7fcb69d",
+            "eab1ab1e87a59062d337890e7611352151efde12f042e39436cc0a1d00f08d12",
             id="paley197",
         ),
         pytest.param(
             _k101_core,
-            "fc2d200acdd6eb7daf11bc8135e8a78378313f4c527ce8926c5307db468928f3",
+            "85a252a6322ea25fd151741a5657390984d08d0c800c2ca71c72f9267be53abc",
             id="k101-derived-core",
         ),
         pytest.param(

@@ -121,7 +121,7 @@ def test_rotate_or_close_rejects_mismatched_sizes(sizes):
     partial = PartialHC.build(complete_graph(n), [0, 1, 2], [[3, 4, 5]], [])
     with pytest.raises(InputError, match="vertices"):
         core, patch = complete_graph(core_n), empty_graph(patch_n)
-        rotate_or_close(partial, core, patch, params_for(complete_graph(8)))
+        rotate_or_close(partial, core, patch)
 
 
 class TestRotateOrClose:
@@ -130,7 +130,7 @@ class TestRotateOrClose:
             6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         )
         partial = PartialHC.build(host, [0, 1, 2], [[3, 4, 5]], [])
-        result, move = rotate_or_close(partial, host, empty_graph(6), params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, host, empty_graph(6))
         assert isinstance(result, PartialHC)
         assert result.component_count == 1
         assert len(result.path) == 6
@@ -138,7 +138,7 @@ class TestRotateOrClose:
     def test_spanning_path_in_k6_closes(self):
         g = complete_graph(6)
         partial = PartialHC.build(g, [0, 1, 2, 3, 4, 5], [], [])
-        result, move = rotate_or_close(partial, g, empty_graph(6), params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, g, empty_graph(6))
         assert isinstance(result, TwoFactor)
         assert result.is_hamilton_cycle
         assert move.kind == "rotate-close"
@@ -148,7 +148,7 @@ class TestRotateOrClose:
         # cycle is 0-1-4-3-2-0, reachable by one rotation plus closure
         core = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (0, 2)])
         partial = PartialHC.build(core, [0, 1, 2, 3, 4], [], [])
-        result, move = rotate_or_close(partial, core, empty_graph(5), params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, core, empty_graph(5))
         assert isinstance(result, TwoFactor)
         assert result.edge_set() == frozenset(
             {(0, 1), (1, 4), (3, 4), (2, 3), (0, 2)}
@@ -160,7 +160,7 @@ class TestRotateOrClose:
         partial = PartialHC.build(
             Graph(4, core.edges | patch.edges), [0, 1, 2, 3], [], []
         )
-        result, move = rotate_or_close(partial, core, patch, params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, core, patch)
         assert isinstance(result, TwoFactor)
         assert (0, 3) in result.edge_set()
 
@@ -171,7 +171,7 @@ class TestRotateOrClose:
         partial = PartialHC.build(
             Graph(4, core.edges | patch.edges), [0, 1, 2, 3], [], []
         )
-        result, move = rotate_or_close(partial, core, patch, params_for(complete_graph(8)))
+        result, move = rotate_or_close(partial, core, patch)
         assert isinstance(result, TwoFactor)
         assert result.edge_set() == frozenset({(0, 1), (1, 3), (2, 3), (0, 2)})
 
@@ -179,19 +179,22 @@ class TestRotateOrClose:
         core = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         partial = PartialHC.build(core, [0, 1, 2, 3], [], [])
         with pytest.raises(SearchFailedError):
-            rotate_or_close(partial, core, empty_graph(4), params_for(complete_graph(8)))
+            rotate_or_close(partial, core, empty_graph(4))
 
     def test_requires_partial(self):
         g = complete_graph(5)
         factor = TwoFactor.build(g, [[0, 1, 2, 3, 4]], [])
         with pytest.raises(InputError):
-            rotate_or_close(factor, g, empty_graph(5), params_for(complete_graph(8)))
+            rotate_or_close(factor, g, empty_graph(5))
 
 
-def _fallback_search_reference(partial, off_path, comp_of, core, patch):
-    """_fallback_search as first written: every rotation of a path is queued
+def _rotation_search_reference(partial, core, patch):
+    """_rotation_search as first written: every rotation of a path is queued
     before any is tested, and a path is tested when the FIFO queue pops it;
-    the search stops at the pop of path ROTATION_VISIT_CAP + 1."""
+    the search stops at the pop of path ROTATION_VISIT_CAP + 1.  An
+    extension of the start path is an ``extend`` move."""
+    off_path = ~_mask_of(partial.path)
+    comp_of = rotation._component_map(partial.cycles + partial.pairs)
 
     def canon(p):
         rp = p[::-1]
@@ -212,6 +215,8 @@ def _fallback_search_reference(partial, off_path, comp_of, core, patch):
                 oriented, off_path, partial, comp_of, core, patch
             )
             if ext:
+                if not steps:
+                    return ext[0], Move("extend", tuple(ext[1]))
                 move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
                 return ext[0], move
         closure = rotation._closure_edge(cur_list, patch, core)
@@ -233,17 +238,15 @@ def _fallback_search_reference(partial, off_path, comp_of, core, patch):
     return None
 
 
-def _fallback_outcomes(partial, core, patch, caps):
+def _search_outcomes(partial, core, patch, caps):
     """(search, reference) results for each visit cap in ``caps``."""
-    off_path = ~_mask_of(partial.path)
-    comp_of = rotation._component_map(partial.cycles + partial.pairs)
-    args = (partial, off_path, comp_of, core, patch)
+    args = (partial, core, patch)
     out = []
     with pytest.MonkeyPatch.context() as mp:
         for cap in caps:
             mp.setattr(rotation, "ROTATION_VISIT_CAP", cap)
             out.append(
-                (rotation._fallback_search(*args), _fallback_search_reference(*args))
+                (rotation._rotation_search(*args), _rotation_search_reference(*args))
             )
     return out
 
@@ -267,7 +270,7 @@ def test_fallback_search_matches_reference(seed, n, density, off):
     cycles = (canonical_cycle(rest),) if off >= 3 else ()
     pairs_ = (tuple(sorted(rest)),) if off == 2 else ()
     partial = PartialHC(n, path, cycles, pairs_)
-    for got, want in _fallback_outcomes(partial, core, patch, (1, 2, 3, 5, 4000)):
+    for got, want in _search_outcomes(partial, core, patch, (1, 2, 3, 5, 4000)):
         assert got == want
 
 
@@ -281,7 +284,7 @@ def test_fallback_search_stops_at_the_visit_cap():
     chords = [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
     core = build_graph(n, path_edges + [e for e in chords if e != (0, n - 1)])
     partial = PartialHC(n, tuple(range(n)), (), ())
-    results = _fallback_outcomes(partial, core, empty_graph(n), range(1, 40))
+    results = _search_outcomes(partial, core, empty_graph(n), range(1, 40))
     for got, want in results:
         assert got == want
     found = [got is not None for got, _ in results]
@@ -298,7 +301,8 @@ def test_fallback_search_stops_at_the_visit_cap():
 )
 def test_rotate_or_close_is_the_breadth_first_search(seed, n, density, off):
     # no core or patch edge joins an endpoint of the path to a vertex off
-    # it, so neither endpoint extends and every move must be the search's
+    # it, so the start path does not extend and each move comes from deeper
+    # in the search
     rng = random.Random(seed)
     order = rng.sample(range(n), n)
     path, rest = tuple(order[: n - off]), tuple(order[n - off :])
@@ -310,14 +314,12 @@ def test_rotate_or_close_is_the_breadth_first_search(seed, n, density, off):
     cycles = (canonical_cycle(rest),) if off >= 3 else ()
     pairs_ = (tuple(sorted(rest)),) if off == 2 else ()
     partial = PartialHC(n, path, cycles, pairs_)
-    comp_of = rotation._component_map(cycles + pairs_)
-    want = rotation._fallback_search(partial, ~_mask_of(path), comp_of, core, patch)
-    params = params_for(complete_graph(n))
+    want = _rotation_search_reference(partial, core, patch)
     if want is None:
         with pytest.raises(SearchFailedError):
-            rotate_or_close(partial, core, patch, params)
+            rotate_or_close(partial, core, patch)
     else:
-        assert rotate_or_close(partial, core, patch, params) == want
+        assert rotate_or_close(partial, core, patch) == want
 
 
 class TestGadget:
@@ -668,11 +670,11 @@ def test_no_step_redraws_for_gadget_overflow(name, monkeypatch):
 # breadth-first rotation search and reroutes.  Any change to the search
 # order or a move's step order changes these digests.
 PINNED_RUNS = {
-    ("K21", 0): "96d385fa82f1e72b4f560f60f99d1fe9e5902c22b57f47573c4e8d89de1aafc4",
-    ("K51", 1): "8f1c2734f8ed8896b38b75a0bfbaeadde36b8d429ccd6b36b921170625c3417c",
-    ("K51", 3): "f19bae72c36490fef900ef44b918b5b9e53e37887d47c542e992cfac8db7561c",
-    ("P53", 1): "f07c679902c2da6e967972112e7164716ea9a60ac5d6f501c480296fae1c94ba",
-    ("P53", 2): "5e9f96abdf5fe7f15c74c6f14fbdadb79d3b19843cffb490efb4eaddc224b487",
+    ("K21", 0): "8a825100253a15d265ec07ee397fd9f6c06f1b6fb76ad4fe40e1d579aeea4bef",
+    ("K51", 1): "31276e4fc68d9ffb36eac17e364c9fdf57d04423d2ce305c075697d6bfa7efe5",
+    ("K51", 3): "34c1d2949b14a8fbc41eab66c741c7cca5659a4012044a5711d9e109205e1786",
+    ("P53", 1): "55c652ad19229fb14b4915df53fabe70b8aa5969158e61025fe38103811f14d9",
+    ("P53", 2): "05cb31e10231b93e389f745e6d98a7a8666288d62d40a6353da4c5a66d233fb1",
 }
 
 
@@ -704,9 +706,9 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation search or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "1b60122f49827b111fa63c28441a5ba974323eaa6b9b2ef0f952301475461a14",
-    "K201": "d751b9bea8b3cd0236870cb8b8bc2b8187bed87a327299da86a141dba25b1f0c",
-    "P197": "2ce265883b706aa20f58347c2db8406654ce28fcdbb0f4a8eae832696947dc8a",
+    "K101": "549b3b53cd0ebf844e8b35000506e3a82d63bebbe242c7bad82e561e65b7751c",
+    "K201": "1f7230e74d224ef9f7f6e6c2ad8012c91de4b9b75e8306d28126128a525c4531",
+    "P197": "a2b222965625b93c401a61cbe21e7badcb2da6fc790fbb4039ce0776d2db397f",
 }
 
 

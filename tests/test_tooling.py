@@ -113,3 +113,16 @@ def test_src_has_no_unused_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_src_defines_each_function_name_once():
+    # two modules defining one name hold two copies of one job; the second
+    # copy drifts from the first unseen
+    defined = {}
+    for path in sorted((ROOT / "src" / "hamdeck").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, []).append(path.name)
+    twice = {name: files for name, files in defined.items() if len(files) > 1}
+    assert twice == {}

@@ -155,15 +155,6 @@ class Graph:
         pairs = other.edges if isinstance(other, Graph) else other
         return _edge_rows(self.n, (norm_edge(u, v) for u, v in pairs))
 
-    def _edited(self, removed: frozenset[Edge], added: frozenset[Edge]) -> "Graph":
-        """Trusted delta: ``removed`` must be edges of this graph and ``added``
-        valid non-edges.  Each moved edge flips one bit in two rows."""
-        bits = list(self.adj_bits)
-        for u, v in itertools.chain(removed, added):
-            bits[u] ^= 1 << v
-            bits[v] ^= 1 << u
-        return Graph._derived(self.n, tuple(bits))
-
 
 def _decode_adj(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples, one bit walk per row: the only decoder of

@@ -62,6 +62,8 @@ class PipelineParams:
             raise InputError(f"gamma must be positive, got {self.gamma}")
         if not (0 < self.tau < 1):
             raise InputError(f"tau must be in (0, 1), got {self.tau}")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise InputError(f"max_steps must be nonnegative, got {self.max_steps}")
 
     @property
     def delta(self) -> float:

@@ -14,8 +14,8 @@ pivots; the patch graph supplies closing and substitution edges (with the
 core as fallback so the engine stays total at desk scale).  Every move is
 an ordered list of edge operations, so a run can be replayed and audited.
 The engine reads bit rows only (``iter_bits`` neighbours in increasing
-order, bit-test edges, bit-delta working graphs), so a step neither decodes
-neighbour lists nor copies an edge set.
+order, bit-test edges), so a step neither decodes neighbour lists nor
+copies an edge set.
 
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
@@ -30,6 +30,9 @@ cycle is rerouted: it is opened at its lowest patch edge and the
 breadth-first search closes the Hamilton path again by core rotations and a
 core chord, one ``reroute`` move each time, until the gadgets fit.  The step
 redraws its factor only when a reroute gives up or a gadget is not found.
+The gadgets are searched in working rows: the core's and the patch's bit
+rows with the cycle stripped, from which each gadget's edges are cleared
+as it is taken, so no gadget reuses an edge of the cycle or of another.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import islice
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
-from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge
+from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge, strip_cycle
 from .util import EPS, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -56,13 +59,9 @@ class Move:
 
     kind: str
     steps: tuple[tuple[str, Edge], ...]
-    note: str = ""
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "steps": [[op, list(e)] for op, e in self.steps]}
-        if self.note:
-            out["note"] = self.note
-        return out
+        return {"kind": self.kind, "steps": [[op, list(e)] for op, e in self.steps]}
 
 
 # -- component helpers ---------------------------------------------------------
@@ -206,10 +205,10 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
     made, in the order paths are made; that is the order a FIFO queue pops
     them, so the first hit is the same, without building the rest of its
     parent's rotations.  The start path is tested first, and an extension
-    of it is an ``extend`` move; every other hit carries the note
-    ``fallback``.  No rotation changes the path's vertex set, so one
-    off-path mask serves every extension test.  At most ROTATION_VISIT_CAP
-    paths are tested.
+    of it is an ``extend`` move; an extension after rotations is a
+    ``rotate-extend`` move.  No rotation changes the path's vertex set, so
+    one off-path mask serves every extension test.  At most
+    ROTATION_VISIT_CAP paths are tested.
     """
     off_path = ~_mask_of(partial.path)
     comp_of = _component_map(partial.cycles + partial.pairs)
@@ -245,13 +244,11 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
         for oriented in (cur, cur[::-1]):
             ext = _extension_at_end(oriented, off_path, partial, comp_of, core, patch)
             if ext:
-                if not steps:
-                    return ext[0], Move("extend", tuple(ext[1]))
-                move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
-                return ext[0], move
+                kind = "rotate-extend" if steps else "extend"
+                return ext[0], Move(kind, steps + tuple(ext[1]))
         closure = _closure_edge(cur, patch, core)
         if closure is not None:
-            move = Move("rotate-close", steps + (("+", closure),), note="fallback")
+            move = Move("rotate-close", steps + (("+", closure),))
             return _closed(partial, cur), move
     return None
 
@@ -312,19 +309,15 @@ def _peak_exclusion(shared: list[Edge]) -> int:
 
 
 def substitution_gadget(
-    core: Graph,
-    patch: Graph,
-    x: int,
-    y: int,
-    excluded,
-    *,
-    avoid_edges: frozenset[Edge] = frozenset(),
+    core: Graph, patch: Graph, x: int, y: int, excluded
 ) -> tuple[int, int, int, int]:
     """Find x1, x2, y1, y2 outside the exclusion set with core edges
-    x-x1, y-y1, x2-y2 and patch edges x1-x2, y1-y2, none in ``avoid_edges``.
+    x-x1, y-y1, x2-y2 and patch edges x1-x2, y1-y2.
 
     Used to rebalance core degrees when the extracted cycle consumed patch
-    edges; callers accumulate used endpoints into the exclusion set.
+    edges.  ``extract_hamilton_step`` searches each gadget in its working
+    rows, which hold no edge of the cycle or of an earlier gadget, and
+    accumulates used endpoints into the exclusion set.
     """
     if x == y:
         raise InputError("gadget endpoints must be distinct")
@@ -335,33 +328,22 @@ def substitution_gadget(
             f"exclusion set of size {len(excluded)} exceeds capacity "
             f"{_gadget_capacity(n):.2f}"
         )
-
-    def usable(u: int, v: int) -> bool:
-        return norm_edge(u, v) not in avoid_edges
-
     for x1 in iter_bits(core.adj_bits[x]):
-        if x1 in banned or not usable(x, x1):
+        if x1 in banned:
             continue
         for x2 in iter_bits(patch.adj_bits[x1]):
-            if x2 in banned or x2 == x1 or not usable(x1, x2):
+            if x2 in banned:
                 continue
             for y1 in iter_bits(core.adj_bits[y]):
-                if y1 in banned or y1 in (x1, x2) or not usable(y, y1):
+                if y1 in banned or y1 in (x1, x2):
                     continue
                 for y2 in iter_bits(patch.adj_bits[y1]):
-                    if (
-                        y2 in banned
-                        or y2 in (x1, x2, y1)
-                        or not usable(y1, y2)
-                        or not core.has_edge(x2, y2)
-                        or not usable(x2, y2)
-                    ):
+                    if y2 in banned or y2 in (x1, x2, y1) or not core.has_edge(x2, y2):
                         continue
                     return (x1, x2, y1, y2)
-    d = core.regular_degree()
     raise SearchFailedError(
         f"no substitution gadget for ({x}, {y}) with {len(excluded)} excluded "
-        f"vertices (core degree {d}, capacity n^0.6={_gadget_capacity(n):.2f})"
+        f"vertices (capacity n^0.6={_gadget_capacity(n):.2f})"
     )
 
 
@@ -378,13 +360,21 @@ def _check_cycle(final: TwoFactor, host: Graph) -> None:
         raise AssertionError(f"rotation moves built a bad cycle: {exc}") from exc
 
 
-def _edges_and_patch_edges(
-    final: TwoFactor, core: Graph
-) -> tuple[frozenset[Edge], list[Edge]]:
-    """A validated cycle's edges, and those not in the core, sorted."""
-    edges = final.edge_set()
-    # validated: its edges are in range for bit tests
-    return edges, sorted(e for e in edges if not core.adj_bits[e[0]] >> e[1] & 1)
+def _patch_edges(cycle: tuple[int, ...], patch: Graph) -> list[Edge]:
+    """The patch edges of a validated cycle, sorted."""
+    ring = zip(cycle, cycle[1:] + cycle[:1])
+    return sorted(norm_edge(u, v) for u, v in ring if patch.adj_bits[u] >> v & 1)
+
+
+def _take(rows: list[int], edges) -> list[Edge]:
+    """Clear the edges from the working rows; an edge that is not there
+    breaks the accounting identity."""
+    for u, v in edges:
+        if not rows[u] >> v & 1:
+            raise AssertionError("edge accounting identity violated")
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return [norm_edge(u, v) for u, v in edges]
 
 
 @dataclass(frozen=True)
@@ -392,9 +382,11 @@ class StepResult:
     """Outcome of one Hamilton-cycle extraction from (core, patch).
 
     ``dropped_core`` holds core edges removed beyond the cycle itself;
-    ``promoted_patch`` holds patch edges moved into the new core.  The exact
-    accounting identity is
-    core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core.
+    ``promoted_patch`` holds patch edges moved into the new core.  The
+    gadgets that supply both are searched in the working rows, core and
+    patch less the cycle and the earlier gadgets, and every moved edge is
+    checked present in the rows it leaves, so the exact accounting identity
+    core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core holds.
     """
 
     cycle: tuple[int, ...]
@@ -468,7 +460,7 @@ def extract_hamilton_step(
             if not (isinstance(final, TwoFactor) and final.is_hamilton_cycle):
                 raise SearchFailedError(f"no Hamilton cycle within {cap} moves")
             _check_cycle(final, host)
-            cycle_edge_set, shared = _edges_and_patch_edges(final, core)
+            shared = _patch_edges(final.cycles[0], patch)
             # a cycle whose gadgets would overflow the exclusion set trades
             # its lowest patch edge for core edges until they fit; the step
             # redraws only when a reroute gives up
@@ -481,38 +473,30 @@ def extract_hamilton_step(
                 final, move = rerouted
                 moves.append(move)
                 _check_cycle(final, host)
-                cycle_edge_set, shared = _edges_and_patch_edges(final, core)
+                shared = _patch_edges(final.cycles[0], patch)
 
+            # the working rows: core and patch less the cycle, and less each
+            # gadget's edges as it is taken, so no gadget reuses an edge
             cycle = final.cycles[0]
-            cycle_in_patch = frozenset(shared)
+            core_rows = list(strip_cycle(core.adj_bits, cycle))
+            patch_rows = list(strip_cycle(patch.adj_bits, cycle))
             excluded: set[int] = {v for e in shared for v in e}
             promoted: list[Edge] = []
             dropped: list[Edge] = []
             for x, y in shared:
-                avoid = cycle_edge_set | frozenset(promoted) | frozenset(dropped)
                 x1, x2, y1, y2 = substitution_gadget(
-                    core, patch, x, y, excluded, avoid_edges=avoid
+                    Graph._derived(n, tuple(core_rows)),
+                    Graph._derived(n, tuple(patch_rows)),
+                    x, y, excluded,
                 )
-                promoted.extend((norm_edge(x1, x2), norm_edge(y1, y2)))
-                dropped.extend(
-                    (norm_edge(x, x1), norm_edge(y, y1), norm_edge(x2, y2))
-                )
+                dropped += _take(core_rows, ((x, x1), (y, y1), (x2, y2)))
+                promoted += _take(patch_rows, ((x1, x2), (y1, y2)))
                 excluded.update((x1, x2, y1, y2))
-
-            promoted_set = frozenset(promoted)
-            dropped_set = frozenset(dropped)
-            # with core ∩ patch = ∅, these four facts give the identity
-            # core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core
-            if not (
-                all(core.has_edge(*e) for e in dropped_set)
-                and all(patch.has_edge(*e) for e in promoted_set | cycle_in_patch)
-                and cycle_edge_set.isdisjoint(dropped_set | promoted_set)
-            ):
-                raise AssertionError("edge accounting identity violated")
-            new_core = core._edited(
-                (cycle_edge_set - cycle_in_patch) | dropped_set, promoted_set
-            )
-            new_patch = patch._edited(cycle_in_patch | promoted_set, frozenset())
+            for u, v in promoted:  # core ∩ patch = ∅: these bits are clear
+                core_rows[u] |= 1 << v
+                core_rows[v] |= 1 << u
+            new_core = Graph._derived(n, tuple(core_rows))
+            new_patch = Graph._derived(n, tuple(patch_rows))
             degs = set(new_core.degrees())
             if degs != {d - 2}:
                 raise AssertionError(
@@ -523,12 +507,12 @@ def extract_hamilton_step(
                 cycle=cycle,
                 new_core=new_core,
                 new_patch=new_patch,
-                dropped_core=dropped_set,
-                promoted_patch=promoted_set,
+                dropped_core=frozenset(dropped),
+                promoted_patch=frozenset(promoted),
                 start_factor=factor,
                 moves=tuple(moves),
                 restarts=restart,
-                patch_edges_in_cycle=cycle_in_patch,
+                patch_edges_in_cycle=frozenset(shared),
             )
         except SearchFailedError as exc:
             last_error = exc

@@ -203,6 +203,13 @@ class TestDecomposeAndVerify:
         del data["meta"]
         assert data == run_pipeline(g, params, seed=0).decomposition.to_json_dict()
 
+    def test_negative_max_steps_exits_3(self, capsys, graph_file):
+        # a negative cap would silently run no rotation steps
+        assert main(["decompose", graph_file(21), "--max-steps", "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_steps must be nonnegative, got -3" in captured.err
+
     def test_budget_env_gives_exit_2(self, capsys, graph_file, monkeypatch):
         monkeypatch.setenv("HAMDECK_BUDGET_MS", "1")
         code, _ = run_cli(capsys, "decompose", graph_file(21))

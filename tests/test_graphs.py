@@ -93,7 +93,7 @@ class TestEdgeAlgebra:
     @settings(max_examples=60)
     @given(
         small_graphs(min_n=3, max_n=10),
-        st.lists(st.sampled_from(["subtract", "union", "union-graph", "edited"])),
+        st.lists(st.sampled_from(["subtract", "union", "union-graph"])),
         st.randoms(use_true_random=False),
     )
     def test_derived_chains_match_a_fresh_build(self, g, ops, rnd):
@@ -104,9 +104,6 @@ class TestEdgeAlgebra:
             add = {e for e in pairs if e not in expected and rnd.random() < 0.3}
             if op == "subtract":
                 g, expected = g.subtract(drop), expected - drop
-            elif op == "edited":
-                g = g._edited(frozenset(drop), frozenset(add))
-                expected = (expected - drop) | add
             else:
                 g = g.union(Graph(g.n, frozenset(add)) if op == "union-graph" else add)
                 expected |= add

@@ -38,7 +38,7 @@ def params_for(g, **overrides):
     return default_params(g, **overrides)
 
 
-def non_core_gadget(core, patch, x, y, excluded, *, avoid_edges=frozenset()):
+def non_core_gadget(core, patch, x, y, excluded):
     """A gadget that is valid except that x2-y2 is not a core edge."""
     banned = set(excluded) | {x, y}
 
@@ -49,17 +49,7 @@ def non_core_gadget(core, patch, x, y, excluded, *, avoid_edges=frozenset()):
         for x2 in patch.adj[x1]:
             for y1 in core.adj[y]:
                 for y2 in patch.adj[y1]:
-                    used = {
-                        norm_edge(x, x1),
-                        norm_edge(x1, x2),
-                        norm_edge(y, y1),
-                        norm_edge(y1, y2),
-                    }
-                    if (
-                        fresh(x1, x2, y1, y2)
-                        and used.isdisjoint(avoid_edges)
-                        and not core.has_edge(x2, y2)
-                    ):
+                    if fresh(x1, x2, y1, y2) and not core.has_edge(x2, y2):
                         return x1, x2, y1, y2
     raise AssertionError("no such gadget in the test input")
 
@@ -215,13 +205,11 @@ def _rotation_search_reference(partial, core, patch):
                 oriented, off_path, partial, comp_of, core, patch
             )
             if ext:
-                if not steps:
-                    return ext[0], Move("extend", tuple(ext[1]))
-                move = Move("rotate-extend", steps + tuple(ext[1]), note="fallback")
-                return ext[0], move
+                kind = "rotate-extend" if steps else "extend"
+                return ext[0], Move(kind, steps + tuple(ext[1]))
         closure = rotation._closure_edge(cur_list, patch, core)
         if closure is not None:
-            move = Move("rotate-close", steps + (("+", closure),), note="fallback")
+            move = Move("rotate-close", steps + (("+", closure),))
             return rotation._closed(partial, cur_list), move
         end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
         for i in range(1, len(cur_list) - 1):
@@ -332,9 +320,11 @@ class TestGadget:
         x1, x2, y1, y2 = substitution_gadget(k20, k20, 0, 1, {2, 3, 4, 5})
         assert {x1, x2, y1, y2}.isdisjoint({0, 1, 2, 3, 4, 5})
 
-    def test_avoid_edges_respected(self):
+    def test_only_edges_of_the_given_graphs_are_used(self):
+        # the step clears used edges from the rows it passes in, so the
+        # search may use no edge outside the graphs it is given
         k20 = complete_graph(20)
-        tup = substitution_gadget(k20, k20, 0, 1, set(), avoid_edges=frozenset({(0, 2)}))
+        tup = substitution_gadget(k20.subtract({(0, 2)}), k20, 0, 1, set())
         assert tup[0] != 2
 
     def test_blocked_neighborhood_fails(self):
@@ -387,33 +377,38 @@ class TestExtract:
             extract_hamilton_step(core, patch, params_for(core), 0)
 
     def test_partitioned_k21_accounting(self):
-        g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
-        for seed in (0, 7, 42):
-            step = extract_hamilton_step(tp.core, tp.patch, params, seed)
-            union = (
-                step.new_core.edges
-                | step.new_patch.edges
-                | step.cycle_edges()
-                | step.dropped_core
-            )
-            assert union == tp.core.edges | tp.patch.edges
-            total = (
-                len(step.new_core.edges)
-                + len(step.new_patch.edges)
-                + len(step.cycle_edges())
-                + len(step.dropped_core)
-            )
-            assert total == len(union)
-            assert step.new_core.regular_degree() == tp.core_degree - 2
-            # bookkeeping sets stay clear of the extracted cycle
-            assert not step.dropped_core & step.cycle_edges()
-            assert not step.promoted_patch & step.cycle_edges()
-            assert step.dropped_core <= tp.core.edges
-            assert step.promoted_patch <= tp.patch.edges
-            assert len(step.dropped_core) == 3 * len(step.patch_edges_in_cycle)
-            assert len(step.promoted_patch) == 2 * len(step.patch_edges_in_cycle)
+        # K21's steps place one gadget each; Paley(53)'s seed 7 places two,
+        # so the identity is also checked where gadgets follow one another
+        gadgets = {}
+        for g in (complete_graph(21), paley(53)):
+            params = params_for(g, seed=0)
+            tp = tri_partition(g, params)
+            for seed in (0, 7, 42):
+                step = extract_hamilton_step(tp.core, tp.patch, params, seed)
+                gadgets[g.n, seed] = k = len(step.patch_edges_in_cycle)
+                union = (
+                    step.new_core.edges
+                    | step.new_patch.edges
+                    | step.cycle_edges()
+                    | step.dropped_core
+                )
+                assert union == tp.core.edges | tp.patch.edges
+                total = (
+                    len(step.new_core.edges)
+                    + len(step.new_patch.edges)
+                    + len(step.cycle_edges())
+                    + len(step.dropped_core)
+                )
+                assert total == len(union)
+                assert step.new_core.regular_degree() == tp.core_degree - 2
+                # bookkeeping sets stay clear of the extracted cycle
+                assert not step.dropped_core & step.cycle_edges()
+                assert not step.promoted_patch & step.cycle_edges()
+                assert step.dropped_core <= tp.core.edges
+                assert step.promoted_patch <= tp.patch.edges
+                assert len(step.dropped_core) == 3 * k
+                assert len(step.promoted_patch) == 2 * k
+        assert max(gadgets.values()) >= 2, gadgets
 
     @pytest.mark.parametrize("g", [complete_graph(51), paley(53)], ids=["K51", "P53"])
     def test_derived_working_graphs_match_full_builds(self, g, monkeypatch):
@@ -670,11 +665,11 @@ def test_no_step_redraws_for_gadget_overflow(name, monkeypatch):
 # breadth-first rotation search and reroutes.  Any change to the search
 # order or a move's step order changes these digests.
 PINNED_RUNS = {
-    ("K21", 0): "8a825100253a15d265ec07ee397fd9f6c06f1b6fb76ad4fe40e1d579aeea4bef",
-    ("K51", 1): "31276e4fc68d9ffb36eac17e364c9fdf57d04423d2ce305c075697d6bfa7efe5",
-    ("K51", 3): "34c1d2949b14a8fbc41eab66c741c7cca5659a4012044a5711d9e109205e1786",
-    ("P53", 1): "55c652ad19229fb14b4915df53fabe70b8aa5969158e61025fe38103811f14d9",
-    ("P53", 2): "05cb31e10231b93e389f745e6d98a7a8666288d62d40a6353da4c5a66d233fb1",
+    ("K21", 0): "dbe8f208b6467abe4b71b9100b223ab73566076b46911b56291cd1c1ec13bcd2",
+    ("K51", 1): "de887214f4f6cd2e64a25c41aec9ff37d17876812dece19344d6183aacffee22",
+    ("K51", 3): "ac9c69b7d3a64a504e12743b423e574a43e3ba062acffa1e8f7527765e1b1a54",
+    ("P53", 1): "2fba7f6241532ce1a7becacff17a1189b77fa34142361b0eb87a644af15db066",
+    ("P53", 2): "8e5975b5c76aa5dca05a22e0c00ae14b61264d3c4de20e19d5e115a5ade675cd",
 }
 
 
@@ -687,18 +682,8 @@ def test_pipeline_outputs_are_pinned():
             [run.decomposition.to_json_dict(), run.step_stats], sort_keys=True
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, (name, seed)
-        kinds |= {
-            (m["kind"], m.get("note", ""))
-            for stats in run.step_stats
-            for m in stats["moves"]
-        }
-    assert kinds == {
-        ("merge", ""),
-        ("extend", ""),
-        ("rotate-extend", "fallback"),
-        ("rotate-close", "fallback"),
-        ("reroute", ""),
-    }
+        kinds |= {m["kind"] for stats in run.step_stats for m in stats["moves"]}
+    assert kinds == {"merge", "extend", "rotate-extend", "rotate-close", "reroute"}
 
 
 # The same digests for the benchmark's own pipeline ops (kn-mid's K101 and
@@ -706,9 +691,9 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation search or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "549b3b53cd0ebf844e8b35000506e3a82d63bebbe242c7bad82e561e65b7751c",
-    "K201": "1f7230e74d224ef9f7f6e6c2ad8012c91de4b9b75e8306d28126128a525c4531",
-    "P197": "a2b222965625b93c401a61cbe21e7badcb2da6fc790fbb4039ce0776d2db397f",
+    "K101": "4112af89e453b92dcae6c6e1919040387cf7206377bad684f006d176c44767fc",
+    "K201": "a312dab21664fcbca700cb2cc7252f34978c571eba420788eb23222ccafb43e0",
+    "P197": "b6c78831c72db70fae4b386698f0a8bdd3a546b4d521fdddcbf370ecdcb74ec8",
 }
 
 

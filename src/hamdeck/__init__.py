@@ -43,7 +43,6 @@ from .factor import (
     PartialHC,
     TwoFactor,
     component_profile,
-    enumerate_le2_factors,
     sample_le2_factor,
 )
 from .graphs import (
@@ -90,7 +89,6 @@ __all__ = [
     "decomposition_log_lower",
     "decomposition_log_upper",
     "empty_graph",
-    "enumerate_le2_factors",
     "extract_hamilton_step",
     "extract_regular_subgraph",
     "is_robust_expander",

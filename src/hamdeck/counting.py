@@ -10,13 +10,18 @@ bounds and the constructive lower bound, all in natural-log scale.
 
 Every unordered decomposition has exactly one cycle through the edge from
 vertex 0 to its lowest remaining neighbour a, so the decomposition count is
-H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  H is
-invariant under relabeling, so ``count_decompositions_exact`` memoises it,
-for one call, on the isomorphism class of each residual; K9 counts in well
-under a second.  The two unmemoised oracles, ``enumerate_decompositions``
-(anchored, every decomposition listed) and ``count_decompositions_ordered``
-(unanchored on purpose), walk one recursion, ``_decompositions``, and are
-the independent cross-checks of the memoised count.  Cycles come from
+H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  A
+Hamilton cycle takes two edges at every vertex, so every residual stays
+regular and each branch ends at a 2-regular one: a union of cycles, so
+exactly one Hamilton cycle when it is connected and none when it is not.  Both recursions take that as their base case instead of searching
+it (``_only_cycle`` walks the one cycle), which is exact and skips the
+deepest, most numerous level.  H is invariant under relabeling, so
+``count_decompositions_exact`` memoises it, for one call, on the
+isomorphism class of each residual; K9 counts in well under a second.
+The two unmemoised oracles, ``enumerate_decompositions`` (anchored, every
+decomposition listed) and ``count_decompositions_ordered`` (unanchored on
+purpose), walk one recursion, ``_decompositions``, and are the independent
+cross-checks of the memoised count.  Cycles come from
 ``_hamilton_cycles_from``, kept apart from the completer's pruned DFS on
 purpose: it is the reference the completer is checked against, and it is
 5-6x faster on the oracle's inputs.
@@ -133,6 +138,23 @@ def _check_decomposable_input(g: Graph) -> None:
         raise InputError(f"graph has {g.edge_count} edges, above the cap of {cap}")
 
 
+def _only_cycle(bits, n: int) -> tuple[int, ...] | None:
+    """The Hamilton cycle of 2-regular bit rows, or None when they are
+    not connected.
+
+    Walks from vertex 0 towards its lower neighbour a until the walk is
+    back at 0, so a connected residual gives (0, a, ..., b) with a < b: the
+    one tuple ``_hamilton_cycles_from`` yields on it, with or without the
+    anchor.
+    """
+    cyc = [0]
+    prev, v = 0, (bits[0] & -bits[0]).bit_length() - 1
+    while v:
+        cyc.append(v)
+        prev, v = v, (bits[v] ^ 1 << prev).bit_length() - 1
+    return tuple(cyc) if len(cyc) == n else None
+
+
 def _decompositions(g: Graph, deadline, *, ordered: bool = False):
     """Yield every Hamiltonian decomposition of g as a tuple of cycles.
 
@@ -140,7 +162,9 @@ def _decompositions(g: Graph, deadline, *, ordered: bool = False):
     is vertex 0's lowest remaining neighbour a.  Every decomposition has
     exactly one cycle through edge (0, a), so each unordered decomposition
     comes once, sorted, in lexicographic order.  ``ordered`` takes every
-    cycle at every level, so its count cross-checks the anchor.
+    cycle at every level, so its count cross-checks the anchor.  A
+    2-regular residual ends the branch: it adds its one cycle when it is
+    connected (H(connected 2-regular) = 1) and nothing otherwise.
     """
     chosen: list[tuple[int, ...]] = []
 
@@ -148,6 +172,10 @@ def _decompositions(g: Graph, deadline, *, ordered: bool = False):
         check_deadline(deadline, "decomposition counting")
         if not any(bits):
             yield tuple(chosen)
+            return
+        if bits[0].bit_count() == 2:  # every row, since g is regular
+            if cyc := _only_cycle(bits, g.n):
+                yield (*chosen, cyc)
             return
         second = -1 if ordered else bits[0] & -bits[0]
         for cyc in _hamilton_cycles_from(bits, g.n, deadline, second):
@@ -164,9 +192,10 @@ def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
     H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a), a
     being vertex 0's lowest remaining neighbour: the anchor of
     ``_decompositions``, under which each decomposition is reached once.
-    H(no edges) = 1 and H(disconnected) = 0.  H is memoised on the
-    residual's isomorphism class (``_class_entry``), for this call only, so
-    no decomposition is listed and nothing carries over to the next call.
+    H(no edges) = 1, H(disconnected) = 0 and H(connected 2-regular) = 1,
+    the last before any lookup.  H is memoised on the residual's
+    isomorphism class (``_class_entry``), for this call only, so no
+    decomposition is listed and nothing carries over to the next call.
     The deadline is checked at every residual.  No symmetry division is
     ever applied.
     """
@@ -181,6 +210,8 @@ def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
             return 1
         if not connected_over(bits, full):
             return 0
+        if bits[0].bit_count() == 2:  # a connected 2-regular rest is one cycle
+            return 1
         entry, new = _class_entry(classes, bits)
         if new:
             cycles = _hamilton_cycles_from(bits, n, deadline, bits[0] & -bits[0])

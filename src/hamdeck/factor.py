@@ -8,8 +8,8 @@ double cover on the graph's bit rows: a greedy pass over the rows in random
 order, each from a random offset, then one augmenting-path search per row
 left unmatched, by ``graphs.augment``, the breadth-first search that
 ``regularize.max_flow`` also uses.  The draws are random but follow no
-known distribution, so counting claims are delegated to the exhaustive
-enumerator at small n.
+known distribution, so counting claims are left to the exhaustive
+enumerator the tests keep (``tests/factor_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, InputError
-from .graphs import Edge, Graph, augment, iter_bits, norm_edge
+from .graphs import Edge, Graph, augment, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
 if TYPE_CHECKING:
     import numpy as np
-
-ENUMERATION_CAP = 14
 
 
 def component_budget(n: int) -> int:
@@ -236,62 +234,3 @@ def sample_le2_factor(
             "no (<=2)-factor: bipartite double cover has no perfect matching"
         )
     return TwoFactor.build(g, *_project_permutation(sigma))
-
-
-# -- enumeration ----------------------------------------------------------------
-
-
-def _valid_permutations(g: Graph):
-    """Yield every permutation sigma with sigma(i) != i and (i, sigma(i))
-    always an edge, by backtracking over positions."""
-    n = g.n
-    sigma = [-1] * n
-    used = [False] * n
-
-    def rec(i: int):
-        if i == n:
-            yield list(sigma)
-            return
-        for w in iter_bits(g.adj_bits[i]):
-            if not used[w]:
-                used[w] = True
-                sigma[i] = w
-                yield from rec(i + 1)
-                used[w] = False
-        sigma[i] = -1
-
-    yield from rec(0)
-
-
-def count_factor_permutations(g: Graph) -> int:
-    """Number of permanent-style permutations supported on the edge set.
-
-    Each factor with k cycle components (length >= 3) corresponds to 2^k of
-    these permutations; isolated edges contribute a single 2-cycle each.
-    """
-    if g.n > ENUMERATION_CAP:
-        raise InputError(f"enumeration limited to n <= {ENUMERATION_CAP}")
-    return sum(1 for _ in _valid_permutations(g))
-
-
-def enumerate_le2_factors(
-    g: Graph, max_components: int | None = None
-) -> list[TwoFactor]:
-    """All distinct (<=2)-factors as subgraphs, optionally filtered to at
-    most ``max_components`` components.  Exhaustive; n <= 14."""
-    if g.n > ENUMERATION_CAP:
-        raise InputError(f"enumeration limited to n <= {ENUMERATION_CAP}")
-    seen: set[tuple] = set()
-    out: list[TwoFactor] = []
-    for sigma in _valid_permutations(g):
-        cycles, pairs = _project_permutation(sigma)
-        factor = TwoFactor.build(g, cycles, pairs)
-        key = (factor.cycles, factor.pairs)
-        if key in seen:
-            continue
-        seen.add(key)
-        if max_components is not None and factor.component_count > max_components:
-            continue
-        out.append(factor)
-    out.sort(key=lambda f: (f.cycles, f.pairs))
-    return out

@@ -257,37 +257,51 @@ def augment(out, in_rows, matched, matched_in, spare: int, root: int) -> int:
 
     Each finished layer is a pair of vertex masks, (tails, heads), and the
     path is walked back through them, so no vertex records its parent.  The
-    search stops at the first tail that reaches a spare head."""
+    tails with an unmatched edge to a spare head are found once, as no
+    layer changes them, and the next layer's lowest of them is looked for
+    before that layer is built: the search stops at the first tail that
+    reaches a spare head."""
+    ready = 0
+    for w in iter_bits(spare):
+        ready |= in_rows[w] & ~matched_in[w]
     tails = seen_tails = 1 << root
+    hits = tails & ready
     seen_heads = 0
     layers: list[tuple[int, int]] = []
-    while tails:
+    while not hits:
         heads = 0
         for t in iter_bits(tails):
-            new = out[t] & ~matched[t] & ~seen_heads
-            if hit := new & spare:
-                end = w = (hit & -hit).bit_length() - 1
-                while True:
-                    matched[t] |= 1 << w  # a forward edge joins the matching
-                    matched_in[w] |= 1 << t
-                    if not layers:
-                        return end
-                    prev_tails, prev_heads = layers.pop()
-                    back = matched[t] & prev_heads  # the edge that reached t
-                    w = (back & -back).bit_length() - 1
-                    matched[t] ^= 1 << w
-                    matched_in[w] ^= 1 << t
-                    back = in_rows[w] & ~matched_in[w] & prev_tails
-                    t = (back & -back).bit_length() - 1
-            heads |= new
+            heads |= out[t] & ~matched[t]
+        heads &= ~seen_heads
+        if not heads:
+            return -1
         layers.append((tails, heads))
         seen_heads |= heads
-        tails = 0
-        for w in iter_bits(heads):
-            tails |= matched_in[w]
-        tails &= ~seen_tails
-        seen_tails |= tails
-    return -1
+        for t in iter_bits(ready & ~seen_tails):
+            if matched[t] & heads:  # the next layer's lowest hit
+                hits = 1 << t
+                break
+        else:
+            tails = 0
+            for w in iter_bits(heads):
+                tails |= matched_in[w]
+            tails &= ~seen_tails
+            seen_tails |= tails
+    t = (hits & -hits).bit_length() - 1
+    hit = out[t] & ~matched[t] & spare
+    end = w = (hit & -hit).bit_length() - 1
+    while True:
+        matched[t] |= 1 << w  # a forward edge joins the matching
+        matched_in[w] |= 1 << t
+        if not layers:
+            return end
+        prev_tails, prev_heads = layers.pop()
+        back = matched[t] & prev_heads  # the edge that reached t
+        w = (back & -back).bit_length() - 1
+        matched[t] ^= 1 << w
+        matched_in[w] ^= 1 << t
+        back = in_rows[w] & ~matched_in[w] & prev_tails
+        t = (back & -back).bit_length() - 1
 
 
 def strip_cycle(adj_bits, cyc) -> tuple[int, ...]:

@@ -5,10 +5,13 @@ import time
 
 import pytest
 
+from hamdeck import counting
 from hamdeck.counting import (
     _class_entry,
     _decompositions,
+    _hamilton_cycles_from,
     _isomorphic,
+    _only_cycle,
     _vertex_invariants,
     bregman_log_bound,
     connected_regular_graphs,
@@ -202,12 +205,81 @@ class TestDecompositionCounts:
         for _ in range(3):
             assert count_decompositions_exact(relabeled(g, rng)) == expected
 
-    @pytest.mark.parametrize("n,r", [(5, 2), (6, 4), (7, 4)])
+    @pytest.mark.parametrize("n,r", [(5, 2), (6, 4), (7, 4), (9, 4)])
     def test_ordered_unordered_consistency(self, n, r):
         for g in connected_regular_graphs(n, r):
             unordered = count_decompositions_exact(g)
             ordered = count_decompositions_ordered(g)
             assert ordered == unordered * math.factorial(r // 2)
+
+
+def two_regular_rows(n):
+    """Bit rows of every labeled 2-regular graph on n vertices: the cycle
+    through the lowest free vertex v is v, then an ordered choice of two
+    or more free vertices, taken once per direction."""
+
+    def rec(free, rows):
+        if not free:
+            yield tuple(rows)
+            return
+        v = (free & -free).bit_length() - 1
+        others = [w for w in range(v + 1, n) if free >> w & 1]
+        for k in range(2, len(others) + 1):
+            for path in itertools.permutations(others, k):
+                if path[0] > path[-1]:
+                    continue
+                cyc = (v, *path)
+                new = list(rows)
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    new[a] |= 1 << b
+                    new[b] |= 1 << a
+                yield from rec(free & ~sum(1 << w for w in cyc), new)
+
+    yield from rec((1 << n) - 1, [0] * n)
+
+
+class TestTwoRegularBaseCase:
+    def test_walk_matches_enumerator_on_every_two_regular_graph(self):
+        # the base case of both counting recursions: one cycle when the
+        # rows are connected, nothing when they are a union of cycles
+        counts = []
+        for n in range(3, 10):
+            graphs = list(two_regular_rows(n))
+            counts.append(len(graphs))
+            for bits in graphs:
+                walk = _only_cycle(bits, n)
+                for second in (-1, bits[0] & -bits[0]):
+                    cycles = list(_hamilton_cycles_from(bits, n, None, second))
+                    assert cycles == ([walk] if walk else []), (bits, second)
+        assert counts == [1, 3, 12, 70, 465, 3507, 30016]  # A001205
+
+    @pytest.mark.parametrize(
+        "count,g",
+        [
+            (count_decompositions_ordered, complete_graph(7)),
+            (count_decompositions_exact, circulant(9, (1, 2, 3))),
+        ],
+        ids=["ordered-K7", "exact-C9(1,2,3)"],
+    )
+    def test_no_search_or_lookup_on_a_two_regular_residual(
+        self, monkeypatch, count, g
+    ):
+        seen = []
+
+        def spy(name, rows_at):
+            inner = getattr(counting, name)
+
+            def call(*args, **kwargs):
+                rows = args[rows_at]
+                seen.append((name, all(row.bit_count() == 2 for row in rows)))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(counting, name, call)
+
+        spy("_hamilton_cycles_from", 0)
+        spy("_class_entry", 1)
+        count(g)
+        assert seen and not [name for name, two in seen if two]
 
 
 class TestBounds:

@@ -14,14 +14,13 @@ from hamdeck.factor import (
     _random_perfect_matching,
     component_budget,
     component_profile,
-    count_factor_permutations,
-    enumerate_le2_factors,
     sample_le2_factor,
 )
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.partition import default_params, tri_partition
 
 from conftest import circulant, paley, random_graph, small_graphs
+from factor_oracle import count_factor_permutations, enumerate_le2_factors
 
 
 def _k101_core():

@@ -13,11 +13,13 @@ vertex 0 to its lowest remaining neighbour a, so the decomposition count is
 H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  A
 Hamilton cycle takes two edges at every vertex, so every residual stays
 regular and each branch ends at a 2-regular one: a union of cycles, so
-exactly one Hamilton cycle when it is connected and none when it is not.  Both recursions take that as their base case instead of searching
-it (``_only_cycle`` walks the one cycle), which is exact and skips the
-deepest, most numerous level.  H is invariant under relabeling, so
-``count_decompositions_exact`` memoises it, for one call, on the
-isomorphism class of each residual; K9 counts in well under a second.
+exactly one Hamilton cycle when it is connected and none when it is
+not.  Both recursions take that as their base case instead of searching
+it (``graphs._only_cycle`` walks the one cycle, as the completer's last
+level does), which is exact and skips the deepest, most numerous level.
+H is invariant under relabeling, so ``count_decompositions_exact``
+memoises it, for one call, on the isomorphism class of each residual; K9
+counts in well under a second.
 The two unmemoised oracles, ``enumerate_decompositions`` (anchored, every
 decomposition listed) and ``count_decompositions_ordered`` (unanchored on
 purpose), walk one recursion, ``_decompositions``, and are the independent
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .graphs import Graph, connected_over, strip_cycle
+from .graphs import Graph, _only_cycle, connected_over, strip_cycle
 from .util import check_deadline
 
 HAMILTON_COUNT_CAP = 16
@@ -136,23 +138,6 @@ def _check_decomposable_input(g: Graph) -> None:
     if g.edge_count > DECOMPOSITION_EDGE_CAP:
         cap = DECOMPOSITION_EDGE_CAP
         raise InputError(f"graph has {g.edge_count} edges, above the cap of {cap}")
-
-
-def _only_cycle(bits, n: int) -> tuple[int, ...] | None:
-    """The Hamilton cycle of 2-regular bit rows, or None when they are
-    not connected.
-
-    Walks from vertex 0 towards its lower neighbour a until the walk is
-    back at 0, so a connected residual gives (0, a, ..., b) with a < b: the
-    one tuple ``_hamilton_cycles_from`` yields on it, with or without the
-    anchor.
-    """
-    cyc = [0]
-    prev, v = 0, (bits[0] & -bits[0]).bit_length() - 1
-    while v:
-        cyc.append(v)
-        prev, v = v, (bits[v] ^ 1 << prev).bit_length() - 1
-    return tuple(cyc) if len(cyc) == n else None
 
 
 def _decompositions(g: Graph, deadline, *, ordered: bool = False):

@@ -9,7 +9,9 @@ connectivity and degree pruning.  The first try grows a path from a random
 vertex; each later try opens the cycle tried last at a random edge and
 walks on from it by Pósa rotations, never closing into a tried cycle, and
 starts afresh only when that walk stalls.  A cycle whose residual is
-disconnected is rejected by one connectivity test before the next level.
+disconnected is rejected by one connectivity test before the next level,
+so a 2-regular level is connected: its one cycle is taken by the counting
+oracles' walk (``graphs._only_cycle``), which spends no search node.
 The search is therefore exhaustive, and a node budget bounds it, so "budget
 ran out" (BudgetError) stays distinct from "no decomposition exists"
 (InfeasibleError).
@@ -25,10 +27,9 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 from .errors import BudgetError, InfeasibleError, InputError
-from .graphs import Edge, Graph, connected_over, iter_bits, strip_cycle
+from .graphs import Edge, Graph, _only_cycle, connected_over, iter_bits, strip_cycle
 from .partition import PipelineParams, TriPartition, default_params, tri_partition
 from .rotation import extract_hamilton_step
 from .util import EPS, check_deadline, floor_frac, spawn_seed
@@ -243,10 +244,10 @@ def complete_residual(
                 yield cyc
 
     def search(bits, budget, rng) -> list[tuple[int, ...]] | None:
+        if bits[0].bit_count() == 2:  # connected, so it is its own cycle
+            return [_only_cycle(bits, g.n)]
         for cyc in candidates(bits, budget, rng):
             rest_bits = strip_cycle(bits, cyc)
-            if not any(rest_bits):
-                return [cyc]
             # one connectivity test rejects a disconnected residual
             if not connected_over(rest_bits, full):
                 continue
@@ -414,6 +415,7 @@ def run_pipeline(
         planned = 0
         try:
             tp: TriPartition | None = None
+            rows = graph.adj_bits  # the residual when the split falls back
             try:
                 tp = tri_partition(graph, replace(params, seed=attempt_seed))
                 partition_stats = dict(tp.stats)
@@ -423,6 +425,7 @@ def run_pipeline(
 
             if tp is not None:
                 core, patch = tp.core, tp.patch
+                left = list(tp.residual.adj_bits)  # plus each step's dropped_core
                 planned = _plan_steps(tp.core_degree, params.eps, r, params.max_steps)
                 for i in range(planned):
                     check_deadline(params.deadline, "pipeline step")
@@ -446,22 +449,31 @@ def run_pipeline(
                             "moves": [m.to_json_dict() for m in step.moves],
                         }
                     )
+                    for u, v in step.dropped_core:
+                        left[u] |= 1 << v
+                        left[v] |= 1 << u
                     core, patch = step.new_core, step.new_patch
                     expect = tp.core_degree - 2 * (i + 1)
                     if core.regular_degree() != expect:
                         raise AssertionError(
                             f"working core degree {core.regular_degree()} != {expect}"
                         )
+                # each step splits core ∪ patch into new_core, new_patch, its
+                # cycle and dropped_core, so the cycles leave exactly this
+                rows = tuple(
+                    a | b | c for a, b, c in zip(left, core.adj_bits, patch.adj_bits)
+                )
 
-            rows = reduce(strip_cycle, cycles, graph.adj_bits)
             residual = Graph._derived(graph.n, rows)
             res_degree = residual.regular_degree()
             if res_degree is None:
                 raise AssertionError("residual after cycle removal is irregular")
-            # every edge is verified once: the rotation cycles must partition
-            # the edges they removed, the completer's the residual, so a
-            # reused, missing or foreign edge fails one of the two checks
-            removed = tuple(a & ~b for a, b in zip(graph.adj_bits, rows))
+            # every edge is verified once, and with it the steps' accounting:
+            # the rotation cycles must partition what the residual lacks of
+            # the graph (XOR, so a foreign residual edge is there too), the
+            # completer's the residual, so a reused, missing, foreign or
+            # misaccounted edge fails one of the two checks
+            removed = tuple(a ^ b for a, b in zip(graph.adj_bits, rows))
             rotated = _verified(
                 Graph._derived(graph.n, removed), cycles, "pipeline output invalid"
             )

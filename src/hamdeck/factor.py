@@ -92,20 +92,6 @@ class PartialHC:
     cycles: tuple[tuple[int, ...], ...]
     pairs: tuple[Edge, ...]
 
-    @classmethod
-    def build(cls, host: Graph, path, cycles, pairs) -> "PartialHC":
-        """Validating entry for partial covers from outside the rotation
-        engine, whose moves derive theirs: canonicalise the cycles and pairs
-        (the path keeps its order), then validate against host."""
-        partial = cls(
-            host.n,
-            tuple(path),
-            tuple(sorted(canonical_cycle(c) for c in cycles)),
-            tuple(sorted(norm_edge(u, v) for u, v in pairs)),
-        )
-        partial.validate_in(host)
-        return partial
-
     @property
     def component_count(self) -> int:
         return 1 + len(self.cycles) + len(self.pairs)

@@ -315,6 +315,23 @@ def strip_cycle(adj_bits, cyc) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def _only_cycle(bits, n: int) -> tuple[int, ...] | None:
+    """The Hamilton cycle of 2-regular bit rows, or None when they are
+    not connected.
+
+    Walks from vertex 0 towards its lower neighbour a until the walk is
+    back at 0, so a connected residual gives (0, a, ..., b) with a < b: the
+    one tuple ``counting._hamilton_cycles_from`` yields on it, with or
+    without the anchor, and already in canonical form.
+    """
+    cyc = [0]
+    prev, v = 0, (bits[0] & -bits[0]).bit_length() - 1
+    while v:
+        cyc.append(v)
+        prev, v = v, (bits[v] ^ 1 << prev).bit_length() - 1
+    return tuple(cyc) if len(cyc) == n else None
+
+
 # -- robust expansion -------------------------------------------------------
 
 

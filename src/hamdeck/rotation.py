@@ -30,9 +30,10 @@ cycle is rerouted: it is opened at its lowest patch edge and the
 breadth-first search closes the Hamilton path again by core rotations and a
 core chord, one ``reroute`` move each time, until the gadgets fit.  The step
 redraws its factor only when a reroute gives up or a gadget is not found.
-The gadgets are searched in working rows: the core's and the patch's bit
-rows with the cycle stripped, from which each gadget's edges are cleared
-as it is taken, so no gadget reuses an edge of the cycle or of another.
+Each checked cycle, rerouted or not, is walked once: the walk strips it
+from the core's and the patch's bit rows and lists its patch edges.  Every
+gadget is searched in those stripped rows, and its edges are then cleared
+from the rows that become the new core and patch.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import islice
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
-from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge, strip_cycle
+from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge
 from .util import EPS, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -207,11 +208,11 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
     parent's rotations.  The start path is tested first, and an extension
     of it is an ``extend`` move; an extension after rotations is a
     ``rotate-extend`` move.  No rotation changes the path's vertex set, so
-    one off-path mask serves every extension test.  At most
-    ROTATION_VISIT_CAP paths are tested.
+    one off-path mask, of the component map's vertices, serves every
+    extension test.  At most ROTATION_VISIT_CAP paths are tested.
     """
-    off_path = ~_mask_of(partial.path)
     comp_of = _component_map(partial.cycles + partial.pairs)
+    off_path = _mask_of(comp_of)
 
     def canon(p: tuple[int, ...]) -> tuple[int, ...]:
         rp = p[::-1]
@@ -315,9 +316,10 @@ def substitution_gadget(
     x-x1, y-y1, x2-y2 and patch edges x1-x2, y1-y2.
 
     Used to rebalance core degrees when the extracted cycle consumed patch
-    edges.  ``extract_hamilton_step`` searches each gadget in its working
-    rows, which hold no edge of the cycle or of an earlier gadget, and
-    accumulates used endpoints into the exclusion set.
+    edges.  ``extract_hamilton_step`` searches every gadget in core and
+    patch less the cycle and adds the used endpoints to the exclusion set,
+    so no gadget can take an earlier one's edges: both ends of those are in
+    the set, and every edge read here ends at x1, x2, y1 or y2, outside it.
     """
     if x == y:
         raise InputError("gadget endpoints must be distinct")
@@ -360,10 +362,24 @@ def _check_cycle(final: TwoFactor, host: Graph) -> None:
         raise AssertionError(f"rotation moves built a bad cycle: {exc}") from exc
 
 
-def _patch_edges(cycle: tuple[int, ...], patch: Graph) -> list[Edge]:
-    """The patch edges of a validated cycle, sorted."""
-    ring = zip(cycle, cycle[1:] + cycle[:1])
-    return sorted(norm_edge(u, v) for u, v in ring if patch.adj_bits[u] >> v & 1)
+def _walk_cycle(cycle: tuple[int, ...], core: Graph, patch: Graph):
+    """One walk of a validated cycle: the core's and the patch's rows less
+    the cycle, and its patch edges, sorted.  Each edge of a validated cycle
+    is in exactly one of the two, so one bit test picks the rows to XOR."""
+    core_rows, patch_rows = list(core.adj_bits), list(patch.adj_bits)
+    shared: list[Edge] = []
+    u = cycle[-1]
+    for v in cycle:
+        bu, bv = 1 << u, 1 << v
+        if patch_rows[u] & bv:
+            shared.append(norm_edge(u, v))
+            patch_rows[u] ^= bv
+            patch_rows[v] ^= bu
+        else:
+            core_rows[u] ^= bv
+            core_rows[v] ^= bu
+        u = v
+    return core_rows, patch_rows, sorted(shared)
 
 
 def _take(rows: list[int], edges) -> list[Edge]:
@@ -383,10 +399,12 @@ class StepResult:
 
     ``dropped_core`` holds core edges removed beyond the cycle itself;
     ``promoted_patch`` holds patch edges moved into the new core.  The
-    gadgets that supply both are searched in the working rows, core and
-    patch less the cycle and the earlier gadgets, and every moved edge is
-    checked present in the rows it leaves, so the exact accounting identity
-    core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core holds.
+    gadgets that supply both are searched in core and patch less the cycle,
+    not less the earlier gadgets too: those edges have both ends in the
+    exclusion set, which a search reads no edge within.  Every moved edge
+    is checked present in the rows it leaves, so the exact accounting
+    identity core ∪ patch = new_core ⊎ new_patch ⊎ cycle ⊎ dropped_core
+    holds; ``run_pipeline`` builds its residual from it.
     """
 
     cycle: tuple[int, ...]
@@ -459,35 +477,32 @@ def extract_hamilton_step(
                 moves.append(move)
             if not (isinstance(final, TwoFactor) and final.is_hamilton_cycle):
                 raise SearchFailedError(f"no Hamilton cycle within {cap} moves")
-            _check_cycle(final, host)
-            shared = _patch_edges(final.cycles[0], patch)
             # a cycle whose gadgets would overflow the exclusion set trades
             # its lowest patch edge for core edges until they fit; the step
             # redraws only when a reroute gives up
-            while (peak := _peak_exclusion(shared)) > _gadget_capacity(n):
+            while True:
+                _check_cycle(final, host)
+                core_rows, patch_rows, shared = _walk_cycle(
+                    final.cycles[0], core, patch
+                )
+                if (peak := _peak_exclusion(shared)) <= _gadget_capacity(n):
+                    break
                 rerouted = _reroute(final, shared[0], core)
                 if rerouted is None:
-                    raise SearchFailedError(
-                        f"gadget exclusion set {peak} over capacity"
-                    )
+                    raise SearchFailedError(f"gadget exclusion set {peak} over capacity")
                 final, move = rerouted
                 moves.append(move)
-                _check_cycle(final, host)
-                shared = _patch_edges(final.cycles[0], patch)
 
-            # the working rows: core and patch less the cycle, and less each
-            # gadget's edges as it is taken, so no gadget reuses an edge
-            cycle = final.cycles[0]
-            core_rows = list(strip_cycle(core.adj_bits, cycle))
-            patch_rows = list(strip_cycle(patch.adj_bits, cycle))
+            # every gadget is searched in the rows less the cycle, made into
+            # graphs once; StepResult says why no earlier gadget is cleared
+            core_free = Graph._derived(n, tuple(core_rows))
+            patch_free = Graph._derived(n, tuple(patch_rows))
             excluded: set[int] = {v for e in shared for v in e}
             promoted: list[Edge] = []
             dropped: list[Edge] = []
             for x, y in shared:
                 x1, x2, y1, y2 = substitution_gadget(
-                    Graph._derived(n, tuple(core_rows)),
-                    Graph._derived(n, tuple(patch_rows)),
-                    x, y, excluded,
+                    core_free, patch_free, x, y, excluded
                 )
                 dropped += _take(core_rows, ((x, x1), (y, y1), (x2, y2)))
                 promoted += _take(patch_rows, ((x1, x2), (y1, y2)))
@@ -504,7 +519,7 @@ def extract_hamilton_step(
                 )
 
             return StepResult(
-                cycle=cycle,
+                cycle=final.cycles[0],
                 new_core=new_core,
                 new_patch=new_patch,
                 dropped_core=frozenset(dropped),

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from hamdeck.graphs import Graph, build_graph, complete_graph
+from hamdeck.factor import PartialHC
+from hamdeck.graphs import Graph, build_graph, complete_graph, norm_edge
+from hamdeck.walecki import canonical_cycle
 
 
 @st.composite
@@ -56,6 +58,20 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return build_graph(10, outer + spokes + inner)
+
+
+def build_partial(host: Graph, path, cycles, pairs) -> PartialHC:
+    """A partial cover made outside the rotation engine, whose moves derive
+    theirs: the cycles and pairs canonicalised (the path keeps its order),
+    then validated against host."""
+    partial = PartialHC(
+        host.n,
+        tuple(path),
+        tuple(sorted(canonical_cycle(c) for c in cycles)),
+        tuple(sorted(norm_edge(u, v) for u, v in pairs)),
+    )
+    partial.validate_in(host)
+    return partial
 
 
 @pytest.fixture

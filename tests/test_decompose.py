@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 import time
+from functools import reduce
 
 import pytest
 
@@ -22,7 +24,14 @@ from hamdeck.decompose import (
     run_pipeline,
 )
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
-from hamdeck.graphs import Graph, build_graph, complete_graph, cycle_graph, iter_bits
+from hamdeck.graphs import (
+    Graph,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    iter_bits,
+    strip_cycle,
+)
 from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
 
 from conftest import paley, petersen
@@ -170,6 +179,29 @@ class TestCompleteResidual:
             for seed in range(5):
                 run_pipeline(g, seed=seed)
         assert sum(steps) <= 16_000, (len(steps), sum(steps))
+
+    @pytest.mark.parametrize("name", ["K101", "union0", "union1", "union2"])
+    def test_two_regular_level_is_walked_not_searched(self, name, monkeypatch):
+        # a 2-regular level reaches the search only when it is connected, so
+        # it is its own Hamilton cycle and neither cycle search is called
+        seen = []
+
+        def spy(real):
+            def wrapper(adj_bits, *rest):
+                seen.append(max(map(int.bit_count, adj_bits)))
+                return real(adj_bits, *rest)
+
+            return wrapper
+
+        for fn in ("_rotation_first_cycle", "_hamilton_cycles_pruned"):
+            monkeypatch.setattr(decompose, fn, spy(getattr(decompose, fn)))
+        if name == "K101":
+            g = complete_graph(101)
+        else:
+            g = two_cycle_union(101, int(name[-1]))
+        deco = complete_residual(g)
+        assert verify_decomposition(g, deco).ok
+        assert seen and min(seen) > 2
 
     @pytest.mark.parametrize("seed", range(3))
     def test_walk_never_closes_into_a_tried_cycle(self, seed):
@@ -402,6 +434,64 @@ class TestPipeline:
         assert run.completed_cycles == 25 - 1 > full.completed_cycles
         assert run.attempts == 1
         assert verify_decomposition(g, run.decomposition).ok
+
+    @pytest.mark.parametrize(
+        "name,seed",
+        [("K21", s) for s in range(10)]
+        + [("P53", s) for s in range(10)]
+        + [("K101", s) for s in range(3)],
+    )
+    def test_residual_from_the_accounting_matches_stripping(
+        self, name, seed, monkeypatch
+    ):
+        # the residual is built from the steps' edge accounting; stripping
+        # every rotation cycle from the input again is the reference
+        g = paley(53) if name == "P53" else complete_graph(int(name[1:]))
+        cycles, residuals = [], []
+        split, step = decompose.tri_partition, decompose.extract_hamilton_step
+        complete = decompose.complete_residual
+
+        def new_attempt(*args):
+            cycles.clear()
+            return split(*args)
+
+        def recorded_step(*args):
+            result = step(*args)
+            cycles.append(result.cycle)
+            return result
+
+        def checked_completion(residual, **kwargs):
+            assert residual.adj_bits == reduce(strip_cycle, cycles, g.adj_bits)
+            residuals.append(len(cycles))
+            return complete(residual, **kwargs)
+
+        monkeypatch.setattr(decompose, "tri_partition", new_attempt)
+        monkeypatch.setattr(decompose, "extract_hamilton_step", recorded_step)
+        monkeypatch.setattr(decompose, "complete_residual", checked_completion)
+        run = run_pipeline(g, seed=seed)
+        assert residuals[-1] == run.rotation_cycles > 0
+
+    @pytest.mark.parametrize("fault", ["lost", "cycle"])
+    def test_misaccounted_step_fails_the_pipeline(self, fault, monkeypatch):
+        # a step whose dropped_core loses an edge, or claims one of its
+        # cycle's, gives a wrong residual, which the verification catches
+        real, tampered = decompose.extract_hamilton_step, []
+
+        def misaccount(*args):
+            step = real(*args)
+            if step.dropped_core and not tampered:
+                if fault == "lost":
+                    dropped = step.dropped_core - {min(step.dropped_core)}
+                else:
+                    dropped = step.dropped_core | {min(step.cycle_edges())}
+                tampered.append(step)
+                step = dataclasses.replace(step, dropped_core=dropped)
+            return step
+
+        monkeypatch.setattr(decompose, "extract_hamilton_step", misaccount)
+        with pytest.raises(AssertionError):
+            run_pipeline(complete_graph(101), seed=0)
+        assert tampered
 
     def test_deterministic(self):
         g = complete_graph(9)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.factor import (
-    PartialHC,
     TwoFactor,
     _random_perfect_matching,
     component_budget,
@@ -19,7 +18,7 @@ from hamdeck.factor import (
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.partition import default_params, tri_partition
 
-from conftest import circulant, paley, random_graph, small_graphs
+from conftest import build_partial, circulant, paley, random_graph, small_graphs
 from factor_oracle import count_factor_permutations, enumerate_le2_factors
 
 
@@ -257,13 +256,13 @@ class TestStructures:
 
     def test_partial_hc_validation(self):
         g = complete_graph(6)
-        partial = PartialHC.build(g, [0, 1, 2], [[3, 4, 5]], [])
+        partial = build_partial(g, [0, 1, 2], [[3, 4, 5]], [])
         assert partial.component_count == 2
         assert len(partial.edge_set()) == 5
 
     def test_partial_hc_rejects_overlap(self):
         with pytest.raises(InputError):
-            PartialHC.build(complete_graph(6), [0, 1, 2], [[2, 3, 4]], [])
+            build_partial(complete_graph(6), [0, 1, 2], [[2, 3, 4]], [])
 
     def test_non_spanning_factor_rejected_at_build(self):
         with pytest.raises(InputError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -19,6 +20,7 @@ from hamdeck.graphs import (
     _mask_of,
     empty_graph,
     norm_edge,
+    strip_cycle,
 )
 from hamdeck.partition import default_params, tri_partition
 from hamdeck.rotation import (
@@ -28,9 +30,9 @@ from hamdeck.rotation import (
     rotate_or_close,
     substitution_gadget,
 )
-from hamdeck.walecki import canonical_cycle
+from hamdeck.walecki import canonical_cycle, cycle_edges
 
-from conftest import circulant, paley
+from conftest import build_partial, circulant, paley
 from replay import net_effect, replay_moves
 
 
@@ -108,7 +110,7 @@ def test_merge_rejects_mismatched_sizes(sizes):
 @pytest.mark.parametrize("sizes", SIZE_MISMATCHES, ids=["6-7-7", "6-6-7", "6-7-6"])
 def test_rotate_or_close_rejects_mismatched_sizes(sizes):
     n, core_n, patch_n = sizes
-    partial = PartialHC.build(complete_graph(n), [0, 1, 2], [[3, 4, 5]], [])
+    partial = build_partial(complete_graph(n), [0, 1, 2], [[3, 4, 5]], [])
     with pytest.raises(InputError, match="vertices"):
         core, patch = complete_graph(core_n), empty_graph(patch_n)
         rotate_or_close(partial, core, patch)
@@ -119,7 +121,7 @@ class TestRotateOrClose:
         host = build_graph(
             6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
         )
-        partial = PartialHC.build(host, [0, 1, 2], [[3, 4, 5]], [])
+        partial = build_partial(host, [0, 1, 2], [[3, 4, 5]], [])
         result, move = rotate_or_close(partial, host, empty_graph(6))
         assert isinstance(result, PartialHC)
         assert result.component_count == 1
@@ -127,7 +129,7 @@ class TestRotateOrClose:
 
     def test_spanning_path_in_k6_closes(self):
         g = complete_graph(6)
-        partial = PartialHC.build(g, [0, 1, 2, 3, 4, 5], [], [])
+        partial = build_partial(g, [0, 1, 2, 3, 4, 5], [], [])
         result, move = rotate_or_close(partial, g, empty_graph(6))
         assert isinstance(result, TwoFactor)
         assert result.is_hamilton_cycle
@@ -137,7 +139,7 @@ class TestRotateOrClose:
         # path 0-1-2-3-4 with chords (1,4) and (0,2): the only Hamilton
         # cycle is 0-1-4-3-2-0, reachable by one rotation plus closure
         core = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (0, 2)])
-        partial = PartialHC.build(core, [0, 1, 2, 3, 4], [], [])
+        partial = build_partial(core, [0, 1, 2, 3, 4], [], [])
         result, move = rotate_or_close(partial, core, empty_graph(5))
         assert isinstance(result, TwoFactor)
         assert result.edge_set() == frozenset(
@@ -147,7 +149,7 @@ class TestRotateOrClose:
     def test_closure_via_patch_edge(self):
         core = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         patch = build_graph(4, [(0, 3)])
-        partial = PartialHC.build(
+        partial = build_partial(
             Graph(4, core.edges | patch.edges), [0, 1, 2, 3], [], []
         )
         result, move = rotate_or_close(partial, core, patch)
@@ -158,7 +160,7 @@ class TestRotateOrClose:
         # the core chord (1,3) rotates the path; the patch edge (0,2) closes
         core = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         patch = build_graph(4, [(0, 2)])
-        partial = PartialHC.build(
+        partial = build_partial(
             Graph(4, core.edges | patch.edges), [0, 1, 2, 3], [], []
         )
         result, move = rotate_or_close(partial, core, patch)
@@ -167,7 +169,7 @@ class TestRotateOrClose:
 
     def test_dead_end_raises(self):
         core = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        partial = PartialHC.build(core, [0, 1, 2, 3], [], [])
+        partial = build_partial(core, [0, 1, 2, 3], [], [])
         with pytest.raises(SearchFailedError):
             rotate_or_close(partial, core, empty_graph(4))
 
@@ -343,6 +345,65 @@ class TestGadget:
         g = complete_graph(6)
         with pytest.raises(InputError):
             substitution_gadget(g, g, 2, 2, set())
+
+
+@st.composite
+def cycle_splits(draw):
+    """A Hamilton cycle of a random graph on up to 14 vertices whose edges
+    are split at random between a core and a patch."""
+    n = draw(st.integers(3, 14))
+    cycle = tuple(draw(st.permutations(range(n))))
+    ring = cycle_edges(cycle)
+    pairs = list(itertools.combinations(range(n), 2))
+    flags = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    present, in_patch = draw(flags), draw(flags)
+    edges = [
+        (p, side)
+        for p, keep, side in zip(pairs, present, in_patch)
+        if keep or p in ring
+    ]
+    core = Graph(n, [p for p, side in edges if not side])
+    patch = Graph(n, [p for p, side in edges if side])
+    return cycle, core, patch
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_splits())
+def test_cycle_walk_matches_stripping_and_the_patch_edge_scan(split):
+    # the one walk per finished cycle against the three walks it replaced:
+    # strip_cycle on each side's rows and the scan for the cycle's patch edges
+    cycle, core, patch = split
+    core_rows, patch_rows, shared = rotation._walk_cycle(cycle, core, patch)
+    assert core_rows == list(strip_cycle(core.adj_bits, cycle))
+    assert patch_rows == list(strip_cycle(patch.adj_bits, cycle))
+    ring = zip(cycle, cycle[1:] + cycle[:1])
+    assert shared == sorted(norm_edge(u, v) for u, v in ring if patch.has_edge(u, v))
+
+
+def test_gadgets_need_no_earlier_gadget_cleared(monkeypatch):
+    # a step searches every gadget in core and patch less the cycle only; the
+    # same search with the step's earlier gadgets cleared too finds the same
+    # gadget, because their edges lie inside the exclusion set
+    real, step, sizes = rotation.substitution_gadget, {}, []
+
+    def checked(core, patch, x, y, excluded):
+        found = real(core, patch, x, y, excluded)
+        if step.get("core") is not core:
+            step.update(core=core, core_taken=[], patch_taken=[])
+            sizes.append(0)
+        cleared = core.subtract(step["core_taken"]), patch.subtract(step["patch_taken"])
+        assert real(*cleared, x, y, excluded) == found
+        x1, x2, y1, y2 = found
+        step["core_taken"] += [(x, x1), (y, y1), (x2, y2)]
+        step["patch_taken"] += [(x1, x2), (y1, y2)]
+        sizes[-1] += 1
+        return found
+
+    monkeypatch.setattr(rotation, "substitution_gadget", checked)
+    for g in (paley(53), complete_graph(101)):
+        for seed in range(3):
+            decompose.run_pipeline(g, seed=seed)
+    assert max(sizes) >= 3 and sum(sizes) > 50, sizes
 
 
 class TestExtract:
@@ -569,7 +630,7 @@ class TestDerivedCovers:
         assert seen
         for cover, host in seen:
             if isinstance(cover, PartialHC):
-                rebuilt = PartialHC.build(host, cover.path, cover.cycles, cover.pairs)
+                rebuilt = build_partial(host, cover.path, cover.cycles, cover.pairs)
             else:
                 rebuilt = TwoFactor.build(host, cover.cycles, cover.pairs)
             assert rebuilt == cover

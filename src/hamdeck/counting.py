@@ -10,20 +10,14 @@ bounds and the constructive lower bound, all in natural-log scale.
 
 Every unordered decomposition has exactly one cycle through the edge from
 vertex 0 to its lowest remaining neighbour a, so the decomposition count is
-H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  A
-Hamilton cycle takes two edges at every vertex, so every residual stays
-regular and each branch ends at a 2-regular one: a union of cycles, so
-exactly one Hamilton cycle when it is connected and none when it is
-not.  Both recursions take that as their base case instead of searching
-it (``graphs._only_cycle`` walks the one cycle, as the completer's last
-level does), which is exact and skips the deepest, most numerous level.
-H is invariant under relabeling, so ``count_decompositions_exact``
-memoises it, for one call, on the isomorphism class of each residual; K9
-counts in well under a second.
-The two unmemoised oracles, ``enumerate_decompositions`` (anchored, every
+H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  The
+two unmemoised oracles, ``enumerate_decompositions`` (anchored, every
 decomposition listed) and ``count_decompositions_ordered`` (unanchored on
-purpose), walk one recursion, ``_decompositions``, and are the independent
-cross-checks of the memoised count.  Cycles come from
+purpose), walk the recursion the completer walks, ``graphs.decompositions``
+(its base case and connectivity test are documented there), and are the
+independent cross-checks of ``count_decompositions_exact``, which sums H on
+its own recursion and memoises it, for one call, on the isomorphism class
+of each residual; K9 counts in well under a second.  Cycles come from
 ``_hamilton_cycles_from``, kept apart from the completer's pruned DFS on
 purpose: it is the reference the completer is checked against, and it is
 5-6x faster on the oracle's inputs.
@@ -37,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .graphs import Graph, _only_cycle, connected_over, strip_cycle
+from .graphs import Graph, connected_over, decompositions, strip_cycle
 from .util import check_deadline
 
 HAMILTON_COUNT_CAP = 16
@@ -141,34 +135,18 @@ def _check_decomposable_input(g: Graph) -> None:
 
 
 def _decompositions(g: Graph, deadline, *, ordered: bool = False):
-    """Yield every Hamiltonian decomposition of g as a tuple of cycles.
+    """Yield every Hamiltonian decomposition of g (``graphs.decompositions``).
 
-    Unless ``ordered``, each level takes only the cycles whose second vertex
-    is vertex 0's lowest remaining neighbour a.  Every decomposition has
-    exactly one cycle through edge (0, a), so each unordered decomposition
-    comes once, sorted, in lexicographic order.  ``ordered`` takes every
-    cycle at every level, so its count cross-checks the anchor.  A
-    2-regular residual ends the branch: it adds its one cycle when it is
-    connected (H(connected 2-regular) = 1) and nothing otherwise.
+    Unless ``ordered``, each level lists only the cycles through (0, a), a
+    being vertex 0's lowest remaining neighbour, so each unordered
+    decomposition comes once, sorted, in lexicographic order.  ``ordered``
+    takes every cycle at every level, so its count cross-checks the anchor.
     """
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(bits):
-        check_deadline(deadline, "decomposition counting")
-        if not any(bits):
-            yield tuple(chosen)
-            return
-        if bits[0].bit_count() == 2:  # every row, since g is regular
-            if cyc := _only_cycle(bits, g.n):
-                yield (*chosen, cyc)
-            return
+    def cycles_of(bits):
         second = -1 if ordered else bits[0] & -bits[0]
-        for cyc in _hamilton_cycles_from(bits, g.n, deadline, second):
-            chosen.append(cyc)
-            yield from rec(strip_cycle(bits, cyc))
-            chosen.pop()
+        return _hamilton_cycles_from(bits, g.n, deadline, second)
 
-    yield from rec(g.adj_bits)
+    return decompositions(g.adj_bits, g.n, cycles_of)
 
 
 def count_decompositions_exact(g: Graph, *, deadline=None) -> int:

@@ -2,16 +2,15 @@
 extraction, and exact backtracking completion of the residual graph; plus
 the odd-degree variant that peels off a perfect matching first.
 
-The completer peels one Hamilton cycle per level.  At each level it first
-tries cycles from a randomized rotation heuristic (up to HEURISTIC_TRIES
-calls), then an exhaustive DFS over the Hamilton cycles not yet tried, with
-connectivity and degree pruning.  The first try grows a path from a random
-vertex; each later try opens the cycle tried last at a random edge and
-walks on from it by Pósa rotations, never closing into a tried cycle, and
-starts afresh only when that walk stalls.  A cycle whose residual is
-disconnected is rejected by one connectivity test before the next level,
-so a 2-regular level is connected: its one cycle is taken by the counting
-oracles' walk (``graphs._only_cycle``), which spends no search node.
+The completer peels one Hamilton cycle per level, through the recursion it
+shares with the counting oracles (``graphs.decompositions``).  At each
+level it first tries cycles from a randomized rotation heuristic (up to
+HEURISTIC_TRIES calls), then an exhaustive DFS, with connectivity and
+degree pruning, over the untried Hamilton cycles through vertex 0's lowest
+edge (0, a): every decomposition has exactly one of those.  The first try
+grows a path from a random vertex; each later try opens the cycle tried
+last at a random edge and walks on from it by Pósa rotations, never
+closing into a tried cycle, and starts afresh only when that walk stalls.
 The search is therefore exhaustive, and a node budget bounds it, so "budget
 ran out" (BudgetError) stays distinct from "no decomposition exists"
 (InfeasibleError).
@@ -29,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import BudgetError, InfeasibleError, InputError
-from .graphs import Edge, Graph, _only_cycle, connected_over, iter_bits, strip_cycle
+from .graphs import Edge, Graph, connected_over, decompositions, iter_bits
 from .partition import PipelineParams, TriPartition, default_params, tri_partition
 from .rotation import extract_hamilton_step
 from .util import EPS, check_deadline, floor_frac, spawn_seed
@@ -69,9 +68,12 @@ class _Budget:
             check_deadline(self.deadline, "completion search")
 
 
-def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Random):
-    """Yield every Hamilton cycle (vertex tuples from the anchor) once, in
-    min-degree-first order, with degree and connectivity pruning.
+def _hamilton_cycles_pruned(
+    adj_bits, n: int, budget: _Budget, rng: random.Random, second: int = -1
+):
+    """Yield every Hamilton cycle (vertex tuples from vertex 0) whose second
+    vertex is a bit of ``second`` once, in min-degree-first order, with
+    degree and connectivity pruning.
 
     The rng shuffles ties in the successor ordering, so restarted searches
     explore different subtrees first; the enumeration stays exhaustive.  The
@@ -100,7 +102,7 @@ def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Rando
 
     path = [0]
     visited = 1
-    stack = [iter(successors(0, visited))]
+    stack = [iter([w for w in successors(0, visited) if second >> w & 1])]
     while stack:
         w = next(stack[-1], None)
         if w is None:
@@ -209,15 +211,17 @@ def complete_residual(
     backtracking across cycle choices.
 
     Each level tries up to HEURISTIC_TRIES rotation-heuristic cycles first,
-    then every other Hamilton cycle by exhaustive DFS.  The budget is spent
-    in restart slices, each seeded from ``seed`` and its attempt number, so
-    one seed always gives one decomposition.  A disconnected graph is
-    rejected before any search.  A slice that exhausts its whole
-    tree without finding a decomposition proves infeasibility
-    (InfeasibleError); a slice that hits its node quota abandons its ordering
-    and the next slice restarts.  BudgetError means every slice ran out
-    undecided, or that ``deadline`` passed (it is checked before each slice
-    and every 4096 nodes).  A returned decomposition has been verified.
+    then, by exhaustive DFS, every other Hamilton cycle through vertex 0's
+    lowest edge, which each decomposition of the level has exactly one of.
+    The budget is spent in restart slices, each seeded from ``seed`` and its
+    attempt number, so one seed always gives one decomposition.  A
+    disconnected graph is rejected before any search.  A slice that
+    exhausts its whole tree without finding a decomposition proves
+    infeasibility (InfeasibleError); a slice that hits its node quota
+    abandons its ordering and the next slice restarts.  BudgetError means
+    every slice ran out undecided, or that ``deadline`` passed (it is
+    checked before each slice and every 4096 nodes).  A returned
+    decomposition has been verified.
     """
     degree = g.regular_degree()
     if degree is None:
@@ -226,8 +230,7 @@ def complete_residual(
         raise InputError(f"degree {degree} is odd")
     if degree == 0:
         return Decomposition.from_parts(g.n, [])
-    full = (1 << g.n) - 1
-    if not connected_over(g.adj_bits, full):
+    if not connected_over(g.adj_bits, (1 << g.n) - 1):
         raise InfeasibleError("a disconnected graph has no Hamilton cycle")
 
     def candidates(bits, budget, rng):
@@ -239,26 +242,15 @@ def complete_residual(
                 break
             tried.add(canonical_cycle(cyc))
             yield cyc
-        for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng):
+        # the decomposition's one cycle through (0, a) is tried or listed
+        anchor = bits[0] & -bits[0]
+        for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng, anchor):
             if canonical_cycle(cyc) not in tried:
                 yield cyc
 
-    def search(bits, budget, rng) -> list[tuple[int, ...]] | None:
-        if bits[0].bit_count() == 2:  # connected, so it is its own cycle
-            return [_only_cycle(bits, g.n)]
-        for cyc in candidates(bits, budget, rng):
-            rest_bits = strip_cycle(bits, cyc)
-            # one connectivity test rejects a disconnected residual
-            if not connected_over(rest_bits, full):
-                continue
-            rest = search(rest_bits, budget, rng)
-            if rest is not None:
-                return [cyc] + rest
-        return None
-
     slice_budget = max(20_000, node_budget // COMPLETION_RESTARTS)
     spent = 0
-    found: list[tuple[int, ...]] | None = None
+    found: tuple[tuple[int, ...], ...] | None = None
     for attempt in range(COMPLETION_RESTARTS):
         if spent >= node_budget:
             break
@@ -266,7 +258,10 @@ def complete_residual(
         budget = _Budget(min(slice_budget, node_budget - spent), deadline)
         rng = random.Random(spawn_seed(seed, "order", attempt))
         try:
-            found = search(tuple(g.adj_bits), budget, rng)
+            levels = decompositions(
+                g.adj_bits, g.n, lambda bits: candidates(bits, budget, rng)
+            )
+            found = next(levels, None)
         except BudgetError:
             spent += budget.nodes
             continue

@@ -332,6 +332,33 @@ def _only_cycle(bits, n: int) -> tuple[int, ...] | None:
     return tuple(cyc) if len(cyc) == n else None
 
 
+def decompositions(bits, n: int, cycles_of):
+    """Yield the Hamiltonian decompositions of regular bit rows, each a
+    tuple of cycles in level order, peeling at each level the cycles that
+    ``cycles_of(rows)`` lists: the one decomposition recursion, under the
+    completer and the unmemoised counting oracles.
+
+    Each residual (``strip_cycle``) stays regular, so a branch ends at a
+    2-regular level, whose one Hamilton cycle is ``_only_cycle``'s walk
+    when it is connected.  Any other level is tested for connectivity before
+    ``cycles_of`` is called.  Every decomposition has exactly one cycle
+    through vertex 0's lowest edge (0, a), so listing every cycle through
+    it keeps the recursion exhaustive and reaches each decomposition once.
+    """
+    if not any(bits):
+        yield ()
+        return
+    if bits[0].bit_count() == 2:  # every row, since the rows are regular
+        if cyc := _only_cycle(bits, n):
+            yield (cyc,)
+        return
+    if not connected_over(bits, (1 << n) - 1):
+        return
+    for cyc in cycles_of(bits):
+        for rest in decompositions(strip_cycle(bits, cyc), n, cycles_of):
+            yield (cyc, *rest)
+
+
 # -- robust expansion -------------------------------------------------------
 
 

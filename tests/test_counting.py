@@ -11,7 +11,6 @@ from hamdeck.counting import (
     _decompositions,
     _hamilton_cycles_from,
     _isomorphic,
-    _only_cycle,
     _vertex_invariants,
     bregman_log_bound,
     connected_regular_graphs,
@@ -26,7 +25,13 @@ from hamdeck.counting import (
     enumerate_hamilton_cycles,
 )
 from hamdeck.errors import BudgetError, InputError
-from hamdeck.graphs import build_graph, complete_graph, connected_over, cycle_graph
+from hamdeck.graphs import (
+    _only_cycle,
+    build_graph,
+    complete_graph,
+    connected_over,
+    cycle_graph,
+)
 from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
 
 from conftest import circulant

@@ -8,8 +8,10 @@ import pytest
 
 from hamdeck import decompose, graphs
 from hamdeck.counting import (
+    _hamilton_cycles_from,
     connected_regular_graphs,
     count_decompositions_exact,
+    enumerate_decompositions,
     enumerate_hamilton_cycles,
 )
 from hamdeck.decompose import (
@@ -81,10 +83,11 @@ def scan_rotation_first_cycle(adj_bits, n, rng):
     return None
 
 
-def pruned_cycles(g):
+def pruned_cycles(g, second=-1):
     """Canonical Hamilton cycles from the completer's pruned DFS."""
     budget = _Budget(10**9, None)
-    cycles = _hamilton_cycles_pruned(g.adj_bits, g.n, budget, random.Random(0))
+    rng = random.Random(0)
+    cycles = _hamilton_cycles_pruned(g.adj_bits, g.n, budget, rng, second)
     return {canonical_cycle(c) for c in cycles}
 
 
@@ -247,10 +250,14 @@ class TestCompleteResidual:
         # plain reference DFS, on every small graph and on every graph left
         # after peeling one Hamilton cycle off it; a 6-regular graph has
         # about 1,500 cycles to peel, which would take some 20 s, so only
-        # the graphs of degree <= 4 are peeled
+        # the graphs of degree <= 4 are peeled.  The anchored listing, the
+        # cycles through vertex 0's lowest edge, must match too
         for g in even_corpus():
             reference = enumerate_hamilton_cycles(g)
             assert pruned_cycles(g) == set(reference), sorted(g.edges)
+            anchor = g.adj_bits[0] & -g.adj_bits[0]
+            anchored = _hamilton_cycles_from(g.adj_bits, g.n, None, anchor)
+            assert pruned_cycles(g, anchor) == set(anchored), sorted(g.edges)
             if g.regular_degree() > 4:
                 continue
             for cyc in reference:
@@ -268,6 +275,23 @@ class TestCompleteResidual:
         assert g.regular_degree() == 4 and count_decompositions_exact(g) == 0
         with pytest.raises(InfeasibleError, match="no Hamiltonian decomposition"):
             complete_residual(g)
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_two_blobs_joined_by_two_edges_are_proven_infeasible(self, k):
+        # two copies of K_k minus an edge, the missing edges' ends joined
+        # across: (k-1)-regular, but every Hamilton cycle crosses the 2-edge
+        # cut through both joins, so no two cycles are edge-disjoint.  The
+        # completer must prove it within its default budget
+        halves = [range(k), range(k, 2 * k)]
+        pairs = [p for h in halves for p in itertools.combinations(h, 2)]
+        pairs = [p for p in pairs if p not in {(0, 1), (k, k + 1)}]
+        g = build_graph(2 * k, pairs + [(0, k), (1, k + 1)])
+        assert g.regular_degree() == k - 1
+        with pytest.raises(InfeasibleError, match="no Hamiltonian decomposition"):
+            complete_residual(g)
+        if k == 5:
+            assert count_decompositions_exact(g) == 0
+            assert enumerate_decompositions(g) == []
 
     def test_exhaustive_search_alone_decomposes(self, monkeypatch):
         # with no heuristic tries every level's cycles come from the DFS

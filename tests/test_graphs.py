@@ -13,6 +13,7 @@ from hamdeck.graphs import (
     complete_graph,
     connected_over,
     cycle_graph,
+    decompositions,
     empty_graph,
     format_edge_list,
     is_robust_expander,
@@ -357,3 +358,30 @@ class TestBitsetHelpers:
         rest = strip_cycle(complete_graph(5).adj_bits, (0, 1, 2, 3, 4))
         pentagram = build_graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
         assert rest == pentagram.adj_bits
+
+
+class TestDecompositions:
+    @staticmethod
+    def spy():
+        calls = []
+
+        def cycles_of(bits):
+            calls.append(bits)
+            return iter(())
+
+        return calls, cycles_of
+
+    def test_disconnected_level_is_rejected_before_any_search(self):
+        k5 = complete_graph(5).adj_bits
+        rows = k5 + tuple(row << 5 for row in k5)  # two disjoint K5
+        calls, cycles_of = self.spy()
+        assert list(decompositions(rows, 10, cycles_of)) == []
+        assert calls == []
+
+    def test_two_regular_level_yields_its_walk_unsearched(self):
+        g = build_graph(6, [(0, 3), (3, 1), (1, 5), (5, 2), (2, 4), (4, 0)])
+        calls, cycles_of = self.spy()
+        assert list(decompositions(g.adj_bits, 6, cycles_of)) == [
+            ((0, 3, 1, 5, 2, 4),)
+        ]
+        assert calls == []

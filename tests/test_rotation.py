@@ -323,8 +323,9 @@ class TestGadget:
         assert {x1, x2, y1, y2}.isdisjoint({0, 1, 2, 3, 4, 5})
 
     def test_only_edges_of_the_given_graphs_are_used(self):
-        # the step clears used edges from the rows it passes in, so the
-        # search may use no edge outside the graphs it is given
+        # the step passes core and patch less its cycle, and the exclusion
+        # set keeps earlier gadgets' edges off, so the search may use no
+        # edge outside the graphs it is given
         k20 = complete_graph(20)
         tup = substitution_gadget(k20.subtract({(0, 2)}), k20, 0, 1, set())
         assert tup[0] != 2

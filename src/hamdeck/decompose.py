@@ -68,12 +68,10 @@ class _Budget:
             check_deadline(self.deadline, "completion search")
 
 
-def _hamilton_cycles_pruned(
-    adj_bits, n: int, budget: _Budget, rng: random.Random, second: int = -1
-):
-    """Yield every Hamilton cycle (vertex tuples from vertex 0) whose second
-    vertex is a bit of ``second`` once, in min-degree-first order, with
-    degree and connectivity pruning.
+def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Random):
+    """Yield every Hamilton cycle through vertex 0's lowest edge (0, a) once,
+    as a vertex tuple (0, a, ...), in min-degree-first order, with degree and
+    connectivity pruning.
 
     The rng shuffles ties in the successor ordering, so restarted searches
     explore different subtrees first; the enumeration stays exhaustive.  The
@@ -93,16 +91,17 @@ def _hamilton_cycles_pruned(
                 return []
         if not connected_over(adj_bits, free | (1 << v)):
             return []
-        # the anchor bit is excluded so the cycle closes only when full
+        # vertex 0's bit is excluded so the cycle closes only when full
         options = sorted(
             ((adj_bits[w] & free).bit_count(), rng.random(), w)
             for w in iter_bits(adj_bits[v] & free & ~1)
         )
         return [w for _, _, w in options]
 
+    anchor = adj_bits[0] & -adj_bits[0]
     path = [0]
     visited = 1
-    stack = [iter([w for w in successors(0, visited) if second >> w & 1])]
+    stack = [iter([w for w in successors(0, visited) if anchor >> w & 1])]
     while stack:
         w = next(stack[-1], None)
         if w is None:
@@ -113,7 +112,7 @@ def _hamilton_cycles_pruned(
         visited |= 1 << w
         if visited == full:
             budget.spend()
-            if adj_bits[w] & 1 and path[1] < path[-1]:
+            if adj_bits[w] & 1:
                 yield tuple(path)
             path.pop()
             visited &= ~(1 << w)
@@ -214,8 +213,9 @@ def complete_residual(
     then, by exhaustive DFS, every other Hamilton cycle through vertex 0's
     lowest edge, which each decomposition of the level has exactly one of.
     The budget is spent in restart slices, each seeded from ``seed`` and its
-    attempt number, so one seed always gives one decomposition.  A
-    disconnected graph is rejected before any search.  A slice that
+    attempt number, so one seed always gives one decomposition.  The first
+    slice always runs: an empty graph then gives the empty decomposition and
+    a disconnected one is rejected before any node is spent.  A slice that
     exhausts its whole tree without finding a decomposition proves
     infeasibility (InfeasibleError); a slice that hits its node quota
     abandons its ordering and the next slice restarts.  BudgetError means
@@ -228,10 +228,6 @@ def complete_residual(
         raise InputError("completion needs a regular graph")
     if degree % 2 != 0:
         raise InputError(f"degree {degree} is odd")
-    if degree == 0:
-        return Decomposition.from_parts(g.n, [])
-    if not connected_over(g.adj_bits, (1 << g.n) - 1):
-        raise InfeasibleError("a disconnected graph has no Hamilton cycle")
 
     def candidates(bits, budget, rng):
         tried: set[tuple[int, ...]] = set()
@@ -243,8 +239,7 @@ def complete_residual(
             tried.add(canonical_cycle(cyc))
             yield cyc
         # the decomposition's one cycle through (0, a) is tried or listed
-        anchor = bits[0] & -bits[0]
-        for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng, anchor):
+        for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng):
             if canonical_cycle(cyc) not in tried:
                 yield cyc
 
@@ -252,8 +247,6 @@ def complete_residual(
     spent = 0
     found: tuple[tuple[int, ...], ...] | None = None
     for attempt in range(COMPLETION_RESTARTS):
-        if spent >= node_budget:
-            break
         check_deadline(deadline, "completion search")
         budget = _Budget(min(slice_budget, node_budget - spent), deadline)
         rng = random.Random(spawn_seed(seed, "order", attempt))
@@ -264,8 +257,9 @@ def complete_residual(
             found = next(levels, None)
         except BudgetError:
             spent += budget.nodes
+            if spent >= node_budget:
+                break
             continue
-        spent += budget.nodes
         if found is None:
             raise InfeasibleError("no Hamiltonian decomposition exists")
         break

@@ -83,12 +83,17 @@ def scan_rotation_first_cycle(adj_bits, n, rng):
     return None
 
 
-def pruned_cycles(g, second=-1):
+def pruned_cycles(g):
     """Canonical Hamilton cycles from the completer's pruned DFS."""
     budget = _Budget(10**9, None)
-    rng = random.Random(0)
-    cycles = _hamilton_cycles_pruned(g.adj_bits, g.n, budget, rng, second)
+    cycles = _hamilton_cycles_pruned(g.adj_bits, g.n, budget, random.Random(0))
     return {canonical_cycle(c) for c in cycles}
+
+
+def anchored_cycles(g):
+    """The reference DFS's Hamilton cycles through vertex 0's lowest edge."""
+    anchor = g.adj_bits[0] & -g.adj_bits[0]
+    return set(_hamilton_cycles_from(g.adj_bits, g.n, None, anchor))
 
 
 def even_corpus():
@@ -246,23 +251,19 @@ class TestCompleteResidual:
         assert len(pruned_cycles(cycle_graph(1500))) == 1
 
     def test_pruned_cycles_match_reference_across_corpus(self):
-        # the pruned, rng-ordered DFS must list exactly the cycles of the
-        # plain reference DFS, on every small graph and on every graph left
-        # after peeling one Hamilton cycle off it; a 6-regular graph has
-        # about 1,500 cycles to peel, which would take some 20 s, so only
-        # the graphs of degree <= 4 are peeled.  The anchored listing, the
-        # cycles through vertex 0's lowest edge, must match too
+        # the pruned, rng-ordered DFS must list exactly the cycles through
+        # vertex 0's lowest edge that the plain reference DFS lists, on every
+        # small graph and on every graph left after peeling one Hamilton
+        # cycle off it; a 6-regular graph has about 1,500 cycles to peel,
+        # which would take some 20 s, so only the graphs of degree <= 4 are
+        # peeled
         for g in even_corpus():
-            reference = enumerate_hamilton_cycles(g)
-            assert pruned_cycles(g) == set(reference), sorted(g.edges)
-            anchor = g.adj_bits[0] & -g.adj_bits[0]
-            anchored = _hamilton_cycles_from(g.adj_bits, g.n, None, anchor)
-            assert pruned_cycles(g, anchor) == set(anchored), sorted(g.edges)
+            assert pruned_cycles(g) == anchored_cycles(g), sorted(g.edges)
             if g.regular_degree() > 4:
                 continue
-            for cyc in reference:
+            for cyc in enumerate_hamilton_cycles(g):
                 rest = g.subtract(cycle_edges(cyc))
-                assert pruned_cycles(rest) == set(enumerate_hamilton_cycles(rest))
+                assert pruned_cycles(rest) == anchored_cycles(rest)
 
     def test_cut_vertex_graph_is_proven_infeasible(self):
         # two copies of K5 minus an edge, each missing edge's ends joined to

@@ -42,7 +42,6 @@ from .errors import BudgetError, HamdeckError, InfeasibleError, InputError
 from .factor import (
     PartialHC,
     TwoFactor,
-    component_profile,
     sample_le2_factor,
 )
 from .graphs import (
@@ -53,7 +52,6 @@ from .graphs import (
     empty_graph,
     is_robust_expander,
     parse_edge_list,
-    robust_neighborhood,
 )
 from .partition import PipelineParams, tri_partition, verify_partition
 from .regularize import (
@@ -80,7 +78,6 @@ __all__ = [
     "build_graph",
     "complete_graph",
     "complete_residual",
-    "component_profile",
     "count_decompositions_exact",
     "count_hamilton_cycles_exact",
     "cycle_graph",
@@ -96,7 +93,6 @@ __all__ = [
     "merge_step",
     "parse_edge_list",
     "random_orientation",
-    "robust_neighborhood",
     "rotate_or_close",
     "run_pipeline",
     "sample_le2_factor",

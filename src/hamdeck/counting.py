@@ -1,23 +1,22 @@
 """Exact counting oracles for tiny graphs and closed-form log-scale bounds.
 
 The Hamilton-cycle count sweeps path states (visited mask, end vertex) and
-merges the paths that reach each one, so it never lists a cycle; the cycle
-enumerator and the connected-regular-graph corpus are exhaustive searches,
-the corpus over the labeled graphs in which vertex 0's neighbours are
-1, ..., r, kept one per isomorphism class by ``_class_entry``.  Both
-cycle oracles stop at n = 16.  The bound formulas are permanent-based upper
-bounds and the constructive lower bound, all in natural-log scale.
+merges the paths that reach each one, so it never lists a cycle; it stops
+at n = 16.  The cycle enumerator and the connected-regular-graph corpus are
+exhaustive searches, the corpus over the labeled graphs in which vertex 0's
+neighbours are 1, ..., r, kept one per isomorphism class by
+``_class_entry``.  The bound formulas are permanent-based upper bounds and
+the constructive lower bound, all in natural-log scale.
 
 Every unordered decomposition has exactly one cycle through the edge from
 vertex 0 to its lowest remaining neighbour a, so the decomposition count is
 H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a).  The
-two unmemoised oracles, ``enumerate_decompositions`` (anchored, every
-decomposition listed) and ``count_decompositions_ordered`` (unanchored on
-purpose), walk the recursion the completer walks, ``graphs.decompositions``
-(its base case and connectivity test are documented there), and are the
-independent cross-checks of ``count_decompositions_exact``, which sums H on
-its own recursion and memoises it, for one call, on the isomorphism class
-of each residual; K9 counts in well under a second.  Cycles come from
+unmemoised ``count_decompositions_ordered`` (unanchored on purpose) walks
+the recursion the completer walks, ``graphs.decompositions`` (its base
+case and connectivity test are documented there), and is an independent
+cross-check of ``count_decompositions_exact``, which sums H on its own
+recursion and memoises it, for one call, on the isomorphism class of each
+residual; K9 counts in well under a second.  Cycles come from
 ``_hamilton_cycles_from``, kept apart from the completer's pruned DFS on
 purpose: it is the reference the completer is checked against, and it is
 5-6x faster on the oracle's inputs.
@@ -79,12 +78,6 @@ def _hamilton_cycles_from(adj_bits, n: int, deadline=None, second: int = -1):
         stack.append(adj_bits[w] & ~visited)
 
 
-def enumerate_hamilton_cycles(g: Graph, deadline=None) -> list[tuple[int, ...]]:
-    if g.n > HAMILTON_COUNT_CAP:
-        raise InputError(f"exact enumeration limited to n <= {HAMILTON_COUNT_CAP}")
-    return list(_hamilton_cycles_from(g.adj_bits, g.n, deadline))
-
-
 def count_hamilton_cycles_exact(g: Graph, deadline=None) -> int:
     """Number of distinct Hamilton cycles as undirected, unrooted subgraphs.
 
@@ -134,31 +127,15 @@ def _check_decomposable_input(g: Graph) -> None:
         raise InputError(f"graph has {g.edge_count} edges, above the cap of {cap}")
 
 
-def _decompositions(g: Graph, deadline, *, ordered: bool = False):
-    """Yield every Hamiltonian decomposition of g (``graphs.decompositions``).
-
-    Unless ``ordered``, each level lists only the cycles through (0, a), a
-    being vertex 0's lowest remaining neighbour, so each unordered
-    decomposition comes once, sorted, in lexicographic order.  ``ordered``
-    takes every cycle at every level, so its count cross-checks the anchor.
-    """
-    def cycles_of(bits):
-        second = -1 if ordered else bits[0] & -bits[0]
-        return _hamilton_cycles_from(bits, g.n, deadline, second)
-
-    return decompositions(g.adj_bits, g.n, cycles_of)
-
-
 def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
     """Exact number of unordered Hamiltonian decompositions.
 
     H(G) = sum of H(G - C) over the Hamilton cycles C through (0, a), a
-    being vertex 0's lowest remaining neighbour: the anchor of
-    ``_decompositions``, under which each decomposition is reached once.
-    H(no edges) = 1, H(disconnected) = 0 and H(connected 2-regular) = 1,
-    the last before any lookup.  H is memoised on the residual's
-    isomorphism class (``_class_entry``), for this call only, so no
-    decomposition is listed and nothing carries over to the next call.
+    being vertex 0's lowest remaining neighbour, so each decomposition is
+    reached once.  H(no edges) = 1, H(disconnected) = 0 and H(connected
+    2-regular) = 1, the last before any lookup.  H is memoised on the
+    residual's isomorphism class (``_class_entry``), for this call only, so
+    no decomposition is listed and nothing carries over to the next call.
     The deadline is checked at every residual.  No symmetry division is
     ever applied.
     """
@@ -188,15 +165,10 @@ def count_decompositions_ordered(g: Graph, *, deadline=None) -> int:
     """Number of ordered sequences of edge-disjoint Hamilton cycles using
     all edges; equals the unordered count times (r/2)! for r-regular input."""
     _check_decomposable_input(g)
-    return sum(1 for _ in _decompositions(g, deadline, ordered=True))
-
-
-def enumerate_decompositions(
-    g: Graph, *, deadline=None
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All unordered decompositions, each as a sorted tuple of cycle tuples."""
-    _check_decomposable_input(g)
-    return list(_decompositions(g, deadline))
+    levels = decompositions(
+        g.adj_bits, g.n, lambda bits: _hamilton_cycles_from(bits, g.n, deadline)
+    )
+    return sum(1 for _ in levels)
 
 
 # -- log-scale bound formulas -------------------------------------------------
@@ -398,14 +370,6 @@ def _class_entry(classes: dict, rows) -> tuple[list, bool]:
     entry = [rows, inv, None]
     bucket.append(entry)
     return entry, True
-
-
-def _isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by backtracking (intended for n <= 10)."""
-    inv1, inv2 = _vertex_invariants(g1.adj_bits), _vertex_invariants(g2.adj_bits)
-    if sorted(inv1) != sorted(inv2):
-        return False
-    return _maps_onto(g1.adj_bits, inv1, g2.adj_bits, inv2)
 
 
 @functools.lru_cache(maxsize=None)

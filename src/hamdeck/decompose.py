@@ -11,6 +11,8 @@ edge (0, a): every decomposition has exactly one of those.  The first try
 grows a path from a random vertex; each later try opens the cycle tried
 last at a random edge and walks on from it by Pósa rotations, never
 closing into a tried cycle, and starts afresh only when that walk stalls.
+Each growth or rotation step picks a uniformly random set bit of one
+bit-row mask, so the walk keeps no position array and sorts nothing.
 The search is therefore exhaustive, and a node budget bounds it, so "budget
 ran out" (BudgetError) stays distinct from "no decomposition exists"
 (InfeasibleError).
@@ -42,9 +44,9 @@ log = logging.getLogger(__name__)
 # Heuristic calls per completion level before the exhaustive DFS takes over.
 # At residual degree 4 most Hamilton cycles leave a disconnected complement;
 # on 48 unions of two random Hamilton cycles of order 101 the level needed up
-# to 29 tries (6.2 on average).  A retry walks on from the last cycle, so on
-# K201 and Paley(197) it takes about 74 rotation steps against 576 for the
-# first try's fresh build, and all are far cheaper than the DFS.
+# to 31 tries (6.9 on average).  A retry walks on from the last cycle, so on
+# K201 and Paley(197) at seeds 0-4 it takes about 71 walk steps against 553
+# for the first try's fresh build, and all are far cheaper than the DFS.
 HEURISTIC_TRIES = 64
 # Restart slices the completion budget is split into.
 COMPLETION_RESTARTS = 24
@@ -120,6 +122,14 @@ def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Rando
         stack.append(iter(successors(w, visited)))
 
 
+def _random_bit(mask: int, rand) -> int:
+    """A uniformly random set bit of the nonzero ``mask``, as its index:
+    ``rand()`` in [0, 1) picks the k-th lowest, found by clearing k bits."""
+    for _ in range(int(rand() * mask.bit_count())):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
 def _rotation_first_cycle(
     adj_bits,
     n: int,
@@ -132,52 +142,50 @@ def _rotation_first_cycle(
     growth plus random endpoint rotations (Pósa).  Near-certain and fast on
     dense levels, where plain DFS can thrash.
 
+    Each step picks a uniformly random bit of one bit-row mask: growth a
+    free neighbor of the tip, a rotation a pivot among the tip's on-path
+    neighbors other than its predecessor.  The tail after the pivot is
+    reversed, and the pivot keeps its place in the path.
+
     Given ``last``, the walk starts from that cycle opened at a random edge
     and rotates on from it, instead of growing a path from one vertex.  It
     never closes into a cycle of ``tried`` (canonical forms).  Once ``tried``
-    is not empty, a rotation never undoes the one before it when another
-    pivot exists, and a full path that has rotated 4n times without a new
-    cycle has stalled: a walk from ``last`` then starts afresh from a random
-    vertex, and a fresh path gives up.  With ``tried`` empty the walk is the
-    plain one.  Returns None when it fails (that stall, no pivot, or its
-    step cap).
+    is not empty, a rotation never undoes the one before it (the same
+    pivot) when another pivot exists, and a full path that has rotated 4n
+    times without a new cycle has stalled: a walk from ``last`` then starts
+    afresh from a random vertex, and a fresh path gives up.  With ``tried``
+    empty the walk is the plain one.  Returns None when it fails (that
+    stall, no pivot, or its step cap).
     """
     if n < 3 or any(b == 0 for b in adj_bits):
         return None
     full = (1 << n) - 1
-    pos = [0] * n  # pos[v] is v's index in path while v is visited
+    rand = rng.random
     if last is None:
         path = [rng.randrange(n)]
         visited = 1 << path[0]
     else:
         k = rng.randrange(n)
         path = list(last[k + 1 :] + last[: k + 1])
-        for i, v in enumerate(path):
-            pos[v] = i
         visited = full
     stall = 4 * n if tried else -1
     idle = 0  # rotations of the full path since it was (re)started
-    undo = -1  # the pivot that would undo a walk's last rotation
+    undo = 0  # the bit of the pivot that would undo a walk's last rotation
     for _ in range(8 * n * n):
         budget.spend()
         if idle == stall:
             if last is None:
                 return None
-            last, idle, undo = None, 0, -1
+            last, idle, undo = None, 0, 0
             path = [rng.randrange(n)]
-            pos[path[0]] = 0
             visited = 1 << path[0]
         tip = path[-1]
         free = adj_bits[tip] & ~visited
         if free:
-            # the k-th lowest free neighbor: clear the k lowest bits
-            for _ in range(rng.randrange(free.bit_count())):
-                free &= free - 1
-            w = (free & -free).bit_length() - 1
-            pos[w] = len(path)
+            w = _random_bit(free, rand)
             path.append(w)
             visited |= 1 << w
-            undo = -1
+            undo = 0
             continue
         if visited == full:
             if adj_bits[tip] & (1 << path[0]) and (
@@ -185,17 +193,16 @@ def _rotation_first_cycle(
             ):
                 return tuple(path)
             idle += 1
-        # rotate: pick a pivot among the tip's on-path neighbors in path
-        # order; the last of them is the tip's predecessor, not a pivot
-        pivots = sorted(pos[w] for w in iter_bits(adj_bits[tip] & visited))[:-1]
-        if tried and undo in pivots and len(pivots) > 1:
-            pivots.remove(undo)
+        # rotate: the tip's predecessor is an on-path neighbor, not a pivot
+        pivots = adj_bits[tip] & visited & ~(1 << path[-2])
+        if tried and pivots & ~undo:
+            pivots &= ~undo
         if not pivots:
             return None
-        i = undo = pivots[rng.randrange(len(pivots))]
-        path[i + 1 :] = path[i + 1 :][::-1]
-        for k in range(i + 1, len(path)):
-            pos[path[k]] = k
+        w = _random_bit(pivots, rand)
+        undo = 1 << w
+        i = path.index(w)
+        path[i + 1 :] = path[:i:-1]
     return None
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .errors import InfeasibleError, InputError
 from .graphs import Edge, Graph, augment, norm_edge
 from .util import ceil_frac, check_deadline, spawn_seed
-from .walecki import canonical_cycle, cycle_edges
+from .walecki import canonical_cycle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,12 +65,6 @@ class TwoFactor:
             and len(self.cycles[0]) == self.host_n
         )
 
-    def edge_set(self) -> frozenset[Edge]:
-        edges: set[Edge] = set(self.pairs)
-        for cyc in self.cycles:
-            edges.update(cycle_edges(cyc))
-        return frozenset(edges)
-
     def validate_in(self, host: Graph) -> None:
         _validate_cover("factor", host, self)
 
@@ -96,15 +90,6 @@ class PartialHC:
     def component_count(self) -> int:
         return 1 + len(self.cycles) + len(self.pairs)
 
-    def edge_set(self) -> frozenset[Edge]:
-        edges: set[Edge] = set(self.pairs)
-        edges.update(
-            norm_edge(a, b) for a, b in zip(self.path, self.path[1:])
-        )
-        for cyc in self.cycles:
-            edges.update(cycle_edges(cyc))
-        return frozenset(edges)
-
     def validate_in(self, host: Graph) -> None:
         if len(self.path) < 2:
             raise InputError("path component needs at least 2 vertices")
@@ -126,11 +111,6 @@ def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:
         for a, b in zip(walk, walk[1:]):
             if not host.adj_bits[a] >> b & 1:
                 raise InputError(f"{kind} uses non-edge {norm_edge(a, b)}")
-
-
-def component_profile(f: TwoFactor) -> tuple[int, int, int]:
-    """(total components, cycle components, isolated-edge components)."""
-    return (f.component_count, len(f.cycles), len(f.pairs))
 
 
 # -- permutation <-> component projection ------------------------------------

@@ -184,14 +184,6 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, ())
 
 
-def _vertex_set(g: Graph, members) -> frozenset[int]:
-    s = frozenset(members)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    return s
-
-
 def _mask_of(members) -> int:
     m = 0
     for v in members:
@@ -360,18 +352,6 @@ def decompositions(bits, n: int, cycles_of):
 
 
 # -- robust expansion -------------------------------------------------------
-
-
-def robust_neighborhood(g: Graph, members, nu: float) -> frozenset[int]:
-    """Vertices with at least ``nu * n`` neighbors inside the given set."""
-    if not (0 < nu <= 1):
-        raise InputError(f"nu must be in (0, 1], got {nu}")
-    s = _vertex_set(g, members)
-    threshold = ceil_frac(nu * g.n)
-    mask = _mask_of(s)
-    return frozenset(
-        v for v in range(g.n) if (g.adj_bits[v] & mask).bit_count() >= threshold
-    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .graphs import (
     ExpanderVerdict,
     Graph,
     is_robust_expander,
-    load_edge_list,
     pack_rows,
     save_edge_list,
 )
@@ -353,48 +352,3 @@ def save_tri_partition(tp: TriPartition, prefix: str) -> list[str]:
         fh.write("\n")
     paths.append(sidecar)
     return paths
-
-
-def load_tri_partition(prefix: str) -> TriPartition:
-    """Read back the files ``save_tri_partition`` wrote.
-
-    Raises InputError when the sidecar is not such a JSON object (finite
-    numbers, an integer seed), when its derived fractions differ from the
-    ones its free fractions give, or when its ``n`` or ``core_degree``
-    disagree with the edge lists.  The ``alpha`` that older sidecars carry
-    is ignored.
-    """
-    core = load_edge_list(f"{prefix}.core.edges")
-    patch = load_edge_list(f"{prefix}.patch.edges")
-    residual = load_edge_list(f"{prefix}.residual.edges")
-    sidecar = f"{prefix}.params.json"
-    try:
-        with open(sidecar, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        p = payload["params"]
-        values = [p[k] for k in ("c", "eps", "gamma", "tau", "delta", "nu", "seed")]
-        # isfinite rejects NaN and infinities and overflows on huge integers
-        if any(type(v) not in (int, float) or not math.isfinite(v) for v in values):
-            raise TypeError("parameters must be finite JSON numbers")
-        if type(p["seed"]) is not int:
-            raise TypeError(f"seed {p['seed']!r} is not an integer")
-        params = PipelineParams(p["c"], p["eps"], p["gamma"], p["tau"], seed=p["seed"])
-        for name in ("delta", "nu"):
-            if abs(p[name] - getattr(params, name)) > EPS:
-                raise InputError(
-                    f"{name} = {p[name]} differs from its derived value "
-                    f"{getattr(params, name)}"
-                )
-        n, core_degree = payload["n"], payload["core_degree"]
-        stats = payload.get("stats", {})
-        if not isinstance(stats, dict):
-            raise TypeError(f"stats {stats!r} is not an object")
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise InputError(f"malformed partition sidecar {sidecar}: {exc}") from exc
-    if any(part.n != n for part in (core, patch, residual)):
-        raise InputError(f"sidecar n = {n!r} disagrees with the edge lists")
-    if core_degree != core.regular_degree():
-        raise InputError(
-            f"sidecar core_degree = {core_degree!r} disagrees with the core"
-        )
-    return TriPartition(core, patch, residual, params, core.regular_degree(), stats)

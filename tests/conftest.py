@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hamdeck.factor import PartialHC
 from hamdeck.graphs import Graph, build_graph, complete_graph, norm_edge
-from hamdeck.walecki import canonical_cycle
+from hamdeck.walecki import canonical_cycle, cycle_edges
 
 
 @st.composite
@@ -72,6 +72,16 @@ def build_partial(host: Graph, path, cycles, pairs) -> PartialHC:
     )
     partial.validate_in(host)
     return partial
+
+
+def cover_edges(cover) -> frozenset:
+    """The edge set of a TwoFactor, or of a PartialHC with its path."""
+    edges = set(cover.pairs)
+    path = getattr(cover, "path", ())
+    edges.update(norm_edge(a, b) for a, b in zip(path, path[1:]))
+    for cyc in cover.cycles:
+        edges.update(cycle_edges(cyc))
+    return frozenset(edges)
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from hamdeck.counting import (
     count_decompositions_ordered,
     count_hamilton_cycles_exact,
     decomposition_log_upper,
-    enumerate_hamilton_cycles,
 )
 from hamdeck.decompose import decompose_odd, run_pipeline
 from hamdeck.factor import component_budget, sample_le2_factor
@@ -33,6 +32,7 @@ from hamdeck.walecki import cycle_edges, verify_decomposition, walecki_decomposi
 
 from conftest import two_disjoint_k4
 from factor_oracle import enumerate_le2_factors
+from oracles import enumerate_hamilton_cycles
 
 
 def report(criterion: str, detail: str) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import time
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -11,13 +12,12 @@ from hamdeck.counting import (
     _hamilton_cycles_from,
     connected_regular_graphs,
     count_decompositions_exact,
-    enumerate_decompositions,
-    enumerate_hamilton_cycles,
 )
 from hamdeck.decompose import (
     _Budget,
     _hamilton_cycles_pruned,
     _plan_steps,
+    _random_bit,
     _rotation_first_cycle,
     complete_residual,
     decompose_odd,
@@ -37,6 +37,7 @@ from hamdeck.graphs import (
 from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
 
 from conftest import paley, petersen
+from oracles import enumerate_decompositions, enumerate_hamilton_cycles
 
 
 def two_disjoint_cliques(k: int):
@@ -60,8 +61,9 @@ def two_cycle_union(n: int, seed: int):
 
 
 def scan_rotation_first_cycle(adj_bits, n, rng):
-    """The rotation heuristic with its pivots found by scanning the whole
-    path, as a reference for the position-array lookup."""
+    """The plain rotation heuristic with its pivots found by scanning the
+    whole path, as a reference for the bit-row picks: each step takes the
+    k-th lowest candidate vertex for the same draw k."""
     start = rng.randrange(n)
     path, visited, full = [start], 1 << start, (1 << n) - 1
     for _ in range(8 * n * n):
@@ -69,7 +71,7 @@ def scan_rotation_first_cycle(adj_bits, n, rng):
         free = adj_bits[tip] & ~visited
         if free:
             choices = list(iter_bits(free))
-            w = choices[rng.randrange(len(choices))]
+            w = choices[int(rng.random() * len(choices))]
             path.append(w)
             visited |= 1 << w
             continue
@@ -78,7 +80,8 @@ def scan_rotation_first_cycle(adj_bits, n, rng):
         pivots = [i for i in range(len(path) - 2) if adj_bits[tip] >> path[i] & 1]
         if not pivots:
             return None
-        i = pivots[rng.randrange(len(pivots))]
+        pivots.sort(key=path.__getitem__)  # by vertex, not by path position
+        i = pivots[int(rng.random() * len(pivots))]
         path[i + 1 :] = path[i + 1 :][::-1]
     return None
 
@@ -241,6 +244,44 @@ class TestCompleteResidual:
             )
             want = scan_rotation_first_cycle(g.adj_bits, g.n, random.Random(draw))
             assert got == want
+
+    def test_random_bit_is_uniform_over_uneven_gaps(self):
+        # the lowest set bit at or above a random offset, wrapping round,
+        # would take bit 60 for 58 of the 64 offsets
+        mask = 0b111 | 1 << 60
+        rng = random.Random(0)
+        counts = Counter(_random_bit(mask, rng.random) for _ in range(40_000))
+        assert sorted(counts) == [0, 1, 2, 60]
+        for bit, count in counts.items():
+            assert abs(count / 40_000 - 0.25) <= 0.015, (bit, count)
+
+    @pytest.mark.parametrize("name", ["K21", "K51", "P13", "P53", "union60"])
+    def test_walk_returns_untried_hamilton_cycles(self, name):
+        # whatever the rng stream: a plain walk, walks on from the last
+        # cycle and fresh walks that must avoid the tried cycles all give
+        # permutations closed along row edges, none of them tried before
+        if name[0] == "K":
+            g = complete_graph(int(name[1:]))
+        elif name[0] == "P":
+            g = paley(int(name[1:]))
+        else:
+            g = two_cycle_union(60, 0)
+        rows = g.adj_bits
+        for seed in range(4):
+            rng = random.Random(seed)
+            budget = _Budget(10**9, None)
+            tried, last, found = set(), None, 0
+            for call in range(8):
+                cyc = _rotation_first_cycle(rows, g.n, budget, rng, last, tried)
+                if cyc is None:
+                    continue
+                found += 1
+                assert sorted(cyc) == list(range(g.n))
+                assert all(rows[a] >> b & 1 for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+                assert canonical_cycle(cyc) not in tried
+                tried.add(canonical_cycle(cyc))
+                last = cyc if call % 2 == 0 else None
+            assert found >= 4, (seed, found)
 
     def test_same_seed_same_decomposition(self):
         g = two_cycle_union(101, 0)

@@ -12,14 +12,25 @@ from hamdeck.factor import (
     TwoFactor,
     _random_perfect_matching,
     component_budget,
-    component_profile,
     sample_le2_factor,
 )
 from hamdeck.graphs import build_graph, complete_graph, cycle_graph
 from hamdeck.partition import default_params, tri_partition
 
-from conftest import build_partial, circulant, paley, random_graph, small_graphs
+from conftest import (
+    build_partial,
+    circulant,
+    cover_edges,
+    paley,
+    random_graph,
+    small_graphs,
+)
 from factor_oracle import count_factor_permutations, enumerate_le2_factors
+
+
+def component_profile(f):
+    """(total components, cycle components, isolated-edge components)."""
+    return (f.component_count, len(f.cycles), len(f.pairs))
 
 
 def _k101_core():
@@ -258,7 +269,7 @@ class TestStructures:
         g = complete_graph(6)
         partial = build_partial(g, [0, 1, 2], [[3, 4, 5]], [])
         assert partial.component_count == 2
-        assert len(partial.edge_set()) == 5
+        assert len(cover_edges(partial)) == 5
 
     def test_partial_hc_rejects_overlap(self):
         with pytest.raises(InputError):

@@ -19,12 +19,23 @@ from hamdeck.graphs import (
     is_robust_expander,
     iter_bits,
     parse_edge_list,
-    robust_neighborhood,
     strip_cycle,
 )
 from hamdeck.util import ceil_frac
 
 from conftest import small_graphs, two_disjoint_k4
+
+
+def robust_neighborhood(g, members, nu):
+    """Vertices with at least ``nu * n`` neighbors inside the given set: the
+    plain reading of the expander property that witnesses are checked by."""
+    if not (0 < nu <= 1):
+        raise InputError(f"nu must be in (0, 1], got {nu}")
+    threshold = ceil_frac(nu * g.n)
+    mask = sum(1 << v for v in set(members))
+    return frozenset(
+        v for v in range(g.n) if (g.adj_bits[v] & mask).bit_count() >= threshold
+    )
 
 
 def assert_same_graph(derived, full):

@@ -32,7 +32,7 @@ from hamdeck.rotation import (
 )
 from hamdeck.walecki import canonical_cycle, cycle_edges
 
-from conftest import build_partial, circulant, paley
+from conftest import build_partial, circulant, cover_edges, paley
 from replay import net_effect, replay_moves
 
 
@@ -68,7 +68,7 @@ class TestMerge:
         partial, move = merge_step(factor, host, empty_graph(6))
         assert partial.component_count == 1
         assert len(partial.path) == 6
-        assert len(partial.edge_set()) == 5
+        assert len(cover_edges(partial)) == 5
         added, removed = net_effect(move)
         assert added == {(2, 3)}
         assert len(removed) == 2
@@ -142,7 +142,7 @@ class TestRotateOrClose:
         partial = build_partial(core, [0, 1, 2, 3, 4], [], [])
         result, move = rotate_or_close(partial, core, empty_graph(5))
         assert isinstance(result, TwoFactor)
-        assert result.edge_set() == frozenset(
+        assert cover_edges(result) == frozenset(
             {(0, 1), (1, 4), (3, 4), (2, 3), (0, 2)}
         )
 
@@ -154,7 +154,7 @@ class TestRotateOrClose:
         )
         result, move = rotate_or_close(partial, core, patch)
         assert isinstance(result, TwoFactor)
-        assert (0, 3) in result.edge_set()
+        assert (0, 3) in cover_edges(result)
 
     def test_rotation_then_patch_closure(self):
         # the core chord (1,3) rotates the path; the patch edge (0,2) closes
@@ -165,7 +165,7 @@ class TestRotateOrClose:
         )
         result, move = rotate_or_close(partial, core, patch)
         assert isinstance(result, TwoFactor)
-        assert result.edge_set() == frozenset({(0, 1), (1, 3), (2, 3), (0, 2)})
+        assert cover_edges(result) == frozenset({(0, 1), (1, 3), (2, 3), (0, 2)})
 
     def test_dead_end_raises(self):
         core = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -505,7 +505,7 @@ class TestExtract:
         params = params_for(g, seed=0)
         tp = tri_partition(g, params)
         step = extract_hamilton_step(tp.core, tp.patch, params, seed=3)
-        final = replay_moves(step.start_factor.edge_set(), step.moves)
+        final = replay_moves(cover_edges(step.start_factor), step.moves)
         assert final == step.cycle_edges()
 
     def test_replay_survives_json_round_trip(self):
@@ -518,7 +518,8 @@ class TestExtract:
             Move(data["kind"], tuple((op, tuple(e)) for op, e in data["steps"]))
             for data in json.loads(json.dumps([m.to_json_dict() for m in step.moves]))
         ]
-        assert replay_moves(step.start_factor.edge_set(), revived) == step.cycle_edges()
+        revived_edges = replay_moves(cover_edges(step.start_factor), revived)
+        assert revived_edges == step.cycle_edges()
 
     def test_move_cap_respected(self):
         from hamdeck.factor import component_budget
@@ -537,7 +538,7 @@ class TestExtract:
         params = params_for(g, seed=0)
         tp = tri_partition(g, params)
         step = extract_hamilton_step(tp.core, tp.patch, params, seed=11)
-        edges = set(step.start_factor.edge_set())
+        edges = set(cover_edges(step.start_factor))
         comps = step.start_factor.component_count
         for move in step.moves:
             added, removed = net_effect(move)
@@ -578,8 +579,10 @@ class TestExtract:
             assert new.is_hamilton_cycle
             new.validate_in(host)
             assert all(e in core.edges for op, e in move.steps if op == "+")
-            assert len(new.edge_set() - core.edges) < len(old.edge_set() - core.edges)
-            assert replay_moves(old.edge_set(), [move]) == new.edge_set()
+            assert len(cover_edges(new) - core.edges) < len(
+                cover_edges(old) - core.edges
+            )
+            assert replay_moves(cover_edges(old), [move]) == cover_edges(new)
             rerouted.append(move)
             return out
 
@@ -589,7 +592,7 @@ class TestExtract:
         assert len(rerouted) >= 2
         assert list(step.moves) == rerouted
         assert {m.kind for m in step.moves} == {"reroute"}
-        assert replay_moves(start.edge_set(), step.moves) == step.cycle_edges()
+        assert replay_moves(cover_edges(start), step.moves) == step.cycle_edges()
         assert step.new_core.regular_degree() == 2
 
     def test_factors_over_the_component_cap_are_redrawn(self, monkeypatch):
@@ -727,11 +730,11 @@ def test_no_step_redraws_for_gadget_overflow(name, monkeypatch):
 # breadth-first rotation search and reroutes.  Any change to the search
 # order or a move's step order changes these digests.
 PINNED_RUNS = {
-    ("K21", 0): "dbe8f208b6467abe4b71b9100b223ab73566076b46911b56291cd1c1ec13bcd2",
-    ("K51", 1): "de887214f4f6cd2e64a25c41aec9ff37d17876812dece19344d6183aacffee22",
-    ("K51", 3): "ac9c69b7d3a64a504e12743b423e574a43e3ba062acffa1e8f7527765e1b1a54",
-    ("P53", 1): "2fba7f6241532ce1a7becacff17a1189b77fa34142361b0eb87a644af15db066",
-    ("P53", 2): "8e5975b5c76aa5dca05a22e0c00ae14b61264d3c4de20e19d5e115a5ade675cd",
+    ("K21", 0): "0a21644edef93fcf7a29688a0027687e06efa925df7f64fbedcb39057d439fd8",
+    ("K51", 1): "ddc35a94c4518c44ede834b33d15063d53a9fd8adbe9cef1a329faa5d8a80b20",
+    ("K51", 3): "588d8eadc8e255b36b35796f5c2104be273e471cf4e5083c9cd395cb3e434642",
+    ("P53", 1): "ba7439120ac5a3d45963269151f12164a763b68f8057f25658c6fcf7487d39c7",
+    ("P53", 2): "15a88ccf95af66d615807d9b36c0ca06ca9cc86c8f235be5319606e1272332fd",
 }
 
 
@@ -753,9 +756,9 @@ def test_pipeline_outputs_are_pinned():
 # the split, the rotation search or the residual cannot alter what the
 # benchmark times.
 PINNED_LARGE_RUNS = {
-    "K101": "4112af89e453b92dcae6c6e1919040387cf7206377bad684f006d176c44767fc",
-    "K201": "a312dab21664fcbca700cb2cc7252f34978c571eba420788eb23222ccafb43e0",
-    "P197": "b6c78831c72db70fae4b386698f0a8bdd3a546b4d521fdddcbf370ecdcb74ec8",
+    "K101": "f2bbb3fda81e0a77ac8e8b9b193be04a668cb2b442d9bab89733c662e6c34dc5",
+    "K201": "41579374d347b89f2805e593e01528c79d3a45652630d7d370fb5c6ac8c3466d",
+    "P197": "92ce55f61c3a4188e5fccf59003a6db3fdc1de8f9f70693b94ca6a07f1da8b8f",
 }
 
 

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import BudgetError, InfeasibleError, InputError
-from .graphs import Edge, Graph, connected_over, decompositions, iter_bits
+from .graphs import Edge, Graph, connected_over, decompositions, iter_bits, single_bits
 from .partition import PipelineParams, TriPartition, default_params, tri_partition
 from .rotation import extract_hamilton_step
 from .util import EPS, check_deadline, floor_frac, spawn_seed
@@ -160,10 +160,11 @@ def _rotation_first_cycle(
     if n < 3 or any(b == 0 for b in adj_bits):
         return None
     full = (1 << n) - 1
+    bit = single_bits(n)
     rand = rng.random
     if last is None:
         path = [rng.randrange(n)]
-        visited = 1 << path[0]
+        visited = bit[path[0]]
     else:
         k = rng.randrange(n)
         path = list(last[k + 1 :] + last[: k + 1])
@@ -178,29 +179,29 @@ def _rotation_first_cycle(
                 return None
             last, idle, undo = None, 0, 0
             path = [rng.randrange(n)]
-            visited = 1 << path[0]
+            visited = bit[path[0]]
         tip = path[-1]
         free = adj_bits[tip] & ~visited
         if free:
             w = _random_bit(free, rand)
             path.append(w)
-            visited |= 1 << w
+            visited |= bit[w]
             undo = 0
             continue
         if visited == full:
-            if adj_bits[tip] & (1 << path[0]) and (
+            if adj_bits[tip] & bit[path[0]] and (
                 not tried or canonical_cycle(path) not in tried
             ):
                 return tuple(path)
             idle += 1
         # rotate: the tip's predecessor is an on-path neighbor, not a pivot
-        pivots = adj_bits[tip] & visited & ~(1 << path[-2])
+        pivots = adj_bits[tip] & visited & ~bit[path[-2]]
         if tried and pivots & ~undo:
             pivots &= ~undo
         if not pivots:
             return None
         w = _random_bit(pivots, rand)
-        undo = 1 << w
+        undo = bit[w]
         i = path.index(w)
         path[i + 1 :] = path[:i:-1]
     return None

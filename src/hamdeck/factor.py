@@ -20,7 +20,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, InputError
-from .graphs import Edge, Graph, augment, norm_edge
+from .graphs import Edge, Graph, augment, norm_edge, single_bits
 from .util import ceil_frac, check_deadline, spawn_seed
 from .walecki import canonical_cycle
 
@@ -107,9 +107,10 @@ def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:
     covered = [v for part in chain(paths, cover.cycles, cover.pairs) for v in part]
     if len(covered) != host.n or set(covered) != set(range(host.n)):
         raise InputError(f"{kind} components are not a disjoint spanning cover")
+    bit = single_bits(host.n)  # the cover is range-checked by now
     for walk in chain(paths, (c + c[:1] for c in cover.cycles), cover.pairs):
         for a, b in zip(walk, walk[1:]):
-            if not host.adj_bits[a] >> b & 1:
+            if not host.adj_bits[a] & bit[b]:
                 raise InputError(f"{kind} uses non-edge {norm_edge(a, b)}")
 
 
@@ -155,7 +156,7 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
     row has no augmenting path: a maximum matching then leaves that row
     unmatched, which certifies that no (<=2)-factor exists.
     """
-    n, rows = g.n, g.adj_bits
+    n, rows, bit = g.n, g.adj_bits, single_bits(g.n)
     match = [0] * n  # row -> its column's bit
     match_in = [0] * n  # column -> its row's bit
     free = (1 << n) - 1  # the unmatched columns
@@ -169,13 +170,13 @@ def _random_perfect_matching(g: Graph, rng: np.random.Generator) -> list[int] | 
             w = k + (upper & -upper).bit_length() - 1
         else:
             w = (options & -options).bit_length() - 1
-        match[v], match_in[w] = 1 << w, 1 << v
-        free ^= 1 << w
+        match[v], match_in[w] = bit[w], bit[v]
+        free ^= bit[w]
     for root in unmatched:
         w = augment(rows, rows, match, match_in, free, root)
         if w < 0:
             return None
-        free ^= 1 << w
+        free ^= bit[w]
     return [row.bit_length() - 1 for row in match]
 
 

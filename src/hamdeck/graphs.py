@@ -13,14 +13,16 @@ a valid graph are trusted: ``subtract`` and ``union`` bit-test the other
 side's rows against this graph's, then XOR or OR them in
 (``Graph._derived``).  Degrees, edge tests, equality and the package's
 self-checks read the bit rows; the neighbour lists ``adj`` and the edge set
-``edges`` are views decoded on first use.
+``edges`` are views decoded on first use.  Hot bit-row loops index
+``single_bits(n)`` in place of ``1 << v``: every index is a vertex already
+range-checked or read off a bit row.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -192,6 +194,13 @@ def _mask_of(members) -> int:
 
 
 # -- bitset helpers over adj_bits (bit w of entry v set iff v ~ w) -----------
+
+
+@lru_cache(maxsize=1)
+def single_bits(n: int) -> tuple[int, ...]:
+    """``(1 << 0, ..., 1 << (n - 1))`` for the last n only.  Each index must be
+    a vertex already range-checked or read off a bit row: -1 wraps round."""
+    return tuple(1 << v for v in range(n))
 
 
 def iter_bits(mask: int):

@@ -209,8 +209,15 @@ def _random_split(
 
     n = graph.n
     us, vs = np.nonzero(np.triu(graph.adjacency_matrix(), 1))
-    roll, m = rng.random, len(us)
-    rolls = np.fromiter((roll() for _ in range(m)), float, m)
+    # numpy's legacy RandomState is random.Random's Mersenne Twister and makes
+    # each double from two 32-bit outputs as random() does (genrand_res53):
+    # from rng's state it draws the same rolls, and rng takes the state after
+    version, internal, gauss_next = rng.getstate()
+    mt = np.random.RandomState()
+    mt.set_state(("MT19937", internal[:-1], internal[-1]))
+    rolls = mt.random_sample(len(us))
+    _, key, pos, *_ = mt.get_state()
+    rng.setstate((version, (*key.tolist(), pos), gauss_next))
     labels = np.zeros((n, n), np.uint8)
     labels[us, vs] = np.where(
         rolls < p_patch, 1, np.where(rolls < p_patch + p_residual, 2, 3)

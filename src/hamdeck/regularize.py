@@ -15,8 +15,9 @@ carry flow, and the extracted subgraph is those rows plus their mirror.
 The flow is found as its complement, the fewest arcs to drop so that no
 vertex keeps more than d out-arcs or d in-arcs: a greedy pass over bit-mask
 buckets, then augmenting paths (``max_flow``, by ``graphs.augment``).  Only
-the in-rows come from numpy, by one unpack, transpose and pack.  The public
-surface consumes and produces undirected Graphs.
+the in-rows come from numpy, by one unpack, transpose and pack; the balanced
+orientation is one Python step per edge, on bits indexed, not shifted.  The
+public surface consumes and produces undirected Graphs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import InfeasibleError, InputError, SearchFailedError
-from .graphs import Graph, augment, iter_bits, pack_rows, unpack_rows
+from .graphs import Graph, augment, iter_bits, pack_rows, single_bits, unpack_rows
 
 
 def random_orientation(g: Graph, seed: int) -> tuple[int, ...]:
@@ -53,26 +54,28 @@ def balanced_orientation(g: Graph) -> tuple[int, ...]:
     a vertex of degree >= 2d keeps at least d out-arcs and d in-arcs.
     """
     real = list(g.adj_bits)
+    bit = single_bits(g.n)
     # a virtual pair may double a real edge (K4), so it keeps a row of its own
     virtual = [0] * g.n
     odd = [v for v, row in enumerate(real) if row.bit_count() % 2]
     for u, v in zip(odd[::2], odd[1::2]):
-        virtual[u] |= 1 << v
-        virtual[v] |= 1 << u
+        virtual[u] |= bit[v]
+        virtual[v] |= bit[u]
 
     out = [0] * g.n
     for start in range(g.n):
         # every degree is even, so each trail closes where it started
         v = start
         while row := real[v] | virtual[v]:
-            w = (row & -row).bit_length() - 1
-            if virtual[v] >> w & 1:
-                virtual[v] ^= 1 << w
-                virtual[w] ^= 1 << v
+            low = row & -row
+            w = low.bit_length() - 1
+            if virtual[v] & low:
+                virtual[v] ^= low
+                virtual[w] ^= bit[v]
             else:
-                real[v] ^= 1 << w
-                real[w] ^= 1 << v
-                out[v] |= 1 << w
+                real[v] ^= low
+                real[w] ^= bit[v]
+                out[v] |= low
             v = w
     return tuple(out)
 

@@ -44,7 +44,7 @@ from itertools import islice
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
-from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge
+from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge, single_bits
 from .util import EPS, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -213,6 +213,7 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
     """
     comp_of = _component_map(partial.cycles + partial.pairs)
     off_path = _mask_of(comp_of)
+    bit = single_bits(core.n)
 
     def canon(p: tuple[int, ...]) -> tuple[int, ...]:
         rp = p[::-1]
@@ -229,9 +230,9 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
             end_row, start_row = core.adj_bits[cur[-1]], core.adj_bits[cur[0]]
             for i in range(1, len(cur) - 1):
                 rotated = []
-                if i < len(cur) - 2 and end_row >> cur[i] & 1:
+                if i < len(cur) - 2 and end_row & bit[cur[i]]:
                     rotated.append(_rotate_end(cur, i))
-                if i >= 2 and start_row >> cur[i] & 1:
+                if i >= 2 and start_row & bit[cur[i]]:
                     rotated.append(_rotate_start(cur, i))
                 for p_new, st in rotated:
                     key = canon(tuple(p_new))
@@ -367,10 +368,11 @@ def _walk_cycle(cycle: tuple[int, ...], core: Graph, patch: Graph):
     the cycle, and its patch edges, sorted.  Each edge of a validated cycle
     is in exactly one of the two, so one bit test picks the rows to XOR."""
     core_rows, patch_rows = list(core.adj_bits), list(patch.adj_bits)
+    bit = single_bits(core.n)
     shared: list[Edge] = []
     u = cycle[-1]
     for v in cycle:
-        bu, bv = 1 << u, 1 << v
+        bu, bv = bit[u], bit[v]
         if patch_rows[u] & bv:
             shared.append(norm_edge(u, v))
             patch_rows[u] ^= bv
@@ -385,11 +387,12 @@ def _walk_cycle(cycle: tuple[int, ...], core: Graph, patch: Graph):
 def _take(rows: list[int], edges) -> list[Edge]:
     """Clear the edges from the working rows; an edge that is not there
     breaks the accounting identity."""
+    bit = single_bits(len(rows))
     for u, v in edges:
-        if not rows[u] >> v & 1:
+        if not rows[u] & bit[v]:
             raise AssertionError("edge accounting identity violated")
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
+        rows[u] ^= bit[v]
+        rows[v] ^= bit[u]
     return [norm_edge(u, v) for u, v in edges]
 
 

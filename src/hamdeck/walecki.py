@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, norm_edge, single_bits
 
 
 def canonical_cycle(seq) -> tuple[int, ...]:
@@ -123,6 +123,7 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     if d.host_n != g.n:
         return VerifyResult(False, f"host mismatch: {d.host_n} != {g.n}")
     free = list(g.adj_bits)  # the host edges that nothing has used yet
+    bit = single_bits(g.n)
     for idx, cyc in enumerate(d.cycles):
         if len(cyc) != g.n:
             return VerifyResult(
@@ -134,13 +135,13 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
         # test per edge finds both a non-edge and a reused edge
         in_range = min(cyc, default=0) >= 0 and max(cyc, default=0) < g.n
         for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-            if not ((in_range or g.has_edge(u, v)) and free[u] >> v & 1):
+            if not ((in_range or g.has_edge(u, v)) and free[u] & bit[v]):
                 e = norm_edge(u, v)
                 if not g.has_edge(u, v):
                     return VerifyResult(False, f"cycle {idx} uses non-edge {e}")
                 return VerifyResult(False, f"edge {e} reused by cycle {idx}")
-            free[u] ^= 1 << v
-            free[v] ^= 1 << u
+            free[u] ^= bit[v]
+            free[v] ^= bit[u]
     if d.matching is not None:
         if g.n % 2 != 0:
             return VerifyResult(False, "matching present but n is odd")
@@ -149,13 +150,13 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
             u, v = e
             if not g.has_edge(u, v):
                 return VerifyResult(False, f"matching uses non-edge {e}")
-            if not free[u] >> v & 1:
+            if not free[u] & bit[v]:
                 return VerifyResult(False, f"edge {e} reused by matching")
-            if (touched >> u | touched >> v) & 1:
+            if touched & (bit[u] | bit[v]):
                 return VerifyResult(False, f"matching edge {e} shares a vertex")
-            free[u] ^= 1 << v
-            free[v] ^= 1 << u
-            touched |= 1 << u | 1 << v
+            free[u] ^= bit[v]
+            free[v] ^= bit[u]
+            touched |= bit[u] | bit[v]
         if touched.bit_count() != g.n:
             return VerifyResult(
                 False, f"matching covers {touched.bit_count()} of {g.n} vertices"

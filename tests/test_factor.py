@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.factor import (
+    PartialHC,
     TwoFactor,
     _random_perfect_matching,
     component_budget,
@@ -274,6 +275,18 @@ class TestStructures:
     def test_partial_hc_rejects_overlap(self):
         with pytest.raises(InputError):
             build_partial(complete_graph(6), [0, 1, 2], [[2, 3, 4]], [])
+
+    @pytest.mark.parametrize("bad", [-1, 6], ids=["minus-one", "n"])
+    def test_vertices_out_of_range_are_rejected(self, bad):
+        # the cover check reads bits from a table that a negative index
+        # would wrap round in, so the range check must come first
+        g = complete_graph(6)
+        with pytest.raises(InputError):
+            TwoFactor.build(g, [[0, 1, 2], [3, 4, bad]], [])
+        with pytest.raises(InputError):
+            TwoFactor.build(g, [[0, 1, 2, 3]], [(4, bad)])
+        with pytest.raises(InputError):
+            PartialHC(6, (0, 1, bad), ((2, 3, 4),), ()).validate_in(g)
 
     def test_non_spanning_factor_rejected_at_build(self):
         with pytest.raises(InputError):

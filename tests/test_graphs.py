@@ -19,6 +19,7 @@ from hamdeck.graphs import (
     is_robust_expander,
     iter_bits,
     parse_edge_list,
+    single_bits,
     strip_cycle,
 )
 from hamdeck.util import ceil_frac
@@ -364,6 +365,13 @@ class TestBitsetHelpers:
         assert connected_over(g.adj_bits, 0b111)
         assert not connected_over(g.adj_bits, 0b101)
         assert connected_over(g.adj_bits, 0)
+
+    def test_single_bits_holds_one_table_for_the_last_n(self):
+        assert all(b == 1 << v for v, b in enumerate(single_bits(201)))
+        assert len(single_bits(197)) == 197
+        # each table costs n^2/2 bits, so no earlier one stays alive
+        assert single_bits.cache_info().currsize == 1
+        assert single_bits(197) is single_bits(197)
 
     def test_strip_cycle_removes_exactly_its_edges(self):
         rest = strip_cycle(complete_graph(5).adj_bits, (0, 1, 2, 3, 4))

@@ -126,3 +126,51 @@ def test_src_defines_each_function_name_once():
                 defined.setdefault(node.name, []).append(path.name)
     twice = {name: files for name, files in defined.items() if len(files) > 1}
     assert twice == {}
+
+
+# The hot bit-row loops take a vertex's bit from graphs.single_bits: a shift
+# there builds a new int per edge on ~200-bit rows.
+BIT_TABLE_LOOPS = {
+    "decompose.py": {"_rotation_first_cycle"},
+    "factor.py": {"_random_perfect_matching", "_validate_cover"},
+    "regularize.py": {"balanced_orientation"},
+    "rotation.py": {"_rotation_search", "_take", "_walk_cycle"},
+    "walecki.py": {"verify_decomposition"},
+}
+
+
+def _bit_shift(node) -> bool:
+    """``1 << x`` or ``row >> x & 1`` for a non-constant x."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.LShift):
+        one, x = node.left, node.right
+    elif isinstance(node.op, ast.BitAnd) and isinstance(node.left, ast.BinOp):
+        one, x = node.right, node.left.right
+        if not isinstance(node.left.op, ast.RShift):
+            return False
+    else:
+        return False
+    return (
+        isinstance(one, ast.Constant)
+        and one.value == 1
+        and not isinstance(x, ast.Constant)
+    )
+
+
+def test_hot_loops_index_the_bit_table():
+    shifts, found = set(), set()
+    for path, names in BIT_TABLE_LOOPS.items():
+        tree = ast.parse((ROOT / "src" / "hamdeck" / path).read_text(), path)
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and func.name in names:
+                found.add(func.name)
+                shifts.update(
+                    f"{path}:{node.lineno} in {func.name}"
+                    for loop in ast.walk(func)
+                    if isinstance(loop, (ast.For, ast.While))
+                    for node in ast.walk(loop)
+                    if _bit_shift(node)
+                )
+    assert found == set().union(*BIT_TABLE_LOOPS.values())
+    assert sorted(shifts) == []

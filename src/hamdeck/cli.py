@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from .counting import (
@@ -92,13 +91,9 @@ def _load_graph(path: str) -> Graph:
 
 
 def _params_for(graph: Graph, args, deadline) -> PipelineParams:
-    names = ("eps", "tau", "gamma", "max_steps")
-    overrides = {k: getattr(args, k, None) for k in names}
+    overrides = {k: getattr(args, k, None) for k in ("eps", "max_steps")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    params = default_params(graph, seed=args.seed, deadline=deadline, **overrides)
-    if args.c is not None:
-        params = replace(params, c=args.c)
-    return params
+    return default_params(graph, seed=args.seed, deadline=deadline, **overrides)
 
 
 def _decomposition_payload(deco: Decomposition, args, extra_meta=None) -> dict:
@@ -289,13 +284,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=float, default=None, help="density fraction override")
-    p.add_argument("--eps", type=float, default=None, help="slack fraction")
-    p.add_argument("--gamma", type=float, default=None, help="cross-density fraction")
-    p.add_argument("--tau", type=float, default=None, help="robust-expander fraction")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hamdeck",
@@ -311,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose an even-regular graph")
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
-    _add_params(p)
+    p.add_argument("--eps", type=float, default=None, help="slack fraction")
     p.add_argument("--max-steps", type=int, default=None, help="cap rotation steps")
     p.add_argument("--trace", action="store_true", help="per-step stats to stderr")
     p.set_defaults(handler=_cmd_decompose)
@@ -321,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
-    _add_params(p)
+    p.add_argument("--eps", type=float, default=None, help="slack fraction")
     p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(handler=_cmd_decompose_odd)
 
@@ -345,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--out", required=True, help="output path prefix")
     _add_common(p)
-    _add_params(p)
+    p.add_argument("--eps", type=float, default=None, help="slack fraction")
     p.set_defaults(handler=_cmd_partition)
 
     p = sub.add_parser("sample-factor", help="sample a random (<=2)-factor")

@@ -33,7 +33,7 @@ from .errors import BudgetError, InfeasibleError, InputError
 from .graphs import Edge, Graph, connected_over, decompositions, iter_bits, single_bits
 from .partition import PipelineParams, TriPartition, default_params, tri_partition
 from .rotation import extract_hamilton_step
-from .util import EPS, check_deadline, floor_frac, spawn_seed
+from .util import check_deadline, floor_frac, spawn_seed
 from .walecki import Decomposition, canonical_cycle, verify_decomposition
 
 log = logging.getLogger(__name__)
@@ -346,13 +346,9 @@ PIPELINE_MIN_N = 8
 class PipelineRun:
     """Everything one pipeline invocation produced, for tracing and the CLI."""
 
-    n: int
-    degree: int
-    params: PipelineParams
     decomposition: Decomposition
     rotation_cycles: int
     completed_cycles: int
-    planned_steps: int
     partition_stats: dict = field(default_factory=dict)
     step_stats: list = field(default_factory=list)
     attempts: int = 1
@@ -383,6 +379,8 @@ def run_pipeline(
     and whole-pipeline retries rotate the seed.  A disconnected input is
     rejected before the tri-partition.  With no cycle removed, the
     completer's InfeasibleError is a proof about the input and is raised.
+    ``params`` default to ``default_params(graph)``; no density is required
+    of the input, since the paper's density fraction c is its own r/n.
     """
     t0 = time.perf_counter()
     r = graph.regular_degree()
@@ -396,8 +394,6 @@ def run_pipeline(
         seed = params.seed
     if graph.n < PIPELINE_MIN_N:
         raise InputError(f"pipeline needs n >= {PIPELINE_MIN_N}, got {graph.n}")
-    if r + EPS < params.c * graph.n:
-        raise InputError(f"degree {r} below c*n = {params.c * graph.n:.2f}")
     if not connected_over(graph.adj_bits, (1 << graph.n) - 1):
         raise InfeasibleError("a disconnected graph has no Hamilton cycle")
 
@@ -409,7 +405,6 @@ def run_pipeline(
         step_stats: list[dict] = []
         partition_stats: dict = {}
         fallback = False
-        planned = 0
         try:
             tp: TriPartition | None = None
             rows = graph.adj_bits  # the residual when the split falls back
@@ -484,13 +479,9 @@ def run_pipeline(
                 graph.n, tuple(sorted(rotated.cycles + completion.cycles))
             )
             return PipelineRun(
-                n=graph.n,
-                degree=r,
-                params=params,
                 decomposition=deco,
                 rotation_cycles=len(cycles),
                 completed_cycles=completion.cycle_count,
-                planned_steps=planned,
                 partition_stats=partition_stats,
                 step_stats=step_stats,
                 attempts=attempt + 1,
@@ -527,7 +518,8 @@ def decompose_odd(
     InfeasibleError means that no perfect matching works, and a BudgetError
     from any remainder propagates.  With degree 3 or more a disconnected
     input is rejected before any matching is tried; a 1-regular input is a
-    matching and needs no connectivity.
+    matching and needs no connectivity.  ``params`` pass to the remainder's
+    pipeline unchanged, since none of them depends on the degree.
     """
     r = graph.regular_degree()
     if r is None:
@@ -541,12 +533,6 @@ def decompose_odd(
     exact = graph.n < PIPELINE_MIN_N or r == 1
     if graph.n == 2:
         log.debug("degenerate n=2 input: matching only, no cycles")
-    if not exact and params is not None:
-        # the caller's density fraction described the odd input; the
-        # remainder is one degree thinner
-        remainder_c = min(params.c, (r - 1) / graph.n)
-        if remainder_c < params.c:
-            params = replace(params, c=remainder_c)
     deadline = params.deadline if params is not None else None
     for matching in _perfect_matchings(graph):
         check_deadline(deadline, "odd-degree decomposition")

@@ -15,7 +15,7 @@ enumerator the tests keep (``tests/factor_oracle.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -79,12 +79,14 @@ class TwoFactor:
 @dataclass(frozen=True)
 class PartialHC:
     """Spanning cover with exactly one path component; the rest are cycles
-    and isolated edges."""
+    and isolated edges.  Only the rotation moves set ``derived``: on a cover
+    they built from one whose vertices are range-checked."""
 
     host_n: int
     path: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
     pairs: tuple[Edge, ...]
+    derived: bool = field(default=False, compare=False, repr=False)
 
     @property
     def component_count(self) -> int:

@@ -117,9 +117,6 @@ class Graph:
         # a row has no bits at n or above, so only v < 0 needs a test of its own
         return 0 <= u < self.n and v >= 0 and self.adj_bits[u] >> v & 1 == 1
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def regular_degree(self) -> int | None:
         """The common degree if the graph is regular, else None."""
         degs = set(self._degrees)

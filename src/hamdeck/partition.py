@@ -6,6 +6,8 @@ with probability eps, and in the raw core otherwise; a flow-based extraction
 then trims the raw core to an exactly even-regular graph, and the trimmings
 join the residual.  Las-Vegas at desk scale: verification plus retry
 replaces the with-high-probability guarantees that only bind at large n.
+Of the paper's constants the pipeline takes only eps: the density c is
+the input's r/n, and the audit's (nu, tau) follow from eps and c.
 """
 
 from __future__ import annotations
@@ -32,60 +34,32 @@ PARTITION_RETRIES = 16
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """The pipeline's free fractions, its RNG seed, and two run limits.
+    """What the pipeline reads: the slack fraction ``eps`` in (0, 1/10),
+    the RNG ``seed``, an optional cap ``max_steps`` on rotation steps, and an
+    optional ``deadline`` (``time.monotonic()`` value).
 
-    Free fields: the density fraction ``c`` (degree >= c*n), the slack
-    fraction ``eps`` in (0, 1/10), the cross-density fraction ``gamma`` > 0,
-    the robust-expander fraction ``tau`` in (0, 1), ``seed``, an optional cap
-    ``max_steps`` on rotation steps, and an optional ``deadline``
-    (``time.monotonic()`` value).
-
-    Derived, read-only: delta = min(eps*c/5, tau/2) and
-    nu = min(delta, eps*gamma/2).
+    The paper's density fraction c is the input's r/n, and the fractions
+    the partition audit uses come from ``audit_fractions``.
     """
 
-    c: float
-    eps: float
-    gamma: float
-    tau: float
+    eps: float = 0.05
     seed: int = 0
     max_steps: int | None = None
     deadline: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise InputError(f"c must be positive, got {self.c}")
         if not (0 < self.eps < 0.1):
             raise InputError(f"eps must be in (0, 1/10), got {self.eps}")
-        if self.gamma <= 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
-        if not (0 < self.tau < 1):
-            raise InputError(f"tau must be in (0, 1), got {self.tau}")
         if self.max_steps is not None and self.max_steps < 0:
             raise InputError(f"max_steps must be nonnegative, got {self.max_steps}")
 
-    @property
-    def delta(self) -> float:
-        return min(self.eps * self.c / 5, self.tau / 2)
-
-    @property
-    def nu(self) -> float:
-        return min(self.delta, self.eps * self.gamma / 2)
-
 
 def default_params(g: Graph, seed: int = 0, **overrides) -> PipelineParams:
-    """Reasonable defaults inferred from the graph: c = r/n, eps = 0.05,
-    tau = 0.2, gamma from the derived delta (the dense-graph value)."""
+    """The defaults, with ``overrides`` set, for a regular graph with edges."""
     r = g.regular_degree()
     if r is None or r == 0:
         raise InputError("default parameters need a regular graph with edges")
-    c = r / g.n
-    eps = overrides.pop("eps", 0.05)
-    tau = overrides.pop("tau", 0.2)
-    # delta does not depend on gamma, so any placeholder gamma will do
-    delta = PipelineParams(c, eps, 1.0, tau).delta
-    gamma = overrides.pop("gamma", max(delta**3 / 2, 1e-12))
-    return PipelineParams(c, eps, gamma, tau, seed=seed, **overrides)
+    return PipelineParams(seed=seed, **overrides)
 
 
 def patch_probability(n: int) -> float:
@@ -129,8 +103,6 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
         raise InputError("tri-partition needs a regular graph with edges")
     if r % 2 != 0:
         raise InputError(f"degree {r} is odd")
-    if r + EPS < params.c * n:
-        raise InputError(f"degree {r} below c*n = {params.c * n:.2f}")
 
     p_patch = patch_probability(n)
     p_residual = params.eps
@@ -235,6 +207,20 @@ def _union_rows(tp: TriPartition) -> tuple[tuple[int, ...], bool]:
     return union, disjoint
 
 
+def audit_fractions(tp: TriPartition) -> tuple[float, float]:
+    """The (nu, tau) that ``verify_partition`` checks the residual's robust
+    expansion with and the sidecar records: tau = 0.2, and nu = min(delta,
+    eps*gamma/2) from delta = min(eps*c/5, tau/2) and gamma = max(delta^3/2,
+    1e-12), at the density c = r/n of the parts' r-regular union.  nu stays
+    below 2e-7, so nu*n < 1 and only tau moves a verdict; ``check-expander``
+    audits a saved residual at other values."""
+    c = max(map(int.bit_count, _union_rows(tp)[0]), default=0) / tp.core.n
+    tau = 0.2
+    delta = min(tp.params.eps * c / 5, tau / 2)
+    gamma = max(delta**3 / 2, 1e-12)
+    return min(delta, tp.params.eps * gamma / 2), tau
+
+
 def _assert_partition_exact(graph: Graph, tp: TriPartition) -> None:
     union, disjoint = _union_rows(tp)
     if not disjoint or union != graph.adj_bits:
@@ -274,10 +260,10 @@ def verify_partition(
     """Report-valued check of the tri-partition contract.
 
     Exactness and core regularity are checked exactly.  Residual robust
-    expansion is exact for n <= 14 and sampled beyond, where holds=True only
-    means that no sampled set was a counterexample.  The patch's
-    pseudo-randomness is not audited: its literal n^1.6 edge threshold
-    cannot bind at desk-scale n.
+    expansion, at ``audit_fractions``, is exact for n <= 14 and sampled
+    beyond, where holds=True only means that no sampled set was a
+    counterexample.  The patch's pseudo-randomness is not audited: its
+    literal n^1.6 edge threshold cannot bind at desk-scale n.
     """
     issues: list[str] = []
     n = tp.core.n
@@ -304,8 +290,7 @@ def verify_partition(
     # exact enumeration is affordable up to ~2^14 subsets; sample beyond
     expander = is_robust_expander(
         tp.residual,
-        params.nu,
-        params.tau,
+        *audit_fractions(tp),
         "exact" if n <= 14 else "sampled",
         seed=spawn_seed(seed, "expander"),
         deadline=params.deadline,
@@ -340,18 +325,11 @@ def save_tri_partition(tp: TriPartition, prefix: str) -> list[str]:
         save_edge_list(g, path)
         paths.append(path)
     sidecar = f"{prefix}.params.json"
+    nu, tau = audit_fractions(tp)
     payload = {
         "n": tp.core.n,
         "core_degree": tp.core_degree,
-        "params": {
-            "c": tp.params.c,
-            "eps": tp.params.eps,
-            "delta": tp.params.delta,
-            "gamma": tp.params.gamma,
-            "nu": tp.params.nu,
-            "tau": tp.params.tau,
-            "seed": tp.params.seed,
-        },
+        "params": {"eps": tp.params.eps, "nu": nu, "seed": tp.params.seed, "tau": tau},
         "stats": tp.stats,
     }
     with open(sidecar, "w", encoding="ascii") as fh:

@@ -19,8 +19,9 @@ copies an edge set.
 
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
-Only the sampled factor and each finished Hamilton cycle are validated, the
-latter by ``extract_hamilton_step``.
+A move range-checks the cover it is given unless another move built it
+(``PartialHC.derived``).  The sampled factor is validated, and each
+finished Hamilton cycle is checked by the walk that strips it.
 
 Each patch edge the cycle keeps costs a substitution gadget, and the
 gadgets' exclusion set must stay within n^0.6.  It starts as the endpoints
@@ -30,10 +31,10 @@ cycle is rerouted: it is opened at its lowest patch edge and the
 breadth-first search closes the Hamilton path again by core rotations and a
 core chord, one ``reroute`` move each time, until the gadgets fit.  The step
 redraws its factor only when a reroute gives up or a gadget is not found.
-Each checked cycle, rerouted or not, is walked once: the walk strips it
-from the core's and the patch's bit rows and lists its patch edges.  Every
-gadget is searched in those stripped rows, and its edges are then cleared
-from the rows that become the new core and patch.
+Each finished cycle, rerouted or not, is walked once: the walk checks it,
+strips it from the core's and the patch's bit rows and lists its patch
+edges.  Every gadget is searched in those stripped rows, and its edges are
+then cleared from the rows that become the new core and patch.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ def _extended(cover, path: list[int], *taken: tuple[int, ...]) -> PartialHC:
         tuple(path),
         tuple(c for c in cover.cycles if c not in taken),
         tuple(p for p in cover.pairs if p not in taken),
+        derived=True,
     )
 
 
@@ -104,11 +106,18 @@ def _closed(partial: PartialHC, path: list[int]) -> TwoFactor:
     return TwoFactor(partial.host_n, tuple(cycles), partial.pairs)
 
 
-def _check_sizes(cover, core: Graph, patch: Graph) -> None:
-    if not cover.host_n == core.n == patch.n:
+def _check_cover(cover, core: Graph, patch: Graph, *parts) -> None:
+    """InputError unless cover, core and patch share one n and ``parts``
+    lie in 0..n-1 (a negative vertex would index bit rows from the end)."""
+    n = cover.host_n
+    if not n == core.n == patch.n:
         raise InputError(
-            f"cover on {cover.host_n} vertices, core on {core.n}, patch on {patch.n}"
+            f"cover on {n} vertices, core on {core.n}, patch on {patch.n}"
         )
+    for part in parts:
+        lo, hi = min(part, default=0), max(part, default=0)
+        if lo < 0 or hi >= n:
+            raise InputError(f"cover vertex outside 0..{n - 1}: {lo}..{hi}")
 
 
 # -- merge ----------------------------------------------------------------------
@@ -121,11 +130,11 @@ def merge_step(factor: TwoFactor, core: Graph, patch: Graph) -> tuple[PartialHC,
     graph the degree dichotomy prescribes (core when the component is
     smaller than the core degree, else patch) and falling back to either.
     """
-    _check_sizes(factor, core, patch)
-    if factor.component_count < 2:
-        raise InputError("merge needs a factor with at least 2 components")
     comps = factor.cycles + factor.pairs
     comp_of = _component_map(comps)
+    _check_cover(factor, core, patch, comp_of)
+    if factor.component_count < 2:
+        raise InputError("merge needs a factor with at least 2 components")
     d = core.regular_degree()
     if d is None:
         d = min(core.degrees(), default=0)
@@ -212,6 +221,8 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
     extension test.  At most ROTATION_VISIT_CAP paths are tested.
     """
     comp_of = _component_map(partial.cycles + partial.pairs)
+    parts = () if partial.derived else (partial.path, comp_of)
+    _check_cover(partial, core, patch, *parts)
     off_path = _mask_of(comp_of)
     bit = single_bits(core.n)
 
@@ -264,7 +275,6 @@ def rotate_or_close(
     raises SearchFailedError when it finds neither."""
     if not isinstance(partial, PartialHC):
         raise InputError("rotate_or_close needs a PartialHC")
-    _check_sizes(partial, core, patch)
     found = _rotation_search(partial, core, patch)
     if found is None:
         raise SearchFailedError("rotation search exhausted with no extension/closure")
@@ -353,23 +363,15 @@ def substitution_gadget(
 # -- one full extraction ----------------------------------------------------------
 
 
-def _check_cycle(final: TwoFactor, host: Graph) -> None:
-    """Validate a finished cycle in the host.  Moves derive their covers
-    unchecked, so an invalid cycle is an internal fault, not a dead end to
-    redraw past."""
-    try:
-        final.validate_in(host)
-    except InputError as exc:
-        raise AssertionError(f"rotation moves built a bad cycle: {exc}") from exc
-
-
 def _walk_cycle(cycle: tuple[int, ...], core: Graph, patch: Graph):
-    """One walk of a validated cycle: the core's and the patch's rows less
-    the cycle, and its patch edges, sorted.  Each edge of a validated cycle
-    is in exactly one of the two, so one bit test picks the rows to XOR."""
+    """One walk of a finished cycle: the core's and the patch's rows less the
+    cycle, and its patch edges, sorted.  Moves derive their covers unchecked,
+    so an edge in neither row, or a missed or repeated vertex, is an internal
+    fault (AssertionError), not a dead end to redraw past."""
     core_rows, patch_rows = list(core.adj_bits), list(patch.adj_bits)
     bit = single_bits(core.n)
     shared: list[Edge] = []
+    seen = 0
     u = cycle[-1]
     for v in cycle:
         bu, bv = bit[u], bit[v]
@@ -377,10 +379,19 @@ def _walk_cycle(cycle: tuple[int, ...], core: Graph, patch: Graph):
             shared.append(norm_edge(u, v))
             patch_rows[u] ^= bv
             patch_rows[v] ^= bu
-        else:
+        elif core_rows[u] & bv:
             core_rows[u] ^= bv
             core_rows[v] ^= bu
+        else:
+            raise AssertionError(
+                f"rotation moves built a bad cycle: uses non-edge {norm_edge(u, v)}"
+            )
+        seen |= bv
         u = v
+    if len(cycle) != core.n or seen.bit_count() != core.n:
+        raise AssertionError(
+            "rotation moves built a bad cycle: misses or repeats a vertex"
+        )
     return core_rows, patch_rows, sorted(shared)
 
 
@@ -447,7 +458,7 @@ def extract_hamilton_step(
     if d % 2 != 0 or d < 4:
         raise InputError(f"core degree must be even and >= 4, got {d}")
     n = core.n
-    host = core.union(patch)  # InputError if they share an edge
+    core.union(patch)  # InputError "already present" if they share an edge
     budget = component_budget(n)
     cap = 2 * budget + 1
 
@@ -484,7 +495,6 @@ def extract_hamilton_step(
             # its lowest patch edge for core edges until they fit; the step
             # redraws only when a reroute gives up
             while True:
-                _check_cycle(final, host)
                 core_rows, patch_rows, shared = _walk_cycle(
                     final.cycles[0], core, patch
                 )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -170,11 +171,8 @@ class TestDecomposeAndVerify:
     @pytest.mark.parametrize(
         "flags, expect",
         [
-            (("--c", "0.9", "--max-steps", "1"), {"c": 0.9, "max_steps": 1}),
-            (
-                ("--eps", "0.04", "--tau", "0.3", "--gamma", "1e-6"),
-                {"eps": 0.04, "tau": 0.3, "gamma": 1e-6},
-            ),
+            (("--max-steps", "1"), {"max_steps": 1}),
+            (("--eps", "0.04"), {"eps": 0.04}),
         ],
     )
     def test_param_overrides_reach_the_pipeline(
@@ -194,14 +192,20 @@ class TestDecomposeAndVerify:
         assert code == 0
         (params,) = seen
         g = complete_graph(21)
-        defaults = default_params(g)
-        for name in ("c", "eps", "gamma", "tau", "max_steps"):
-            assert getattr(params, name) == expect.get(name, getattr(defaults, name))
-        assert params.delta == min(params.eps * params.c / 5, params.tau / 2)
-        assert params.nu == min(params.delta, params.eps * params.gamma / 2)
+        assert params == dataclasses.replace(default_params(g), **expect)
         data = json.loads(out)
         del data["meta"]
         assert data == run_pipeline(g, params, seed=0).decomposition.to_json_dict()
+
+    @pytest.mark.parametrize("flag", ["--c", "--gamma", "--tau"])
+    @pytest.mark.parametrize("command", ["decompose", "decompose-odd", "partition"])
+    def test_paper_constants_are_not_flags(self, capsys, command, flag):
+        # c is the input's r/n, and the audit derives its (nu, tau) from eps
+        out = ["--out", "p"] if command == "partition" else []
+        with pytest.raises(SystemExit) as info:
+            main([command, "g.edges", *out, flag, "0.5"])
+        assert info.value.code == 3
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
     def test_negative_max_steps_exits_3(self, capsys, graph_file):
         # a negative cap would silently run no rotation steps
@@ -386,6 +390,30 @@ class TestOtherCommands:
         assert data["report"]["expander_witness"] is None
         assert (tmp_path / "part.core.edges").exists()
         assert (tmp_path / "part.params.json").exists()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partition_audits_with_the_sidecar_fractions(
+        self, capsys, graph_file, tmp_path, seed
+    ):
+        # n = 13 takes the exact audit; check-expander on the saved residual
+        # with the sidecar's (nu, tau) gives the report's verdict
+        prefix = str(tmp_path / "part")
+        code, out = run_cli(
+            capsys, "partition", graph_file(13), "--out", prefix,
+            "--seed", str(seed), "--no-meta",
+        )
+        report = json.loads(out)["report"]
+        assert code == (0 if report["ok"] else 1)
+        params = json.loads((tmp_path / "part.params.json").read_text())["params"]
+        assert sorted(params) == ["eps", "nu", "seed", "tau"]
+        code, out = run_cli(
+            capsys, "check-expander", f"{prefix}.residual.edges", "--exact",
+            "--nu", repr(params["nu"]), "--tau", repr(params["tau"]), "--no-meta",
+        )
+        verdict = json.loads(out)
+        assert code == (0 if verdict["holds"] else 1)
+        assert verdict["holds"] == report["expander_holds"]
+        assert verdict["witness"] == report["expander_witness"]
 
     def test_partition_reports_the_expansion_witness(
         self, capsys, graph_file, tmp_path

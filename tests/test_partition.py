@@ -21,13 +21,13 @@ from hamdeck.partition import (
     PipelineParams,
     TriPartition,
     _random_split,
+    audit_fractions,
     default_params,
     patch_probability,
     save_tri_partition,
     tri_partition,
     verify_partition,
 )
-from hamdeck.util import EPS
 
 from conftest import circulant, paley
 
@@ -37,10 +37,10 @@ def load_tri_partition(prefix: str) -> TriPartition:
     files it writes.
 
     Raises InputError when the sidecar is not such a JSON object (finite
-    numbers, an integer seed), when its derived fractions differ from the
-    ones its free fractions give, or when its ``n`` or ``core_degree``
-    disagree with the edge lists.  The ``alpha`` that older sidecars carry
-    is ignored.
+    numbers, an integer seed), when its ``n`` or ``core_degree`` disagree
+    with the edge lists, or when its nu or tau differ from the ones
+    ``audit_fractions`` gives for its eps and the saved parts.  The alpha,
+    c, delta and gamma that older sidecars carry are ignored.
     """
     core = load_edge_list(f"{prefix}.core.edges")
     patch = load_edge_list(f"{prefix}.patch.edges")
@@ -50,19 +50,13 @@ def load_tri_partition(prefix: str) -> TriPartition:
         with open(sidecar, "r", encoding="ascii") as fh:
             payload = json.load(fh)
         p = payload["params"]
-        values = [p[k] for k in ("c", "eps", "gamma", "tau", "delta", "nu", "seed")]
+        values = [p[k] for k in ("eps", "nu", "tau", "seed")]
         # isfinite rejects NaN and infinities and overflows on huge integers
         if any(type(v) not in (int, float) or not math.isfinite(v) for v in values):
             raise TypeError("parameters must be finite JSON numbers")
         if type(p["seed"]) is not int:
             raise TypeError(f"seed {p['seed']!r} is not an integer")
-        params = PipelineParams(p["c"], p["eps"], p["gamma"], p["tau"], seed=p["seed"])
-        for name in ("delta", "nu"):
-            if abs(p[name] - getattr(params, name)) > EPS:
-                raise InputError(
-                    f"{name} = {p[name]} differs from its derived value "
-                    f"{getattr(params, name)}"
-                )
+        params = PipelineParams(eps=p["eps"], seed=p["seed"])
         n, core_degree = payload["n"], payload["core_degree"]
         stats = payload.get("stats", {})
         if not isinstance(stats, dict):
@@ -75,7 +69,12 @@ def load_tri_partition(prefix: str) -> TriPartition:
         raise InputError(
             f"sidecar core_degree = {core_degree!r} disagrees with the core"
         )
-    return TriPartition(core, patch, residual, params, core.regular_degree(), stats)
+    tp = TriPartition(core, patch, residual, params, core_degree, stats)
+    # JSON keeps a float's repr, so a saved value reads back exactly
+    for name, derived in zip(("nu", "tau"), audit_fractions(tp)):
+        if p[name] != derived:
+            raise InputError(f"{name} = {p[name]} differs from its derived {derived}")
+    return tp
 
 
 def _with_params(payload, **changes):
@@ -85,36 +84,18 @@ def _with_params(payload, **changes):
 
 
 class TestDeriveParams:
-    def test_dense_example(self):
-        p = PipelineParams(c=1.0, eps=0.05, gamma=0.01, tau=0.2)
-        assert p.delta == pytest.approx(0.01)
-        assert p.nu == pytest.approx(0.00025)
-
     def test_eps_range_enforced(self):
         with pytest.raises(InputError):
-            PipelineParams(c=1.0, eps=0.2, gamma=0.01, tau=0.2)
-
-    def test_delta_picks_the_minimum(self):
-        p = PipelineParams(c=0.6, eps=0.05, gamma=0.05, tau=0.3)
-        assert p.delta == pytest.approx(0.006)
-
-    @pytest.mark.parametrize(
-        "eps, tau", [(0.05, 0.2), (0.02, 0.5), (0.09, 0.01), (0.05, 1e-4)]
-    )
-    def test_default_gamma_comes_from_the_delta_property(self, eps, tau):
-        g = complete_graph(21)
-        p = default_params(g, eps=eps, tau=tau)
-        delta = PipelineParams(c=p.c, eps=eps, gamma=p.gamma, tau=tau).delta
-        assert p.gamma == max(delta**3 / 2, 1e-12)
+            PipelineParams(eps=0.2)
 
     @pytest.mark.parametrize(
         "edit, error",
         [
-            (lambda p: _with_params(p, delta=p["params"]["delta"] * 2), "delta"),
+            (lambda p: _with_params(p, tau=0.3), "tau = 0.3 differs"),
             (lambda p: _with_params(p, nu=p["params"]["nu"] * 2), "nu"),
             (lambda p: _with_params(p, tau=None), "'tau'"),
             (lambda p: _with_params(p, eps="x"), "finite JSON numbers"),
-            (lambda p: _with_params(p, gamma=math.nan), "finite JSON numbers"),
+            (lambda p: _with_params(p, nu=math.nan), "finite JSON numbers"),
             (lambda p: _with_params(p, seed=1.5), "seed"),
             (lambda p: [p], "list indices"),
             (lambda p: json.dumps(p)[:-2], "Expecting"),
@@ -122,11 +103,12 @@ class TestDeriveParams:
             (lambda p: {**p, "core_degree": p["core_degree"] + 2}, "core_degree"),
             (lambda p: {**p, "n": p["n"] + 1}, "sidecar n"),
             (lambda p: {**p, "stats": []}, "stats"),
-            # older sidecars carry alpha = 3 * eps * c, which is not read
-            (lambda p: _with_params(p, alpha=0.15), None),
+            # older sidecars carry alpha = 3 * eps * c, c, delta and gamma,
+            # which are not read
+            (lambda p: _with_params(p, alpha=0.15, c=1, delta=0.01, gamma=1), None),
         ],
         ids=[
-            "edited-delta", "edited-nu", "missing-tau", "string-eps", "nan-gamma",
+            "edited-tau", "edited-nu", "missing-tau", "string-eps", "nan-nu",
             "float-seed", "top-level-list", "truncated-json", "string-core-degree",
             "wrong-core-degree", "wrong-n", "list-stats", "old-sidecar-with-alpha",
         ],
@@ -178,23 +160,19 @@ class TestTriPartition:
         b = tri_partition(g, default_params(g, seed=1))
         assert a.patch != b.patch
 
-    def test_sparse_input_rejected(self):
-        with pytest.raises(InputError):
-            tri_partition(cycle_graph(6), PipelineParams(0.9, 0.05, 0.01, 0.2))
-
     def test_odd_degree_rejected(self):
-        with pytest.raises(InputError):
-            tri_partition(complete_graph(4), PipelineParams(0.5, 0.05, 0.01, 0.2))
+        with pytest.raises(InputError, match="degree 3 is odd"):
+            tri_partition(complete_graph(4), PipelineParams(eps=0.05))
 
     def test_irregular_rejected(self):
         g = Graph(4, frozenset({(0, 1), (1, 2)}))
-        with pytest.raises(InputError):
-            tri_partition(g, PipelineParams(0.1, 0.05, 0.01, 0.2))
+        with pytest.raises(InputError, match="regular graph with edges"):
+            tri_partition(g, PipelineParams(eps=0.05))
 
     def test_edgeless_input_rejected(self):
-        # degree 0 clears a tiny c*n and would leave nothing to extract
+        # degree 0 would leave nothing to extract
         with pytest.raises(InputError, match="with edges"):
-            tri_partition(empty_graph(6), PipelineParams(1e-12, 0.05, 0.01, 0.2))
+            tri_partition(empty_graph(6), PipelineParams(eps=0.05))
 
     def test_raw_core_outside_the_degree_band_ends_each_split(self, monkeypatch):
         # K21 at the default eps gives c0*n = 12.43 and n^(2/3) = 7.61.  The

@@ -116,6 +116,19 @@ def test_rotate_or_close_rejects_mismatched_sizes(sizes):
         rotate_or_close(partial, core, patch)
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_moves_reject_cover_vertices_out_of_range(bad):
+    # a negative vertex would read a bit row from the end: on K6 less (0, 4),
+    # with (0, 4) in the patch, rotate_or_close closed (0, 1, -1, 2, 3, 4)
+    core, patch = complete_graph(6).subtract([(0, 4)]), build_graph(6, [(0, 4)])
+    factor = TwoFactor(6, ((0, 1, 2),), ((3, bad), (4, 5)))
+    with pytest.raises(InputError, match=rf"cover vertex outside 0\.\.5: .*{bad}"):
+        merge_step(factor, core, patch)
+    partial = PartialHC(6, (0, 1, bad, 2, 3, 4), (), ())
+    with pytest.raises(InputError, match=rf"cover vertex outside 0\.\.5: .*{bad}"):
+        rotate_or_close(partial, core, patch)
+
+
 class TestRotateOrClose:
     def test_endpoint_extension_into_cycle(self):
         host = build_graph(
@@ -634,6 +647,7 @@ class TestDerivedCovers:
         assert seen
         for cover, host in seen:
             if isinstance(cover, PartialHC):
+                assert cover.derived  # so the next move skips the range check
                 rebuilt = build_partial(host, cover.path, cover.cycles, cover.pairs)
             else:
                 rebuilt = TwoFactor.build(host, cover.cycles, cover.pairs)
@@ -649,8 +663,9 @@ class TestDerivedCovers:
 
     @staticmethod
     def _validations_match_draws_and_cycles(g, monkeypatch) -> int:
-        calls, draws, closed, rerouted = [], [], [], []
+        calls, walks, draws, closed, rerouted = [], [], [], [], []
         validate = factor_mod._validate_cover
+        walk = rotation._walk_cycle
         sample = rotation.sample_le2_factor
         close = rotation.rotate_or_close
         reroute = rotation._reroute
@@ -658,6 +673,10 @@ class TestDerivedCovers:
         def counting(*args):
             calls.append(args[0])
             return validate(*args)
+
+        def walking(*args):
+            walks.append(args[0])
+            return walk(*args)
 
         def drawing(*args, **kwargs):
             draws.append(sample(*args, **kwargs))
@@ -676,6 +695,7 @@ class TestDerivedCovers:
             return out
 
         monkeypatch.setattr(factor_mod, "_validate_cover", counting)
+        monkeypatch.setattr(rotation, "_walk_cycle", walking)
         monkeypatch.setattr(rotation, "sample_le2_factor", drawing)
         monkeypatch.setattr(rotation, "rotate_or_close", closing)
         monkeypatch.setattr(rotation, "_reroute", rerouting)
@@ -687,7 +707,8 @@ class TestDerivedCovers:
             len(closed) + sum(f.is_hamilton_cycle for f in draws) + len(rerouted)
         )
         assert finished >= run.rotation_cycles
-        assert len(calls) == len(draws) + finished
+        assert len(calls) == len(draws)
+        assert len(walks) == finished
         return len(rerouted)
 
     def test_a_cycle_on_a_non_edge_is_an_internal_fault(self, monkeypatch):
@@ -705,6 +726,16 @@ class TestDerivedCovers:
             extract_hamilton_step(tp.core, tp.patch, params, seed=0)
         named = re.search(r"non-edge \((\d+), (\d+)\)", str(info.value)).groups()
         assert tuple(map(int, named)) in tp.residual.edges
+
+    def test_a_cycle_repeating_a_vertex_is_an_internal_fault(self, monkeypatch):
+        # a closed trail of K9's edges, each used once, through 0 twice and
+        # missing 8: shaped like a Hamilton cycle, so the step walks it
+        g = complete_graph(9)
+        bad = TwoFactor(9, ((0, 1, 2, 0, 3, 4, 5, 6, 7),), ())
+        assert bad.is_hamilton_cycle
+        monkeypatch.setattr(rotation, "sample_le2_factor", lambda *a, **k: bad)
+        with pytest.raises(AssertionError, match="misses or repeats a vertex"):
+            extract_hamilton_step(g, empty_graph(9), params_for(g), seed=0)
 
 
 @pytest.mark.parametrize("name", ["K201", "P197"])

@@ -26,12 +26,13 @@ from hamdeck.counting import (
     decomposition_log_lower,
     decomposition_log_upper,
 )
+from hamdeck.partition import PipelineParams
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--eps", type=float, default=0.05)
+    parser.add_argument("--eps", type=float, default=PipelineParams.eps)
     args = parser.parse_args()
     # the largest even degree below n must fit the exact count's edge cap
     top = (args.max_n - 1) // 2 * 2

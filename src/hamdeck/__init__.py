@@ -32,12 +32,7 @@ from .counting import (
     decomposition_log_lower,
     decomposition_log_upper,
 )
-from .decompose import (
-    complete_residual,
-    decompose_odd,
-    decompose_pipeline,
-    run_pipeline,
-)
+from .decompose import complete_residual, decompose_odd, run_pipeline
 from .errors import BudgetError, HamdeckError, InfeasibleError, InputError
 from .factor import (
     PartialHC,
@@ -82,7 +77,6 @@ __all__ = [
     "count_hamilton_cycles_exact",
     "cycle_graph",
     "decompose_odd",
-    "decompose_pipeline",
     "decomposition_log_lower",
     "decomposition_log_upper",
     "empty_graph",

@@ -16,12 +16,13 @@ import logging
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 from .counting import (
     bregman_log_bound,
+    count_decompositions_exact,
     count_hamilton_cycles_exact,
-    count_report,
     decomposition_log_lower,
     decomposition_log_upper,
     decomposition_log_upper_asymptotic,
@@ -37,7 +38,6 @@ from .partition import (
     tri_partition,
     verify_partition,
 )
-from .util import deadline_from_ms
 from .walecki import Decomposition, verify_decomposition, walecki_decomposition
 
 EXIT_OK = 0
@@ -91,9 +91,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def _params_for(graph: Graph, args, deadline) -> PipelineParams:
-    overrides = {k: getattr(args, k, None) for k in ("eps", "max_steps")}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return default_params(graph, seed=args.seed, deadline=deadline, **overrides)
+    return default_params(
+        graph, seed=args.seed, deadline=deadline, eps=args.eps,
+        max_steps=getattr(args, "max_steps", None),
+    )
 
 
 def _decomposition_payload(deco: Decomposition, args, extra_meta=None) -> dict:
@@ -155,11 +156,27 @@ def _cmd_decompose_odd(args, deadline) -> int:
 
 def _cmd_count(args, deadline) -> int:
     graph = _load_graph(args.graph)
-    report = count_report(
-        graph, eps=args.eps if args.eps is not None else 0.05,
-        exact=args.exact, deadline=deadline,
-    )
-    payload = report.to_json_dict()
+    r = graph.regular_degree()
+    if r is None:
+        raise InputError("count report needs a regular graph")
+    if r % 2 != 0:
+        raise InputError(f"degree {r} is odd")
+    methods = ["finite-product-upper"]
+    exact = None
+    if args.exact:
+        exact = str(count_decompositions_exact(graph, deadline=deadline))
+        methods.append("anchored-recursion-class-memo")
+    if r:  # even, so at least 2
+        methods.append("constructive-lower")
+    # the bounds are asymptotic and recorded, not enforced: at desk-scale n
+    # they need not bracket the exact count
+    payload = {
+        "exact_count": exact,
+        "log_lower": decomposition_log_lower(graph.n, r, args.eps) if r else None,
+        "log_upper": decomposition_log_upper(graph.n, r) if r else 0.0,
+        "formula_inputs": {"n": graph.n, "r": r, "eps": args.eps},
+        "methods": methods,
+    }
     if args.hamilton:
         payload["hamilton_cycles_exact"] = str(
             count_hamilton_cycles_exact(graph, deadline)
@@ -241,11 +258,10 @@ def _cmd_check_expander(args, deadline) -> int:
 
 
 def _cmd_bounds(args, deadline) -> int:
-    eps = args.eps if args.eps is not None else 0.05
     payload = {
         "n": args.n,
         "r": args.r,
-        "eps": eps,
+        "eps": args.eps,
         "hamilton_log_upper": bregman_log_bound(args.n, args.r),
         "decomposition_log_upper": decomposition_log_upper(args.n, args.r)
         if args.r % 2 == 0
@@ -253,7 +269,7 @@ def _cmd_bounds(args, deadline) -> int:
         "decomposition_log_upper_asymptotic": decomposition_log_upper_asymptotic(
             args.n, args.r
         ),
-        "decomposition_log_lower": decomposition_log_lower(args.n, args.r, eps),
+        "decomposition_log_lower": decomposition_log_lower(args.n, args.r, args.eps),
         "meta": _meta(args),
     }
     _emit(args, payload)
@@ -299,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose an even-regular graph")
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
-    p.add_argument("--eps", type=float, default=None, help="slack fraction")
+    p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
     p.add_argument("--max-steps", type=int, default=None, help="cap rotation steps")
     p.add_argument("--trace", action="store_true", help="per-step stats to stderr")
     p.set_defaults(handler=_cmd_decompose)
@@ -309,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
-    p.add_argument("--eps", type=float, default=None, help="slack fraction")
+    p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
     p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(handler=_cmd_decompose_odd)
 
     p = sub.add_parser("count", help="decomposition count report with bounds")
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
     p.add_argument("--exact", action="store_true", help="run the exact oracle")
     p.add_argument(
         "--hamilton", action="store_true", help="also count Hamilton cycles exactly"
@@ -333,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--out", required=True, help="output path prefix")
     _add_common(p)
-    p.add_argument("--eps", type=float, default=None, help="slack fraction")
+    p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
     p.set_defaults(handler=_cmd_partition)
 
     p = sub.add_parser("sample-factor", help="sample a random (<=2)-factor")
@@ -353,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound formulas for (n, r)")
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
     _add_common(p)
     p.set_defaults(handler=_cmd_bounds)
 
@@ -373,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         print(f"error: bad HAMDECK_BUDGET_MS value {budget_ms!r}", file=sys.stderr)
         return EXIT_INPUT
-    deadline = deadline_from_ms(budget)
+    deadline = None if budget is None else time.monotonic() + budget / 1000.0
     try:
         return args.handler(args, deadline)
     except InputError as exc:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import InputError
 from .graphs import Graph, connected_over, decompositions, strip_cycle
@@ -203,59 +202,6 @@ def decomposition_log_lower(n: int, r: int, eps: float) -> float:
     if not (0 < eps < 0.1):
         raise InputError(f"eps must be in (0, 1/10), got {eps}")
     return (1 - 5 * eps) * (r * n / 2) * math.log(r)
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Exact count (when computed) next to the log-scale bound formulas.
-
-    The bounds are asymptotic and are recorded, not enforced, against the
-    exact count: at desk-scale n they need not bracket it.
-    """
-
-    exact_count: int | None
-    log_lower: float | None
-    log_upper: float
-    formula_inputs: dict = field(default_factory=dict)
-    methods: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exact_count": str(self.exact_count)
-            if self.exact_count is not None
-            else None,
-            "log_lower": self.log_lower,
-            "log_upper": self.log_upper,
-            "formula_inputs": dict(self.formula_inputs),
-            "methods": list(self.methods),
-        }
-
-
-def count_report(
-    g: Graph, *, eps: float = 0.05, exact: bool = False, deadline=None
-) -> CountReport:
-    """Decomposition-count report for a regular even-degree graph."""
-    r = g.regular_degree()
-    if r is None:
-        raise InputError("count report needs a regular graph")
-    if r % 2 != 0:
-        raise InputError(f"degree {r} is odd")
-    methods = ["finite-product-upper"]
-    exact_count = None
-    if exact:
-        exact_count = count_decompositions_exact(g, deadline=deadline)
-        methods.append("anchored-recursion-class-memo")
-    log_lower = None
-    if r >= 2:
-        log_lower = decomposition_log_lower(g.n, r, eps)
-        methods.append("constructive-lower")
-    return CountReport(
-        exact_count=exact_count,
-        log_lower=log_lower,
-        log_upper=decomposition_log_upper(g.n, r) if r >= 2 else 0.0,
-        formula_inputs={"n": g.n, "r": r, "eps": eps},
-        methods=tuple(methods),
-    )
 
 
 # -- regular graph corpus ------------------------------------------------------

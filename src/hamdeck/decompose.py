@@ -349,7 +349,6 @@ class PipelineRun:
     decomposition: Decomposition
     rotation_cycles: int
     completed_cycles: int
-    partition_stats: dict = field(default_factory=dict)
     step_stats: list = field(default_factory=list)
     attempts: int = 1
     fallback_whole_graph: bool = False
@@ -380,7 +379,8 @@ def run_pipeline(
     rejected before the tri-partition.  With no cycle removed, the
     completer's InfeasibleError is a proof about the input and is raised.
     ``params`` default to ``default_params(graph)``; no density is required
-    of the input, since the paper's density fraction c is its own r/n.
+    of the input, since the paper's density fraction c is its own r/n.  The
+    seed is ``seed``, else ``params.seed``, else 0.
     """
     t0 = time.perf_counter()
     r = graph.regular_degree()
@@ -403,15 +403,13 @@ def run_pipeline(
         attempt_seed = spawn_seed(seed, "pipeline", attempt)
         cycles: list[tuple[int, ...]] = []
         step_stats: list[dict] = []
-        partition_stats: dict = {}
         fallback = False
         try:
             tp: TriPartition | None = None
             rows = graph.adj_bits  # the residual when the split falls back
             try:
                 tp = tri_partition(graph, replace(params, seed=attempt_seed))
-                partition_stats = dict(tp.stats)
-            except (BudgetError, InfeasibleError) as exc:
+            except BudgetError as exc:
                 log.warning("tri-partition failed (%s); completing whole graph", exc)
                 fallback = True
 
@@ -423,7 +421,8 @@ def run_pipeline(
                     check_deadline(params.deadline, "pipeline step")
                     try:
                         step = extract_hamilton_step(
-                            core, patch, params, spawn_seed(attempt_seed, "step", i)
+                            core, patch, spawn_seed(attempt_seed, "step", i),
+                            deadline=params.deadline,
                         )
                     except BudgetError as exc:
                         log.warning(
@@ -482,7 +481,6 @@ def run_pipeline(
                 decomposition=deco,
                 rotation_cycles=len(cycles),
                 completed_cycles=completion.cycle_count,
-                partition_stats=partition_stats,
                 step_stats=step_stats,
                 attempts=attempt + 1,
                 fallback_whole_graph=fallback,
@@ -496,13 +494,6 @@ def run_pipeline(
     raise BudgetError(
         f"pipeline failed after {PIPELINE_RETRIES} attempts (last: {last_error})"
     )
-
-
-def decompose_pipeline(
-    graph: Graph, params: PipelineParams | None = None, seed: int | None = None
-) -> Decomposition:
-    """Hamiltonian decomposition of an even-regular dense graph."""
-    return run_pipeline(graph, params, seed).decomposition
 
 
 def decompose_odd(
@@ -519,7 +510,9 @@ def decompose_odd(
     from any remainder propagates.  With degree 3 or more a disconnected
     input is rejected before any matching is tried; a 1-regular input is a
     matching and needs no connectivity.  ``params`` pass to the remainder's
-    pipeline unchanged, since none of them depends on the degree.
+    pipeline unchanged, since none of them depends on the degree.  The seed,
+    resolved once as ``run_pipeline`` does (``seed``, else ``params.seed``,
+    else 0), seeds both the pipeline and the exact completer.
     """
     r = graph.regular_degree()
     if r is None:
@@ -533,19 +526,22 @@ def decompose_odd(
     exact = graph.n < PIPELINE_MIN_N or r == 1
     if graph.n == 2:
         log.debug("degenerate n=2 input: matching only, no cycles")
-    deadline = params.deadline if params is not None else None
+    if params is None:
+        params = default_params(graph, seed=seed if seed is not None else 0)
+    if seed is None:
+        seed = params.seed
     for matching in _perfect_matchings(graph):
-        check_deadline(deadline, "odd-degree decomposition")
+        check_deadline(params.deadline, "odd-degree decomposition")
         remainder = graph.subtract(matching)
         try:
             if exact:
                 cycles = complete_residual(
                     remainder,
-                    deadline=deadline,
-                    seed=spawn_seed(seed if seed is not None else 0, "odd-completion"),
+                    deadline=params.deadline,
+                    seed=spawn_seed(seed, "odd-completion"),
                 ).cycles
             else:
-                cycles = decompose_pipeline(remainder, params, seed).cycles
+                cycles = run_pipeline(remainder, params, seed).decomposition.cycles
         except InfeasibleError:
             continue
         break

@@ -50,7 +50,7 @@ class TwoFactor:
         canon_cycles = tuple(sorted(canonical_cycle(c) for c in cycles))
         canon_pairs = tuple(sorted(norm_edge(u, v) for u, v in pairs))
         factor = cls(host.n, canon_cycles, canon_pairs)
-        factor.validate_in(host)
+        _validate_cover("factor", host, factor)
         return factor
 
     @property
@@ -64,9 +64,6 @@ class TwoFactor:
             and len(self.cycles) == 1
             and len(self.cycles[0]) == self.host_n
         )
-
-    def validate_in(self, host: Graph) -> None:
-        _validate_cover("factor", host, self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,11 +88,6 @@ class PartialHC:
     @property
     def component_count(self) -> int:
         return 1 + len(self.cycles) + len(self.pairs)
-
-    def validate_in(self, host: Graph) -> None:
-        if len(self.path) < 2:
-            raise InputError("path component needs at least 2 vertices")
-        _validate_cover("partial", host, self, self.path)
 
 
 def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:

@@ -331,29 +331,25 @@ def substitution_gadget(
     patch less the cycle and adds the used endpoints to the exclusion set,
     so no gadget can take an earlier one's edges: both ends of those are in
     the set, and every edge read here ends at x1, x2, y1 or y2, outside it.
+    Candidates are bit masks, searched in increasing x1, x2, y1, y2 order.
     """
     if x == y:
         raise InputError("gadget endpoints must be distinct")
     n = core.n
-    banned = set(excluded) | {x, y}
     if len(excluded) > _gadget_capacity(n):
         raise InputError(
             f"exclusion set of size {len(excluded)} exceeds capacity "
             f"{_gadget_capacity(n):.2f}"
         )
-    for x1 in iter_bits(core.adj_bits[x]):
-        if x1 in banned:
-            continue
-        for x2 in iter_bits(patch.adj_bits[x1]):
-            if x2 in banned:
-                continue
-            for y1 in iter_bits(core.adj_bits[y]):
-                if y1 in banned or y1 in (x1, x2):
-                    continue
-                for y2 in iter_bits(patch.adj_bits[y1]):
-                    if y2 in banned or y2 in (x1, x2, y1) or not core.has_edge(x2, y2):
-                        continue
-                    return (x1, x2, y1, y2)
+    core_rows, patch_rows, bit = core.adj_bits, patch.adj_bits, single_bits(n)
+    allowed = ~(_mask_of(excluded) | bit[x] | bit[y])
+    for x1 in iter_bits(core_rows[x] & allowed):
+        for x2 in iter_bits(patch_rows[x1] & allowed):
+            taken = bit[x1] | bit[x2]
+            for y1 in iter_bits(core_rows[y] & allowed & ~taken):
+                y2s = patch_rows[y1] & core_rows[x2] & allowed & ~(taken | bit[y1])
+                if y2s:
+                    return (x1, x2, y1, (y2s & -y2s).bit_length() - 1)
     raise SearchFailedError(
         f"no substitution gadget for ({x}, {y}) with {len(excluded)} excluded "
         f"vertices (capacity n^0.6={_gadget_capacity(n):.2f})"
@@ -436,7 +432,7 @@ class StepResult:
 
 
 def extract_hamilton_step(
-    core: Graph, patch: Graph, params, seed: int
+    core: Graph, patch: Graph, seed: int, *, deadline: float | None = None
 ) -> StepResult:
     """Extract one Hamilton cycle from core ∪ patch and rebalance the core.
 
@@ -448,7 +444,7 @@ def extract_hamilton_step(
     ``component_budget(n)`` components is discarded before any move, and so
     is every dead end, including a reroute that reaches ROTATION_VISIT_CAP
     paths; the step redraws up to STEP_RESTARTS times, then raises
-    BudgetError.
+    BudgetError, as it does once ``deadline`` has passed.
     """
     if core.n != patch.n:
         raise InputError("core and patch must share a vertex set")
@@ -464,12 +460,10 @@ def extract_hamilton_step(
 
     last_error: Exception | None = None
     for restart in range(STEP_RESTARTS):
-        check_deadline(params.deadline, "hamilton step")
+        check_deadline(deadline, "hamilton step")
         try:
             factor = sample_le2_factor(
-                core,
-                spawn_seed(seed, "draw", restart),
-                deadline=params.deadline,
+                core, spawn_seed(seed, "draw", restart), deadline=deadline
             )
             if factor.component_count > budget:
                 raise SearchFailedError(

@@ -38,13 +38,6 @@ def spawn_seed(seed: int, *tags: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def deadline_from_ms(budget_ms: float | None) -> float | None:
-    """Absolute monotonic deadline for a wall-clock budget in milliseconds."""
-    if budget_ms is None:
-        return None
-    return time.monotonic() + budget_ms / 1000.0
-
-
 def check_deadline(deadline: float | None, what: str = "operation") -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetError(f"wall-clock budget exhausted during {what}")

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from hamdeck.factor import PartialHC
+from hamdeck.errors import InputError
+from hamdeck.factor import PartialHC, _validate_cover
 from hamdeck.graphs import Graph, build_graph, complete_graph, norm_edge
 from hamdeck.walecki import canonical_cycle, cycle_edges
 
@@ -70,7 +71,9 @@ def build_partial(host: Graph, path, cycles, pairs) -> PartialHC:
         tuple(sorted(canonical_cycle(c) for c in cycles)),
         tuple(sorted(norm_edge(u, v) for u, v in pairs)),
     )
-    partial.validate_in(host)
+    if len(partial.path) < 2:
+        raise InputError("path component needs at least 2 vertices")
+    _validate_cover("partial", host, partial, partial.path)
     return partial
 
 

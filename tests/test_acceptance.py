@@ -167,7 +167,7 @@ def test_criterion_6_rotation_steps():
     host_edges = tp.core.edges | tp.patch.edges
     start = time.perf_counter()
     for seed in range(100):
-        step = extract_hamilton_step(tp.core, tp.patch, params, seed)
+        step = extract_hamilton_step(tp.core, tp.patch, seed)
         assert len(step.cycle) == 21
         assert len(set(step.cycle)) == 21
         assert step.cycle_edges() <= host_edges

@@ -481,6 +481,127 @@ class TestDeterminism:
             assert first == second
 
 
+# Whole ``--no-meta`` outputs of ``count`` and ``bounds``: argv (a graph
+# named by the key of PIN_GRAPHS), then the exit code and stdout.  JSON
+# outputs are given as the payload less its meta, which is fixed.
+PIN_GRAPHS = {
+    "k4": complete_graph(4),
+    "k5": complete_graph(5),
+    "k7": complete_graph(7),
+    "k9": complete_graph(9),
+    "e6": build_graph(6, []),
+}
+PIN_META = {"seed": 0, "tool": "hamdeck"}
+ALL_METHODS = ["finite-product-upper", "anchored-recursion-class-memo", "constructive-lower"]
+PINNED_PAYLOADS = [
+    (
+        ("count", "k5", "--exact"),
+        {
+            "exact_count": "6",
+            "log_lower": 10.39720770839918,
+            "log_upper": 5.705435239334793,
+            "formula_inputs": {"n": 5, "r": 4, "eps": 0.05},
+            "methods": ALL_METHODS,
+        },
+    ),
+    (
+        ("count", "k9"),
+        {
+            "exact_count": None,
+            "log_lower": 56.144921625355565,
+            "log_upper": 32.06883851440619,
+            "formula_inputs": {"n": 9, "r": 8, "eps": 0.05},
+            "methods": ["finite-product-upper", "constructive-lower"],
+        },
+    ),
+    (
+        ("count", "k7", "--exact", "--hamilton", "--eps", "0.08"),
+        {
+            "exact_count": "960",
+            "log_lower": 22.576169312273493,
+            "log_upper": 15.663402415747164,
+            "formula_inputs": {"n": 7, "r": 6, "eps": 0.08},
+            "methods": ALL_METHODS,
+            "hamilton_cycles_exact": "360",
+        },
+    ),
+    (
+        ("count", "e6"),
+        {
+            "exact_count": None,
+            "log_lower": None,
+            "log_upper": 0.0,
+            "formula_inputs": {"n": 6, "r": 0, "eps": 0.05},
+            "methods": ["finite-product-upper"],
+        },
+    ),
+    (
+        ("bounds", "10", "4"),
+        {
+            "n": 10,
+            "r": 4,
+            "eps": 0.05,
+            "hamilton_log_upper": 7.945134575869862,
+            "decomposition_log_upper": 11.410870478669587,
+            "decomposition_log_upper_asymptotic": -12.274112777602188,
+            "decomposition_log_lower": 20.79441541679836,
+        },
+    ),
+    (
+        ("bounds", "10", "5"),
+        {
+            "n": 10,
+            "r": 5,
+            "eps": 0.05,
+            "hamilton_log_upper": 9.574983485564093,
+            "decomposition_log_upper": None,
+            "decomposition_log_upper_asymptotic": -9.764052189147494,
+            "decomposition_log_lower": 30.17696085813938,
+        },
+    ),
+]
+K5_COUNT_TEXT = """\
+exact_count: None
+log_lower: 10.39720770839918
+log_upper: 5.705435239334793
+formula_inputs:
+  n: 5
+  r: 4
+  eps: 0.05
+methods: ['finite-product-upper', 'constructive-lower']
+meta:
+  seed: 0
+  tool: hamdeck
+"""
+
+
+class TestPinnedPayloads:
+    @staticmethod
+    def run(capsys, tmp_path, argv):
+        if argv[1] in PIN_GRAPHS:
+            path = tmp_path / f"{argv[1]}.edges"
+            save_edge_list(PIN_GRAPHS[argv[1]], path)
+            argv = (argv[0], str(path), *argv[2:])
+        code = main([*argv, "--no-meta"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv, payload", PINNED_PAYLOADS, ids=[" ".join(a) for a, _ in PINNED_PAYLOADS]
+    )
+    def test_json_output(self, capsys, tmp_path, argv, payload):
+        expect = json.dumps({**payload, "meta": PIN_META}, indent=2) + "\n"
+        assert self.run(capsys, tmp_path, argv) == (0, expect, "")
+
+    def test_text_output(self, capsys, tmp_path):
+        argv = ("count", "k5", "--format", "text")
+        assert self.run(capsys, tmp_path, argv) == (0, K5_COUNT_TEXT, "")
+
+    def test_odd_degree_exits_3(self, capsys, tmp_path):
+        out = self.run(capsys, tmp_path, ("count", "k4"))
+        assert out == (3, "", "error: degree 3 is odd\n")
+
+
 class TestBlasThreads:
     @staticmethod
     def threads_after_import(preset):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -6,6 +7,7 @@ import time
 import pytest
 
 from hamdeck import counting
+from hamdeck.cli import main
 from hamdeck.counting import (
     _class_entry,
     _hamilton_cycles_from,
@@ -15,7 +17,6 @@ from hamdeck.counting import (
     count_decompositions_exact,
     count_decompositions_ordered,
     count_hamilton_cycles_exact,
-    count_report,
     decomposition_log_lower,
     decomposition_log_upper,
     decomposition_log_upper_asymptotic,
@@ -27,6 +28,7 @@ from hamdeck.graphs import (
     complete_graph,
     connected_over,
     cycle_graph,
+    save_edge_list,
 )
 from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
 
@@ -460,18 +462,28 @@ class TestCorpus:
 
 
 class TestCountReport:
-    def test_exact_report_serializes_big_ints_as_strings(self):
-        report = count_report(complete_graph(5), exact=True)
-        data = report.to_json_dict()
+    """The report ``hamdeck count`` prints, built from the functions above."""
+
+    @staticmethod
+    def report(capsys, tmp_path, g, *flags):
+        path = tmp_path / "g.edges"
+        save_edge_list(g, path)
+        code = main(["count", str(path), *flags, "--no-meta"])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out) if captured.out else None, captured.err
+
+    def test_exact_report_serializes_big_ints_as_strings(self, capsys, tmp_path):
+        _, data, _ = self.report(capsys, tmp_path, complete_graph(5), "--exact")
         assert data["exact_count"] == "6"
         assert data["log_upper"] == pytest.approx(5.7054, abs=1e-3)
 
-    def test_without_exact(self):
-        report = count_report(complete_graph(9))
-        assert report.exact_count is None
-        assert report.log_lower is not None
+    def test_without_exact(self, capsys, tmp_path):
+        _, data, _ = self.report(capsys, tmp_path, complete_graph(9))
+        assert data["exact_count"] is None
+        assert data["log_lower"] is not None
 
-    def test_irregular_rejected(self):
+    def test_irregular_rejected(self, capsys, tmp_path):
         g = build_graph(4, [(0, 1), (1, 2)])
-        with pytest.raises(InputError):
-            count_report(g)
+        code, data, err = self.report(capsys, tmp_path, g)
+        assert (code, data) == (3, None)
+        assert "count report needs a regular graph" in err

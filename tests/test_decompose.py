@@ -21,7 +21,6 @@ from hamdeck.decompose import (
     _rotation_first_cycle,
     complete_residual,
     decompose_odd,
-    decompose_pipeline,
     find_perfect_matching,
     run_pipeline,
 )
@@ -390,7 +389,7 @@ class TestPlanSteps:
 class TestPipeline:
     def test_k9_full_decomposition(self):
         g = complete_graph(9)
-        deco = decompose_pipeline(g, seed=0)
+        deco = run_pipeline(g, seed=0).decomposition
         assert deco.cycle_count == 4
         assert verify_decomposition(g, deco).ok
 
@@ -399,15 +398,15 @@ class TestPipeline:
         run = run_pipeline(g, seed=0)
         assert run.rotation_cycles + run.completed_cycles == 10
         assert verify_decomposition(g, run.decomposition).ok
-        assert run.partition_stats["core_degree"] % 2 == 0
+        assert not run.fallback_whole_graph
 
     def test_odd_degree_rejected(self):
         with pytest.raises(InputError):
-            decompose_pipeline(petersen(), seed=0)
+            run_pipeline(petersen(), seed=0)
 
     def test_small_n_rejected(self):
         with pytest.raises(InputError):
-            decompose_pipeline(cycle_graph(4), seed=0)
+            run_pipeline(cycle_graph(4), seed=0)
 
     def test_max_steps_override(self):
         from hamdeck.partition import default_params
@@ -488,11 +487,11 @@ class TestPipeline:
         full = run_pipeline(g, seed=0)
         real, steps = decompose.extract_hamilton_step, []
 
-        def fail_second_step(*args):
+        def fail_second_step(*args, **kwargs):
             steps.append(1)
             if len(steps) == 2:
                 raise BudgetError("hamilton step failed after 16 restarts")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(decompose, "extract_hamilton_step", fail_second_step)
         run = run_pipeline(g, seed=0)
@@ -521,8 +520,8 @@ class TestPipeline:
             cycles.clear()
             return split(*args)
 
-        def recorded_step(*args):
-            result = step(*args)
+        def recorded_step(*args, **kwargs):
+            result = step(*args, **kwargs)
             cycles.append(result.cycle)
             return result
 
@@ -543,8 +542,8 @@ class TestPipeline:
         # cycle's, gives a wrong residual, which the verification catches
         real, tampered = decompose.extract_hamilton_step, []
 
-        def misaccount(*args):
-            step = real(*args)
+        def misaccount(*args, **kwargs):
+            step = real(*args, **kwargs)
             if step.dropped_core and not tampered:
                 if fault == "lost":
                     dropped = step.dropped_core - {min(step.dropped_core)}
@@ -561,7 +560,8 @@ class TestPipeline:
 
     def test_deterministic(self):
         g = complete_graph(9)
-        assert decompose_pipeline(g, seed=5) == decompose_pipeline(g, seed=5)
+        first, second = (run_pipeline(g, seed=5).decomposition for _ in range(2))
+        assert first == second
 
     def test_cocktail_party_graph(self):
         # K20 minus a perfect matching: 18-regular, decomposable
@@ -606,6 +606,17 @@ class TestDecomposeOdd:
         deco = decompose_odd(g, default_params(g, seed=0), seed=0)
         assert deco.cycle_count == 5
         assert verify_decomposition(g, deco).ok
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_params_seed_seeds_the_exact_path(self, seed):
+        # n = 6 sends the remainder to the exact completer; the seed comes
+        # from params when no seed argument is given, as in run_pipeline
+        from hamdeck.partition import default_params
+
+        g = complete_graph(6)
+        params = default_params(g, seed=seed)
+        assert decompose_odd(g, params) == decompose_odd(g, params, seed=seed)
+        assert decompose_odd(g, seed=seed) == decompose_odd(g, params, seed=seed)
 
     def test_even_degree_rejected(self):
         with pytest.raises(InputError):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from hamdeck.errors import BudgetError, InfeasibleError, InputError
 from hamdeck.factor import (
-    PartialHC,
     TwoFactor,
     _random_perfect_matching,
+    _validate_cover,
     component_budget,
     sample_le2_factor,
 )
@@ -168,7 +168,7 @@ class TestSampling:
         g = complete_graph(7)
         for seed in range(20):
             factor = sample_le2_factor(g, seed)
-            factor.validate_in(g)
+            _validate_cover("factor", g, factor)
 
     def test_c5_forced_factor(self):
         factor = sample_le2_factor(cycle_graph(5), 0)
@@ -223,7 +223,7 @@ class TestSampling:
     def test_long_augmenting_paths_on_circulant_c3000(self, seed):
         # a recursive augmenting-path search hits the recursion limit here
         g = circulant(3000, (1, 2))
-        sample_le2_factor(g, seed).validate_in(g)
+        _validate_cover("factor", g, sample_le2_factor(g, seed))
 
     def test_unbalanced_complete_bipartite_has_no_factor(self):
         # K_{30,32}: a factor would match the 32-side into the 30-side
@@ -286,7 +286,7 @@ class TestStructures:
         with pytest.raises(InputError):
             TwoFactor.build(g, [[0, 1, 2, 3]], [(4, bad)])
         with pytest.raises(InputError):
-            PartialHC(6, (0, 1, bad), ((2, 3, 4),), ()).validate_in(g)
+            build_partial(g, (0, 1, bad), [(2, 3, 4)], [])
 
     def test_non_spanning_factor_rejected_at_build(self):
         with pytest.raises(InputError):

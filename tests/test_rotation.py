@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hamdeck import decompose, factor as factor_mod, rotation
 from hamdeck.errors import BudgetError, InputError, SearchFailedError
-from hamdeck.factor import PartialHC, TwoFactor
+from hamdeck.factor import PartialHC, TwoFactor, _validate_cover
 from hamdeck.graphs import (
     Graph,
     build_graph,
@@ -32,12 +32,8 @@ from hamdeck.rotation import (
 )
 from hamdeck.walecki import canonical_cycle, cycle_edges
 
-from conftest import build_partial, circulant, cover_edges, paley
+from conftest import build_partial, circulant, cover_edges, paley, random_graph
 from replay import net_effect, replay_moves
-
-
-def params_for(g, **overrides):
-    return default_params(g, **overrides)
 
 
 def non_core_gadget(core, patch, x, y, excluded):
@@ -54,6 +50,26 @@ def non_core_gadget(core, patch, x, y, excluded):
                     if fresh(x1, x2, y1, y2) and not core.has_edge(x2, y2):
                         return x1, x2, y1, y2
     raise AssertionError("no such gadget in the test input")
+
+
+def reference_gadget(core, patch, x, y, excluded):
+    """The four-loop gadget search over vertex sets that the bit-mask search
+    replaced: the first (x1, x2, y1, y2) in increasing order, or None."""
+    banned = set(excluded) | {x, y}
+    for x1 in core.adj[x]:
+        if x1 in banned:
+            continue
+        for x2 in patch.adj[x1]:
+            if x2 in banned:
+                continue
+            for y1 in core.adj[y]:
+                if y1 in banned or y1 in (x1, x2):
+                    continue
+                for y2 in patch.adj[y1]:
+                    if y2 in banned or y2 in (x1, x2, y1) or not core.has_edge(x2, y2):
+                        continue
+                    return (x1, x2, y1, y2)
+    return None
 
 
 def two_triangles_plus_bridge():
@@ -360,6 +376,25 @@ class TestGadget:
         with pytest.raises(InputError):
             substitution_gadget(g, g, 2, 2, set())
 
+    def test_mask_search_matches_the_four_loop_reference(self):
+        rng = random.Random(0)
+        outcomes = []
+        for _ in range(400):
+            n = rng.randrange(6, 40)
+            core = random_graph(n, rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
+            extra = random_graph(n, rng.uniform(0.1, 0.6), rng.randrange(1 << 30))
+            patch = build_graph(n, extra.edges - core.edges)
+            x, y = rng.sample(range(n), 2)
+            size = rng.randrange(int(n**0.6) + 1)
+            excluded = set(rng.sample(range(n), size))
+            try:
+                found = substitution_gadget(core, patch, x, y, excluded)
+            except SearchFailedError:
+                found = None
+            assert found == reference_gadget(core, patch, x, y, excluded)
+            outcomes.append(found is None)
+        assert 20 < sum(outcomes) < 380, sum(outcomes)
+
 
 @st.composite
 def cycle_splits(draw):
@@ -423,7 +458,7 @@ def test_gadgets_need_no_earlier_gadget_cleared(monkeypatch):
 class TestExtract:
     def test_k9_without_patch(self):
         g = complete_graph(9)
-        step = extract_hamilton_step(g, empty_graph(9), params_for(g), seed=0)
+        step = extract_hamilton_step(g, empty_graph(9), seed=0)
         assert len(step.cycle) == 9
         assert step.dropped_core == frozenset()
         assert step.promoted_patch == frozenset()
@@ -432,34 +467,33 @@ class TestExtract:
     def test_low_degree_rejected(self):
         g = cycle_graph(8)
         with pytest.raises(InputError):
-            extract_hamilton_step(g, empty_graph(8), params_for(complete_graph(8)), 0)
+            extract_hamilton_step(g, empty_graph(8), 0)
 
     def test_irregular_core_rejected(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
         with pytest.raises(InputError):
-            extract_hamilton_step(g, empty_graph(5), params_for(complete_graph(8)), 0)
+            extract_hamilton_step(g, empty_graph(5), 0)
 
     def test_overlapping_patch_rejected(self):
         # K5 is 4-regular, so the degree checks pass and the overlap fires
         g = complete_graph(5)
         with pytest.raises(InputError, match="already present"):
-            extract_hamilton_step(g, g, params_for(g), 0)
+            extract_hamilton_step(g, g, 0)
 
     def test_patch_sharing_a_core_edge_rejected(self):
         # an even-regular core, so only the overlap can be at fault
         core, patch = complete_graph(9), build_graph(9, [(3, 5), (7, 2)])
         with pytest.raises(InputError, match=r"\(2, 7\): already present"):
-            extract_hamilton_step(core, patch, params_for(core), 0)
+            extract_hamilton_step(core, patch, 0)
 
     def test_partitioned_k21_accounting(self):
         # K21's steps place one gadget each; Paley(53)'s seed 7 places two,
         # so the identity is also checked where gadgets follow one another
         gadgets = {}
         for g in (complete_graph(21), paley(53)):
-            params = params_for(g, seed=0)
-            tp = tri_partition(g, params)
+            tp = tri_partition(g, default_params(g, seed=0))
             for seed in (0, 7, 42):
-                step = extract_hamilton_step(tp.core, tp.patch, params, seed)
+                step = extract_hamilton_step(tp.core, tp.patch, seed)
                 gadgets[g.n, seed] = k = len(step.patch_edges_in_cycle)
                 union = (
                     step.new_core.edges
@@ -489,8 +523,8 @@ class TestExtract:
     def test_derived_working_graphs_match_full_builds(self, g, monkeypatch):
         steps = []
 
-        def recording_step(*args):
-            steps.append(extract_hamilton_step(*args))
+        def recording_step(*args, **kwargs):
+            steps.append(extract_hamilton_step(*args, **kwargs))
             return steps[-1]
 
         monkeypatch.setattr(decompose, "extract_hamilton_step", recording_step)
@@ -505,28 +539,25 @@ class TestExtract:
 
     def test_non_core_gadget_edge_fails_the_accounting_check(self, monkeypatch):
         g = complete_graph(51)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
+        tp = tri_partition(g, default_params(g, seed=0))
         monkeypatch.setattr(rotation, "substitution_gadget", non_core_gadget)
         with pytest.raises(AssertionError, match="accounting"):
             # the first step whose cycle uses a patch edge calls the gadget
             for seed in range(20):
-                extract_hamilton_step(tp.core, tp.patch, params, seed)
+                extract_hamilton_step(tp.core, tp.patch, seed)
 
     def test_replay_reproduces_cycle(self):
         g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
-        step = extract_hamilton_step(tp.core, tp.patch, params, seed=3)
+        tp = tri_partition(g, default_params(g, seed=0))
+        step = extract_hamilton_step(tp.core, tp.patch, seed=3)
         final = replay_moves(cover_edges(step.start_factor), step.moves)
         assert final == step.cycle_edges()
 
     def test_replay_survives_json_round_trip(self):
         # the moves that ``decompose --trace`` writes carry all a replay needs
         g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
-        step = extract_hamilton_step(tp.core, tp.patch, params, seed=5)
+        tp = tri_partition(g, default_params(g, seed=0))
+        step = extract_hamilton_step(tp.core, tp.patch, seed=5)
         revived = [
             Move(data["kind"], tuple((op, tuple(e)) for op, e in data["steps"]))
             for data in json.loads(json.dumps([m.to_json_dict() for m in step.moves]))
@@ -538,19 +569,17 @@ class TestExtract:
         from hamdeck.factor import component_budget
 
         g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
+        tp = tri_partition(g, default_params(g, seed=0))
         cap = 2 * component_budget(21) + 1
         for seed in range(10):
-            step = extract_hamilton_step(tp.core, tp.patch, params, seed)
+            step = extract_hamilton_step(tp.core, tp.patch, seed)
             assert len(step.moves) <= cap
 
     def test_merge_and_close_deltas(self):
         # component count drops by one per merge; closure adds one edge
         g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
-        step = extract_hamilton_step(tp.core, tp.patch, params, seed=11)
+        tp = tri_partition(g, default_params(g, seed=0))
+        step = extract_hamilton_step(tp.core, tp.patch, seed=11)
         edges = set(cover_edges(step.start_factor))
         comps = step.start_factor.component_count
         for move in step.moves:
@@ -590,7 +619,7 @@ class TestExtract:
             assert out is not None
             new, move = out
             assert new.is_hamilton_cycle
-            new.validate_in(host)
+            _validate_cover("factor", host, new)
             assert all(e in core.edges for op, e in move.steps if op == "+")
             assert len(cover_edges(new) - core.edges) < len(
                 cover_edges(old) - core.edges
@@ -600,7 +629,7 @@ class TestExtract:
             return out
 
         monkeypatch.setattr(rotation, "_reroute", checking)
-        step = extract_hamilton_step(core, patch, params_for(complete_graph(n)), 0)
+        step = extract_hamilton_step(core, patch, 0)
         assert step.restarts == 0 and step.start_factor == start
         assert len(rerouted) >= 2
         assert list(step.moves) == rerouted
@@ -612,13 +641,12 @@ class TestExtract:
         # with a cap of 0 every draw is over it: each is discarded before
         # any move, and the restart loop ends in BudgetError
         g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
+        tp = tri_partition(g, default_params(g, seed=0))
         merges = []
         monkeypatch.setattr(rotation, "component_budget", lambda n: 0)
         monkeypatch.setattr(rotation, "merge_step", lambda *a: merges.append(a))
         with pytest.raises(BudgetError, match="above the cap"):
-            extract_hamilton_step(tp.core, tp.patch, params, seed=0)
+            extract_hamilton_step(tp.core, tp.patch, seed=0)
         assert merges == []
 
 
@@ -713,8 +741,7 @@ class TestDerivedCovers:
 
     def test_a_cycle_on_a_non_edge_is_an_internal_fault(self, monkeypatch):
         g = complete_graph(21)
-        params = params_for(g, seed=0)
-        tp = tri_partition(g, params)
+        tp = tri_partition(g, default_params(g, seed=0))
         a, b = min(tp.residual.edges)
         # a Hamilton cycle of K21 through the residual edge (a, b)
         cycle = [a, b] + [v for v in range(21) if v not in (a, b)]
@@ -723,7 +750,7 @@ class TestDerivedCovers:
             rotation, "rotate_or_close", lambda *args: (bad, Move("rotate-close", ()))
         )
         with pytest.raises(AssertionError, match="non-edge") as info:
-            extract_hamilton_step(tp.core, tp.patch, params, seed=0)
+            extract_hamilton_step(tp.core, tp.patch, seed=0)
         named = re.search(r"non-edge \((\d+), (\d+)\)", str(info.value)).groups()
         assert tuple(map(int, named)) in tp.residual.edges
 
@@ -735,7 +762,7 @@ class TestDerivedCovers:
         assert bad.is_hamilton_cycle
         monkeypatch.setattr(rotation, "sample_le2_factor", lambda *a, **k: bad)
         with pytest.raises(AssertionError, match="misses or repeats a vertex"):
-            extract_hamilton_step(g, empty_graph(9), params_for(g), seed=0)
+            extract_hamilton_step(g, empty_graph(9), seed=0)
 
 
 @pytest.mark.parametrize("name", ["K201", "P197"])

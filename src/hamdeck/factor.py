@@ -50,7 +50,7 @@ class TwoFactor:
         canon_cycles = tuple(sorted(canonical_cycle(c) for c in cycles))
         canon_pairs = tuple(sorted(norm_edge(u, v) for u, v in pairs))
         factor = cls(host.n, canon_cycles, canon_pairs)
-        _validate_cover("factor", host, factor)
+        _validate_cover(host, factor)
         return factor
 
     @property
@@ -90,22 +90,22 @@ class PartialHC:
         return 1 + len(self.cycles) + len(self.pairs)
 
 
-def _validate_cover(kind: str, host: Graph, cover, *paths) -> None:
-    """Raise InputError naming ``kind`` unless the cover's cycles (length >= 3),
-    pairs and ``paths`` split the host's vertices disjointly along host edges."""
+def _validate_cover(host: Graph, cover) -> None:
+    """Raise InputError unless the factor's cycles (length >= 3) and pairs
+    split the host's vertices disjointly along host edges."""
     if host.n != cover.host_n:
-        raise InputError(f"host size {host.n} != {kind} host {cover.host_n}")
+        raise InputError(f"host size {host.n} != factor host {cover.host_n}")
     for cyc in cover.cycles:
         if len(cyc) < 3:
             raise InputError(f"cycle too short: {cyc}")
-    covered = [v for part in chain(paths, cover.cycles, cover.pairs) for v in part]
+    covered = [v for part in chain(cover.cycles, cover.pairs) for v in part]
     if len(covered) != host.n or set(covered) != set(range(host.n)):
-        raise InputError(f"{kind} components are not a disjoint spanning cover")
+        raise InputError("factor components are not a disjoint spanning cover")
     bit = single_bits(host.n)  # the cover is range-checked by now
-    for walk in chain(paths, (c + c[:1] for c in cover.cycles), cover.pairs):
+    for walk in chain((c + c[:1] for c in cover.cycles), cover.pairs):
         for a, b in zip(walk, walk[1:]):
             if not host.adj_bits[a] & bit[b]:
-                raise InputError(f"{kind} uses non-edge {norm_edge(a, b)}")
+                raise InputError(f"factor uses non-edge {norm_edge(a, b)}")
 
 
 # -- permutation <-> component projection ------------------------------------

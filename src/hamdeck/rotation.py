@@ -39,13 +39,22 @@ then cleared from the rows that become the new core and patch.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
 from .errors import BudgetError, InputError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
-from .graphs import Edge, Graph, _mask_of, iter_bits, norm_edge, single_bits
+from .graphs import (
+    Edge,
+    Graph,
+    _first_edge,
+    _mask_of,
+    iter_bits,
+    norm_edge,
+    single_bits,
+)
 from .util import EPS, check_deadline, spawn_seed
 from .walecki import canonical_cycle, cycle_edges
 
@@ -454,7 +463,9 @@ def extract_hamilton_step(
     if d % 2 != 0 or d < 4:
         raise InputError(f"core degree must be even and >= 4, got {d}")
     n = core.n
-    core.union(patch)  # InputError "already present" if they share an edge
+    overlap = _first_edge(map(operator.and_, core.adj_bits, patch.adj_bits))
+    if overlap is not None:
+        raise InputError(f"cannot add edge {overlap}: already present")
     budget = component_budget(n)
     cap = 2 * budget + 1
 

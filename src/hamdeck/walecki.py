@@ -3,14 +3,28 @@
 The classical hub-and-rotation zig-zag construction decomposes K_n (n odd)
 into (n-1)/2 edge-disjoint Hamilton cycles.  The Decomposition type and the
 checker are shared by every producer of decompositions in the package.
+
+The checker walks the host's bit rows one edge at a time.  On a host of
+``VECTOR_MIN_EDGES`` edges or more, once some other stage has loaded numpy,
+it first tries a vectorised certificate that can only say "valid"; anything
+it does not certify goes to the walk, which names the first violation.
+The checker never imports numpy itself, so ``hamdeck verify`` stays free of
+numpy's import cost.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InputError
-from .graphs import Edge, Graph, norm_edge, single_bits
+from .graphs import Edge, Graph, norm_edge, single_bits, unpack_rows
+
+# Hosts with fewer edges are checked by the bit-row walk alone: on one
+# 2-vCPU host the walk was faster on K11 (55 edges) and the certificate
+# 1.6x faster on K21 (210 edges).
+VECTOR_MIN_EDGES = 256
 
 
 def canonical_cycle(seq) -> tuple[int, ...]:
@@ -111,6 +125,46 @@ class VerifyResult:
     violation: str | None = None
 
 
+def _certified(np, g: Graph, d: Decomposition) -> bool:
+    """True only if d partitions g's edges into Hamilton cycles (+ matching),
+    checked on arrays: every cycle holds each vertex of range(n) once, each
+    vertex is in one matching pair, and the pairs, m in number, leave none
+    of g's edges unused.  False means "not certified", never "invalid".
+    Nothing is sorted: a version that sorted the rows and the edge ids
+    raised a K201 run's peak RSS by about 0.9 MB, this one by 0.15 MB."""
+    n, cycles, matching = g.n, d.cycles, d.matching
+    k, h = len(cycles), len(matching or ())
+    if set(map(len, cycles)) != {n} or set(map(len, matching or ())) - {2}:
+        return False
+    try:
+        rows = np.fromiter(chain.from_iterable(cycles), np.int64, k * n)
+        if matching is not None:
+            pairs = np.fromiter(chain.from_iterable(matching), np.int64, 2 * h)
+    except OverflowError:  # a vertex past int64 is out of range
+        return False
+    if rows.min() < 0 or rows.max() >= n:
+        return False
+    rows = rows.reshape(k, n)
+    seen = np.zeros((k, n), bool)
+    seen[np.arange(k)[:, None], rows] = True
+    if not seen.all():  # a row of n vertices missing one revisits another
+        return False
+    u, v = rows.ravel(), np.roll(rows, -1, axis=1).ravel()
+    if matching is not None:
+        # every vertex in exactly one pair, which also needs n even
+        if not ((pairs >= 0) & (pairs < n)).all():
+            return False
+        if not (np.bincount(pairs, minlength=n) == 1).all():
+            return False
+        u, v = np.concatenate((u, pairs[::2])), np.concatenate((v, pairs[1::2]))
+    # m pairs that leave no host edge unused are m distinct host edges
+    if len(u) != g.edge_count:
+        return False
+    free = unpack_rows(g.adj_bits, n)
+    free[u, v] = free[v, u] = 0
+    return not free.any()
+
+
 def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     """Check that d partitions g's edges into Hamilton cycles (+ matching).
 
@@ -119,9 +173,20 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     edges.  d may come from outside: in a cycle with a vertex out of range,
     ``has_edge`` range-checks both ends of each pair before its row is read.
     Returns the first violation found instead of raising.
+
+    On a host of ``VECTOR_MIN_EDGES`` edges or more, when numpy is already
+    loaded, ``_certified`` runs first and a valid d returns there, about 5x
+    faster than the walk on K101 and 6x on K201 and Paley(197).  numpy is
+    never imported for it: a warm import costs about 50 ms, a dozen walks of
+    K201.
+    Whatever the certificate does not certify is walked as before, so every
+    violation is named the same.
     """
     if d.host_n != g.n:
         return VerifyResult(False, f"host mismatch: {d.host_n} != {g.n}")
+    np = sys.modules.get("numpy")
+    if np is not None and g.edge_count >= VECTOR_MIN_EDGES and _certified(np, g, d):
+        return VerifyResult(True)
     free = list(g.adj_bits)  # the host edges that nothing has used yet
     bit = single_bits(g.n)
     for idx, cyc in enumerate(d.cycles):

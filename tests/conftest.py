@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hamdeck.errors import InputError
-from hamdeck.factor import PartialHC, _validate_cover
+from hamdeck.factor import PartialHC
 from hamdeck.graphs import Graph, build_graph, complete_graph, norm_edge
 from hamdeck.walecki import canonical_cycle, cycle_edges
 
@@ -73,7 +73,20 @@ def build_partial(host: Graph, path, cycles, pairs) -> PartialHC:
     )
     if len(partial.path) < 2:
         raise InputError("path component needs at least 2 vertices")
-    _validate_cover("partial", host, partial, partial.path)
+    if host.n != partial.host_n:
+        raise InputError(f"host size {host.n} != partial host {partial.host_n}")
+    for cyc in partial.cycles:
+        if len(cyc) < 3:
+            raise InputError(f"cycle too short: {cyc}")
+    parts = (partial.path, *partial.cycles, *partial.pairs)
+    covered = [v for part in parts for v in part]
+    if len(covered) != host.n or set(covered) != set(range(host.n)):
+        raise InputError("partial components are not a disjoint spanning cover")
+    walks = (partial.path, *(c + c[:1] for c in partial.cycles), *partial.pairs)
+    for walk in walks:
+        for a, b in zip(walk, walk[1:]):
+            if not host.has_edge(a, b):
+                raise InputError(f"partial uses non-edge {norm_edge(a, b)}")
     return partial
 
 

@@ -643,11 +643,14 @@ def test_import_leaves_array_libraries_unloaded(module, library):
 
 
 def test_walecki_bounds_and_verify_never_load_numpy(tmp_path):
-    graph = tmp_path / "k7.edges"
-    save_edge_list(complete_graph(7), graph)
-    deco = tmp_path / "k7.json"
-    deco.write_text(json.dumps(walecki_decomposition(7).to_json_dict()))
-    runs = [["walecki", "9"], ["bounds", "100", "50"], ["verify", str(graph), str(deco)]]
+    # K31's 465 edges pass walecki.VECTOR_MIN_EDGES: the certificate is
+    # tried only when numpy is already loaded, so it must not load it
+    runs = [["walecki", "9"], ["bounds", "100", "50"]]
+    for n in (7, 31):
+        graph, deco = tmp_path / f"k{n}.edges", tmp_path / f"k{n}.json"
+        save_edge_list(complete_graph(n), graph)
+        deco.write_text(json.dumps(walecki_decomposition(n).to_json_dict()))
+        runs.append(["verify", str(graph), str(deco)])
     code = (
         "import contextlib, io, sys\n"
         "from hamdeck.cli import main\n"

@@ -168,7 +168,7 @@ class TestSampling:
         g = complete_graph(7)
         for seed in range(20):
             factor = sample_le2_factor(g, seed)
-            _validate_cover("factor", g, factor)
+            _validate_cover(g, factor)
 
     def test_c5_forced_factor(self):
         factor = sample_le2_factor(cycle_graph(5), 0)
@@ -223,7 +223,7 @@ class TestSampling:
     def test_long_augmenting_paths_on_circulant_c3000(self, seed):
         # a recursive augmenting-path search hits the recursion limit here
         g = circulant(3000, (1, 2))
-        _validate_cover("factor", g, sample_le2_factor(g, seed))
+        _validate_cover(g, sample_le2_factor(g, seed))
 
     def test_unbalanced_complete_bipartite_has_no_factor(self):
         # K_{30,32}: a factor would match the 32-side into the 30-side

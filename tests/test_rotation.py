@@ -619,7 +619,7 @@ class TestExtract:
             assert out is not None
             new, move = out
             assert new.is_hamilton_cycle
-            _validate_cover("factor", host, new)
+            _validate_cover(host, new)
             assert all(e in core.edges for op, e in move.steps if op == "+")
             assert len(cover_edges(new) - core.edges) < len(
                 cover_edges(old) - core.edges

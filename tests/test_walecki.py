@@ -1,8 +1,13 @@
 import random
 import re
 
+# numpy loaded opens verify_decomposition's certificate on hosts of
+# VECTOR_MIN_EDGES edges or more
+import numpy as np
 import pytest
 
+from hamdeck import walecki
+from hamdeck.decompose import decompose_odd
 from hamdeck.errors import InputError
 from hamdeck.graphs import complete_graph
 from hamdeck.walecki import (
@@ -150,48 +155,127 @@ def with_vertex(cycles, old, new):
     return cycles[:1] + (renamed,) + cycles[2:]
 
 
-def mutated_decompositions():
-    """(name, host, decomposition) triples, each valid or with one kind of
-    violation, so that the first violation does not depend on edge order."""
-    k7, k9 = walecki_decomposition(7).cycles, walecki_decomposition(9).cycles
-    h7, h8, h9 = complete_graph(7), complete_graph(8), complete_graph(9)
-    cases = [
-        ("k7", h7, Decomposition(7, k7)),
-        ("k9", h9, Decomposition(9, k9)),
-        ("k8", h8, Decomposition(8, K8_CYCLES, K8_MATCHING)),
-        ("reused-edge", h7, Decomposition(7, (k7[0], k7[0], k7[2]))),
-        ("non-edge", h9.subtract({k9[1][:2]}), Decomposition(9, k9)),
-        ("uncovered-edges", h9, Decomposition(9, k9[:3])),
-        ("cycle-minus-one", h7, Decomposition(7, with_vertex(k7, 0, -1))),
-        ("cycle-n", h9, Decomposition(9, with_vertex(k9, 8, 9))),
-        ("short-cycle", h7, Decomposition(7, (k7[0][:6],) + k7[1:])),
-        ("revisit", h7, Decomposition(7, ((0, 1, 2, 3, 4, 5, 0),) + k7[1:])),
-        ("host-mismatch", h9, Decomposition(7, k7)),
-        ("matching-on-odd-n", h7, Decomposition(7, k7, ((0, 1),))),
-        ("shared-vertex", complete_graph(4), Decomposition(4, (), ((0, 1), (1, 2)))),
+def closed_trails(a, b):
+    """Two closed trails of length n that use each edge of the Hamilton
+    cycles a and b once, one of them through some vertex twice: walk a and b
+    from their common first vertex (b either way round) and swap tails where
+    both stand on one vertex at one step."""
+    assert a[0] == b[0]
+    for c in (b, b[:1] + b[:0:-1]):
+        for i in range(1, len(a)):
+            if a[i] == c[i]:
+                trails = a[i:] + c[:i], c[i:] + a[:i]
+                assert min(map(len, map(set, trails))) < len(a)
+                return trails
+    raise AssertionError("no common vertex at a common step")
+
+
+def odd_kinds(cycles):
+    """(kind, host, decomposition) for each violation a Hamilton
+    decomposition of K_n, n odd, can be mutated into."""
+    n = len(cycles[0])
+    host = complete_graph(n)
+    return [
+        ("reused-edge", host, Decomposition(n, (cycles[0],) + cycles[:1] + cycles[2:])),
+        ("non-edge", host.subtract({cycles[1][:2]}), Decomposition(n, cycles)),
+        (
+            # as many edges as the host, but the last cycle's are non-edges
+            "trade-for-non-edges",
+            host.subtract(cycle_edges(cycles[-1])),
+            Decomposition(n, cycles[:-2] + cycles[-1:]),
+        ),
+        ("uncovered-edges", host, Decomposition(n, cycles[:-1])),
+        ("extra-cycle", host, Decomposition(n, cycles + cycles[:1])),
+        ("cycle-minus-one", host, Decomposition(n, with_vertex(cycles, 0, -1))),
+        ("cycle-n", host, Decomposition(n, with_vertex(cycles, n - 1, n))),
+        ("cycle-huge", host, Decomposition(n, with_vertex(cycles, 0, 10**30))),
+        ("cycle-minus-huge", host, Decomposition(n, with_vertex(cycles, 0, -(10**30)))),
+        ("short-cycle", host, Decomposition(n, (cycles[0][:-1],) + cycles[1:])),
+        (
+            "revisit",
+            host,
+            Decomposition(n, (tuple(range(n - 1)) + (0,),) + cycles[1:]),
+        ),
+        (
+            "closed-trails",
+            host,
+            Decomposition(n, closed_trails(*cycles[:2]) + cycles[2:]),
+        ),
+        ("host-mismatch", complete_graph(n + 2), Decomposition(n, cycles)),
+        ("matching-on-odd-n", host, Decomposition(n, cycles, ((0, 1),))),
+    ]
+
+
+def even_kinds(cycles, matching):
+    """(kind, host, decomposition) for each violation the matching of a
+    decomposition of K_n, n even, can be mutated into."""
+    n = len(cycles[0])
+    host = complete_graph(n)
+    a, b = matching[0]
+    # the last cycle's edges moved into the matching: each edge once
+    absorbed = matching + tuple(sorted(cycle_edges(cycles[-1])))
+    return [
+        ("shared-vertex", host, Decomposition(n, cycles[:-1], absorbed)),
         (
             "matching-reuses-a-cycle-edge",
-            h8,
-            Decomposition(8, K8_CYCLES, ((0, 2), (1, 3), (4, 5), (6, 7))),
+            host,
+            Decomposition(n, cycles, (cycles[0][:2],) + matching[1:]),
         ),
-        ("matching-leaves-vertices", h8, Decomposition(8, K8_CYCLES, K8_MATCHING[1:])),
+        ("matching-leaves-vertices", host, Decomposition(n, cycles, matching[1:])),
         (
             "matching-minus-one",
-            h8,
-            Decomposition(8, K8_CYCLES, ((-1, 1),) + K8_MATCHING[1:]),
+            host,
+            Decomposition(n, cycles, ((-1, b),) + matching[1:]),
         ),
-        ("matching-n", h8, Decomposition(8, K8_CYCLES, K8_MATCHING[:3] + ((6, 8),))),
+        (
+            "matching-n",
+            host,
+            Decomposition(n, cycles, matching[:-1] + ((matching[-1][0], n),)),
+        ),
+        (
+            "matching-huge",
+            host,
+            Decomposition(n, cycles, ((a, 10**30),) + matching[1:]),
+        ),
     ]
-    # vertex swaps in a complete host: every pair is an edge, so the only
-    # violation a swap can cause is a reused edge
+
+
+def swaps(cycles, rng):
+    """Vertex swaps in one cycle of a decomposition of K_n: every pair is an
+    edge, so the only violation a swap can cause is a reused edge."""
+    n = len(cycles[0])
+    host = complete_graph(n)
+    for trial in range(8):
+        idx, (a, b) = rng.randrange(len(cycles)), rng.sample(range(n), 2)
+        mutant = list(cycles)
+        mutant[idx] = tuple({a: b, b: a}.get(v, v) for v in cycles[idx])
+        yield f"k{n}-swap-{trial}", host, Decomposition(n, tuple(mutant))
+
+
+def mutated_decompositions():
+    """(name, host, decomposition) triples, each valid or with one kind of
+    violation, so that the first violation does not depend on edge order.
+    Each kind is built twice: on K7 and K8, which verify_decomposition walks,
+    and on K31 and K32, whose edge counts pass VECTOR_MIN_EDGES, so that the
+    certificate sees them first."""
+    k7, k9 = walecki_decomposition(7).cycles, walecki_decomposition(9).cycles
+    k31 = walecki_decomposition(31).cycles
+    k32 = decompose_odd(complete_graph(32), seed=0)
+    cases = [
+        ("k7", complete_graph(7), Decomposition(7, k7)),
+        ("k9", complete_graph(9), Decomposition(9, k9)),
+        ("k8", complete_graph(8), Decomposition(8, K8_CYCLES, K8_MATCHING)),
+        ("k31", complete_graph(31), Decomposition(31, k31)),
+        ("k32", complete_graph(32), k32),
+    ]
+    cases += odd_kinds(k7) + even_kinds(K8_CYCLES, K8_MATCHING)
+    cases += [(f"k31-{kind}", *rest) for kind, *rest in odd_kinds(k31)]
+    cases += [
+        (f"k32-{kind}", *rest) for kind, *rest in even_kinds(k32.cycles, k32.matching)
+    ]
     rng = random.Random(0)
-    for host, cycles in ((h7, k7), (h9, k9)):
-        for trial in range(8):
-            idx, (a, b) = rng.randrange(len(cycles)), rng.sample(range(host.n), 2)
-            mutant = list(cycles)
-            mutant[idx] = tuple({a: b, b: a}.get(v, v) for v in cycles[idx])
-            deco = Decomposition(host.n, tuple(mutant))
-            cases.append((f"k{host.n}-swap-{trial}", host, deco))
+    for cycles in (k7, k9, k31):
+        cases += swaps(cycles, rng)
     return cases
 
 
@@ -207,6 +291,45 @@ def test_verify_matches_an_edge_set_reference(host, deco):
     assert result.ok == ok
     if not ok:
         assert re.sub(r" ?\(.*?\)|: .*", "", result.violation) == violation
+
+
+LARGE = [c for c in CASES if c[1].edge_count >= walecki.VECTOR_MIN_EDGES]
+
+
+@pytest.mark.parametrize(
+    "host, deco", [c[1:] for c in LARGE], ids=[c[0] for c in LARGE]
+)
+def test_certificate_agrees_with_the_walk(host, deco, monkeypatch):
+    # the certificate may only say "valid", so on these cases its verdict
+    # must be the walk's: a True on a violation would hide it
+    certified = walecki._certified(np, host, deco)
+    monkeypatch.setattr(walecki, "VECTOR_MIN_EDGES", float("inf"))
+    assert certified == verify_decomposition(host, deco).ok
+
+
+def test_certificate_leaves_malformed_pairs_to_the_walk():
+    # the same vertex stream as a valid matching, cut into a triple and a
+    # single: not a matching, so the certificate must not pass it
+    host, deco = next((c[1], c[2]) for c in CASES if c[0] == "k32")
+    (a, b), (c, e) = deco.matching[:2]
+    bad = Decomposition(32, deco.cycles, ((a, b, c), (e,)) + deco.matching[2:])
+    assert not walecki._certified(np, host, bad)
+
+
+def test_certificate_runs_only_above_the_threshold(monkeypatch):
+    calls = []
+    certify = walecki._certified
+
+    def recording(*args):
+        calls.append(args[1].n)
+        return certify(*args)
+
+    monkeypatch.setattr(walecki, "_certified", recording)
+    for n in (21, 23):  # 210 and 253 edges, both below the threshold of 256
+        assert verify_decomposition(complete_graph(n), walecki_decomposition(n)).ok
+    assert calls == []
+    assert verify_decomposition(complete_graph(31), walecki_decomposition(31)).ok
+    assert calls == [31]
 
 
 def test_json_round_trip():

@@ -6,6 +6,10 @@ Hamilton cycles, and exact backtracking completion, plus brute-force
 counting oracles and permanent-based bound formulas for validation at
 small n.
 
+Inputs are checked where they enter: at the CLI and in the names ``__all__``
+exports.  The engine modules are internal: each layer trusts its one caller
+and asserts only what its own termination or output depends on.
+
 Importing the package does not load numpy: the first function that needs
 it imports it.  Nothing in the package imports scipy.  The import caps the
 BLAS/OpenMP pools at one thread unless the caller has set the variables: the
@@ -34,11 +38,6 @@ from .counting import (
 )
 from .decompose import complete_residual, decompose_odd, run_pipeline
 from .errors import BudgetError, HamdeckError, InfeasibleError, InputError
-from .factor import (
-    PartialHC,
-    TwoFactor,
-    sample_le2_factor,
-)
 from .graphs import (
     Graph,
     build_graph,
@@ -49,13 +48,6 @@ from .graphs import (
     parse_edge_list,
 )
 from .partition import PipelineParams, tri_partition, verify_partition
-from .regularize import (
-    build_flow_network,
-    extract_regular_subgraph,
-    max_flow,
-    random_orientation,
-)
-from .rotation import extract_hamilton_step, merge_step, rotate_or_close
 from .walecki import Decomposition, verify_decomposition, walecki_decomposition
 
 __all__ = [
@@ -65,11 +57,8 @@ __all__ = [
     "HamdeckError",
     "InfeasibleError",
     "InputError",
-    "PartialHC",
     "PipelineParams",
-    "TwoFactor",
     "bregman_log_bound",
-    "build_flow_network",
     "build_graph",
     "complete_graph",
     "complete_residual",
@@ -80,16 +69,9 @@ __all__ = [
     "decomposition_log_lower",
     "decomposition_log_upper",
     "empty_graph",
-    "extract_hamilton_step",
-    "extract_regular_subgraph",
     "is_robust_expander",
-    "max_flow",
-    "merge_step",
     "parse_edge_list",
-    "random_orientation",
-    "rotate_or_close",
     "run_pipeline",
-    "sample_le2_factor",
     "tri_partition",
     "verify_decomposition",
     "verify_partition",

@@ -15,7 +15,7 @@ enumerator the tests keep (``tests/factor_oracle.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -30,8 +30,6 @@ if TYPE_CHECKING:
 
 def component_budget(n: int) -> int:
     """Component-count target for sampled factors: ceil(sqrt(n * ln n))."""
-    if n < 2:
-        return 1
     return ceil_frac(math.sqrt(n * math.log(n)))
 
 
@@ -76,14 +74,13 @@ class TwoFactor:
 @dataclass(frozen=True)
 class PartialHC:
     """Spanning cover with exactly one path component; the rest are cycles
-    and isolated edges.  Only the rotation moves set ``derived``: on a cover
-    they built from one whose vertices are range-checked."""
+    and isolated edges.  In the package only the rotation engine builds one,
+    from a validated factor, and nothing checks it again."""
 
     host_n: int
     path: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
     pairs: tuple[Edge, ...]
-    derived: bool = field(default=False, compare=False, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -91,13 +88,10 @@ class PartialHC:
 
 
 def _validate_cover(host: Graph, cover) -> None:
-    """Raise InputError unless the factor's cycles (length >= 3) and pairs
-    split the host's vertices disjointly along host edges."""
-    if host.n != cover.host_n:
-        raise InputError(f"host size {host.n} != factor host {cover.host_n}")
-    for cyc in cover.cycles:
-        if len(cyc) < 3:
-            raise InputError(f"cycle too short: {cyc}")
+    """Raise InputError unless the factor's cycles and pairs split the host's
+    vertices disjointly along host edges.  ``build``, the one caller, makes
+    the cover on host.n vertices and ``canonical_cycle`` rejects a cycle
+    under 3 vertices, so neither is checked again."""
     covered = [v for part in chain(cover.cycles, cover.pairs) for v in part]
     if len(covered) != host.n or set(covered) != set(range(host.n)):
         raise InputError("factor components are not a disjoint spanning cover")

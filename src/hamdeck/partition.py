@@ -91,8 +91,8 @@ def tri_partition(graph: Graph, params: PipelineParams) -> TriPartition:
     per split and before any flow, since it depends on c0 only: a vertex
     outside it ends the split.  A flow shortfall (SearchFailedError) lowers
     the target degree, down to the largest value that saturates (recorded in
-    stats).  The target stays in 1 <= d <= min degree // 2, so the
-    extraction's own InfeasibleError checks never fire here.  The parts are
+    stats).  The target stays in 1 <= d <= min degree // 2: the extraction
+    trusts its one caller and does not check it.  The parts are
     derived from the input's bit rows, so no part is validated again.  An
     expired ``params.deadline`` raises BudgetError before a split or a flow
     starts.

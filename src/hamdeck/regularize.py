@@ -17,7 +17,7 @@ vertex keeps more than d out-arcs or d in-arcs: a greedy pass over bit-mask
 buckets, then augmenting paths (``max_flow``, by ``graphs.augment``).  Only
 the in-rows come from numpy, by one unpack, transpose and pack; the balanced
 orientation is one Python step per edge, on bits indexed, not shifted.  The
-public surface consumes and produces undirected Graphs.
+stage trusts its one caller, ``tri_partition``, to pass 1 <= d <= min deg // 2.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import InfeasibleError, InputError, SearchFailedError
+from .errors import SearchFailedError
 from .graphs import Graph, augment, iter_bits, pack_rows, single_bits, unpack_rows
 
 
@@ -91,17 +91,9 @@ class FlowNetwork:
 
 
 def build_flow_network(out, half_degree: int) -> FlowNetwork:
-    """The network over the out-rows ``out`` on ``len(out)`` vertices;
-    rejects a self-arc or an arc to a vertex >= n."""
-    if half_degree < 1:
-        raise InputError(f"half degree must be >= 1, got {half_degree}")
-    n = len(out)
-    for v, row in enumerate(out):
-        if row >> v & 1:
-            raise InputError(f"self-arc ({v}, {v}) not allowed")
-        if row >> n:
-            raise InputError(f"arc ({v}, {row.bit_length() - 1}) out of range for n={n}")
-    return FlowNetwork(n, half_degree, tuple(out))
+    """The network over the out-rows ``out`` of an orientation on
+    ``len(out)`` vertices, which holds no self-arc and no arc past n."""
+    return FlowNetwork(len(out), half_degree, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -226,12 +218,6 @@ def extract_regular_subgraph(g: Graph, d: int) -> Graph:
     ``tri_partition``, once per split, not here.
     """
     n = g.n
-    if d < 1:
-        raise InfeasibleError(f"target half-degree {d} is degenerate")
-    low = min(g.degrees())
-    if 2 * d > low:
-        raise InfeasibleError(f"target degree {2 * d} exceeds minimum input degree {low}")
-
     result = max_flow(build_flow_network(balanced_orientation(g), d))
     if result.value != d * n:
         raise SearchFailedError(

@@ -19,9 +19,9 @@ copies an edge set.
 
 A move derives its cover from the current one: the components it does not
 absorb keep their canonical order, and a closure sorts its one new cycle in.
-A move range-checks the cover it is given unless another move built it
-(``PartialHC.derived``).  The sampled factor is validated, and each
-finished Hamilton cycle is checked by the walk that strips it.
+The engine trusts its one caller, ``run_pipeline``, and checks no cover, core
+or patch it is given.  The sampled factor is validated, and each finished
+Hamilton cycle is checked by the walk that strips it.
 
 Each patch edge the cycle keeps costs a substitution gadget, and the
 gadgets' exclusion set must stay within n^0.6.  It starts as the endpoints
@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import BudgetError, InputError, SearchFailedError
+from .errors import BudgetError, SearchFailedError
 from .factor import PartialHC, TwoFactor, component_budget, sample_le2_factor
 from .graphs import (
     Edge,
@@ -104,7 +104,6 @@ def _extended(cover, path: list[int], *taken: tuple[int, ...]) -> PartialHC:
         tuple(path),
         tuple(c for c in cover.cycles if c not in taken),
         tuple(p for p in cover.pairs if p not in taken),
-        derived=True,
     )
 
 
@@ -113,20 +112,6 @@ def _closed(partial: PartialHC, path: list[int]) -> TwoFactor:
     cycle that is sorted in among the others."""
     cycles = sorted(partial.cycles + (canonical_cycle(path),))
     return TwoFactor(partial.host_n, tuple(cycles), partial.pairs)
-
-
-def _check_cover(cover, core: Graph, patch: Graph, *parts) -> None:
-    """InputError unless cover, core and patch share one n and ``parts``
-    lie in 0..n-1 (a negative vertex would index bit rows from the end)."""
-    n = cover.host_n
-    if not n == core.n == patch.n:
-        raise InputError(
-            f"cover on {n} vertices, core on {core.n}, patch on {patch.n}"
-        )
-    for part in parts:
-        lo, hi = min(part, default=0), max(part, default=0)
-        if lo < 0 or hi >= n:
-            raise InputError(f"cover vertex outside 0..{n - 1}: {lo}..{hi}")
 
 
 # -- merge ----------------------------------------------------------------------
@@ -141,9 +126,6 @@ def merge_step(factor: TwoFactor, core: Graph, patch: Graph) -> tuple[PartialHC,
     """
     comps = factor.cycles + factor.pairs
     comp_of = _component_map(comps)
-    _check_cover(factor, core, patch, comp_of)
-    if factor.component_count < 2:
-        raise InputError("merge needs a factor with at least 2 components")
     d = core.regular_degree()
     if d is None:
         d = min(core.degrees(), default=0)
@@ -230,8 +212,6 @@ def _rotation_search(partial: PartialHC, core: Graph, patch: Graph):
     extension test.  At most ROTATION_VISIT_CAP paths are tested.
     """
     comp_of = _component_map(partial.cycles + partial.pairs)
-    parts = () if partial.derived else (partial.path, comp_of)
-    _check_cover(partial, core, patch, *parts)
     off_path = _mask_of(comp_of)
     bit = single_bits(core.n)
 
@@ -282,8 +262,6 @@ def rotate_or_close(
     component) or close the path into a cycle (same components, one more
     edge), by the breadth-first rotation search (``_rotation_search``);
     raises SearchFailedError when it finds neither."""
-    if not isinstance(partial, PartialHC):
-        raise InputError("rotate_or_close needs a PartialHC")
     found = _rotation_search(partial, core, patch)
     if found is None:
         raise SearchFailedError("rotation search exhausted with no extension/closure")
@@ -341,15 +319,9 @@ def substitution_gadget(
     so no gadget can take an earlier one's edges: both ends of those are in
     the set, and every edge read here ends at x1, x2, y1 or y2, outside it.
     Candidates are bit masks, searched in increasing x1, x2, y1, y2 order.
+    The step passes x != y and at most n^0.6 excluded vertices.
     """
-    if x == y:
-        raise InputError("gadget endpoints must be distinct")
     n = core.n
-    if len(excluded) > _gadget_capacity(n):
-        raise InputError(
-            f"exclusion set of size {len(excluded)} exceeds capacity "
-            f"{_gadget_capacity(n):.2f}"
-        )
     core_rows, patch_rows, bit = core.adj_bits, patch.adj_bits, single_bits(n)
     allowed = ~(_mask_of(excluded) | bit[x] | bit[y])
     for x1 in iter_bits(core_rows[x] & allowed):
@@ -455,17 +427,11 @@ def extract_hamilton_step(
     paths; the step redraws up to STEP_RESTARTS times, then raises
     BudgetError, as it does once ``deadline`` has passed.
     """
-    if core.n != patch.n:
-        raise InputError("core and patch must share a vertex set")
-    d = core.regular_degree()
-    if d is None:
-        raise InputError("core must be regular")
-    if d % 2 != 0 or d < 4:
-        raise InputError(f"core degree must be even and >= 4, got {d}")
-    n = core.n
+    n, d = core.n, core.regular_degree()
+    # the reroute loop below ends only because no patch edge is also a core edge
     overlap = _first_edge(map(operator.and_, core.adj_bits, patch.adj_bits))
     if overlap is not None:
-        raise InputError(f"cannot add edge {overlap}: already present")
+        raise AssertionError(f"core and patch share edge {overlap}")
     budget = component_budget(n)
     cap = 2 * budget + 1
 

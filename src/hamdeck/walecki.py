@@ -14,9 +14,9 @@ numpy's import cost.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import InputError
 from .graphs import Edge, Graph, norm_edge, single_bits, unpack_rows
@@ -84,14 +84,20 @@ class Decomposition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
         try:
-            n = int(data["n"])
-            cycles = [[int(v) for v in c] for c in data["cycles"]]
+            n = _json_int(data["n"])
+            cycles = [[_json_int(v) for v in c] for c in data["cycles"]]
             matching = data.get("matching")
             if matching is not None:
-                matching = [(int(u), int(v)) for u, v in matching]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                matching = [(_json_int(u), _json_int(v)) for u, v in matching]
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed decomposition JSON: {exc}") from exc
         return cls.from_parts(n, cycles, matching)
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # json loads true and false as bool, an int subclass
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def walecki_decomposition(n: int) -> Decomposition:
@@ -134,17 +140,14 @@ def _certified(np, g: Graph, d: Decomposition) -> bool:
     raised a K201 run's peak RSS by about 0.9 MB, this one by 0.15 MB."""
     n, cycles, matching = g.n, d.cycles, d.matching
     k, h = len(cycles), len(matching or ())
-    if set(map(len, cycles)) != {n} or set(map(len, matching or ())) - {2}:
+    try:  # np.array infers float, str or object dtype for a non-integer
+        rows, pairs = np.array(cycles), np.array(matching or np.empty((0, 2), int))
+    except ValueError:  # a ragged cycle or pair
         return False
-    try:
-        rows = np.fromiter(chain.from_iterable(cycles), np.int64, k * n)
-        if matching is not None:
-            pairs = np.fromiter(chain.from_iterable(matching), np.int64, 2 * h)
-    except OverflowError:  # a vertex past int64 is out of range
+    if rows.shape != (k, n) or pairs.shape != (h, 2) or rows.dtype.kind != "i":
         return False
-    if rows.min() < 0 or rows.max() >= n:
+    if pairs.dtype.kind != "i" or rows.min() < 0 or rows.max() >= n:
         return False
-    rows = rows.reshape(k, n)
     seen = np.zeros((k, n), bool)
     seen[np.arange(k)[:, None], rows] = True
     if not seen.all():  # a row of n vertices missing one revisits another
@@ -154,9 +157,9 @@ def _certified(np, g: Graph, d: Decomposition) -> bool:
         # every vertex in exactly one pair, which also needs n even
         if not ((pairs >= 0) & (pairs < n)).all():
             return False
-        if not (np.bincount(pairs, minlength=n) == 1).all():
+        if not (np.bincount(pairs.ravel(), minlength=n) == 1).all():
             return False
-        u, v = np.concatenate((u, pairs[::2])), np.concatenate((v, pairs[1::2]))
+        u, v = np.concatenate((u, pairs[:, 0])), np.concatenate((v, pairs[:, 1]))
     # m pairs that leave no host edge unused are m distinct host edges
     if len(u) != g.edge_count:
         return False
@@ -170,9 +173,9 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
 
     Works on a copy of g's bit rows and clears each edge as it is used, so a
     cleared bit is a reused edge and the bits left over are the uncovered
-    edges.  d may come from outside: in a cycle with a vertex out of range,
-    ``has_edge`` range-checks both ends of each pair before its row is read.
-    Returns the first violation found instead of raising.
+    edges.  d may come from outside: a non-integer vertex is a violation, and
+    in a cycle with a vertex out of range ``has_edge`` range-checks each pair
+    before its row is read.  Returns the first violation instead of raising.
 
     On a host of ``VECTOR_MIN_EDGES`` edges or more, when numpy is already
     loaded, ``_certified`` runs first and a valid d returns there, about 5x
@@ -190,6 +193,10 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     free = list(g.adj_bits)  # the host edges that nothing has used yet
     bit = single_bits(g.n)
     for idx, cyc in enumerate(d.cycles):
+        try:
+            cyc = list(map(operator.index, cyc))
+        except TypeError:
+            return VerifyResult(False, f"cycle {idx} is not a sequence of integers")
         if len(cyc) != g.n:
             return VerifyResult(
                 False, f"cycle {idx} has {len(cyc)} vertices, expected {g.n}"
@@ -212,7 +219,10 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
             return VerifyResult(False, "matching present but n is odd")
         touched = 0
         for e in d.matching:
-            u, v = e
+            try:
+                u, v = map(operator.index, e)
+            except (TypeError, ValueError):
+                return VerifyResult(False, f"matching element {e!r} is not a vertex pair")
             if not g.has_edge(u, v):
                 return VerifyResult(False, f"matching uses non-edge {e}")
             if not free[u] & bit[v]:

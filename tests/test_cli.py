@@ -143,6 +143,34 @@ class TestDecomposeAndVerify:
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("cycles", 0, 1), 1.5),
+            (("cycles", 1, 0), "0"),
+            (("cycles", 0, 1), True),
+            (("n",), 5.5),
+        ],
+        ids=["float-vertex", "string-vertex", "true-vertex", "float-n"],
+    )
+    def test_non_integer_vertices_are_input_errors(
+        self, capsys, graph_file, tmp_path, path, value
+    ):
+        # int() would turn each of these into K5's valid Walecki decomposition
+        data = walecki_decomposition(5).to_json_dict()
+        *outer, last = path
+        target = data
+        for key in outer:
+            target = target[key]
+        assert int(value) == target[last]
+        target[last] = value
+        deco_file = tmp_path / "d.json"
+        deco_file.write_text(json.dumps(data))
+        code = main(["verify", graph_file(5), str(deco_file)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error:") and "not an integer" in captured.err
+
     def test_trace_emits_step_stats(self, capsys, graph_file):
         code = main(["decompose", graph_file(21), "--seed", "0", "--trace", "--no-meta"])
         captured = capsys.readouterr()

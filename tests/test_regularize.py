@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamdeck.errors import InfeasibleError, InputError, SearchFailedError
+from hamdeck.errors import SearchFailedError
 from hamdeck.graphs import (
     Graph,
     build_graph,
@@ -154,18 +154,6 @@ class TestFlowNetwork:
         net = build_flow_network(balanced_orientation(complete_graph(9)), 4)
         assert max_flow(net).value == 36
 
-    def test_half_degree_must_be_positive(self):
-        with pytest.raises(InputError):
-            build_flow_network((0, 0), 0)
-
-    def test_self_arc_rejected(self):
-        with pytest.raises(InputError, match="self-arc"):
-            build_flow_network((0, 0b10, 0), 1)
-
-    def test_arc_out_of_range_rejected(self):
-        with pytest.raises(InputError, match="out of range"):
-            build_flow_network((0b100, 0), 1)
-
     @given(st.integers(0, 50), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_flow_internal_checks_never_fire(self, seed, d):
@@ -227,19 +215,9 @@ class TestExtract:
         sub = extract_regular_subgraph(complete_graph(5), 2)
         assert sub == complete_graph(5)
 
-    def test_star_rejected(self):
-        star = build_graph(6, [(0, i) for i in range(1, 6)])
-        with pytest.raises(InfeasibleError):
-            extract_regular_subgraph(star, 2)
-
     def test_d_override(self):
         sub = extract_regular_subgraph(complete_graph(9), 2)
         assert set(sub.degrees()) == {4}
-
-    def test_target_above_min_degree_is_infeasible(self):
-        # a 4-regular graph cannot contain a 6-regular spanning subgraph
-        with pytest.raises(InfeasibleError):
-            extract_regular_subgraph(complete_graph(5), 3)
 
     def test_unsaturated_flow_costs_one_max_flow(self, monkeypatch):
         # bowtie: triangles 0-1-2 and 0-3-4 share vertex 0, so no cycle

@@ -30,6 +30,16 @@ def test_package_exports_resolve():
     assert len(set(hamdeck.__all__)) == len(hamdeck.__all__)
     missing = [name for name in hamdeck.__all__ if not hasattr(hamdeck, name)]
     assert missing == []
+    # and a name __init__.py imports but leaves out of __all__ is a leftover
+    # re-export, which test_src_has_no_unused_imports does not see
+    tree = ast.parse((ROOT / "src" / "hamdeck" / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert sorted(imported - {"os"} - set(hamdeck.__all__)) == []
 
 
 def test_benchmark_trace_hooks_record_their_counters(tmp_path, monkeypatch):

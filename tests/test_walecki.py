@@ -110,6 +110,8 @@ def reference_verdict(g, d):
         return False, "host mismatch"
     seen = set()
     for idx, cyc in enumerate(d.cycles):
+        if not all(isinstance(v, int) for v in cyc):
+            return False, f"cycle {idx} is not a sequence of integers"
         if len(cyc) != g.n:
             return False, f"cycle {idx} has {len(cyc)} vertices, expected {g.n}"
         if len(set(cyc)) != g.n:
@@ -125,6 +127,8 @@ def reference_verdict(g, d):
             return False, "matching present but n is odd"
         touched = set()
         for e in d.matching:
+            if len(e) != 2 or not all(isinstance(v, int) for v in e):
+                return False, "matching element is not a vertex pair"
             if e not in g.edges:
                 return False, "matching uses non-edge"
             if e in seen:
@@ -190,6 +194,10 @@ def odd_kinds(cycles):
         ("cycle-n", host, Decomposition(n, with_vertex(cycles, n - 1, n))),
         ("cycle-huge", host, Decomposition(n, with_vertex(cycles, 0, 10**30))),
         ("cycle-minus-huge", host, Decomposition(n, with_vertex(cycles, 0, -(10**30)))),
+        # np.fromiter truncated 0.5 to 0, and the walk indexed a list with 0.0
+        ("float-vertex", host, Decomposition(n, with_vertex(cycles, 0, 0.5))),
+        ("integral-float-vertex", host, Decomposition(n, with_vertex(cycles, 0, 0.0))),
+        ("string-vertex", host, Decomposition(n, with_vertex(cycles, 0, "0"))),
         ("short-cycle", host, Decomposition(n, (cycles[0][:-1],) + cycles[1:])),
         (
             "revisit",
@@ -211,7 +219,7 @@ def even_kinds(cycles, matching):
     decomposition of K_n, n even, can be mutated into."""
     n = len(cycles[0])
     host = complete_graph(n)
-    a, b = matching[0]
+    (a, b), (c, e) = matching[:2]
     # the last cycle's edges moved into the matching: each edge once
     absorbed = matching + tuple(sorted(cycle_edges(cycles[-1])))
     return [
@@ -236,6 +244,17 @@ def even_kinds(cycles, matching):
             "matching-huge",
             host,
             Decomposition(n, cycles, ((a, 10**30),) + matching[1:]),
+        ),
+        # the walk unpacked a triple into two ends and raised
+        (
+            "matching-triple",
+            host,
+            Decomposition(n, cycles, ((a, b, c), (e,)) + matching[2:]),
+        ),
+        (
+            "matching-float-end",
+            host,
+            Decomposition(n, cycles, ((float(a), b),) + matching[1:]),
         ),
     ]
 

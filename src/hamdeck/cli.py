@@ -91,10 +91,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _params_for(graph: Graph, args, deadline) -> PipelineParams:
-    return default_params(
-        graph, seed=args.seed, deadline=deadline, eps=args.eps,
-        max_steps=getattr(args, "max_steps", None),
-    )
+    return default_params(graph, seed=args.seed, deadline=deadline, eps=args.eps)
 
 
 def _decomposition_payload(deco: Decomposition, args, extra_meta=None) -> dict:
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
     p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
-    p.add_argument("--max-steps", type=int, default=None, help="cap rotation steps")
     p.add_argument("--trace", action="store_true", help="per-step stats to stderr")
     p.set_defaults(handler=_cmd_decompose)
 
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     _add_common(p)
     p.add_argument("--eps", type=float, default=PipelineParams.eps, help="slack fraction")
-    p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(handler=_cmd_decompose_odd)
 
     p = sub.add_parser("count", help="decomposition count report with bounds")

@@ -1,6 +1,8 @@
 """Full decomposition pipeline: tri-partition, repeated Hamilton-cycle
 extraction, and exact backtracking completion of the residual graph; plus
-the odd-degree variant that peels off a perfect matching first.
+the odd-degree variant that peels off a perfect matching first and sends
+every remainder through the pipeline.  Below ``PIPELINE_MIN_N`` vertices,
+or with no edges, the pipeline completes the whole graph exactly.
 
 The completer peels one Hamilton cycle per level, through the recursion it
 shares with the counting oracles (``graphs.decompositions``).  At each
@@ -138,8 +140,9 @@ def _rotation_first_cycle(
     last: tuple[int, ...] | None = None,
     tried=frozenset(),
 ) -> tuple[int, ...] | None:
-    """Heuristic Hamilton cycle on a connected level: random greedy path
-    growth plus random endpoint rotations (Pósa).  Near-certain and fast on
+    """Heuristic Hamilton cycle on a connected level of degree >= 4, the
+    only kind ``complete_residual`` searches: random greedy path growth
+    plus random endpoint rotations (Pósa).  Near-certain and fast on
     dense levels, where plain DFS can thrash.
 
     Each step picks a uniformly random bit of one bit-row mask: growth a
@@ -157,8 +160,6 @@ def _rotation_first_cycle(
     empty the walk is the plain one.  Returns None when it fails (that
     stall, no pivot, or its step cap).
     """
-    if n < 3 or any(b == 0 for b in adj_bits):
-        return None
     full = (1 << n) - 1
     bit = single_bits(n)
     rand = rng.random
@@ -338,7 +339,8 @@ def find_perfect_matching(g: Graph) -> tuple[Edge, ...]:
 
 # Whole-pipeline attempts, each with a fresh seed, before BudgetError.
 PIPELINE_RETRIES = 3
-# Smallest order the pipeline takes; smaller inputs go to the exact completer.
+# Smallest order the pipeline tri-partitions; a smaller input is completed
+# whole by the exact completer, as a failed split is.
 PIPELINE_MIN_N = 8
 
 
@@ -355,28 +357,28 @@ class PipelineRun:
     elapsed_s: float = 0.0
 
 
-def _plan_steps(core_degree: int, eps: float, r: int, max_steps: int | None) -> int:
+def _plan_steps(core_degree: int, eps: float, r: int) -> int:
     """Number of rotation-extraction steps: (d0 - eps*r)/2 rounded down, and
     never so many that the remaining core degree drops below 4."""
     t = floor_frac((core_degree - eps * r) / 2)
     t = min(t, (core_degree - 4) // 2)
-    t = max(t, 0)
-    if max_steps is not None:
-        t = min(t, max_steps)
-    return t
+    return max(t, 0)
 
 
 def run_pipeline(
     graph: Graph, params: PipelineParams | None = None, seed: int | None = None
 ) -> PipelineRun:
-    """Decompose a dense even-regular graph into Hamilton cycles.
+    """Decompose an even-regular graph into Hamilton cycles.
 
     Stages: tri-partition; planned rotation-extraction steps on the
     (core, patch) pair; exact backtracking completion of everything left.
-    Stage failures fall through gracefully (a failed step stops the rotation
-    stage early; a failed partition sends the whole graph to the completer),
-    and whole-pipeline retries rotate the seed.  A disconnected input is
-    rejected before the tri-partition.  With no cycle removed, the
+    An input below ``PIPELINE_MIN_N`` vertices, or with no edges, is not
+    split: the whole graph goes to the completer, as after a failed split,
+    and ``fallback_whole_graph`` is set.  Stage failures fall through
+    gracefully (a failed step stops the rotation stage early; a failed
+    partition sends the whole graph to the completer, with a warning), and
+    whole-pipeline retries rotate the seed.  A disconnected input with
+    edges is rejected before the tri-partition.  With no cycle removed, the
     completer's InfeasibleError is a proof about the input and is raised.
     ``params`` default to ``default_params(graph)``; no density is required
     of the input, since the paper's density fraction c is its own r/n.  The
@@ -392,10 +394,9 @@ def run_pipeline(
         params = default_params(graph, seed=seed if seed is not None else 0)
     if seed is None:
         seed = params.seed
-    if graph.n < PIPELINE_MIN_N:
-        raise InputError(f"pipeline needs n >= {PIPELINE_MIN_N}, got {graph.n}")
-    if not connected_over(graph.adj_bits, (1 << graph.n) - 1):
+    if r and not connected_over(graph.adj_bits, (1 << graph.n) - 1):
         raise InfeasibleError("a disconnected graph has no Hamilton cycle")
+    split = r > 0 and graph.n >= PIPELINE_MIN_N
 
     last_error: Exception | None = None
     for attempt in range(PIPELINE_RETRIES):
@@ -403,20 +404,21 @@ def run_pipeline(
         attempt_seed = spawn_seed(seed, "pipeline", attempt)
         cycles: list[tuple[int, ...]] = []
         step_stats: list[dict] = []
-        fallback = False
         try:
             tp: TriPartition | None = None
-            rows = graph.adj_bits  # the residual when the split falls back
-            try:
-                tp = tri_partition(graph, replace(params, seed=attempt_seed))
-            except BudgetError as exc:
-                log.warning("tri-partition failed (%s); completing whole graph", exc)
-                fallback = True
+            rows = graph.adj_bits  # the residual when there is no split
+            if split:
+                try:
+                    tp = tri_partition(graph, replace(params, seed=attempt_seed))
+                except BudgetError as exc:
+                    log.warning(
+                        "tri-partition failed (%s); completing whole graph", exc
+                    )
 
             if tp is not None:
                 core, patch = tp.core, tp.patch
                 left = list(tp.residual.adj_bits)  # plus each step's dropped_core
-                planned = _plan_steps(tp.core_degree, params.eps, r, params.max_steps)
+                planned = _plan_steps(tp.core_degree, params.eps, r)
                 for i in range(planned):
                     check_deadline(params.deadline, "pipeline step")
                     try:
@@ -483,7 +485,7 @@ def run_pipeline(
                 completed_cycles=completion.cycle_count,
                 step_stats=step_stats,
                 attempts=attempt + 1,
-                fallback_whole_graph=fallback,
+                fallback_whole_graph=tp is None,
                 elapsed_s=time.perf_counter() - t0,
             )
         except (BudgetError, InfeasibleError) as exc:
@@ -502,17 +504,16 @@ def decompose_odd(
     """Odd-degree variant: peel off a perfect matching, decompose the rest.
 
     The result has (r-1)/2 Hamilton cycles plus the matching.  Perfect
-    matchings are tried in turn until one leaves a remainder that decomposes:
-    inputs below ``PIPELINE_MIN_N`` vertices and 1-regular ones send the
-    remainder to the exact completer, larger inputs to the pipeline.  The
-    next matching is tried only when a remainder is proven infeasible, so
-    InfeasibleError means that no perfect matching works, and a BudgetError
-    from any remainder propagates.  With degree 3 or more a disconnected
-    input is rejected before any matching is tried; a 1-regular input is a
-    matching and needs no connectivity.  ``params`` pass to the remainder's
-    pipeline unchanged, since none of them depends on the degree.  The seed,
-    resolved once as ``run_pipeline`` does (``seed``, else ``params.seed``,
-    else 0), seeds both the pipeline and the exact completer.
+    matchings are tried in turn until one leaves a remainder that
+    ``run_pipeline`` decomposes; the pipeline plans its own route, so a
+    remainder below ``PIPELINE_MIN_N`` vertices or with no edges is
+    completed whole.  The next matching is tried only when a remainder is
+    proven infeasible, so InfeasibleError means that no perfect matching
+    works, and a BudgetError from any remainder propagates.  With degree 3
+    or more a disconnected input is rejected before any matching is tried;
+    a 1-regular input is a matching and needs no connectivity.  ``params``
+    default to ``default_params(graph)``; they and ``seed`` pass to the
+    pipeline unchanged, since no parameter depends on the degree.
     """
     r = graph.regular_degree()
     if r is None:
@@ -523,25 +524,15 @@ def decompose_odd(
         raise InfeasibleError("odd degree with odd n admits no perfect matching")
     if r >= 3 and not connected_over(graph.adj_bits, (1 << graph.n) - 1):
         raise InfeasibleError("a disconnected graph has no Hamilton cycle")
-    exact = graph.n < PIPELINE_MIN_N or r == 1
     if graph.n == 2:
         log.debug("degenerate n=2 input: matching only, no cycles")
     if params is None:
         params = default_params(graph, seed=seed if seed is not None else 0)
-    if seed is None:
-        seed = params.seed
     for matching in _perfect_matchings(graph):
         check_deadline(params.deadline, "odd-degree decomposition")
         remainder = graph.subtract(matching)
         try:
-            if exact:
-                cycles = complete_residual(
-                    remainder,
-                    deadline=params.deadline,
-                    seed=spawn_seed(seed, "odd-completion"),
-                ).cycles
-            else:
-                cycles = run_pipeline(remainder, params, seed).decomposition.cycles
+            cycles = run_pipeline(remainder, params, seed).decomposition.cycles
         except InfeasibleError:
             continue
         break

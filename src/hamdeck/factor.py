@@ -82,10 +82,6 @@ class PartialHC:
     cycles: tuple[tuple[int, ...], ...]
     pairs: tuple[Edge, ...]
 
-    @property
-    def component_count(self) -> int:
-        return 1 + len(self.cycles) + len(self.pairs)
-
 
 def _validate_cover(host: Graph, cover) -> None:
     """Raise InputError unless the factor's cycles and pairs split the host's

@@ -35,8 +35,8 @@ PARTITION_RETRIES = 16
 @dataclass(frozen=True)
 class PipelineParams:
     """What the pipeline reads: the slack fraction ``eps`` in (0, 1/10),
-    the RNG ``seed``, an optional cap ``max_steps`` on rotation steps, and an
-    optional ``deadline`` (``time.monotonic()`` value).
+    the RNG ``seed`` and an optional ``deadline`` (``time.monotonic()``
+    value).
 
     The paper's density fraction c is the input's r/n, and the fractions
     the partition audit uses come from ``audit_fractions``.
@@ -44,14 +44,11 @@ class PipelineParams:
 
     eps: float = 0.05
     seed: int = 0
-    max_steps: int | None = None
     deadline: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.eps < 0.1):
             raise InputError(f"eps must be in (0, 1/10), got {self.eps}")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise InputError(f"max_steps must be nonnegative, got {self.max_steps}")
 
 
 def default_params(g: Graph, seed: int = 0, **overrides) -> PipelineParams:

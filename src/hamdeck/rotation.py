@@ -56,7 +56,7 @@ from .graphs import (
     single_bits,
 )
 from .util import EPS, check_deadline, spawn_seed
-from .walecki import canonical_cycle, cycle_edges
+from .walecki import canonical_cycle
 
 # Factor draws per rotation step before the step gives up with BudgetError.
 STEP_RESTARTS = 200
@@ -407,9 +407,6 @@ class StepResult:
     moves: tuple[Move, ...]
     restarts: int
     patch_edges_in_cycle: frozenset[Edge]
-
-    def cycle_edges(self) -> frozenset[Edge]:
-        return cycle_edges(self.cycle)
 
 
 def extract_hamilton_step(

@@ -45,13 +45,6 @@ def canonical_cycle(seq) -> tuple[int, ...]:
     return tuple(fwd) if tuple(fwd) <= tuple(rev) else tuple(rev)
 
 
-def cycle_edges(cycle) -> frozenset[Edge]:
-    cyc = list(cycle)
-    return frozenset(
-        norm_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-    )
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Edge-disjoint Hamilton cycles (plus optionally one perfect matching)."""
@@ -139,10 +132,10 @@ def _certified(np, g: Graph, d: Decomposition) -> bool:
     Nothing is sorted: a version that sorted the rows and the edge ids
     raised a K201 run's peak RSS by about 0.9 MB, this one by 0.15 MB."""
     n, cycles, matching = g.n, d.cycles, d.matching
-    k, h = len(cycles), len(matching or ())
     try:  # np.array infers float, str or object dtype for a non-integer
+        k, h = len(cycles), len(matching or ())
         rows, pairs = np.array(cycles), np.array(matching or np.empty((0, 2), int))
-    except ValueError:  # a ragged cycle or pair
+    except (TypeError, ValueError):  # no length, or a ragged cycle or pair
         return False
     if rows.shape != (k, n) or pairs.shape != (h, 2) or rows.dtype.kind != "i":
         return False
@@ -173,9 +166,10 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
 
     Works on a copy of g's bit rows and clears each edge as it is used, so a
     cleared bit is a reused edge and the bits left over are the uncovered
-    edges.  d may come from outside: a non-integer vertex is a violation, and
-    in a cycle with a vertex out of range ``has_edge`` range-checks each pair
-    before its row is read.  Returns the first violation instead of raising.
+    edges.  d may come from outside: cycles or a matching that cannot be
+    iterated and a non-integer vertex are violations, and in a cycle with a
+    vertex out of range ``has_edge`` range-checks each pair before its row
+    is read.  Returns the first violation instead of raising.
 
     On a host of ``VECTOR_MIN_EDGES`` edges or more, when numpy is already
     loaded, ``_certified`` runs first and a valid d returns there, about 5x
@@ -192,7 +186,11 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
         return VerifyResult(True)
     free = list(g.adj_bits)  # the host edges that nothing has used yet
     bit = single_bits(g.n)
-    for idx, cyc in enumerate(d.cycles):
+    try:
+        cycles = enumerate(d.cycles)
+    except TypeError:
+        return VerifyResult(False, "cycles are not iterable")
+    for idx, cyc in cycles:
         try:
             cyc = list(map(operator.index, cyc))
         except TypeError:
@@ -217,8 +215,12 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerifyResult:
     if d.matching is not None:
         if g.n % 2 != 0:
             return VerifyResult(False, "matching present but n is odd")
+        try:
+            pairs = iter(d.matching)
+        except TypeError:
+            return VerifyResult(False, "matching is not iterable")
         touched = 0
-        for e in d.matching:
+        for e in pairs:
             try:
                 u, v = map(operator.index, e)
             except (TypeError, ValueError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hamdeck.errors import InputError
 from hamdeck.factor import PartialHC
 from hamdeck.graphs import Graph, build_graph, complete_graph, norm_edge
-from hamdeck.walecki import canonical_cycle, cycle_edges
+from hamdeck.walecki import canonical_cycle
 
 
 @st.composite
@@ -88,6 +88,12 @@ def build_partial(host: Graph, path, cycles, pairs) -> PartialHC:
             if not host.has_edge(a, b):
                 raise InputError(f"partial uses non-edge {norm_edge(a, b)}")
     return partial
+
+
+def cycle_edges(cycle) -> frozenset:
+    """The edges of a cyclic vertex sequence, each as (min, max)."""
+    cyc = list(cycle)
+    return frozenset(norm_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def cover_edges(cover) -> frozenset:

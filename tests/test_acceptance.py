@@ -28,9 +28,9 @@ from hamdeck.graphs import (
 from hamdeck.partition import default_params, tri_partition
 from hamdeck.regularize import extract_regular_subgraph
 from hamdeck.rotation import extract_hamilton_step
-from hamdeck.walecki import cycle_edges, verify_decomposition, walecki_decomposition
+from hamdeck.walecki import verify_decomposition, walecki_decomposition
 
-from conftest import two_disjoint_k4
+from conftest import cycle_edges, two_disjoint_k4
 from factor_oracle import enumerate_le2_factors
 from oracles import enumerate_hamilton_cycles
 
@@ -170,18 +170,18 @@ def test_criterion_6_rotation_steps():
         step = extract_hamilton_step(tp.core, tp.patch, seed)
         assert len(step.cycle) == 21
         assert len(set(step.cycle)) == 21
-        assert step.cycle_edges() <= host_edges
+        assert cycle_edges(step.cycle) <= host_edges
         assert step.new_core.regular_degree() == tp.core_degree - 2
         union = (
             step.new_core.edges
             | step.new_patch.edges
-            | step.cycle_edges()
+            | cycle_edges(step.cycle)
             | step.dropped_core
         )
         parts_total = (
             len(step.new_core.edges)
             + len(step.new_patch.edges)
-            + len(step.cycle_edges())
+            + len(cycle_edges(step.cycle))
             + len(step.dropped_core)
         )
         assert union == host_edges and parts_total == len(union)

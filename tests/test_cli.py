@@ -199,7 +199,7 @@ class TestDecomposeAndVerify:
     @pytest.mark.parametrize(
         "flags, expect",
         [
-            (("--max-steps", "1"), {"max_steps": 1}),
+            (("--seed", "3"), {"seed": 3}),
             (("--eps", "0.04"), {"eps": 0.04}),
         ],
     )
@@ -223,7 +223,7 @@ class TestDecomposeAndVerify:
         assert params == dataclasses.replace(default_params(g), **expect)
         data = json.loads(out)
         del data["meta"]
-        assert data == run_pipeline(g, params, seed=0).decomposition.to_json_dict()
+        assert data == run_pipeline(g, params).decomposition.to_json_dict()
 
     @pytest.mark.parametrize("flag", ["--c", "--gamma", "--tau"])
     @pytest.mark.parametrize("command", ["decompose", "decompose-odd", "partition"])
@@ -235,12 +235,18 @@ class TestDecomposeAndVerify:
         assert info.value.code == 3
         assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
-    def test_negative_max_steps_exits_3(self, capsys, graph_file):
-        # a negative cap would silently run no rotation steps
-        assert main(["decompose", graph_file(21), "--max-steps", "-3"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "max_steps must be nonnegative, got -3" in captured.err
+    @pytest.mark.parametrize("command", ["decompose", "decompose-odd"])
+    def test_step_count_is_not_a_flag(self, capsys, command):
+        # the pipeline plans its rotation steps from the core degree
+        with pytest.raises(SystemExit) as info:
+            main([command, "g.edges", "--max-steps", "1"])
+        assert info.value.code == 3
+        assert "unrecognized arguments: --max-steps 1" in capsys.readouterr().err
+
+    def test_decompose_k5_below_the_split_size(self, capsys, k5_file):
+        code, out = run_cli(capsys, "decompose", k5_file, "--no-meta")
+        assert code == 0
+        assert len(json.loads(out)["cycles"]) == 2
 
     def test_budget_env_gives_exit_2(self, capsys, graph_file, monkeypatch):
         monkeypatch.setenv("HAMDECK_BUDGET_MS", "1")

@@ -30,9 +30,9 @@ from hamdeck.graphs import (
     cycle_graph,
     save_edge_list,
 )
-from hamdeck.walecki import Decomposition, cycle_edges, verify_decomposition
+from hamdeck.walecki import Decomposition, verify_decomposition
 
-from conftest import circulant
+from conftest import circulant, cycle_edges
 from oracles import (
     decomposition_stream,
     enumerate_decompositions,

@@ -33,9 +33,9 @@ from hamdeck.graphs import (
     iter_bits,
     strip_cycle,
 )
-from hamdeck.walecki import canonical_cycle, cycle_edges, verify_decomposition
+from hamdeck.walecki import canonical_cycle, verify_decomposition
 
-from conftest import paley, petersen
+from conftest import cycle_edges, paley, petersen
 from oracles import enumerate_decompositions, enumerate_hamilton_cycles
 
 
@@ -377,13 +377,10 @@ class TestPlanSteps:
     def test_default_step_count_rounded(self):
         # core degree 12, eps*r = 1: (12-1)/2 = 5.5 rounds to 4 to keep the
         # working core at degree >= 4
-        assert _plan_steps(12, 0.05, 20, None) == 4
+        assert _plan_steps(12, 0.05, 20) == 4
 
     def test_zero_when_core_is_thin(self):
-        assert _plan_steps(4, 0.05, 8, None) == 0
-
-    def test_override_caps(self):
-        assert _plan_steps(26, 0.05, 50, 3) == 3
+        assert _plan_steps(4, 0.05, 8) == 0
 
 
 class TestPipeline:
@@ -404,17 +401,23 @@ class TestPipeline:
         with pytest.raises(InputError):
             run_pipeline(petersen(), seed=0)
 
-    def test_small_n_rejected(self):
-        with pytest.raises(InputError):
-            run_pipeline(cycle_graph(4), seed=0)
-
-    def test_max_steps_override(self):
-        from hamdeck.partition import default_params
-
-        g = complete_graph(21)
-        run = run_pipeline(g, default_params(g, seed=0, max_steps=1))
-        assert run.rotation_cycles <= 1
-        assert verify_decomposition(g, run.decomposition).ok
+    @pytest.mark.parametrize("n", range(3, decompose.PIPELINE_MIN_N))
+    def test_small_inputs_are_completed_whole(self, n, caplog):
+        # below PIPELINE_MIN_N the planned route skips the split and warns
+        # of nothing, and the verdict is the completer's: a decomposition
+        # exactly when one exists
+        graphs = [g for r in range(2, n, 2) for g in connected_regular_graphs(n, r)]
+        assert graphs
+        with caplog.at_level("WARNING", logger="hamdeck"):
+            for g in graphs:
+                if count_decompositions_exact(g) > 0:
+                    run = run_pipeline(g, seed=0)
+                    assert verify_decomposition(g, run.decomposition).ok
+                    assert run.fallback_whole_graph and run.rotation_cycles == 0
+                else:
+                    with pytest.raises(InfeasibleError):
+                        run_pipeline(g, seed=0)
+        assert caplog.records == []
 
     def test_disconnected_input_rejected_before_partition(self, monkeypatch):
         def no_partition(*args):
@@ -548,7 +551,7 @@ class TestPipeline:
                 if fault == "lost":
                     dropped = step.dropped_core - {min(step.dropped_core)}
                 else:
-                    dropped = step.dropped_core | {min(step.cycle_edges())}
+                    dropped = step.dropped_core | {min(cycle_edges(step.cycle))}
                 tampered.append(step)
                 step = dataclasses.replace(step, dropped_core=dropped)
             return step
@@ -573,7 +576,7 @@ class TestPipeline:
     def test_complete_graph_minus_hamilton_cycles(self):
         # peeling two known cycles off K21 leaves a 16-regular graph that
         # still decomposes (the remaining construction cycles certify it)
-        from hamdeck.walecki import cycle_edges, walecki_decomposition
+        from hamdeck.walecki import walecki_decomposition
 
         deco = walecki_decomposition(21)
         removed = cycle_edges(deco.cycles[0]) | cycle_edges(deco.cycles[1])
@@ -609,8 +612,8 @@ class TestDecomposeOdd:
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_params_seed_seeds_the_exact_path(self, seed):
-        # n = 6 sends the remainder to the exact completer; the seed comes
-        # from params when no seed argument is given, as in run_pipeline
+        # n = 6 sends the remainder to the pipeline's whole-graph completion;
+        # the seed comes from params when no seed argument is given
         from hamdeck.partition import default_params
 
         g = complete_graph(6)

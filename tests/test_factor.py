@@ -269,7 +269,7 @@ class TestStructures:
     def test_partial_hc_validation(self):
         g = complete_graph(6)
         partial = build_partial(g, [0, 1, 2], [[3, 4, 5]], [])
-        assert partial.component_count == 2
+        assert partial.cycles == ((3, 4, 5),) and partial.pairs == ()
         assert len(cover_edges(partial)) == 5
 
     def test_partial_hc_rejects_overlap(self):

@@ -29,9 +29,16 @@ from hamdeck.rotation import (
     rotate_or_close,
     substitution_gadget,
 )
-from hamdeck.walecki import canonical_cycle, cycle_edges
+from hamdeck.walecki import canonical_cycle
 
-from conftest import build_partial, circulant, cover_edges, paley, random_graph
+from conftest import (
+    build_partial,
+    circulant,
+    cover_edges,
+    cycle_edges,
+    paley,
+    random_graph,
+)
 from replay import net_effect, replay_moves
 
 
@@ -81,7 +88,7 @@ class TestMerge:
         host = two_triangles_plus_bridge()
         factor = TwoFactor.build(host, [[0, 1, 2], [3, 4, 5]], [])
         partial, move = merge_step(factor, host, empty_graph(6))
-        assert partial.component_count == 1
+        assert partial.cycles == () and partial.pairs == ()
         assert len(partial.path) == 6
         assert len(cover_edges(partial)) == 5
         added, removed = net_effect(move)
@@ -92,7 +99,7 @@ class TestMerge:
         host = build_graph(4, [(0, 1), (2, 3), (1, 2)])
         factor = TwoFactor.build(host, [], [(0, 1), (2, 3)])
         partial, move = merge_step(factor, host, empty_graph(4))
-        assert partial.component_count == 1
+        assert partial.cycles == () and partial.pairs == ()
         assert list(partial.path) in ([0, 1, 2, 3], [3, 2, 1, 0])
         added, removed = net_effect(move)
         assert added == {(1, 2)} and not removed
@@ -112,7 +119,7 @@ class TestRotateOrClose:
         partial = build_partial(host, [0, 1, 2], [[3, 4, 5]], [])
         result, move = rotate_or_close(partial, host, empty_graph(6))
         assert isinstance(result, PartialHC)
-        assert result.component_count == 1
+        assert result.cycles == () and result.pairs == ()
         assert len(result.path) == 6
 
     def test_spanning_path_in_k6_closes(self):
@@ -431,21 +438,21 @@ class TestExtract:
                 union = (
                     step.new_core.edges
                     | step.new_patch.edges
-                    | step.cycle_edges()
+                    | cycle_edges(step.cycle)
                     | step.dropped_core
                 )
                 assert union == tp.core.edges | tp.patch.edges
                 total = (
                     len(step.new_core.edges)
                     + len(step.new_patch.edges)
-                    + len(step.cycle_edges())
+                    + len(cycle_edges(step.cycle))
                     + len(step.dropped_core)
                 )
                 assert total == len(union)
                 assert step.new_core.regular_degree() == tp.core_degree - 2
                 # bookkeeping sets stay clear of the extracted cycle
-                assert not step.dropped_core & step.cycle_edges()
-                assert not step.promoted_patch & step.cycle_edges()
+                assert not step.dropped_core & cycle_edges(step.cycle)
+                assert not step.promoted_patch & cycle_edges(step.cycle)
                 assert step.dropped_core <= tp.core.edges
                 assert step.promoted_patch <= tp.patch.edges
                 assert len(step.dropped_core) == 3 * k
@@ -484,7 +491,7 @@ class TestExtract:
         tp = tri_partition(g, default_params(g, seed=0))
         step = extract_hamilton_step(tp.core, tp.patch, seed=3)
         final = replay_moves(cover_edges(step.start_factor), step.moves)
-        assert final == step.cycle_edges()
+        assert final == cycle_edges(step.cycle)
 
     def test_replay_survives_json_round_trip(self):
         # the moves that ``decompose --trace`` writes carry all a replay needs
@@ -496,7 +503,7 @@ class TestExtract:
             for data in json.loads(json.dumps([m.to_json_dict() for m in step.moves]))
         ]
         revived_edges = replay_moves(cover_edges(step.start_factor), revived)
-        assert revived_edges == step.cycle_edges()
+        assert revived_edges == cycle_edges(step.cycle)
 
     def test_move_cap_respected(self):
         from hamdeck.factor import component_budget
@@ -567,7 +574,7 @@ class TestExtract:
         assert len(rerouted) >= 2
         assert list(step.moves) == rerouted
         assert {m.kind for m in step.moves} == {"reroute"}
-        assert replay_moves(cover_edges(start), step.moves) == step.cycle_edges()
+        assert replay_moves(cover_edges(start), step.moves) == cycle_edges(step.cycle)
         assert step.new_core.regular_degree() == 2
 
     def test_factors_over_the_component_cap_are_redrawn(self, monkeypatch):

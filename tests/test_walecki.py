@@ -1,5 +1,6 @@
 import random
 import re
+from collections.abc import Iterable
 
 # numpy loaded opens verify_decomposition's certificate on hosts of
 # VECTOR_MIN_EDGES edges or more
@@ -13,10 +14,11 @@ from hamdeck.graphs import complete_graph
 from hamdeck.walecki import (
     Decomposition,
     canonical_cycle,
-    cycle_edges,
     verify_decomposition,
     walecki_decomposition,
 )
+
+from conftest import cycle_edges
 
 
 def test_k3_single_cycle():
@@ -108,6 +110,8 @@ def reference_verdict(g, d):
     violation with its edge tuples left out)."""
     if d.host_n != g.n:
         return False, "host mismatch"
+    if not isinstance(d.cycles, Iterable):
+        return False, "cycles are not iterable"
     seen = set()
     for idx, cyc in enumerate(d.cycles):
         if not all(isinstance(v, int) for v in cyc):
@@ -125,6 +129,8 @@ def reference_verdict(g, d):
     if d.matching is not None:
         if g.n % 2:
             return False, "matching present but n is odd"
+        if not isinstance(d.matching, Iterable):
+            return False, "matching is not iterable"
         touched = set()
         for e in d.matching:
             if len(e) != 2 or not all(isinstance(v, int) for v in e):
@@ -211,6 +217,8 @@ def odd_kinds(cycles):
         ),
         ("host-mismatch", complete_graph(n + 2), Decomposition(n, cycles)),
         ("matching-on-odd-n", host, Decomposition(n, cycles, ((0, 1),))),
+        # the walk iterated them and raised, and the certificate took len()
+        ("cycles-not-iterable", host, Decomposition(n, 7)),
     ]
 
 
@@ -256,6 +264,7 @@ def even_kinds(cycles, matching):
             host,
             Decomposition(n, cycles, ((float(a), b),) + matching[1:]),
         ),
+        ("matching-not-iterable", host, Decomposition(n, cycles, 7)),
     ]
 
 

@@ -2,11 +2,11 @@
 
 The Hamilton-cycle count sweeps path states (visited mask, end vertex) and
 merges the paths that reach each one, so it never lists a cycle; it stops
-at n = 16.  The cycle enumerator and the connected-regular-graph corpus are
-exhaustive searches, the corpus over the labeled graphs in which vertex 0's
-neighbours are 1, ..., r, kept one per isomorphism class by
-``_class_entry``.  The bound formulas are permanent-based upper bounds and
-the constructive lower bound, all in natural-log scale.
+at n = 16.  The connected-regular-graph corpus is an exhaustive search over
+the labeled graphs in which vertex 0's neighbours are 1, ..., r, kept one
+per isomorphism class by ``_class_entry``.  The bound formulas are
+permanent-based upper bounds and the constructive lower bound, all in
+natural-log scale.
 
 Every unordered decomposition has exactly one cycle through the edge from
 vertex 0 to its lowest remaining neighbour a, so the decomposition count is
@@ -16,10 +16,9 @@ the recursion the completer walks, ``graphs.decompositions`` (its base
 case and connectivity test are documented there), and is an independent
 cross-check of ``count_decompositions_exact``, which sums H on its own
 recursion and memoises it, for one call, on the isomorphism class of each
-residual; K9 counts in well under a second.  Cycles come from
-``_hamilton_cycles_from``, kept apart from the completer's pruned DFS on
-purpose: it is the reference the completer is checked against, and it is
-5-6x faster on the oracle's inputs.
+residual; K9 counts in well under a second.  Both list cycles with the
+completer's enumerator, ``graphs.hamilton_cycles``; the Held-Karp count
+checks that enumerator independently.
 """
 
 from __future__ import annotations
@@ -29,52 +28,14 @@ import itertools
 import math
 
 from .errors import InputError
-from .graphs import Graph, connected_over, decompositions, strip_cycle
+from .graphs import Graph, connected_over, decompositions, hamilton_cycles, strip_cycle
 from .util import check_deadline
 
 HAMILTON_COUNT_CAP = 16
 DECOMPOSITION_EDGE_CAP = 36  # K_9
 
 
-# -- Hamilton cycle enumeration ---------------------------------------------
-
-
-def _hamilton_cycles_from(adj_bits, n: int, deadline=None, second: int = -1):
-    """Yield every Hamilton cycle as a vertex tuple starting at vertex 0.
-
-    Each undirected cycle is produced exactly once: the traversal fixes the
-    start at 0 and requires the second vertex (a bit of ``second``) to be
-    smaller than the last.  Cycles come out in lexicographic order.  Checks
-    the deadline on entry and every 1024 nodes.  The reference enumerator,
-    not merged with ``decompose._hamilton_cycles_pruned`` (module docstring).
-    """
-    check_deadline(deadline, "hamilton cycle enumeration")
-    if n < 3:
-        return
-    full = (1 << n) - 1
-    path = [0]
-    visited = 1
-    stack = [adj_bits[0] & second & ~1]  # unexplored options per path vertex
-    nodes = 0
-    while stack:
-        options = stack[-1]
-        if not options:
-            stack.pop()
-            visited ^= 1 << path.pop()
-            continue
-        low = options & -options
-        stack[-1] = options ^ low
-        nodes += 1
-        if not nodes & 1023:
-            check_deadline(deadline, "hamilton cycle enumeration")
-        w = low.bit_length() - 1
-        if visited | low == full:
-            if adj_bits[w] & 1 and path[1] < w:
-                yield (*path, w)
-            continue
-        path.append(w)
-        visited |= low
-        stack.append(adj_bits[w] & ~visited)
+# -- Hamilton cycle counting -------------------------------------------------
 
 
 def count_hamilton_cycles_exact(g: Graph, deadline=None) -> int:
@@ -85,7 +46,7 @@ def count_hamilton_cycles_exact(g: Graph, deadline=None) -> int:
     paths from vertex 0 that reach it, so paths reaching the same state are
     merged.  After n - 2 extensions every state is a Hamilton path; those
     ending next to 0 close into cycles, each counted once per direction.
-    Independent of ``_hamilton_cycles_from``, so the two check each other.
+    Independent of ``graphs.hamilton_cycles``, so the two check each other.
     Checks the deadline on entry and every 1024 states.
     """
     if g.n > HAMILTON_COUNT_CAP:
@@ -126,6 +87,11 @@ def _check_decomposable_input(g: Graph) -> None:
         raise InputError(f"graph has {g.edge_count} edges, above the cap of {cap}")
 
 
+def _deadline_tick(deadline):
+    """The enumerator's budget hook: a deadline check at every call."""
+    return lambda _nodes: check_deadline(deadline, "hamilton cycle enumeration")
+
+
 def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
     """Exact number of unordered Hamiltonian decompositions.
 
@@ -142,6 +108,7 @@ def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
     n = g.n
     full = (1 << n) - 1
     classes: dict[tuple, list[list]] = {}
+    tick = _deadline_tick(deadline)
 
     def count(bits) -> int:
         check_deadline(deadline, "decomposition counting")
@@ -153,7 +120,7 @@ def count_decompositions_exact(g: Graph, *, deadline=None) -> int:
             return 1
         entry, new = _class_entry(classes, bits)
         if new:
-            cycles = _hamilton_cycles_from(bits, n, deadline, bits[0] & -bits[0])
+            cycles = hamilton_cycles(bits, n, tick, bits[0] & -bits[0])
             entry[2] = sum(count(strip_cycle(bits, cyc)) for cyc in cycles)
         return entry[2]
 
@@ -164,8 +131,9 @@ def count_decompositions_ordered(g: Graph, *, deadline=None) -> int:
     """Number of ordered sequences of edge-disjoint Hamilton cycles using
     all edges; equals the unordered count times (r/2)! for r-regular input."""
     _check_decomposable_input(g)
+    tick = _deadline_tick(deadline)
     levels = decompositions(
-        g.adj_bits, g.n, lambda bits: _hamilton_cycles_from(bits, g.n, deadline)
+        g.adj_bits, g.n, lambda bits: hamilton_cycles(bits, g.n, tick)
     )
     return sum(1 for _ in levels)
 

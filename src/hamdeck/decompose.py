@@ -7,21 +7,17 @@ or with no edges, the pipeline completes the whole graph exactly.
 The completer peels one Hamilton cycle per level, through the recursion it
 shares with the counting oracles (``graphs.decompositions``).  At each
 level it first tries cycles from a randomized rotation heuristic (up to
-HEURISTIC_TRIES calls), then an exhaustive DFS, with connectivity and
-degree pruning, over the untried Hamilton cycles through vertex 0's lowest
-edge (0, a): every decomposition has exactly one of those.  The first try
-grows a path from a random vertex; each later try opens the cycle tried
-last at a random edge and walks on from it by Pósa rotations, never
+HEURISTIC_TRIES calls), then lists, with the oracles' exhaustive DFS
+(``graphs.hamilton_cycles``), the untried Hamilton cycles through vertex
+0's lowest edge (0, a): every decomposition has exactly one of those.  The
+first try grows a path from a random vertex; each later try opens the cycle
+tried last at a random edge and walks on from it by Pósa rotations, never
 closing into a tried cycle, and starts afresh only when that walk stalls.
 Each growth or rotation step picks a uniformly random set bit of one
 bit-row mask, so the walk keeps no position array and sorts nothing.
 The search is therefore exhaustive, and a node budget bounds it, so "budget
 ran out" (BudgetError) stays distinct from "no decomposition exists"
 (InfeasibleError).
-
-The pruned DFS is kept apart from ``counting._hamilton_cycles_from`` on
-purpose: that plain DFS is the reference the completer is checked against,
-and it is 5-6x faster on the oracle's small dense inputs.
 """
 
 from __future__ import annotations
@@ -32,7 +28,15 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import BudgetError, InfeasibleError, InputError
-from .graphs import Edge, Graph, connected_over, decompositions, iter_bits, single_bits
+from .graphs import (
+    Edge,
+    Graph,
+    connected_over,
+    decompositions,
+    hamilton_cycles,
+    iter_bits,
+    single_bits,
+)
 from .partition import PipelineParams, TriPartition, default_params, tri_partition
 from .rotation import extract_hamilton_step
 from .util import check_deadline, floor_frac, spawn_seed
@@ -48,10 +52,13 @@ log = logging.getLogger(__name__)
 # on 48 unions of two random Hamilton cycles of order 101 the level needed up
 # to 31 tries (6.9 on average).  A retry walks on from the last cycle, so on
 # K201 and Paley(197) at seeds 0-4 it takes about 71 walk steps against 553
-# for the first try's fresh build, and all are far cheaper than the DFS.
+# for the first try's fresh build.  The DFS prunes nothing, so 64, twice the
+# worst seen, keeps it for the levels the walk cannot finish.
 HEURISTIC_TRIES = 64
-# Restart slices the completion budget is split into.
-COMPLETION_RESTARTS = 24
+# Restart slices the completion budget is split into.  A slice must hold a
+# whole infeasibility proof: the DFS proves two K7 - e joined by two edges
+# in about 106k nodes, which a 2M budget's 125k-node slices hold.
+COMPLETION_RESTARTS = 16
 
 
 class _Budget:
@@ -71,57 +78,15 @@ class _Budget:
         if self.nodes % 4096 == 0:
             check_deadline(self.deadline, "completion search")
 
-
-def _hamilton_cycles_pruned(adj_bits, n: int, budget: _Budget, rng: random.Random):
-    """Yield every Hamilton cycle through vertex 0's lowest edge (0, a) once,
-    as a vertex tuple (0, a, ...), in min-degree-first order, with degree and
-    connectivity pruning.
-
-    The rng shuffles ties in the successor ordering, so restarted searches
-    explore different subtrees first; the enumeration stays exhaustive.  The
-    DFS keeps an explicit stack, so its depth is not bounded by Python's
-    recursion limit.  Not merged with the reference enumerator (module
-    docstring).
-    """
-    full = (1 << n) - 1
-
-    def successors(v: int, visited: int) -> list[int]:
-        budget.spend()
-        free = ~visited & full
-        # each unvisited vertex must keep 2 usable neighbor slots
-        avail = free | (1 << v) | 1
-        for w in iter_bits(free):
-            if (adj_bits[w] & avail).bit_count() < 2:
-                return []
-        if not connected_over(adj_bits, free | (1 << v)):
-            return []
-        # vertex 0's bit is excluded so the cycle closes only when full
-        options = sorted(
-            ((adj_bits[w] & free).bit_count(), rng.random(), w)
-            for w in iter_bits(adj_bits[v] & free & ~1)
-        )
-        return [w for _, _, w in options]
-
-    anchor = adj_bits[0] & -adj_bits[0]
-    path = [0]
-    visited = 1
-    stack = [iter([w for w in successors(0, visited) if anchor >> w & 1])]
-    while stack:
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            visited &= ~(1 << path.pop())
-            continue
-        path.append(w)
-        visited |= 1 << w
-        if visited == full:
-            budget.spend()
-            if adj_bits[w] & 1:
-                yield tuple(path)
-            path.pop()
-            visited &= ~(1 << w)
-            continue
-        stack.append(iter(successors(w, visited)))
+    def charge(self, nodes: int) -> None:
+        """The DFS's budget hook (``graphs.hamilton_cycles``): ``nodes``
+        nodes at once, then the slice quota and the deadline checked."""
+        self.nodes += nodes
+        if self.nodes > self.limit:
+            raise BudgetError(
+                f"completion search exceeded its {self.limit}-node budget"
+            )
+        check_deadline(self.deadline, "completion search")
 
 
 def _random_bit(mask: int, rand) -> int:
@@ -226,11 +191,13 @@ def complete_residual(
     slice always runs: an empty graph then gives the empty decomposition and
     a disconnected one is rejected before any node is spent.  A slice that
     exhausts its whole tree without finding a decomposition proves
-    infeasibility (InfeasibleError); a slice that hits its node quota
-    abandons its ordering and the next slice restarts.  BudgetError means
-    every slice ran out undecided, or that ``deadline`` passed (it is
-    checked before each slice and every 4096 nodes).  A returned
-    decomposition has been verified.
+    infeasibility (InfeasibleError); a slice that hits its node quota is
+    abandoned and the next slice restarts.  Only the heuristic differs
+    between slices: the DFS lists cycles in one fixed order.  BudgetError
+    means every slice ran out undecided, or that ``deadline`` passed (it is
+    checked before each slice, every 4096 nodes of the walk and every 1024
+    of the DFS, and stops the search at once).  A returned decomposition
+    has been verified.
     """
     degree = g.regular_degree()
     if degree is None:
@@ -248,13 +215,12 @@ def complete_residual(
             tried.add(canonical_cycle(cyc))
             yield cyc
         # the decomposition's one cycle through (0, a) is tried or listed
-        for cyc in _hamilton_cycles_pruned(bits, g.n, budget, rng):
-            if canonical_cycle(cyc) not in tried:
+        for cyc in hamilton_cycles(bits, g.n, budget.charge, bits[0] & -bits[0]):
+            if cyc not in tried:  # both canonical
                 yield cyc
 
     slice_budget = max(20_000, node_budget // COMPLETION_RESTARTS)
     spent = 0
-    found: tuple[tuple[int, ...], ...] | None = None
     for attempt in range(COMPLETION_RESTARTS):
         check_deadline(deadline, "completion search")
         budget = _Budget(min(slice_budget, node_budget - spent), deadline)
@@ -265,18 +231,16 @@ def complete_residual(
             )
             found = next(levels, None)
         except BudgetError:
+            if budget.nodes <= budget.limit:
+                raise  # the deadline passed, not the slice quota
             spent += budget.nodes
             if spent >= node_budget:
                 break
             continue
         if found is None:
             raise InfeasibleError("no Hamiltonian decomposition exists")
-        break
-    if found is None:
-        raise BudgetError(
-            f"completion search spent {spent} nodes without a decision"
-        )
-    return _verified(g, found, "completer output failed verification")
+        return _verified(g, found, "completer output failed verification")
+    raise BudgetError(f"completion search spent {spent} nodes without a decision")
 
 
 def _verified(g: Graph, cycles, fault: str) -> Decomposition:

@@ -15,7 +15,9 @@ side's rows against this graph's, then XOR or OR them in
 self-checks read the bit rows; the neighbour lists ``adj`` and the edge set
 ``edges`` are views decoded on first use.  Hot bit-row loops index
 ``single_bits(n)`` in place of ``1 << v``: every index is a vertex already
-range-checked or read off a bit row.
+range-checked or read off a bit row.  ``hamilton_cycles`` and
+``decompositions`` are the one Hamilton-cycle enumerator and the one
+decomposition recursion, under both the completer and the counting oracles.
 """
 
 from __future__ import annotations
@@ -313,14 +315,51 @@ def strip_cycle(adj_bits, cyc) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def hamilton_cycles(adj_bits, n: int, tick, second: int = -1):
+    """Yield every Hamilton cycle once, in canonical form (0, a, ..., b)
+    with a < b and a a bit of ``second``, in lexicographic order.
+
+    A plain DFS on an explicit stack, so n is not bounded by the recursion
+    limit.  It calls the budget hook ``tick(0)`` on entry and ``tick(1024)``
+    after every 1024 nodes; the hook stops the search by raising.
+    """
+    tick(0)
+    if n < 3:
+        return
+    full = (1 << n) - 1
+    path = [0]
+    visited = 1
+    stack = [adj_bits[0] & second & ~1]  # unexplored options per path vertex
+    nodes = 0
+    while stack:
+        options = stack[-1]
+        if not options:
+            stack.pop()
+            visited ^= 1 << path.pop()
+            continue
+        low = options & -options
+        stack[-1] = options ^ low
+        nodes += 1
+        if not nodes & 1023:
+            tick(1024)
+        w = low.bit_length() - 1
+        if visited | low == full:
+            if adj_bits[w] & 1 and path[1] < w:
+                yield (*path, w)
+            continue
+        path.append(w)
+        visited |= low
+        stack.append(adj_bits[w] & ~visited)
+
+
 def _only_cycle(bits, n: int) -> tuple[int, ...] | None:
     """The Hamilton cycle of 2-regular bit rows, or None when they are
     not connected.
 
     Walks from vertex 0 towards its lower neighbour a until the walk is
     back at 0, so a connected residual gives (0, a, ..., b) with a < b: the
-    one tuple ``counting._hamilton_cycles_from`` yields on it, with or
-    without the anchor, and already in canonical form.
+    one tuple ``hamilton_cycles`` yields on it, with or without the anchor,
+    and already in canonical form.
     """
     cyc = [0]
     prev, v = 0, (bits[0] & -bits[0]).bit_length() - 1

@@ -1,21 +1,22 @@
 """Listing oracles for the tests: every Hamilton cycle or decomposition of
 a tiny graph, and an exact isomorphism test.  They walk the package's own
-recursions (``counting._hamilton_cycles_from``, ``graphs.decompositions``
-and the corpus's class matcher), so the counts are checked against lists."""
+enumerator and recursions (``graphs.hamilton_cycles``, which the completer
+and the counting oracles share, ``graphs.decompositions`` and the corpus's
+class matcher), so the counts are checked against lists; the Held-Karp
+count checks the enumerator independently."""
 
-from hamdeck.counting import (
-    _check_decomposable_input,
-    _hamilton_cycles_from,
-    _maps_onto,
-    _vertex_invariants,
-)
-from hamdeck.graphs import decompositions
+from hamdeck.counting import _check_decomposable_input, _maps_onto, _vertex_invariants
+from hamdeck.graphs import decompositions, hamilton_cycles
+
+
+def no_budget(_nodes):
+    """A budget hook for ``hamilton_cycles`` that never stops it."""
 
 
 def enumerate_hamilton_cycles(g):
     """Every Hamilton cycle once, as a tuple from vertex 0, in lexicographic
     order."""
-    return list(_hamilton_cycles_from(g.adj_bits, g.n))
+    return list(hamilton_cycles(g.adj_bits, g.n, no_budget))
 
 
 def decomposition_stream(g, *, ordered=False):
@@ -28,7 +29,7 @@ def decomposition_stream(g, *, ordered=False):
     """
     def cycles_of(bits):
         second = -1 if ordered else bits[0] & -bits[0]
-        return _hamilton_cycles_from(bits, g.n, None, second)
+        return hamilton_cycles(bits, g.n, no_budget, second)
 
     return decompositions(g.adj_bits, g.n, cycles_of)
 

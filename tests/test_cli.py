@@ -248,6 +248,13 @@ class TestDecomposeAndVerify:
         assert code == 0
         assert len(json.loads(out)["cycles"]) == 2
 
+    def test_decompose_an_edgeless_graph(self, capsys, tmp_path):
+        path = tmp_path / "empty.edges"
+        path.write_text("4 0\n")
+        code, out = run_cli(capsys, "decompose", str(path), "--no-meta")
+        assert code == 0
+        assert json.loads(out)["cycles"] == []
+
     def test_budget_env_gives_exit_2(self, capsys, graph_file, monkeypatch):
         monkeypatch.setenv("HAMDECK_BUDGET_MS", "1")
         code, _ = run_cli(capsys, "decompose", graph_file(21))

@@ -10,7 +10,6 @@ from hamdeck import counting
 from hamdeck.cli import main
 from hamdeck.counting import (
     _class_entry,
-    _hamilton_cycles_from,
     _vertex_invariants,
     bregman_log_bound,
     connected_regular_graphs,
@@ -28,6 +27,7 @@ from hamdeck.graphs import (
     complete_graph,
     connected_over,
     cycle_graph,
+    hamilton_cycles,
     save_edge_list,
 )
 from hamdeck.walecki import Decomposition, verify_decomposition
@@ -38,6 +38,7 @@ from oracles import (
     enumerate_decompositions,
     enumerate_hamilton_cycles,
     isomorphic,
+    no_budget,
 )
 
 
@@ -258,7 +259,7 @@ class TestTwoRegularBaseCase:
             for bits in graphs:
                 walk = _only_cycle(bits, n)
                 for second in (-1, bits[0] & -bits[0]):
-                    cycles = list(_hamilton_cycles_from(bits, n, None, second))
+                    cycles = list(hamilton_cycles(bits, n, no_budget, second))
                     assert cycles == ([walk] if walk else []), (bits, second)
         assert counts == [1, 3, 12, 70, 465, 3507, 30016]  # A001205
 
@@ -285,7 +286,7 @@ class TestTwoRegularBaseCase:
 
             monkeypatch.setattr(counting, name, call)
 
-        spy("_hamilton_cycles_from", 0)
+        spy("hamilton_cycles", 0)
         spy("_class_entry", 1)
         count(g)
         assert seen and not [name for name, two in seen if two]

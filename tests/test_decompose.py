@@ -8,14 +8,9 @@ from functools import reduce
 import pytest
 
 from hamdeck import decompose, graphs
-from hamdeck.counting import (
-    _hamilton_cycles_from,
-    connected_regular_graphs,
-    count_decompositions_exact,
-)
+from hamdeck.counting import connected_regular_graphs, count_decompositions_exact
 from hamdeck.decompose import (
     _Budget,
-    _hamilton_cycles_pruned,
     _plan_steps,
     _random_bit,
     _rotation_first_cycle,
@@ -30,12 +25,14 @@ from hamdeck.graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
+    empty_graph,
+    hamilton_cycles,
     iter_bits,
     strip_cycle,
 )
 from hamdeck.walecki import canonical_cycle, verify_decomposition
 
-from conftest import cycle_edges, paley, petersen
+from conftest import circulant, cycle_edges, paley, petersen
 from oracles import enumerate_decompositions, enumerate_hamilton_cycles
 
 
@@ -85,17 +82,13 @@ def scan_rotation_first_cycle(adj_bits, n, rng):
     return None
 
 
-def pruned_cycles(g):
-    """Canonical Hamilton cycles from the completer's pruned DFS."""
-    budget = _Budget(10**9, None)
-    cycles = _hamilton_cycles_pruned(g.adj_bits, g.n, budget, random.Random(0))
-    return {canonical_cycle(c) for c in cycles}
-
-
-def anchored_cycles(g):
-    """The reference DFS's Hamilton cycles through vertex 0's lowest edge."""
-    anchor = g.adj_bits[0] & -g.adj_bits[0]
-    return set(_hamilton_cycles_from(g.adj_bits, g.n, None, anchor))
+def two_blobs(k: int):
+    """Two copies of K_k minus an edge, the missing edges' ends joined
+    across: (k-1)-regular, with no two edge-disjoint Hamilton cycles."""
+    halves = [range(k), range(k, 2 * k)]
+    pairs = [p for h in halves for p in itertools.combinations(h, 2)]
+    pairs = [p for p in pairs if p not in {(0, 1), (k, k + 1)}]
+    return build_graph(2 * k, pairs + [(0, k), (1, k + 1)])
 
 
 def even_corpus():
@@ -203,7 +196,7 @@ class TestCompleteResidual:
 
             return wrapper
 
-        for fn in ("_rotation_first_cycle", "_hamilton_cycles_pruned"):
+        for fn in ("_rotation_first_cycle", "hamilton_cycles"):
             monkeypatch.setattr(decompose, fn, spy(getattr(decompose, fn)))
         if name == "K101":
             g = complete_graph(101)
@@ -288,22 +281,9 @@ class TestCompleteResidual:
 
     def test_enumeration_survives_long_cycles(self):
         # the DFS depth is n; a recursive search overflows Python's stack
-        assert len(pruned_cycles(cycle_graph(1500))) == 1
-
-    def test_pruned_cycles_match_reference_across_corpus(self):
-        # the pruned, rng-ordered DFS must list exactly the cycles through
-        # vertex 0's lowest edge that the plain reference DFS lists, on every
-        # small graph and on every graph left after peeling one Hamilton
-        # cycle off it; a 6-regular graph has about 1,500 cycles to peel,
-        # which would take some 20 s, so only the graphs of degree <= 4 are
-        # peeled
-        for g in even_corpus():
-            assert pruned_cycles(g) == anchored_cycles(g), sorted(g.edges)
-            if g.regular_degree() > 4:
-                continue
-            for cyc in enumerate_hamilton_cycles(g):
-                rest = g.subtract(cycle_edges(cyc))
-                assert pruned_cycles(rest) == anchored_cycles(rest)
+        g = cycle_graph(1500)
+        tick = _Budget(10**9, None).charge
+        assert len(list(hamilton_cycles(g.adj_bits, g.n, tick))) == 1
 
     def test_cut_vertex_graph_is_proven_infeasible(self):
         # two copies of K5 minus an edge, each missing edge's ends joined to
@@ -323,16 +303,35 @@ class TestCompleteResidual:
         # across: (k-1)-regular, but every Hamilton cycle crosses the 2-edge
         # cut through both joins, so no two cycles are edge-disjoint.  The
         # completer must prove it within its default budget
-        halves = [range(k), range(k, 2 * k)]
-        pairs = [p for h in halves for p in itertools.combinations(h, 2)]
-        pairs = [p for p in pairs if p not in {(0, 1), (k, k + 1)}]
-        g = build_graph(2 * k, pairs + [(0, k), (1, k + 1)])
+        g = two_blobs(k)
         assert g.regular_degree() == k - 1
         with pytest.raises(InfeasibleError, match="no Hamiltonian decomposition"):
             complete_residual(g)
         if k == 5:
             assert count_decompositions_exact(g) == 0
             assert enumerate_decompositions(g) == []
+
+    def test_deadline_stops_the_exhaustive_search_midway(self, monkeypatch):
+        # one slice holds the whole budget, so only the DFS's own deadline
+        # checks can stop it before its 2M nodes run out undecided, and the
+        # deadline must end the search, not just the slice
+        monkeypatch.setattr(decompose, "HEURISTIC_TRIES", 0)
+        monkeypatch.setattr(decompose, "COMPLETION_RESTARTS", 1)
+        with pytest.raises(BudgetError, match="wall-clock budget"):
+            complete_residual(two_blobs(9), deadline=time.monotonic() + 0.2)
+
+    @pytest.mark.parametrize(
+        "n,jumps", [(101, (1, 5)), (45, (2, 3))], ids=["C101(1,5)", "C45(2,3)"]
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degree_four_circulants_complete_within_small_budget(
+        self, n, jumps, seed
+    ):
+        # the hardest inputs of the degree-4 circulant panel: one small
+        # slice must decide each, heuristic tries and DFS together
+        g = circulant(n, jumps)
+        deco = complete_residual(g, node_budget=20_000, seed=seed)
+        assert verify_decomposition(g, deco).ok
 
     def test_exhaustive_search_alone_decomposes(self, monkeypatch):
         # with no heuristic tries every level's cycles come from the DFS
@@ -418,6 +417,12 @@ class TestPipeline:
                     with pytest.raises(InfeasibleError):
                         run_pipeline(g, seed=0)
         assert caplog.records == []
+
+    def test_edgeless_input_needs_no_params(self):
+        # no default parameter reads the graph, so an edgeless input gives
+        # the empty decomposition without params too
+        run = run_pipeline(empty_graph(4))
+        assert run.decomposition.cycle_count == 0 and run.fallback_whole_graph
 
     def test_disconnected_input_rejected_before_partition(self, monkeypatch):
         def no_partition(*args):
